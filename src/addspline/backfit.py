@@ -20,6 +20,7 @@ its initial value.  `joint_solve` detects this and raises SingularSystem;
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +46,6 @@ __all__ = [
     "lambda_rule",
     "build_design",
     "criterion",
-    "backfit_stage",
     "backfit",
     "backfit_stages",
     "joint_solve",
@@ -53,7 +53,6 @@ __all__ = [
     "one_stage_pair",
     "predict",
     "center_component",
-    "assemble_hessian",
     "hessian_check",
 ]
 
@@ -101,6 +100,12 @@ class AdditiveDesign:
     @property
     def num_coef(self) -> int:
         return self.X1.cols
+
+    @functools.cached_property
+    def normal_equations(self) -> "NormalEquations":
+        """The design's one factored system, built on first use and shared by
+        the sweeps, the smoother maps, the joint solve and the diagnostics."""
+        return NormalEquations(self)
 
 
 @dataclass
@@ -155,7 +160,9 @@ class NormalEquations:
     """
 
     def __init__(self, design: AdditiveDesign):
-        self.design = design
+        # no reference back to the design: the design caches this object, and
+        # a cycle would leave both to the cyclic garbage collector
+        self.num_coef = design.num_coef
         Q = design.penalty
         self.gram1 = gram_banded(design.X1)
         self.gram2 = gram_banded(design.X2)
@@ -180,13 +187,40 @@ class NormalEquations:
         return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
     def stacked_matrix(self) -> np.ndarray:
-        q = self.design.num_coef
+        """The 2q x 2q penalized normal-equation matrix, i.e. the Hessian H1 + H2."""
+        q = self.num_coef
         A = np.empty((2 * q, 2 * q))
         A[:q, :q] = self._lam_dense1
         A[:q, q:] = self.C
         A[q:, :q] = self.C.T
         A[q:, q:] = self._lam_dense2
         return A
+
+    def stacked_factor(self, consequence: str):
+        """Dense Cholesky factor of the stacked matrix, for scipy's cho_solve.
+
+        Raises SingularSystemError, ending its message with `consequence`, when
+        the smallest eigenvalue is at or below the rounding floor.
+        """
+        A = self.stacked_matrix()
+        eigs, floor = _stacked_spectrum(A)
+        if eigs[0] <= floor:
+            raise SingularSystemError(
+                f"stacked system is numerically singular (min eig {eigs[0]:.3e}, "
+                f"floor {floor:.3e}); {consequence}"
+            )
+        try:
+            return scipy.linalg.cho_factor(A)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
+            raise SingularSystemError(str(exc)) from exc
+
+
+def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending eigenvalues of a stacked matrix and its rounding floor: an
+    eigenvalue at or below the floor is indistinguishable from zero."""
+    eigs = np.linalg.eigvalsh(A)
+    floor = A.shape[0] * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
+    return eigs, floor
 
 
 def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
@@ -199,13 +233,6 @@ def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
     )
 
 
-def backfit_stage(
-    design: AdditiveDesign, b2_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Gauss-Seidel sweep: update b1 against b2_prev, then b2 against b1."""
-    return NormalEquations(design).sweep(np.asarray(b2_prev, dtype=float))
-
-
 def _run(
     eq: NormalEquations,
     b2_init: np.ndarray | None,
@@ -213,7 +240,7 @@ def _run(
     max_stages: int,
     keep_history: bool,
 ) -> BackfitResult:
-    q = eq.design.num_coef
+    q = eq.num_coef
     b2 = np.zeros(q) if b2_init is None else np.asarray(b2_init, dtype=float).copy()
     if b2.shape != (q,):
         raise ValueError(f"b2_init must have shape ({q},), got {b2.shape}")
@@ -265,7 +292,7 @@ def backfit(
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    return _run(NormalEquations(design), b2_init, tol, max_stages, keep_history)
+    return _run(design.normal_equations, b2_init, tol, max_stages, keep_history)
 
 
 def backfit_stages(
@@ -277,7 +304,7 @@ def backfit_stages(
     """Run exactly `stages` sweeps (the fixed-stage estimator)."""
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    return _run(NormalEquations(design), b2_init, None, stages, keep_history)
+    return _run(design.normal_equations, b2_init, None, stages, keep_history)
 
 
 def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:
@@ -291,22 +318,13 @@ def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:
     docstring.  Designs without that shared direction (e.g. one component
     absent, or bases not summing to one) solve normally.
     """
-    eq = NormalEquations(design)
-    A = eq.stacked_matrix()
-    q = design.num_coef
-    eigs = np.linalg.eigvalsh(A)
-    floor = 2 * q * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
-    if eigs[0] <= floor:
-        raise SingularSystemError(
-            f"stacked system is numerically singular (min eig {eigs[0]:.3e}, "
-            f"floor {floor:.3e}); with both full bases present the constant "
-            "shift between components is an exact null direction"
-        )
-    try:
-        c = scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularSystemError(str(exc)) from exc
+    eq = design.normal_equations
+    c = eq.stacked_factor(
+        "with both full bases present the constant shift between components "
+        "is an exact null direction"
+    )
     sol = scipy.linalg.cho_solve(c, np.concatenate([eq.u1, eq.u2]))
+    q = design.num_coef
     return sol[:q], sol[q:]
 
 
@@ -329,7 +347,7 @@ def one_stage_pair(design: AdditiveDesign, x1: float, x2: float) -> tuple[float,
     penalized fit of the first component's residual y - X1 (Lam_1^{-1} X1'y),
     i.e. the projector complement applied without materializing it.
     """
-    eq = NormalEquations(design)
+    eq = design.normal_equations
     b1 = eq.L1.solve(eq.u1)
     resid = design.y - design.X1.values @ b1
     b2 = eq.L2.solve(design.X2.values.T @ resid)
@@ -382,24 +400,11 @@ class HessianReport:
     constant_shift_quadform: float
 
 
-def assemble_hessian(design: AdditiveDesign) -> np.ndarray:
-    """H1 + H2: the Gram block matrix plus the block-diagonal penalty."""
-    q = design.num_coef
-    X1, X2 = design.X1.values, design.X2.values
-    H = np.empty((2 * q, 2 * q))
-    H[:q, :q] = X1.T @ X1 + design.lambda1 * design.penalty.values
-    H[:q, q:] = X1.T @ X2
-    H[q:, :q] = H[:q, q:].T
-    H[q:, q:] = X2.T @ X2 + design.lambda2 * design.penalty.values
-    return H
-
-
 def hessian_check(design: AdditiveDesign) -> HessianReport:
     """Report whether the stacked Hessian is numerically positive definite."""
-    H = assemble_hessian(design)
+    H = design.normal_equations.stacked_matrix()
     q = design.num_coef
-    eigs = np.linalg.eigvalsh(H)
-    floor = 2 * q * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
+    eigs, floor = _stacked_spectrum(H)
     chol_ok = True
     try:
         np.linalg.cholesky(H)

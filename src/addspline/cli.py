@@ -19,12 +19,11 @@ from .backfit import (
     SingularSystemError,
     backfit,
     build_design,
+    center_component,
     hessian_check,
-    kn_rule,
-    lambda_rule,
 )
 from .bandmat import NotPositiveDefiniteError
-from .basis import design_matrix, eval_grid
+from .basis import eval_grid
 from .dataio import DataError, RunReport, load_csv, write_table
 from .inference import StageSmoother, confidence_interval, sigma2_hat
 from .sim import (
@@ -174,6 +173,8 @@ def cmd_fit(args) -> int:
     lam2 = _auto_float(args.lambda2, "--lambda2")
     if args.max_stages < 1:
         raise DataError(f"--max-stages must be >= 1, got {args.max_stages}")
+    z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
+    grid = eval_grid(args.grid)
     design = build_design(
         dataset.y,
         dataset.x1,
@@ -196,26 +197,17 @@ def cmd_fit(args) -> int:
         )
     sigma2 = sigma2_hat(design, result)
 
-    grid = eval_grid(args.grid)
     smoother = StageSmoother(design, stages=max(1, result.stages))
+    products = smoother.weight_products(grid, grid)
     grids = {}
     curves = []
-    X_design = (design.X1, design.X2)
     scales = (1.0, 1.0)
     if dataset.preprocessing is not None:
         scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
     for j in (1, 2):
-        X = X_design[j - 1]
-        b = result.b1 if j == 1 else result.b2
-        offset = float(np.mean(X.values @ b))
-        rows = design_matrix(X.config, grid)
-        estimate = rows.values @ b - offset
-        lower = np.empty_like(estimate)
-        upper = np.empty_like(estimate)
-        for i, x in enumerate(grid):
-            w = smoother.component_weights(j, float(x))
-            ci = confidence_interval(estimate[i], sigma2 * float(w @ w), args.level)
-            lower[i], upper[i] = ci.lower, ci.upper
+        estimate = center_component(result, design, j, grid)
+        half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
+        lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]
         grids[f"component{j}"] = {
             "x": x_original.tolist(),

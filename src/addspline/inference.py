@@ -1,11 +1,15 @@
 """Pointwise inference for the backfitting estimator.
 
 The estimator is linear in y, and it touches y only through the two projected
-responses X_1'y and X_2'y.  Stage-mode weight extraction exploits that: four
-q x q maps are propagated across the sweeps, and one basis row pulled back
-through them yields the n-vector of smoother weights.  Limit mode factors the
-stacked normal-equation system once and does one solve per evaluation point.
-Either way no n x n matrix is ever formed.
+responses u = (X_1'y, X_2'y).  Stage mode propagates four q x q maps across
+the sweeps, so the fixed-stage coefficients are M u with M = [[A, B], [C, D]].
+Every inner product of two weight vectors is then a quadratic form in the
+2q x 2q matrix M G M', G the stacked Gram matrix of (X_1, X_2): interval
+variances cost O(q^2) per point and need no n-vector.  The n-vector weights
+themselves stay available (`component_weights`, `smoother_weights`,
+`exact_covariance`) for heteroskedastic noise and as test oracles.  Limit
+mode factors the stacked normal-equation system once and does one solve per
+evaluation point.  Either way no n x n matrix is ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
 linear smoother (weights times the noise variance); the asymptotic bias and
@@ -21,12 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
 
-from .backfit import (
-    AdditiveDesign,
-    BackfitResult,
-    NormalEquations,
-    SingularSystemError,
-)
+from .backfit import AdditiveDesign, BackfitResult
 from .bandmat import BandedMatrix
 from .basis import SplineConfig, design_matrix, eval_grid
 
@@ -71,8 +70,9 @@ class StageSmoother:
     """Linear maps of the fixed-stage estimator, reusable across grid points.
 
     After construction, `maps` holds (A, B, C, D) with b1 = A u1 + B u2 and
-    b2 = C u1 + D u2 where u_j = X_j'y; `component_weights` turns a basis row
-    into observation weights.
+    b2 = C u1 + D u2 where u_j = X_j'y, and `products` holds M G M' (see the
+    module docstring).  `weight_products` reads weight inner products off it;
+    `component_weights` turns a basis row into observation weights.
     """
 
     def __init__(self, design: AdditiveDesign, stages: int):
@@ -80,8 +80,7 @@ class StageSmoother:
             raise ValueError("stages must be >= 1")
         self.design = design
         self.stages = stages
-        eq = NormalEquations(design)
-        self._eq = eq
+        eq = design.normal_equations
         q = design.num_coef
         eye = np.eye(q)
         Cm = np.zeros((q, q))
@@ -92,6 +91,31 @@ class StageSmoother:
             Cm = -eq.L2.solve(eq.C.T @ Am)
             Dm = eq.L2.solve(eye - eq.C.T @ Bm)
         self.maps = (Am, Bm, Cm, Dm)
+        # M = [left, right] acts on (u1, u2); G M' is formed from the blocks
+        # of G = [[X1'X1, C], [C', X2'X2]] without stacking G
+        left, right = np.vstack([Am, Cm]), np.vstack([Bm, Dm])
+        g_left = eq.gram1.to_dense() @ left.T + eq.C @ right.T
+        g_right = eq.C.T @ left.T + eq.gram2.to_dense() @ right.T
+        self.products = left @ g_left + right @ g_right
+
+    def weight_products(self, x1, x2) -> np.ndarray:
+        """Inner products w_j . w_k of the weights of f_hat_1(x1) and f_hat_2(x2).
+
+        A 2 x 2 matrix for scalar points, shape (m, 2, 2) for m point pairs;
+        times the noise variance it is the exact covariance of the two
+        estimates under homoskedastic noise.
+        """
+        cfg = self.design.X1.config
+        r1, r2 = (
+            design_matrix(cfg, np.atleast_1d(np.asarray(x, dtype=float))).values
+            for x in (x1, x2)
+        )
+        q = self.design.num_coef
+        E = np.zeros((r1.shape[0], 2, 2 * q))
+        E[:, 0, :q] = r1
+        E[:, 1, q:] = r2
+        P = E @ self.products @ E.transpose(0, 2, 1)
+        return P[0] if np.ndim(x1) == 0 and np.ndim(x2) == 0 else P
 
     def component_weights(self, j: int, x: float) -> np.ndarray:
         cfg = self.design.X1.config
@@ -103,20 +127,6 @@ class StageSmoother:
         if j == 2:
             return X1 @ (Cm.T @ v) + X2 @ (Dm.T @ v)
         raise ValueError(f"component index must be 1 or 2, got {j}")
-
-
-def _guarded_stacked_factor(eq: NormalEquations):
-    A = eq.stacked_matrix()
-    q = eq.design.num_coef
-    eigs = np.linalg.eigvalsh(A)
-    floor = 2 * q * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
-    if eigs[0] <= floor:
-        raise SingularSystemError(
-            f"stacked system is numerically singular (min eig {eigs[0]:.3e}); "
-            "limit-mode weights are undefined under the shared constant "
-            "direction -- use stage mode"
-        )
-    return scipy.linalg.cho_factor(A)
 
 
 def smoother_weights(
@@ -144,8 +154,10 @@ def smoother_weights(
             stages=stages,
         )
     if mode == "limit":
-        eq = NormalEquations(design)
-        factor = _guarded_stacked_factor(eq)
+        factor = design.normal_equations.stacked_factor(
+            "limit-mode weights are undefined under the shared constant "
+            "direction -- use stage mode"
+        )
         q = design.num_coef
         cfg = design.X1.config
         X1, X2 = design.X1.values, design.X2.values

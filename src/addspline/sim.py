@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import kstest
 
 from .backfit import (
     AdditiveDesign,
@@ -31,7 +30,7 @@ from .backfit import (
     univariate_penalized,
 )
 from .basis import eval_grid
-from .inference import confidence_interval, exact_covariance, smoother_weights
+from .inference import StageSmoother, confidence_interval
 
 __all__ = [
     "ScenarioConfig",
@@ -235,31 +234,41 @@ class MonteCarloSummary:
 _EIG_FLOOR = 1e-14
 
 
+def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation f_hat - f_true at the evaluation point and its exact
+    covariance V, from one replication's fixed-stage fit."""
+    data = generate_dataset(cfg, replication)
+    design = scenario_design(cfg, data)
+    res = backfit_stages(design, cfg.stages)
+    x1e, x2e = cfg.eval_point
+    f1h, f2h, _ = predict(res, design.X1.config, x1e, x2e)
+    products = StageSmoother(design, cfg.stages).weight_products(x1e, x2e)
+    dev = np.array(
+        [f1h - float(np.asarray(cfg.f1(x1e))), f2h - float(np.asarray(cfg.f2(x2e)))]
+    )
+    return dev, cfg.error_variance * products
+
+
 def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None:
     """One standardized row V^{-1/2} (f_hat - f_true) at the evaluation point.
 
     Returns None when the exact covariance is numerically degenerate (an
     eigenvalue at or below the 1e-14 floor); callers count such rejections.
     """
-    data = generate_dataset(cfg, replication)
-    design = scenario_design(cfg, data)
-    res = backfit_stages(design, cfg.stages)
-    x1e, x2e = cfg.eval_point
-    f1h, f2h, _ = predict(res, design.X1.config, x1e, x2e)
-    w = smoother_weights(design, x1e, x2e, mode="stage", stages=cfg.stages)
-    V = exact_covariance(w, cfg.error_variance)
+    dev, V = _replicate(cfg, replication)
     evals, evecs = np.linalg.eigh(V)
     if evals.min() <= _EIG_FLOOR:
         return None
     inv_half = evecs @ ((evals**-0.5)[:, None] * evecs.T)
-    dev = np.array(
-        [f1h - float(np.asarray(cfg.f1(x1e))), f2h - float(np.asarray(cfg.f2(x2e)))]
-    )
     return inv_half @ dev
 
 
 def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: int,
                level: float = 0.95) -> MonteCarloSummary:
+    # imported here: scipy.stats takes about a second to load, and only the
+    # Monte Carlo summaries need it
+    from scipy.stats import kstest
+
     z = confidence_interval(0.0, 1.0, level).upper
     return MonteCarloSummary(
         mean=values.mean(axis=0),
@@ -308,42 +317,19 @@ def coverage_experiment(
 ) -> MonteCarloSummary:
     """Interval coverage at the evaluation point with known noise variance.
 
-    Per replication: fixed-stage fit, exact smoother variance, normal-quantile
-    interval, and a hit when the interval contains the true component value.
+    Per replication the deviation is standardized per component by its exact
+    smoother standard deviation; the normal-quantile interval covers the true
+    value exactly when that standardized deviation is at most z_{(1+level)/2}
+    in size, which is the summary's coverage.
     """
+    confidence_interval(0.0, 1.0, level)  # reject a bad level before replicating
     start = time.perf_counter()
-    x1e, x2e = cfg.eval_point
-    truth = np.array(
-        [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
-    )
     M = cfg.replications
-    hits = np.zeros((M, 2))
-    devs = np.zeros((M, 2))
+    devs = np.empty((M, 2))
     for r in range(M):
-        data = generate_dataset(cfg, r)
-        design = scenario_design(cfg, data)
-        res = backfit_stages(design, cfg.stages)
-        f1h, f2h, _ = predict(res, design.X1.config, x1e, x2e)
-        w = smoother_weights(design, x1e, x2e, mode="stage", stages=cfg.stages)
-        V = exact_covariance(w, cfg.error_variance)
-        for j, est in enumerate((f1h, f2h)):
-            ci = confidence_interval(est, V[j, j], level)
-            hits[r, j] = 1.0 if ci.lower <= truth[j] <= ci.upper else 0.0
-            devs[r, j] = (est - truth[j]) / np.sqrt(V[j, j])
-    return MonteCarloSummary(
-        mean=devs.mean(axis=0),
-        covariance=np.cov(devs.T, ddof=1),
-        ks_stat=np.array(
-            [
-                float(kstest(devs[:, 0], "norm").statistic),
-                float(kstest(devs[:, 1], "norm").statistic),
-            ]
-        ),
-        coverage=hits.mean(axis=0),
-        runtime_seconds=time.perf_counter() - start,
-        replications=M,
-        rejected=0,
-    )
+        dev, V = _replicate(cfg, r)
+        devs[r] = dev / np.sqrt(np.diag(V))
+    return _summarize(devs, time.perf_counter() - start, M, 0, level)
 
 
 @dataclass(frozen=True)

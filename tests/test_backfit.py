@@ -21,7 +21,7 @@ from addspline import (
     predict,
     univariate_penalized,
 )
-from addspline.backfit import NormalEquations, assemble_hessian
+from addspline.backfit import NormalEquations
 from addspline.basis import design_matrix, make_knots
 
 
@@ -360,7 +360,7 @@ class TestHessianCheck:
             assert abs(rep.constant_shift_quadform) < 1e-9
             assert abs(rep.min_eig) < 1e-9
             # the defect is one-dimensional: the next eigenvalue is real mass
-            eigs = np.linalg.eigvalsh(assemble_hessian(d))
+            eigs = np.linalg.eigvalsh(NormalEquations(d).stacked_matrix())
             assert eigs[1] > 1e-3
 
     def test_identified_design_is_positive_definite(self):

@@ -1,13 +1,17 @@
 """Command-line interface: fit and simulate subcommands, exit codes, files."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import OZONE_CSV
 
+import addspline
+from addspline.backfit import NormalEquations
 from addspline.cli import main
 from addspline.dataio import RunReport, read_table
 
@@ -128,6 +132,30 @@ class TestFit:
         assert report.joint_system_singular
         assert report.config["lambda1"] == 0.0
         assert report.converged
+
+    def test_one_factorization_per_fit(self, tmp_path, capsys, ozone_args, monkeypatch):
+        built = []
+        init = NormalEquations.__init__
+
+        def counting(self, design):
+            built.append(design)
+            init(self, design)
+
+        monkeypatch.setattr(NormalEquations, "__init__", counting)
+        code, _, _ = run_main(capsys, *ozone_args)
+        assert code == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--level", "1.5"), ("--grid", "0")])
+    def test_bad_level_or_grid_exit_1_before_fitting(
+        self, tmp_path, capsys, ozone_args, flag, value
+    ):
+        # the ozone fit always warns "singular"; its absence shows no fit ran
+        code, _, err = run_main(capsys, *ozone_args, flag, value)
+        assert code == 1
+        assert "error:" in err
+        assert "singular" not in err
+        assert not (tmp_path / "fit_report.json").exists()
 
     def test_nonconvergence_exit_code_keeps_report(self, tmp_path, capsys, ozone_args):
         code, out, _ = run_main(capsys, *ozone_args, "--max-stages", "1", "--tol", "1e-14")
@@ -272,6 +300,17 @@ class TestSimulate:
         assert "--n" in err
 
 
+# child interpreters import the package from the same tree as this process,
+# whether it comes from PYTHONPATH, pytest's pythonpath setting or an install
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(addspline.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
@@ -293,13 +332,31 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         assert (tmp_path / "fit_report.json").exists()
 
+    def test_import_does_not_load_scipy_stats(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, addspline.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "addspline"], capture_output=True, text=True
+            [sys.executable, "-m", "addspline"],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 1
         assert "usage" in (proc.stderr + proc.stdout).lower()

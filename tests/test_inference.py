@@ -1,5 +1,8 @@
 """Smoother weights, exact and asymptotic variance, bias plug-in, intervals."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import ridged_design, sim_xy, stacked_dense
@@ -58,6 +61,39 @@ class TestStageWeights:
         r2 = backfit_stages(d2, 7)
         v = design_matrix(d.X1.config, np.array([0.4])).values[0]
         assert w.w1 @ y2 == pytest.approx(v @ r2.b1, abs=1e-10)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_weight_products_match_weight_vectors(self, full):
+        # M G M' in coefficient space against the n-vector inner products
+        if full:
+            y, x1, x2 = sim_xy(150, seed=25)
+            d = build_design(y, x1, x2, num_intervals=9)
+        else:
+            d = ridged_design()
+        sm = StageSmoother(d, stages=6)
+        pts = np.array([0.05, 0.37, 0.81, 1.0])
+        grid = sm.weight_products(pts, pts[::-1])
+        assert grid.shape == (4, 2, 2)
+        for k, (a, b) in enumerate(zip(pts, pts[::-1])):
+            w1, w2 = sm.component_weights(1, a), sm.component_weights(2, b)
+            want = np.array([[w1 @ w1, w1 @ w2], [w1 @ w2, w2 @ w2]])
+            for got in (grid[k], sm.weight_products(a, b)):
+                assert got.shape == (2, 2)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_design_is_freed_by_reference_counting(self):
+        # the design caches its normal equations; a reference cycle through
+        # them would keep every design alive until a cyclic collection
+        d = ridged_design()
+        sm = StageSmoother(d, stages=3)
+        assert sm.design.normal_equations is d.normal_equations
+        ref = weakref.ref(d)
+        gc.disable()
+        try:
+            del d, sm
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_validation(self):
         d = ridged_design()
