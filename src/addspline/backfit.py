@@ -217,9 +217,15 @@ class NormalEquations:
         self._lam_dense1 = self.lam_banded1.to_dense()
         self._lam_dense2 = self.lam_banded2.to_dense()
 
-    def sweep(self, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b1 = self.L1.solve(self.u1 - self.C @ b2)
-        b2_new = self.L2.solve(self.u2 - self.C.T @ b1)
+    def sweep(
+        self, b2: np.ndarray, u1: np.ndarray, u2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One stage: b1 = Lam_1^{-1}(u1 - C b2), then b2 = Lam_2^{-1}(u2 - C' b1).
+
+        u_j may be the vectors X_j'y or q x k blocks (k right-hand sides at once).
+        """
+        b1 = self.L1.solve(u1 - self.C @ b2)
+        b2_new = self.L2.solve(u2 - self.C.T @ b1)
         return b1, b2_new
 
     def residual_norm(self, b1: np.ndarray, b2: np.ndarray) -> float:
@@ -291,7 +297,7 @@ def _run(
     stages = 0
     residual = np.inf
     for stage in range(1, max_stages + 1):
-        b1_new, b2_new = eq.sweep(b2)
+        b1_new, b2_new = eq.sweep(b2, eq.u1, eq.u2)
         change = max(
             float(np.abs(b1_new - b1).max()) if stage > 1 else np.inf,
             float(np.abs(b2_new - b2).max()),
@@ -379,8 +385,7 @@ def univariate_penalized(
     y = np.asarray(y, dtype=float).ravel()
     lam_band = penalized_gram(gram_banded(X), lam, Q)
     b = _PinnedCholesky(lam_band).solve(X.values.T @ y)
-    rows = design_matrix(X.config, np.atleast_1d(np.asarray(x, dtype=float))).values
-    out = rows @ b
+    out = design_matrix(X.config, x).values @ b
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -389,23 +394,17 @@ def one_stage_pair(design: AdditiveDesign, x1: float, x2: float) -> tuple[float,
 
     First component: the univariate penalized fit of y on X1.  Second: the
     penalized fit of the first component's residual y - X1 (Lam_1^{-1} X1'y),
-    i.e. the projector complement applied without materializing it.
+    i.e. the projector complement applied without materializing it.  Together
+    they are the first sweep of the zero-start backfit.
     """
-    eq = design.normal_equations
-    b1 = eq.L1.solve(eq.u1)
-    resid = design.y - design.X1.values @ b1
-    b2 = eq.L2.solve(design.X2.values.T @ resid)
-    r1 = design_matrix(design.X1.config, np.atleast_1d(float(x1))).values[0]
-    r2 = design_matrix(design.X2.config, np.atleast_1d(float(x2))).values[0]
-    return float(r1 @ b1), float(r2 @ b2)
+    f1, f2, _ = predict(backfit_stages(design, 1), design.X1.config, float(x1), float(x2))
+    return f1, f2
 
 
 def predict(result: BackfitResult, cfg: SplineConfig, x1, x2):
     """Evaluate the two fitted components and their sum at new points."""
-    r1 = design_matrix(cfg, np.atleast_1d(np.asarray(x1, dtype=float))).values
-    r2 = design_matrix(cfg, np.atleast_1d(np.asarray(x2, dtype=float))).values
-    f1 = r1 @ result.b1
-    f2 = r2 @ result.b2
+    f1 = design_matrix(cfg, x1).values @ result.b1
+    f2 = design_matrix(cfg, x2).values @ result.b2
     if np.ndim(x1) == 0 and np.ndim(x2) == 0:
         return float(f1[0]), float(f2[0]), float(f1[0] + f2[0])
     return f1, f2, f1 + f2
@@ -424,8 +423,7 @@ def center_component(
     X = design.X1 if j == 1 else design.X2
     b = result.b1 if j == 1 else result.b2
     offset = float(np.mean(X.values @ b))
-    rows = design_matrix(X.config, np.atleast_1d(np.asarray(x, dtype=float))).values
-    vals = rows @ b - offset
+    vals = design_matrix(X.config, x).values @ b - offset
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
         )
     sigma2 = sigma2_hat(design, result)
 
-    smoother = StageSmoother(design, stages=max(1, result.stages))
+    smoother = StageSmoother(design, stages=result.stages)
     products = smoother.weight_products(grid, grid)
     grids = {}
     curves = []
@@ -264,6 +264,10 @@ def cmd_fit(args) -> int:
         sigma2=sigma2,
         joint_system_singular=not hess.is_pd,
         coefficients={"b1": result.b1.tolist(), "b2": result.b2.tolist()},
+        pinned_columns={
+            f"component{j}": cols.tolist()
+            for j, cols in enumerate(design.normal_equations.pinned, start=1)
+        },
         grids=grids,
         runtime_seconds=time.perf_counter() - start,
     )

@@ -221,6 +221,9 @@ class RunReport:
     coefficients: dict  # {"b1": [...], "b2": [...]}
     grids: dict  # per component: {"x": [...], "x_scaled": [...], "estimate", "lower", "upper"}
     runtime_seconds: float = 0.0
+    # {"component1": [...], "component2": [...]}: NormalEquations.pinned;
+    # reports written before this field existed load with {}
+    pinned_columns: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)

@@ -1,15 +1,16 @@
 """Pointwise inference for the backfitting estimator.
 
 The estimator is linear in y, and it touches y only through the two projected
-responses u = (X_1'y, X_2'y).  Stage mode propagates four q x q maps across
-the sweeps, so the fixed-stage coefficients are M u with M = [[A, B], [C, D]].
-Every inner product of two weight vectors is then a quadratic form in the
-2q x 2q matrix M G M', G the stacked Gram matrix of (X_1, X_2): interval
-variances cost O(q^2) per point and need no n-vector.  The n-vector weights
-themselves stay available (`component_weights`, `smoother_weights`,
-`exact_covariance`) for heteroskedastic noise and as test oracles.  Limit
-mode factors the stacked normal-equation system once and does one solve per
-evaluation point.  Either way no n x n matrix is ever formed.
+responses u = (X_1'y, X_2'y): the coefficients are (b1, b2) = M u for one
+2q x 2q map M.  Stage mode builds M by running the backfit sweep on block
+right-hand sides; limit mode takes M = H^{-1}, H the stacked normal-equation
+matrix, from one dense factorization.  Every inner product of two weight
+vectors is a quadratic form in M G M', G the stacked Gram matrix of
+(X_1, X_2): interval variances cost O(q^2) per point and need no n-vector.
+The n-vector weights themselves stay available (`component_weights`,
+`smoother_weights`, `exact_covariance`) for heteroskedastic noise and as test
+oracles, and are read off M by one helper in both modes.  No n x n matrix is
+ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
 linear smoother (weights times the noise variance); the asymptotic bias and
@@ -67,11 +68,12 @@ class IntervalEstimate:
 
 
 class StageSmoother:
-    """Linear maps of the fixed-stage estimator, reusable across grid points.
+    """The fixed-stage estimator as one linear map, reusable across grid points.
 
-    After construction, `maps` holds (A, B, C, D) with b1 = A u1 + B u2 and
-    b2 = C u1 + D u2 where u_j = X_j'y, and `products` holds M G M' (see the
-    module docstring).  `weight_products` reads weight inner products off it;
+    `M` is the 2q x 2q map with (b1, b2) = M u, u = (X_1'y, X_2'y): `stages`
+    backfit sweeps (`NormalEquations.sweep`) started from b2 = 0 on the block
+    right-hand sides [I 0] and [0 I].  `products` holds M G M' (see the module
+    docstring); `weight_products` reads weight inner products off it and
     `component_weights` turns a basis row into observation weights.
     """
 
@@ -82,18 +84,14 @@ class StageSmoother:
         self.stages = stages
         eq = design.normal_equations
         q = design.num_coef
-        eye = np.eye(q)
-        Cm = np.zeros((q, q))
-        Dm = np.zeros((q, q))
+        U1, U2 = np.eye(q, 2 * q), np.eye(q, 2 * q, k=q)
+        B2 = np.zeros((q, 2 * q))
         for _ in range(stages):
-            Am = eq.L1.solve(eye - eq.C @ Cm)
-            Bm = -eq.L1.solve(eq.C @ Dm)
-            Cm = -eq.L2.solve(eq.C.T @ Am)
-            Dm = eq.L2.solve(eye - eq.C.T @ Bm)
-        self.maps = (Am, Bm, Cm, Dm)
-        # M = [left, right] acts on (u1, u2); G M' is formed from the blocks
-        # of G = [[X1'X1, C], [C', X2'X2]] without stacking G
-        left, right = np.vstack([Am, Cm]), np.vstack([Bm, Dm])
+            B1, B2 = eq.sweep(B2, U1, U2)
+        self.M = np.vstack([B1, B2])
+        # G M' is formed from the blocks of G = [[X1'X1, C], [C', X2'X2]]
+        # without stacking G
+        left, right = self.M[:, :q], self.M[:, q:]
         g_left = eq.gram1.to_dense() @ left.T + eq.C @ right.T
         g_right = eq.C.T @ left.T + eq.gram2.to_dense() @ right.T
         self.products = left @ g_left + right @ g_right
@@ -106,10 +104,7 @@ class StageSmoother:
         estimates under homoskedastic noise.
         """
         cfg = self.design.X1.config
-        r1, r2 = (
-            design_matrix(cfg, np.atleast_1d(np.asarray(x, dtype=float))).values
-            for x in (x1, x2)
-        )
+        r1, r2 = (design_matrix(cfg, x).values for x in (x1, x2))
         q = self.design.num_coef
         E = np.zeros((r1.shape[0], 2, 2 * q))
         E[:, 0, :q] = r1
@@ -118,15 +113,17 @@ class StageSmoother:
         return P[0] if np.ndim(x1) == 0 and np.ndim(x2) == 0 else P
 
     def component_weights(self, j: int, x: float) -> np.ndarray:
-        cfg = self.design.X1.config
-        v = design_matrix(cfg, np.atleast_1d(float(x))).values[0]
-        Am, Bm, Cm, Dm = self.maps
-        X1, X2 = self.design.X1.values, self.design.X2.values
-        if j == 1:
-            return X1 @ (Am.T @ v) + X2 @ (Bm.T @ v)
-        if j == 2:
-            return X1 @ (Cm.T @ v) + X2 @ (Dm.T @ v)
+        return _map_weights(self.design, self.M, j, x)
+
+
+def _map_weights(design: AdditiveDesign, M: np.ndarray, j: int, x: float) -> np.ndarray:
+    """Observation weights w with B(x)'b_j = w . y, for coefficients b = M u."""
+    if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
+    q = design.num_coef
+    v = design_matrix(design.X1.config, float(x)).values[0]
+    a = M[(j - 1) * q : j * q].T @ v
+    return design.X1.values @ a[:q] + design.X2.values @ a[q:]
 
 
 def smoother_weights(
@@ -144,37 +141,24 @@ def smoother_weights(
     two full partition-of-unity bases).
     """
     if mode == "stage":
-        sm = StageSmoother(design, stages)
-        return SmootherWeights(
-            w1=sm.component_weights(1, x1),
-            w2=sm.component_weights(2, x2),
-            x1=float(x1),
-            x2=float(x2),
-            mode=mode,
-            stages=stages,
-        )
-    if mode == "limit":
+        M = StageSmoother(design, stages).M
+    elif mode == "limit":
         factor = design.normal_equations.stacked_factor(
             "limit-mode weights are undefined under the shared constant "
             "direction -- use stage mode"
         )
-        q = design.num_coef
-        cfg = design.X1.config
-        X1, X2 = design.X1.values, design.X2.values
-        rhs = np.zeros(2 * q)
-        v1 = design_matrix(cfg, np.atleast_1d(float(x1))).values[0]
-        rhs[:q] = v1
-        u = scipy.linalg.cho_solve(factor, rhs)
-        w1 = X1 @ u[:q] + X2 @ u[q:]
-        rhs[:] = 0.0
-        v2 = design_matrix(cfg, np.atleast_1d(float(x2))).values[0]
-        rhs[q:] = v2
-        u = scipy.linalg.cho_solve(factor, rhs)
-        w2 = X1 @ u[:q] + X2 @ u[q:]
-        return SmootherWeights(
-            w1=w1, w2=w2, x1=float(x1), x2=float(x2), mode=mode, stages=None
-        )
-    raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")
+        M = scipy.linalg.cho_solve(factor, np.eye(2 * design.num_coef))  # H^{-1}
+        stages = None
+    else:
+        raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")
+    return SmootherWeights(
+        w1=_map_weights(design, M, 1, x1),
+        w2=_map_weights(design, M, 2, x2),
+        x1=float(x1),
+        x2=float(x2),
+        mode=mode,
+        stages=stages,
+    )
 
 
 def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
@@ -241,7 +225,7 @@ def asymptotic_variance(design: AdditiveDesign, j: int, x: float, noise) -> floa
     Gn = vals.T @ vals / n
     s2 = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
     Sn = vals.T @ (s2[:, None] * vals) / n
-    v = design_matrix(X.config, np.atleast_1d(float(x))).values[0]
+    v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(t @ Sn @ t) / n
 
@@ -264,7 +248,7 @@ def asymptotic_bias(
     Xg = design_matrix(X.config, grid).values
     b_star, *_ = np.linalg.lstsq(Xg, np.asarray(true_fn(grid), dtype=float), rcond=None)
     Gn = X.values.T @ X.values / n
-    v = design_matrix(X.config, np.atleast_1d(float(x))).values[0]
+    v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(-(lam / n) * (t @ (design.penalty.values @ b_star)))
 

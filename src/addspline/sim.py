@@ -29,7 +29,7 @@ from .backfit import (
     predict,
     univariate_penalized,
 )
-from .basis import eval_grid
+from .basis import design_matrix, eval_grid
 from .inference import StageSmoother, confidence_interval
 
 __all__ = [
@@ -239,14 +239,15 @@ def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.nd
     covariance V, from one replication's fixed-stage fit."""
     data = generate_dataset(cfg, replication)
     design = scenario_design(cfg, data)
-    res = backfit_stages(design, cfg.stages)
+    sm = StageSmoother(design, cfg.stages)
+    eq = design.normal_equations
+    b = sm.M @ np.concatenate([eq.u1, eq.u2])
+    q = design.num_coef
     x1e, x2e = cfg.eval_point
-    f1h, f2h, _ = predict(res, design.X1.config, x1e, x2e)
-    products = StageSmoother(design, cfg.stages).weight_products(x1e, x2e)
-    dev = np.array(
-        [f1h - float(np.asarray(cfg.f1(x1e))), f2h - float(np.asarray(cfg.f2(x2e)))]
-    )
-    return dev, cfg.error_variance * products
+    r1, r2 = design_matrix(design.X1.config, [x1e, x2e]).values
+    truth = [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
+    dev = np.array([r1 @ b[:q], r2 @ b[q:]]) - truth
+    return dev, cfg.error_variance * sm.weight_products(x1e, x2e)
 
 
 def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None:

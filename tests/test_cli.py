@@ -107,6 +107,19 @@ class TestFit:
         assert report.coefficients["b1"][:5] == [0.0] * 5
         assert report.coefficients["b2"][0] == 0.0
 
+    def test_report_lists_pinned_columns(self, tmp_path, capsys, ozone_args):
+        run_main(capsys, *ozone_args, "--lambda1", "0", "--lambda2", "0", "--max-stages", "5")
+        report = RunReport.load(tmp_path / "fit_report.json")
+        assert report.pinned_columns == {"component1": [0, 1, 2, 3, 4], "component2": [0]}
+        code, _, _ = run_main(capsys, *ozone_args)
+        assert code == 0
+        report = RunReport.load(tmp_path / "fit_report.json")
+        assert report.pinned_columns == {"component1": [], "component2": []}
+        # a report written before the field existed still loads
+        old = json.loads((tmp_path / "fit_report.json").read_text())
+        del old["pinned_columns"]
+        assert RunReport.from_json(json.dumps(old)).pinned_columns == {}
+
     def test_zero_penalty_full_range_covariates_warn_but_report(self, tmp_path, capsys):
         # with covariates spanning (0, 1] only the joint system is singular;
         # the per-component solves are fine and the fit is still reported

@@ -81,6 +81,21 @@ class TestStageWeights:
                 assert got.shape == (2, 2)
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("stages", [1, 4, 10])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_map_reproduces_fixed_stage_coefficients(self, full, stages):
+        # the weights' map M also gives the coefficients: b = M u, u = (X1'y, X2'y)
+        if full:
+            y, x1, x2 = sim_xy(150, seed=26)
+            d = build_design(y, x1, x2, num_intervals=9)
+        else:
+            d = ridged_design()
+        eq = d.normal_equations
+        got = StageSmoother(d, stages).M @ np.concatenate([eq.u1, eq.u2])
+        r = backfit_stages(d, stages)
+        want = np.concatenate([r.b1, r.b2])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_design_is_freed_by_reference_counting(self):
         # the design caches its normal equations; a reference cycle through
         # them would keep every design alive until a cyclic collection

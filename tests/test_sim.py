@@ -1,8 +1,12 @@
 """Simulation harness: data generation, the three studies, KDE utilities."""
 
+import importlib
+
 import numpy as np
 import pytest
 
+from addspline import sim
+from addspline.bandmat import BandedCholesky
 from addspline.sim import (
     ScenarioConfig,
     coverage_experiment,
@@ -175,6 +179,37 @@ class TestSim3:
         _, s = run_sim3(cfg)
         assert np.abs(s.mean).max() < 0.35
         assert s.ks_stat.max() < 0.15
+
+
+# the module, not the function that the package exports under the same name
+backfit = importlib.import_module("addspline.backfit")
+
+
+class TestReplicationKernel:
+    def test_one_map_per_replication(self, monkeypatch):
+        # the coefficients come from the weight map (b = M u): two banded
+        # solves per stage, and no separate backfit sweep
+        solves, sweeps = [], []
+        solve = BandedCholesky.solve
+
+        def counting(self, rhs):
+            solves.append(rhs.shape)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(BandedCholesky, "solve", counting)
+        for module in (backfit, sim):
+            monkeypatch.setattr(module, "backfit_stages", lambda *a, **k: sweeps.append(a))
+        cfg = ScenarioConfig(n=1000)
+        dev, _ = sim._replicate(cfg, 0)
+        assert len(solves) == 20
+        assert sweeps == []
+        monkeypatch.undo()
+        design = scenario_design(cfg, generate_dataset(cfg, 0))
+        res = backfit.backfit_stages(design, cfg.stages)
+        x1e, x2e = cfg.eval_point
+        f1, f2, _ = backfit.predict(res, design.X1.config, x1e, x2e)
+        want = np.array([f1 - truth_f1(x1e), f2 - truth_f2(x2e)])
+        assert dev == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestCoverage:
