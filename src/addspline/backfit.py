@@ -211,9 +211,9 @@ class NormalEquations:
         self.L1 = _PinnedCholesky(self.lam_banded1)
         self.L2 = _PinnedCholesky(self.lam_banded2)
         self.pinned = (self.L1.pinned, self.L2.pinned)
-        self.C = design.X1.values.T @ design.X2.values
-        self.u1 = design.X1.values.T @ design.y
-        self.u2 = design.X2.values.T @ design.y
+        self.C = design.X1.cross(design.X2)
+        self.u1 = design.X1.rmatvec(design.y)
+        self.u2 = design.X2.rmatvec(design.y)
         self._lam_dense1 = self.lam_banded1.to_dense()
         self._lam_dense2 = self.lam_banded2.to_dense()
 
@@ -272,7 +272,7 @@ def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
 
 def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
     """Penalized least-squares objective at the given coefficients."""
-    resid = design.y - design.X1.values @ b1 - design.X2.values @ b2
+    resid = design.y - design.X1.matvec(b1) - design.X2.matvec(b2)
     return float(
         resid @ resid
         + design.lambda1 * design.penalty.quad_form(b1)
@@ -384,8 +384,8 @@ def univariate_penalized(
     """
     y = np.asarray(y, dtype=float).ravel()
     lam_band = penalized_gram(gram_banded(X), lam, Q)
-    b = _PinnedCholesky(lam_band).solve(X.values.T @ y)
-    out = design_matrix(X.config, x).values @ b
+    b = _PinnedCholesky(lam_band).solve(X.rmatvec(y))
+    out = design_matrix(X.config, x).matvec(b)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -403,8 +403,8 @@ def one_stage_pair(design: AdditiveDesign, x1: float, x2: float) -> tuple[float,
 
 def predict(result: BackfitResult, cfg: SplineConfig, x1, x2):
     """Evaluate the two fitted components and their sum at new points."""
-    f1 = design_matrix(cfg, x1).values @ result.b1
-    f2 = design_matrix(cfg, x2).values @ result.b2
+    f1 = design_matrix(cfg, x1).matvec(result.b1)
+    f2 = design_matrix(cfg, x2).matvec(result.b2)
     if np.ndim(x1) == 0 and np.ndim(x2) == 0:
         return float(f1[0]), float(f2[0]), float(f1[0] + f2[0])
     return f1, f2, f1 + f2
@@ -422,8 +422,8 @@ def center_component(
         raise ValueError(f"component index must be 1 or 2, got {j}")
     X = design.X1 if j == 1 else design.X2
     b = result.b1 if j == 1 else result.b2
-    offset = float(np.mean(X.values @ b))
-    vals = design_matrix(X.config, x).values @ b - offset
+    offset = float(np.mean(X.matvec(b)))
+    vals = design_matrix(X.config, x).matvec(b) - offset
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

@@ -104,15 +104,14 @@ class BandedCholesky:
         return scipy.linalg.cho_solve_banded((self._factor, True), rhs)
 
 
-def gram_banded(X: DesignMatrix) -> BandedMatrix:
-    """X'X as a banded matrix of bandwidth p.
+def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMatrix:
+    """X'X, or X' diag(weights) X, as a banded matrix of bandwidth p.
 
     Basis functions more than p indices apart never share support, so every
     out-of-band entry of the dense Gram matrix is an exact zero and the band
-    stores X'X without loss.
+    stores it without loss.
     """
-    G = X.values.T @ X.values
-    return BandedMatrix.from_dense(G, X.config.degree)
+    return BandedMatrix(size=X.cols, bandwidth=X.config.degree, bands=X.gram_bands(weights))
 
 
 def penalized_gram(gram: BandedMatrix, lam: float, Q: PenaltyMatrix) -> BandedMatrix:

@@ -5,10 +5,18 @@ q = K + p functions indexed k = -p+1..K.  Degree-0 splines are indicators of the
 half-open interval (kappa_{k-1}, kappa_k], so every x in (0, 1] lies in exactly
 one base interval and the partition of unity holds on (0, 1] (and fails at 0,
 which is outside the data domain by convention).
+
+A design is stored compactly: each point lies in one knot interval, where only
+p + 1 consecutive functions are non-zero, so a `DesignMatrix` keeps the first
+non-zero column and those p + 1 values per row.  Every product the estimator
+needs (the banded Gram matrix, the cross-product of two designs, X'y and Xb)
+is formed from that layout in O(n p^2) time and memory; the dense n x q matrix
+is built only on request, as the `values` view.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,20 +72,73 @@ class SplineConfig:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Basis evaluations of one covariate sample.
+    """Basis evaluations of one covariate sample, in compact row form.
 
-    `values[i, c]` is B_k(x_i) with basis index k = c - p + 1, so column 0 is the
-    leftmost function B_{-p+1} and column q-1 is B_K.
+    Row i holds the p + 1 possibly non-zero values `vals[i, r]` = B_k(x_i) of
+    columns `first[i] + r`, r = 0..p, where column c is the basis index
+    k = c - p + 1: column 0 is the leftmost function B_{-p+1} and column
+    q - 1 is B_K.  `values` is the dense n x q view, built on first access and
+    cached; the products below never build it.
     """
 
     rows: int
     cols: int
-    values: np.ndarray
+    first: np.ndarray  # shape (rows,), int: first non-zero column of each row
+    vals: np.ndarray  # shape (rows, p + 1)
     covariate: np.ndarray
     config: SplineConfig
 
     def basis_index(self, col: int) -> int:
         return col - self.config.degree + 1
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Column index of each entry of `vals`, shape (rows, p + 1)."""
+        return self.first[:, None] + np.arange(self.vals.shape[1])
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The dense n x q matrix; `values[i, c]` is B_k(x_i), k = c - p + 1."""
+        X = np.zeros((self.rows, self.cols))
+        X[np.arange(self.rows)[:, None], self.columns] = self.vals
+        return X
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """X b, shape (rows,)."""
+        return np.einsum("ir,ir->i", self.vals, np.asarray(b, dtype=float)[self.columns])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """X'y, shape (cols,)."""
+        w = self.vals * np.asarray(y, dtype=float)[:, None]
+        return np.bincount(self.columns.ravel(), w.ravel(), minlength=self.cols)
+
+    def gram_bands(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """Lower bands of X' diag(weights) X, shape (p + 1, cols).
+
+        `bands[d, c]` is the (c + d, c) entry; basis functions more than p
+        columns apart share no support, so the bands hold the whole matrix.
+        """
+        p1, q = self.vals.shape[1], self.cols
+        v = self.vals
+        if weights is not None:
+            v = v * np.asarray(weights, dtype=float)[:, None]
+        r, s = np.triu_indices(p1)  # entry pairs (r, s), s >= r, on band d = s - r
+        idx = ((s - r) * q + r) + self.first[:, None]
+        w = v[:, r] * self.vals[:, s]
+        return np.bincount(idx.ravel(), w.ravel(), minlength=p1 * q).reshape(p1, q)
+
+    def cross(self, other: "DesignMatrix") -> np.ndarray:
+        """X'Z for a design Z on the same points, dense shape (cols, other.cols)."""
+        if other.rows != self.rows:
+            raise ValueError(f"row mismatch: {self.rows} and {other.rows}")
+        p1, s1 = self.vals.shape[1], other.vals.shape[1]
+        offsets = (np.arange(p1)[:, None] * other.cols + np.arange(s1)).ravel()
+        idx = (self.first * other.cols + other.first)[:, None] + offsets
+        w = self.vals[:, :, None] * other.vals[:, None, :]
+        size = self.cols * other.cols
+        return np.bincount(idx.ravel(), w.ravel(), minlength=size).reshape(
+            self.cols, other.cols
+        )
 
 
 def make_knots(degree: int, num_intervals: int) -> SplineConfig:
@@ -163,10 +224,9 @@ def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
                 acc += (kn[k + d + p] - x) * prev[:, r]
             vals[:, r] = acc * (K / d)
 
-    X = np.zeros((x.size, q))
-    cols = (j - 1)[:, None] + np.arange(p + 1)[None, :]
-    X[np.arange(x.size)[:, None], cols] = vals
-    return DesignMatrix(rows=x.size, cols=q, values=X, covariate=x, config=cfg)
+    return DesignMatrix(
+        rows=x.size, cols=q, first=j - 1, vals=vals, covariate=x, config=cfg
+    )
 
 
 def basis_integral(cfg: SplineConfig, k: int) -> float:

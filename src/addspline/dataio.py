@@ -66,17 +66,42 @@ class Dataset:
 
 
 def read_table(path) -> tuple[list[str], np.ndarray]:
-    """Read a numeric CSV with a header row; errors name the line and column."""
+    """Read a numeric CSV with a header row; errors name the line and column.
+
+    The body is parsed in one vectorized pass.  Any input that pass rejects or
+    reads differently from the header (a ragged row, a quoted or non-numeric
+    cell, a non-finite value) is read again cell by cell, which either returns
+    the table or raises the error naming the offending line and column.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        header = _read_header(csv.reader(fh), path)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [name.strip() for name in header]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # "input contained no data"
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            table = None
+    if table is not None and table.shape[1] == len(header) and np.isfinite(table).all():
+        return header, table
+    return _read_table_cells(path)
+
+
+def _read_header(reader, path: Path) -> list[str]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    return [name.strip() for name in header]
+
+
+def _read_table_cells(path: Path) -> tuple[list[str], np.ndarray]:
+    """`read_table` one cell at a time with Python's csv and float."""
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
         rows: list[list[float]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):

@@ -27,7 +27,7 @@ import scipy.linalg
 from scipy.special import ndtri
 
 from .backfit import AdditiveDesign, BackfitResult
-from .bandmat import BandedMatrix
+from .bandmat import BandedMatrix, gram_banded
 from .basis import SplineConfig, design_matrix, eval_grid
 
 __all__ = [
@@ -105,12 +105,18 @@ class StageSmoother:
         """
         cfg = self.design.X1.config
         r1, r2 = (design_matrix(cfg, x).values for x in (x1, x2))
-        q = self.design.num_coef
-        E = np.zeros((r1.shape[0], 2, 2 * q))
-        E[:, 0, :q] = r1
-        E[:, 1, q:] = r2
-        P = E @ self.products @ E.transpose(0, 2, 1)
+        P = self.row_products(r1, r2)
         return P[0] if np.ndim(x1) == 0 and np.ndim(x2) == 0 else P
+
+    def row_products(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        """`weight_products` for basis rows r1 = B(x1)', r2 = B(x2)' (m x q
+        each) that are already evaluated; shape (m, 2, 2)."""
+        q = self.design.num_coef
+        t1, t2 = r1 @ self.products[:q], r2 @ self.products[q:]
+        p11 = np.einsum("mi,mi->m", t1[:, :q], r1)
+        p12 = np.einsum("mi,mi->m", t1[:, q:], r2)
+        p22 = np.einsum("mi,mi->m", t2[:, q:], r2)
+        return np.stack([p11, p12, p12, p22], axis=-1).reshape(-1, 2, 2)
 
     def component_weights(self, j: int, x: float) -> np.ndarray:
         return _map_weights(self.design, self.M, j, x)
@@ -123,7 +129,7 @@ def _map_weights(design: AdditiveDesign, M: np.ndarray, j: int, x: float) -> np.
     q = design.num_coef
     v = design_matrix(design.X1.config, float(x)).values[0]
     a = M[(j - 1) * q : j * q].T @ v
-    return design.X1.values @ a[:q] + design.X2.values @ a[q:]
+    return design.X1.matvec(a[:q]) + design.X2.matvec(a[q:])
 
 
 def smoother_weights(
@@ -182,7 +188,7 @@ def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
 
 def sigma2_hat(design: AdditiveDesign, result: BackfitResult) -> float:
     """Mean squared residual of the fitted additive model."""
-    resid = design.y - design.X1.values @ result.b1 - design.X2.values @ result.b2
+    resid = design.y - design.X1.matvec(result.b1) - design.X2.matvec(result.b2)
     return float(np.mean(resid**2))
 
 
@@ -221,10 +227,9 @@ def asymptotic_variance(design: AdditiveDesign, j: int, x: float, noise) -> floa
     """
     X, _ = _component_design(design, j)
     n = X.rows
-    vals = X.values
-    Gn = vals.T @ vals / n
+    Gn = gram_banded(X).to_dense() / n
     s2 = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
-    Sn = vals.T @ (s2[:, None] * vals) / n
+    Sn = gram_banded(X, s2).to_dense() / n
     v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(t @ Sn @ t) / n
@@ -247,7 +252,7 @@ def asymptotic_bias(
     grid = eval_grid(2000)
     Xg = design_matrix(X.config, grid).values
     b_star, *_ = np.linalg.lstsq(Xg, np.asarray(true_fn(grid), dtype=float), rcond=None)
-    Gn = X.values.T @ X.values / n
+    Gn = gram_banded(X).to_dense() / n
     v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(-(lam / n) * (t @ (design.penalty.values @ b_star)))
@@ -304,7 +309,7 @@ def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> BandedM
     Eight nodes per knot interval on the component axis; the inner integral for
     Sigma_j uses the same panel rule on the other axis.
     """
-    K, p = cfg.num_intervals, cfg.degree
+    K = cfg.num_intervals
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
     h = 1.0 / K
     mids = (np.arange(K) + 0.5) * h
@@ -330,6 +335,4 @@ def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> BandedM
             f"which must be one of 'g1', 'g2', 'sigma1', 'sigma2'; got {which!r}"
         )
 
-    B = design_matrix(cfg, xs).values
-    G = B.T @ ((ws * weight_fn)[:, None] * B)
-    return BandedMatrix.from_dense(G, p)
+    return gram_banded(design_matrix(cfg, xs), ws * weight_fn)

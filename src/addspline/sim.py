@@ -247,7 +247,7 @@ def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.nd
     r1, r2 = design_matrix(design.X1.config, [x1e, x2e]).values
     truth = [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
     dev = np.array([r1 @ b[:q], r2 @ b[q:]]) - truth
-    return dev, cfg.error_variance * sm.weight_products(x1e, x2e)
+    return dev, cfg.error_variance * sm.row_products(r1[None], r2[None])[0]
 
 
 def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None:

@@ -6,6 +6,7 @@ import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addspline.bandmat import BandedMatrix
 from addspline.basis import (
     SplineConfig,
     basis_integral,
@@ -185,6 +186,75 @@ class TestDesignMatrix:
         row = D.values[0]
         assert abs(row.sum() - 1.0) < 1e-12
         assert row.min() >= 0.0
+
+
+def _rel_err(got, want, scale):
+    """Largest error relative to the same product of absolute values, the
+    natural bound on its rounding."""
+    return np.abs(got - want).max(initial=0.0) / max(scale.max(initial=0.0), 1e-300)
+
+
+@st.composite
+def _designs(draw):
+    """Two designs on n points, on random points, on knots and at 1.0."""
+    degree = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 30))
+    K = draw(st.integers(1, n + 8))
+    point = st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.integers(1, K).map(lambda j: j / K),
+        st.just(1.0),
+    )
+    cfg = make_knots(degree, K)
+    x1, x2 = (np.array(draw(st.lists(point, min_size=n, max_size=n))) for _ in "12")
+    return design_matrix(cfg, x1), design_matrix(cfg, x2)
+
+
+class TestCompactProducts:
+    """The O(n p^2) products of the compact rows equal the dense products."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_designs(), st.integers(0, 2**32 - 1))
+    def test_products_match_dense_view(self, designs, seed):
+        X, Z = designs
+        rng = np.random.default_rng(seed)
+        y, b, w = rng.normal(size=X.rows), rng.normal(size=X.cols), rng.random(X.rows)
+        D, E = X.values, Z.values
+        A = np.abs(D)
+        bands = X.gram_bands()
+        assert bands.shape == (X.config.degree + 1, X.cols)
+        dense_gram = BandedMatrix(X.cols, X.config.degree, bands).to_dense()
+        assert _rel_err(dense_gram, D.T @ D, A.T @ A) <= 1e-12
+        weighted = BandedMatrix(X.cols, X.config.degree, X.gram_bands(w)).to_dense()
+        assert _rel_err(weighted, D.T @ (w[:, None] * D), A.T @ (w[:, None] * A)) <= 1e-12
+        assert _rel_err(X.cross(Z), D.T @ E, A.T @ np.abs(E)) <= 1e-12
+        assert _rel_err(X.rmatvec(y), D.T @ y, A.T @ np.abs(y)) <= 1e-12
+        assert _rel_err(X.matvec(b), D @ b, A @ np.abs(b)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(_designs())
+    def test_dense_view_matches_layout_and_scipy(self, designs):
+        X, _ = designs
+        p = X.config.degree
+        rows = np.arange(X.rows)[:, None]
+        assert np.array_equal(X.values[rows, X.columns], X.vals)
+        assert np.count_nonzero(X.values) == np.count_nonzero(X.vals)
+        if p >= 1:  # scipy's intervals are right-open, so degree 0 differs at knots
+            want = scipy.interpolate.BSpline.design_matrix(
+                X.covariate, X.config.knots, p
+            ).toarray()
+            assert np.abs(X.values - want).max() <= 1e-12
+
+    def test_values_are_built_lazily_and_cached(self):
+        X = design_matrix(make_knots(3, 8), np.array([0.25, 0.5, 1.0]))
+        assert "values" not in X.__dict__
+        assert X.values is X.values
+        assert "values" in X.__dict__
+
+    def test_cross_rejects_row_mismatch(self):
+        cfg = make_knots(2, 4)
+        with pytest.raises(ValueError, match="row mismatch"):
+            design_matrix(cfg, [0.5]).cross(design_matrix(cfg, [0.5, 1.0]))
 
 
 class TestIntegral:

@@ -1,6 +1,8 @@
 """CSV round trips, preprocessing invariants, run reports."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from conftest import OZONE_CSV
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addspline import dataio
 from addspline.dataio import (
     DataError,
     RunReport,
+    _read_table_cells,
     format_float,
     load_csv,
     preprocess_columns,
@@ -80,6 +84,112 @@ class TestTables:
         p.write_text("a,b\n1,2\n\n3,4\n")
         _, table = read_table(p)
         assert table.shape == (2, 2)
+
+
+def _outcome(reader, path):
+    """(header, table) or the DataError message that `reader` gives for `path`."""
+    try:
+        header, table = reader(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return header, table
+
+
+def _assert_same_outcome(path):
+    got, want = _outcome(read_table, path), _outcome(_read_table_cells, path)
+    assert got[0] == want[0]
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert got[1].dtype == want[1].dtype == np.float64
+        assert got[1].shape == want[1].shape
+        assert (got[1].view(np.int64) == want[1].view(np.int64)).all()  # bit for bit
+    return got
+
+
+class TestVectorizedParse:
+    """The one-pass parse agrees with the cell-by-cell csv reader, and defers
+    to it (and to its error messages) on any input it does not read alike."""
+
+    def test_ozone_bit_for_bit(self):
+        header, table = _assert_same_outcome(OZONE_CSV)
+        assert table.shape == (111, len(header))
+
+    def test_seventeen_digit_file_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(3)
+        cols = [rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, size=300)
+                for _ in range(3)]
+        cols.append(np.array([5e-324, -0.0, 1.7976931348623157e308] * 100))
+        p = tmp_path / "digits.csv"
+        write_table(p, ["a", "b", "c", "d"], cols)
+        _, table = _assert_same_outcome(p)
+        for j, c in enumerate(cols):
+            assert (table[:, j].view(np.int64) == c.view(np.int64)).all()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\r\n1,2\r\n3,4\r\n",  # CRLF
+            "a,b\r1,2\r3,4\r",  # bare CR
+            "a,b\n1,2\n   \n3,4\n",  # whitespace-only line
+            "a,b\n1,2\n \t \n\n3,4\n\n",  # blank lines
+            "a\n1\n  \n2\n",  # whitespace-only line, one column
+            "a,b\n#1,2\n",  # a cell starting with '#'
+            "a,b\n1,2\n3,#4\n",
+            'a,b\n"1",2\n',  # quoted numeric cells
+            'a,b\n"1.5","2e3"\n',
+            "a,b\n1_0,2\n",  # accepted by Python's float only
+            "a,b\nnan,2\n",
+            "a,b\n1,inf\n",
+            "a,b\n1,-Infinity\n",
+            "a,b\n1e999,2\n",  # overflows to inf
+            "a,b\n1,2\n3\n",  # ragged rows
+            "a,b\n1,2,3\n",
+            "a,b\n1,2\n3,4,5\n",
+            "a,b,c\n1,2\n3,4\n",  # every row narrower than the header
+            "a,b\n",  # header only
+            "a,b",
+            "a\n",
+            "a,b\n1,,2\n",
+            "a,b\n1,\n",
+            "a,b\n 1 , 2 \n",
+            "a,b\n１,2\n",  # full-width digit
+            "a,b\n0x1p3,2\n",
+            "a,b\n1,2\n3,oops\n",
+            "a,b\n1\n",
+            "a\n1\n2\n",
+        ],
+    )
+    def test_edge_inputs_give_the_cell_reader_outcome(self, tmp_path, text):
+        p = tmp_path / "edge.csv"
+        p.write_bytes(text.encode())
+        _assert_same_outcome(p)
+
+    def test_clean_file_is_read_in_one_pass(self, monkeypatch):
+        def fail(path):
+            raise AssertionError("fell back to the cell-by-cell reader")
+
+        monkeypatch.setattr(dataio, "_read_table_cells", fail)
+        header, table = read_table(OZONE_CSV)
+        assert table.shape == (111, len(header))
+
+    def test_header_only_is_an_empty_table(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("a,b,c\n")
+        header, table = read_table(p)
+        assert header == ["a", "b", "c"]
+        assert table.shape == (0, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="0123456789.,e-+ \n\r#\"_naif", max_size=40),
+        st.sampled_from(["a", "a,b", "a,b,c"]),
+    )
+    def test_random_texts(self, body, header):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "t.csv"
+            p.write_bytes((header + "\n" + body).encode())
+            _assert_same_outcome(p)
 
 
 class TestPreprocessing:

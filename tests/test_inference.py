@@ -1,6 +1,7 @@
 """Smoother weights, exact and asymptotic variance, bias plug-in, intervals."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,6 +17,7 @@ from addspline import (
     backfit,
     backfit_stages,
     build_design,
+    center_component,
     confidence_interval,
     exact_covariance,
     kn_rule,
@@ -27,7 +29,7 @@ from addspline import (
     uniform_population,
     univariate_penalized,
 )
-from addspline.basis import basis_integral, design_matrix, make_knots
+from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
 
 Z975 = 1.959963984540054
 
@@ -368,3 +370,27 @@ class TestPopulationG:
                 joint_density=lambda a, b: np.ones_like(a),
                 noise_variance=lambda a, b: np.full_like(a, 1.0 / 12.0),
             )
+
+
+class TestCompactHotPath:
+    def test_fit_at_n_1e5_never_builds_a_dense_design(self):
+        # the dense pair alone would take 2 x 1e5 x 203 x 8 B = 325 MB
+        y, x1, x2 = sim_xy(100_000, seed=5)
+        grid = eval_grid()
+        tracemalloc.start()
+        try:
+            d = build_design(y, x1, x2, num_intervals=200)
+            res = backfit(d)
+            sm = StageSmoother(d, res.stages)
+            products = sm.weight_products(grid, grid)
+            s2 = sigma2_hat(d, res)
+            f1 = center_component(res, d, 1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.num_coef == 203
+        assert "values" not in d.X1.__dict__
+        assert "values" not in d.X2.__dict__
+        assert peak < 50e6
+        assert products.shape == (201, 2, 2) and np.isfinite(products).all()
+        assert np.isfinite(s2) and np.isfinite(f1).all()

@@ -7,6 +7,7 @@ import pytest
 
 from addspline import sim
 from addspline.bandmat import BandedCholesky
+from addspline.inference import StageSmoother
 from addspline.sim import (
     ScenarioConfig,
     coverage_experiment,
@@ -210,6 +211,27 @@ class TestReplicationKernel:
         f1, f2, _ = backfit.predict(res, design.X1.config, x1e, x2e)
         want = np.array([f1 - truth_f1(x1e), f2 - truth_f2(x2e)])
         assert dev == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_basis_evaluated_once_at_the_evaluation_point(self, monkeypatch):
+        # two designs plus one evaluation of both points; the weight products
+        # reuse those rows instead of evaluating the basis again
+        calls = []
+        inference = importlib.import_module("addspline.inference")
+        for module in (backfit, inference, sim):
+            original = module.design_matrix
+
+            def counting(cfg, points, original=original):
+                calls.append(np.size(points))
+                return original(cfg, points)
+
+            monkeypatch.setattr(module, "design_matrix", counting)
+        cfg = ScenarioConfig(n=1000)
+        dev, V = sim._replicate(cfg, 0)
+        assert calls == [1000, 1000, 2]
+        monkeypatch.undo()
+        sm = StageSmoother(scenario_design(cfg, generate_dataset(cfg, 0)), cfg.stages)
+        want = cfg.error_variance * sm.weight_products(*cfg.eval_point)
+        assert V == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestCoverage:
