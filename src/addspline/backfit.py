@@ -108,7 +108,7 @@ class AdditiveDesign:
     @functools.cached_property
     def normal_equations(self) -> "NormalEquations":
         """The design's one factored system, built on first use and shared by
-        the sweeps, the smoother maps, the joint solve and the diagnostics."""
+        the sweeps, the smoother weights, the joint solve and the diagnostics."""
         return NormalEquations(self)
 
 
@@ -214,34 +214,23 @@ class NormalEquations:
         self.C = design.X1.cross(design.X2)
         self.u1 = design.X1.rmatvec(design.y)
         self.u2 = design.X2.rmatvec(design.y)
-        self._lam_dense1 = self.lam_banded1.to_dense()
-        self._lam_dense2 = self.lam_banded2.to_dense()
 
-    def sweep(
-        self, b2: np.ndarray, u1: np.ndarray, u2: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One stage: b1 = Lam_1^{-1}(u1 - C b2), then b2 = Lam_2^{-1}(u2 - C' b1).
-
-        u_j may be the vectors X_j'y or q x k blocks (k right-hand sides at once).
-        """
-        b1 = self.L1.solve(u1 - self.C @ b2)
-        b2_new = self.L2.solve(u2 - self.C.T @ b1)
+    def sweep(self, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One stage: b1 = Lam_1^{-1}(u1 - C b2), then b2 = Lam_2^{-1}(u2 - C' b1)."""
+        b1 = self.L1.solve(self.u1 - self.C @ b2)
+        b2_new = self.L2.solve(self.u2 - self.C.T @ b1)
         return b1, b2_new
 
     def residual_norm(self, b1: np.ndarray, b2: np.ndarray) -> float:
-        r1 = self._lam_dense1 @ b1 + self.C @ b2 - self.u1
-        r2 = self.C.T @ b1 + self._lam_dense2 @ b2 - self.u2
+        r1 = self.lam_banded1.matvec(b1) + self.C @ b2 - self.u1
+        r2 = self.C.T @ b1 + self.lam_banded2.matvec(b2) - self.u2
         return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
     def stacked_matrix(self) -> np.ndarray:
         """The 2q x 2q penalized normal-equation matrix, i.e. the Hessian H1 + H2."""
-        q = self.num_coef
-        A = np.empty((2 * q, 2 * q))
-        A[:q, :q] = self._lam_dense1
-        A[:q, q:] = self.C
-        A[q:, :q] = self.C.T
-        A[q:, q:] = self._lam_dense2
-        return A
+        return np.block(
+            [[self.lam_banded1.to_dense(), self.C], [self.C.T, self.lam_banded2.to_dense()]]
+        )
 
     def stacked_factor(self, consequence: str):
         """Dense Cholesky factor of the stacked matrix, for scipy's cho_solve.
@@ -297,7 +286,7 @@ def _run(
     stages = 0
     residual = np.inf
     for stage in range(1, max_stages + 1):
-        b1_new, b2_new = eq.sweep(b2, eq.u1, eq.u2)
+        b1_new, b2_new = eq.sweep(b2)
         change = max(
             float(np.abs(b1_new - b1).max()) if stage > 1 else np.inf,
             float(np.abs(b2_new - b2).max()),

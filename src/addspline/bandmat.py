@@ -22,8 +22,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "gram_banded",
     "penalized_gram",
-    "band_cholesky_solve",
-    "min_eigenvalue",
 ]
 
 
@@ -74,11 +72,14 @@ class BandedMatrix:
         return A
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v for a vector or a q x k block v."""
         q, w = self.size, self.bandwidth
-        out = self.bands[0] * v
+        if np.ndim(v) == 1:  # BLAS reads this band layout as it is
+            return scipy.linalg.blas.dsbmv(w, 1.0, self.bands, v, lower=1)
+        out = self.bands[0, :, None] * v
         for d in range(1, w + 1):
-            out[d:] += self.bands[d, : q - d] * v[: q - d]
-            out[: q - d] += self.bands[d, : q - d] * v[d:]
+            out[d:] += self.bands[d, : q - d, None] * v[: q - d]
+            out[: q - d] += self.bands[d, : q - d, None] * v[d:]
         return out
 
     def add(self, other: "BandedMatrix", scale: float = 1.0) -> "BandedMatrix":
@@ -122,18 +123,3 @@ def penalized_gram(gram: BandedMatrix, lam: float, Q: PenaltyMatrix) -> BandedMa
         raise ValueError(f"size mismatch: gram {gram.size}, penalty {Q.size}")
     Qb = BandedMatrix.from_dense(Q.values, Q.order)
     return gram.add(Qb, scale=lam)
-
-
-def band_cholesky_solve(A: BandedMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs by banded Cholesky; raises NotPositiveDefiniteError."""
-    return BandedCholesky(A).solve(rhs)
-
-
-def min_eigenvalue(A) -> float:
-    """Smallest eigenvalue of a symmetric matrix (banded or dense).
-
-    Dense LAPACK eigensolver; fine at desk scale (q up to a few hundred) and
-    doubles as the positive-definiteness diagnostic.
-    """
-    dense = A.to_dense() if isinstance(A, BandedMatrix) else np.asarray(A, float)
-    return float(np.linalg.eigvalsh(dense)[0])

@@ -19,11 +19,10 @@ from .backfit import (
     SingularSystemError,
     backfit,
     build_design,
-    center_component,
     hessian_check,
 )
 from .bandmat import NotPositiveDefiniteError
-from .basis import eval_grid
+from .basis import design_matrix, eval_grid
 from .dataio import DataError, RunReport, load_csv, write_table
 from .inference import StageSmoother, confidence_interval, sigma2_hat
 from .sim import (
@@ -204,15 +203,18 @@ def cmd_fit(args) -> int:
         )
     sigma2 = sigma2_hat(design, result)
 
-    smoother = StageSmoother(design, stages=result.stages)
-    products = smoother.weight_products(grid, grid)
+    rows = design_matrix(design.X1.config, grid)
+    _, products = StageSmoother(design, stages=result.stages).evaluate_rows(
+        rows.values, rows.values
+    )
     grids = {}
     curves = []
     scales = (1.0, 1.0)
     if dataset.preprocessing is not None:
         scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
-    for j in (1, 2):
-        estimate = center_component(result, design, j, grid)
+    for j, X, b in ((1, design.X1, result.b1), (2, design.X2, result.b2)):
+        # the fitted component centred on its mean over the data
+        estimate = rows.matvec(b) - float(np.mean(X.matvec(b)))
         half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
         lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]

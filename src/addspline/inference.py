@@ -1,16 +1,15 @@
 """Pointwise inference for the backfitting estimator.
 
-The estimator is linear in y, and it touches y only through the two projected
-responses u = (X_1'y, X_2'y): the coefficients are (b1, b2) = M u for one
-2q x 2q map M.  Stage mode builds M by running the backfit sweep on block
-right-hand sides; limit mode takes M = H^{-1}, H the stacked normal-equation
-matrix, from one dense factorization.  Every inner product of two weight
-vectors is a quadratic form in M G M', G the stacked Gram matrix of
-(X_1, X_2): interval variances cost O(q^2) per point and need no n-vector.
-The n-vector weights themselves stay available (`component_weights`,
-`smoother_weights`, `exact_covariance`) for heteroskedastic noise and as test
-oracles, and are read off M by one helper in both modes.  No n x n matrix is
-ever formed.
+The estimator is linear in y and touches y only through u = (X_1'y, X_2'y):
+an estimate r'b of the coefficients b = (b1, b2) is a'u for one weight a in
+coefficient space.  Stage mode gets a by running the backfit sweep backwards
+from the seed r (`_coef_weights`, the one kernel behind every stage-mode
+estimate, weight and variance); limit mode solves H a = r, H the stacked
+normal-equation matrix.  The observation weights of a are X_1 a_1 + X_2 a_2,
+so two of them have the inner product a'G c, G the stacked Gram matrix of
+(X_1, X_2): interval variances need no n-vector per point.  The n-vector
+weights (`component_weights`, `smoother_weights`, `exact_covariance`) serve
+heteroskedastic noise and test oracles.  No n x n matrix is ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
 linear smoother (weights times the noise variance); the asymptotic bias and
@@ -68,13 +67,11 @@ class IntervalEstimate:
 
 
 class StageSmoother:
-    """The fixed-stage estimator as one linear map, reusable across grid points.
+    """The weights of the fixed-stage estimator: `stages` backfit sweeps
+    (`NormalEquations.sweep`) started from b2 = 0, at any evaluation points.
 
-    `M` is the 2q x 2q map with (b1, b2) = M u, u = (X_1'y, X_2'y): `stages`
-    backfit sweeps (`NormalEquations.sweep`) started from b2 = 0 on the block
-    right-hand sides [I 0] and [0 I].  `products` holds M G M' (see the module
-    docstring); `weight_products` reads weight inner products off it and
-    `component_weights` turns a basis row into observation weights.
+    `evaluate_rows` gives estimates and weight inner products of basis rows,
+    `component_weights` the observation weights of one estimate.
     """
 
     def __init__(self, design: AdditiveDesign, stages: int):
@@ -82,53 +79,81 @@ class StageSmoother:
             raise ValueError("stages must be >= 1")
         self.design = design
         self.stages = stages
-        eq = design.normal_equations
-        q = design.num_coef
-        U1, U2 = np.eye(q, 2 * q), np.eye(q, 2 * q, k=q)
-        B2 = np.zeros((q, 2 * q))
-        for _ in range(stages):
-            B1, B2 = eq.sweep(B2, U1, U2)
-        self.M = np.vstack([B1, B2])
-        # G M' is formed from the blocks of G = [[X1'X1, C], [C', X2'X2]]
-        # without stacking G
-        left, right = self.M[:, :q], self.M[:, q:]
-        g_left = eq.gram1.to_dense() @ left.T + eq.C @ right.T
-        g_right = eq.C.T @ left.T + eq.gram2.to_dense() @ right.T
-        self.products = left @ g_left + right @ g_right
+
+    def _weights(self, S: np.ndarray) -> np.ndarray:
+        """Coefficient weights, 2q x k, of the 2q x k seed columns S."""
+        q, eq = self.design.num_coef, self.design.normal_equations
+        return np.vstack(_coef_weights(eq, self.stages, S[:q], S[q:]))
+
+    def evaluate_rows(self, r1: np.ndarray, r2: np.ndarray):
+        """Estimates of f_hat_1 at basis rows r1 = B(x1)' and f_hat_2 at r2
+        (m x q each), shape (m, 2), and the inner products w_j . w_k of their
+        observation weights, shape (m, 2, 2): times the noise variance, their
+        exact covariance under homoskedastic noise."""
+        eq = self.design.normal_equations
+        q, m = self.design.num_coef, r1.shape[0]
+        # seeds [[r1', 0], [0, r2']]: f_hat_1 at the rows r1, then f_hat_2 at r2
+        A = self._weights(scipy.linalg.block_diag(r1.T, r2.T))
+        estimates = (np.concatenate([eq.u1, eq.u2]) @ A).reshape(2, m).T
+        # both bases sum to one, so moving a constant between the components
+        # leaves the weights X_1 a_1 + X_2 a_2 as they are; taking the mean
+        # such shift out of a first cuts the rounding of a'G a tenfold
+        shift = (A[:q].sum(axis=0) - A[q:].sum(axis=0)) / (2 * q)
+        A1, A2 = A[:q] - shift, A[q:] + shift
+        GA = np.vstack([eq.gram1.matvec(A1) + eq.C @ A2, eq.C.T @ A1 + eq.gram2.matvec(A2)])
+        P = np.einsum("kim,kjm->mij", np.vstack([A1, A2]).reshape(2 * q, 2, m),
+                      GA.reshape(2 * q, 2, m))
+        return estimates, (P + P.transpose(0, 2, 1)) / 2
 
     def weight_products(self, x1, x2) -> np.ndarray:
         """Inner products w_j . w_k of the weights of f_hat_1(x1) and f_hat_2(x2).
 
         A 2 x 2 matrix for scalar points, shape (m, 2, 2) for m point pairs;
-        times the noise variance it is the exact covariance of the two
-        estimates under homoskedastic noise.
+        see `evaluate_rows`.
         """
         cfg = self.design.X1.config
-        r1, r2 = (design_matrix(cfg, x).values for x in (x1, x2))
-        P = self.row_products(r1, r2)
+        _, P = self.evaluate_rows(*(design_matrix(cfg, x).values for x in (x1, x2)))
         return P[0] if np.ndim(x1) == 0 and np.ndim(x2) == 0 else P
 
-    def row_products(self, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-        """`weight_products` for basis rows r1 = B(x1)', r2 = B(x2)' (m x q
-        each) that are already evaluated; shape (m, 2, 2)."""
-        q = self.design.num_coef
-        t1, t2 = r1 @ self.products[:q], r2 @ self.products[q:]
-        p11 = np.einsum("mi,mi->m", t1[:, :q], r1)
-        p12 = np.einsum("mi,mi->m", t1[:, q:], r2)
-        p22 = np.einsum("mi,mi->m", t2[:, q:], r2)
-        return np.stack([p11, p12, p12, p22], axis=-1).reshape(-1, 2, 2)
-
     def component_weights(self, j: int, x: float) -> np.ndarray:
-        return _map_weights(self.design, self.M, j, x)
+        """Observation weights w with f_hat_j(x) = w . y."""
+        if j not in (1, 2):
+            raise ValueError(f"component index must be 1 or 2, got {j}")
+        r = design_matrix(self.design.X1.config, float(x)).values
+        S = scipy.linalg.block_diag(r.T, r.T)[:, j - 1 : j]
+        return _map_weights(self.design, self._weights(S)[:, 0])
 
 
-def _map_weights(design: AdditiveDesign, M: np.ndarray, j: int, x: float) -> np.ndarray:
-    """Observation weights w with B(x)'b_j = w . y, for coefficients b = M u."""
-    if j not in (1, 2):
-        raise ValueError(f"component index must be 1 or 2, got {j}")
+def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray):
+    """Coefficient weights (A1, A2) of the seed columns (S1, S2), q x k each.
+
+    With (b1, b2) the coefficients after `stages` sweeps from b2 = 0, each
+    seed column r = (r1, r2) gets the weight a = (a1, a2) with
+    r1'b1 + r2'b2 = a1'u1 + a2'u2.  The sweep runs backwards: per stage one
+    Lam_2 and one Lam_1 solve on k columns, with C and C' in between.  The
+    pinned solves are symmetric, so they are their own adjoints.  Beyond 2q
+    columns it is cheaper to sweep the 2q unit seeds and multiply by S.
+    """
+    q, k = S1.shape
+    if k > 2 * q:
+        T1, T2 = _coef_weights(eq, stages, np.eye(q, 2 * q), np.eye(q, 2 * q, k=q))
+        S = np.vstack([S1, S2])
+        return T1 @ S, T2 @ S
+    a1, a2 = np.zeros((q, k)), np.zeros((q, k))
+    g1, g2 = S1, S2
+    for _ in range(stages):
+        t2 = eq.L2.solve(g2)
+        a2 += t2
+        t1 = eq.L1.solve(g1 - eq.C @ t2)
+        a1 += t1
+        # a stage's b1 reaches later stages only through that stage's b2
+        g1, g2 = 0.0, -eq.C.T @ t1
+    return a1, a2
+
+
+def _map_weights(design: AdditiveDesign, a: np.ndarray) -> np.ndarray:
+    """Observation weights X_1 a_1 + X_2 a_2 of the coefficient weights a."""
     q = design.num_coef
-    v = design_matrix(design.X1.config, float(x)).values[0]
-    a = M[(j - 1) * q : j * q].T @ v
     return design.X1.matvec(a[:q]) + design.X2.matvec(a[q:])
 
 
@@ -146,20 +171,22 @@ def smoother_weights(
     SingularSystemError whenever that system is singular (always the case for
     two full partition-of-unity bases).
     """
+    rows = (design_matrix(design.X1.config, float(x)).values for x in (x1, x2))
+    S = scipy.linalg.block_diag(*(r.T for r in rows))
     if mode == "stage":
-        M = StageSmoother(design, stages).M
+        A = StageSmoother(design, stages)._weights(S)
     elif mode == "limit":
         factor = design.normal_equations.stacked_factor(
             "limit-mode weights are undefined under the shared constant "
             "direction -- use stage mode"
         )
-        M = scipy.linalg.cho_solve(factor, np.eye(2 * design.num_coef))  # H^{-1}
+        A = scipy.linalg.cho_solve(factor, S)  # H^{-1} S, H symmetric
         stages = None
     else:
         raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")
     return SmootherWeights(
-        w1=_map_weights(design, M, 1, x1),
-        w2=_map_weights(design, M, 2, x2),
+        w1=_map_weights(design, A[:, 0]),
+        w2=_map_weights(design, A[:, 1]),
         x1=float(x1),
         x2=float(x2),
         mode=mode,
@@ -310,11 +337,7 @@ def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> BandedM
     Sigma_j uses the same panel rule on the other axis.
     """
     K = cfg.num_intervals
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(8)
-    h = 1.0 / K
-    mids = (np.arange(K) + 0.5) * h
-    xs = (mids[:, None] + 0.5 * h * gl_nodes[None, :]).ravel()
-    ws = np.tile(0.5 * h * gl_weights, K)
+    xs, ws = _panel_quadrature(K, 8)
 
     if which in ("g1", "g2"):
         dens = spec.density_x1 if which == "g1" else spec.density_x2

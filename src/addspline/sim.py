@@ -239,15 +239,11 @@ def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.nd
     covariance V, from one replication's fixed-stage fit."""
     data = generate_dataset(cfg, replication)
     design = scenario_design(cfg, data)
-    sm = StageSmoother(design, cfg.stages)
-    eq = design.normal_equations
-    b = sm.M @ np.concatenate([eq.u1, eq.u2])
-    q = design.num_coef
     x1e, x2e = cfg.eval_point
-    r1, r2 = design_matrix(design.X1.config, [x1e, x2e]).values
+    rows = design_matrix(design.X1.config, [x1e, x2e]).values
+    est, P = StageSmoother(design, cfg.stages).evaluate_rows(rows[:1], rows[1:])
     truth = [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
-    dev = np.array([r1 @ b[:q], r2 @ b[q:]]) - truth
-    return dev, cfg.error_variance * sm.row_products(r1[None], r2[None])[0]
+    return est[0] - truth, cfg.error_variance * P[0]
 
 
 def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None:

@@ -7,9 +7,7 @@ from addspline.bandmat import (
     BandedCholesky,
     BandedMatrix,
     NotPositiveDefiniteError,
-    band_cholesky_solve,
     gram_banded,
-    min_eigenvalue,
     penalized_gram,
 )
 from addspline.basis import design_matrix, make_knots
@@ -104,13 +102,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             BandedCholesky(BandedMatrix.from_dense(dense, 0))
 
-    def test_one_shot_helper(self):
-        rng = np.random.default_rng(4)
-        dense = random_banded_spd(rng, 12, 3)
-        rhs = rng.normal(size=12)
-        got = band_cholesky_solve(BandedMatrix.from_dense(dense, 3), rhs)
-        assert np.allclose(got, np.linalg.solve(dense, rhs), atol=1e-9)
-
 
 class TestGram:
     def test_matches_dense_cross_products(self):
@@ -150,14 +141,3 @@ class TestGram:
             penalized_gram(G, -0.5, Q)
         with pytest.raises(ValueError):
             penalized_gram(G, 1.0, penalty_matrix(2, cfg.num_basis + 1))
-
-
-class TestMinEigenvalue:
-    def test_known_two_by_two(self):
-        assert min_eigenvalue(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0, rel=1e-12)
-
-    def test_accepts_banded(self):
-        rng = np.random.default_rng(9)
-        dense = random_banded_spd(rng, 8, 2)
-        B = BandedMatrix.from_dense(dense, 2)
-        assert min_eigenvalue(B) == pytest.approx(np.linalg.eigvalsh(dense).min(), rel=1e-10)

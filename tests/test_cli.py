@@ -170,6 +170,22 @@ class TestFit:
         assert code == 0
         assert len(built) == 1
 
+    def test_grid_basis_evaluated_once_per_fit(self, tmp_path, capsys, ozone_args, monkeypatch):
+        # two designs and one grid: the estimates and the band share the rows
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("addspline.") and hasattr(module, "design_matrix"):
+                original = module.design_matrix
+
+                def counting(cfg, points, original=original):
+                    calls.append(np.size(points))
+                    return original(cfg, points)
+
+                monkeypatch.setattr(module, "design_matrix", counting)
+        code, _, _ = run_main(capsys, *ozone_args)
+        assert code == 0
+        assert calls == [111, 111, 201]
+
     @pytest.mark.parametrize("flag,value", [("--level", "1.5"), ("--grid", "0")])
     def test_bad_level_or_grid_exit_1_before_fitting(
         self, tmp_path, capsys, ozone_args, flag, value

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import ridged_design, sim_xy, stacked_dense
+from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
 
 from addspline import (
     PopulationSpec,
@@ -29,7 +29,9 @@ from addspline import (
     uniform_population,
     univariate_penalized,
 )
+from addspline.bandmat import BandedCholesky
 from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
+from addspline.dataio import load_csv
 
 Z975 = 1.959963984540054
 
@@ -66,7 +68,7 @@ class TestStageWeights:
 
     @pytest.mark.parametrize("full", [False, True])
     def test_weight_products_match_weight_vectors(self, full):
-        # M G M' in coefficient space against the n-vector inner products
+        # A'GA in coefficient space against the n-vector inner products
         if full:
             y, x1, x2 = sim_xy(150, seed=25)
             d = build_design(y, x1, x2, num_intervals=9)
@@ -86,16 +88,17 @@ class TestStageWeights:
     @pytest.mark.parametrize("stages", [1, 4, 10])
     @pytest.mark.parametrize("full", [False, True])
     def test_map_reproduces_fixed_stage_coefficients(self, full, stages):
-        # the weights' map M also gives the coefficients: b = M u, u = (X1'y, X2'y)
+        # the weights also give the coefficients: at the identity rows the
+        # estimates A'u, u = (X1'y, X2'y), are (b1, b2) themselves
         if full:
             y, x1, x2 = sim_xy(150, seed=26)
             d = build_design(y, x1, x2, num_intervals=9)
         else:
             d = ridged_design()
-        eq = d.normal_equations
-        got = StageSmoother(d, stages).M @ np.concatenate([eq.u1, eq.u2])
+        eye = np.eye(d.num_coef)
+        got, _ = StageSmoother(d, stages).evaluate_rows(eye, eye)
         r = backfit_stages(d, stages)
-        want = np.concatenate([r.b1, r.b2])
+        want = np.column_stack([r.b1, r.b2])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_design_is_freed_by_reference_counting(self):
@@ -121,6 +124,72 @@ class TestStageWeights:
             sm.component_weights(3, 0.5)
         with pytest.raises(ValueError):
             smoother_weights(d, 0.5, 0.5, mode="nonsense")
+
+
+def _ozone_zero_penalty():
+    ds = load_csv(OZONE_CSV, "ozone", "temperature", "wind")
+    return build_design(ds.y, ds.x1, ds.x2, lambda1=0.0, lambda2=0.0)
+
+
+# each design and its stage count; the unpenalized ozone fit pins columns
+KERNEL_DESIGNS = {
+    "ridged": (ridged_design, 6),
+    "full": (lambda: build_design(*sim_xy(150, seed=25), num_intervals=9), 6),
+    "ozone-zero-penalty": (_ozone_zero_penalty, 245),
+}
+
+
+def forward_weights(d, stages):
+    """Observation weights (W1, W2), q x n each, with b_j = W_j y: the forward
+    sweep run on all n unit responses at once."""
+    eq = d.normal_equations
+    U1, U2 = d.X1.values.T, d.X2.values.T
+    B2 = np.zeros_like(U2)
+    for _ in range(stages):
+        B1 = eq.L1.solve(U1 - eq.C @ B2)
+        B2 = eq.L2.solve(U2 - eq.C.T @ B1)
+    return B1, B2
+
+
+class TestCoefWeightsKernel:
+    """The backward sweep against n-vector weights from the forward sweep."""
+
+    @pytest.mark.parametrize("seeds", ["k=2", "k=2q", "k>2q"])
+    @pytest.mark.parametrize("name", list(KERNEL_DESIGNS))
+    def test_rows_match_the_n_vector_oracle(self, name, seeds, monkeypatch):
+        make, stages = KERNEL_DESIGNS[name]
+        d = make()
+        q = d.num_coef
+        if name == "ozone-zero-penalty":
+            assert all(cols.size for cols in d.normal_equations.pinned)
+        m = {"k=2": 1, "k=2q": q, "k>2q": q + 3}[seeds]
+        pts = np.linspace(0.03, 1.0, m + 2)[1:-1]
+        r1 = design_matrix(d.X1.config, pts).values
+        r2 = design_matrix(d.X1.config, pts[::-1]).values
+        sm = StageSmoother(d, stages)
+        widths = []
+        solve = BandedCholesky.solve
+
+        def counting(self, rhs):
+            widths.append(rhs.shape[1])
+            return solve(self, rhs)
+
+        monkeypatch.setattr(BandedCholesky, "solve", counting)
+        est, P = sm.evaluate_rows(r1, r2)
+        monkeypatch.undo()
+        # more seeds than 2q: sweep the 2q unit seeds instead
+        assert set(widths) == {min(2 * m, 2 * q)}
+
+        W1, W2 = forward_weights(d, stages)
+        w1, w2 = r1 @ W1, r2 @ W2  # m x n
+        want_est = np.column_stack([w1 @ d.y, w2 @ d.y])
+        assert np.abs(est - want_est).max() <= 1e-12 * np.abs(want_est).max()
+        for i in range(m):
+            c1, c2 = sm.component_weights(1, pts[i]), sm.component_weights(2, pts[::-1][i])
+            assert np.abs(c1 - w1[i]).max() <= 1e-12 * np.abs(w1[i]).max()
+            assert np.abs(c2 - w2[i]).max() <= 1e-12 * np.abs(w2[i]).max()
+            want = np.array([[c1 @ c1, c1 @ c2], [c1 @ c2, c2 @ c2]])
+            assert np.abs(P[i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLimitWeights:

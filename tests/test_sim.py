@@ -188,7 +188,7 @@ backfit = importlib.import_module("addspline.backfit")
 
 class TestReplicationKernel:
     def test_one_map_per_replication(self, monkeypatch):
-        # the coefficients come from the weight map (b = M u): two banded
+        # the estimates come from the coefficient weights (A'u): two banded
         # solves per stage, and no separate backfit sweep
         solves, sweeps = [], []
         solve = BandedCholesky.solve
