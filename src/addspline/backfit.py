@@ -77,7 +77,14 @@ def lambda_rule(n: int, num_intervals: int) -> float:
 
 @dataclass(frozen=True)
 class AdditiveDesign:
-    """Response, the two design matrices, penalty weights, and the penalty."""
+    """Response, the two design matrices, penalty weights, and the penalty.
+
+    `blocks` > 1 stacks that many independent designs of equal size, with
+    block diagonal design matrices (`DesignMatrix.block_diagonal`) and the
+    responses one after another: the normal equations, the sweeps and
+    `StageSmoother` then serve all of them at once, block by block.  The dense
+    oracles (`joint_solve`, `hessian_check`) and `criterion` take one block.
+    """
 
     y: np.ndarray
     X1: DesignMatrix
@@ -85,6 +92,7 @@ class AdditiveDesign:
     lambda1: float
     lambda2: float
     penalty: PenaltyMatrix
+    blocks: int = 1
 
     def __post_init__(self) -> None:
         n = self.y.shape[0]
@@ -92,11 +100,15 @@ class AdditiveDesign:
             raise ValueError(
                 f"row mismatch: y has {n}, X1 {self.X1.rows}, X2 {self.X2.rows}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.y))
+        if bad.size:
+            raise ValueError(f"response y must be finite; row {bad[0]} is {self.y[bad[0]]}")
         if self.X1.cols != self.X2.cols:
             raise ValueError("both components must use the same basis size")
-        if self.penalty.size != self.X1.cols:
+        if self.penalty.size * self.blocks != self.X1.cols:
             raise ValueError(
                 f"penalty size {self.penalty.size} != basis size {self.X1.cols}"
+                + (f" / {self.blocks} blocks" if self.blocks > 1 else "")
             )
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("penalty weights must be >= 0")
@@ -165,12 +177,13 @@ class _PinnedCholesky:
     right-hand-side entries are zeroed, so its coefficient solves to exactly
     0.0: the minimum-norm solution on that block.  `pinned` lists those
     columns.  A block that is rank-deficient for any other reason still
-    raises NotPositiveDefiniteError.
+    raises NotPositiveDefiniteError.  A block diagonal Lam of `blocks` q x q
+    blocks takes each block's floor from that block's diagonal.
     """
 
-    def __init__(self, lam: BandedMatrix):
-        diag = lam.bands[0]
-        floor = lam.size * np.finfo(float).eps * diag.max()
+    def __init__(self, lam: BandedMatrix, blocks: int = 1):
+        diag = lam.bands[0].reshape(blocks, -1)
+        floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
         self.pinned = np.flatnonzero(diag <= floor)
         if self.pinned.size:
             bands = lam.bands.copy()
@@ -193,37 +206,52 @@ class NormalEquations:
     """Factored per-component systems shared by sweeps, weights, and oracles.
 
     Holds the banded Cholesky factors of Lam_j = X_j'X_j + lam_j Q_m (with
-    data-free columns pinned, see _PinnedCholesky), the q x q cross-product
-    C = X_1'X_2, and the right-hand sides u_j = X_j'y.  `pinned` holds the
-    pinned column indices of each component; `stacked_matrix` and the residual
-    use the unpinned Lam_j.
+    data-free columns pinned, see _PinnedCholesky), the cross-product
+    C = X_1'X_2 as the (blocks, q, q) stack `C_blocks` of its diagonal blocks,
+    and the right-hand sides u_j = X_j'y.  `pinned` holds the pinned column
+    indices of each component; `stacked_matrix` and the residual use the
+    unpinned Lam_j.
     """
 
     def __init__(self, design: AdditiveDesign):
         # no reference back to the design: the design caches this object, and
         # a cycle would leave both to the cyclic garbage collector
         self.num_coef = design.num_coef
+        self.blocks = blocks = design.blocks
         Q = design.penalty
         self.gram1 = gram_banded(design.X1)
         self.gram2 = gram_banded(design.X2)
-        self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q)
-        self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q)
-        self.L1 = _PinnedCholesky(self.lam_banded1)
-        self.L2 = _PinnedCholesky(self.lam_banded2)
+        self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q, blocks)
+        self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q, blocks)
+        self.L1 = _PinnedCholesky(self.lam_banded1, blocks)
+        self.L2 = _PinnedCholesky(self.lam_banded2, blocks)
         self.pinned = (self.L1.pinned, self.L2.pinned)
-        self.C = design.X1.cross(design.X2)
+        self.C_blocks = design.X1.block_cross(design.X2, blocks)
         self.u1 = design.X1.rmatvec(design.y)
         self.u2 = design.X2.rmatvec(design.y)
 
+    @property
+    def C(self) -> np.ndarray:
+        """C = X_1'X_2 as one q x q matrix, for a design of one block."""
+        if self.blocks != 1:
+            raise ValueError(f"C of {self.blocks} blocks is the stack C_blocks")
+        return self.C_blocks[0]
+
+    def cross(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """C v, or C' v, block by block, for a vector or a block of columns."""
+        C = self.C_blocks.swapaxes(1, 2) if transpose else self.C_blocks
+        blocks, q, _ = C.shape
+        return (C @ v.reshape(blocks, q, -1)).reshape(v.shape)
+
     def sweep(self, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One stage: b1 = Lam_1^{-1}(u1 - C b2), then b2 = Lam_2^{-1}(u2 - C' b1)."""
-        b1 = self.L1.solve(self.u1 - self.C @ b2)
-        b2_new = self.L2.solve(self.u2 - self.C.T @ b1)
+        b1 = self.L1.solve(self.u1 - self.cross(b2))
+        b2_new = self.L2.solve(self.u2 - self.cross(b1, transpose=True))
         return b1, b2_new
 
     def residual_norm(self, b1: np.ndarray, b2: np.ndarray) -> float:
-        r1 = self.lam_banded1.matvec(b1) + self.C @ b2 - self.u1
-        r2 = self.C.T @ b1 + self.lam_banded2.matvec(b2) - self.u2
+        r1 = self.lam_banded1.matvec(b1) + self.cross(b2) - self.u1
+        r2 = self.cross(b1, transpose=True) + self.lam_banded2.matvec(b2) - self.u2
         return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
     def stacked_matrix(self) -> np.ndarray:

@@ -115,11 +115,20 @@ def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMat
     return BandedMatrix(size=X.cols, bandwidth=X.config.degree, bands=X.gram_bands(weights))
 
 
-def penalized_gram(gram: BandedMatrix, lam: float, Q: PenaltyMatrix) -> BandedMatrix:
-    """X'X + lam * Q_m, bandwidth max(p, m)."""
+def penalized_gram(
+    gram: BandedMatrix, lam: float, Q: PenaltyMatrix, blocks: int = 1
+) -> BandedMatrix:
+    """X'X + lam * Q_m, bandwidth max(p, m).
+
+    With `blocks` > 1, X'X is block diagonal with that many q x q blocks and
+    each block gets lam * Q_m: the penalty band is tiled, and its zero padding
+    past the edge of each block keeps the sum block diagonal.
+    """
     if lam < 0:
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
-    if Q.size != gram.size:
-        raise ValueError(f"size mismatch: gram {gram.size}, penalty {Q.size}")
+    if Q.size * blocks != gram.size:
+        raise ValueError(f"size mismatch: gram {gram.size}, penalty {Q.size} x {blocks}")
     Qb = BandedMatrix.from_dense(Q.values, Q.order)
+    if blocks > 1:
+        Qb = BandedMatrix(size=gram.size, bandwidth=Q.order, bands=np.tile(Qb.bands, blocks))
     return gram.add(Qb, scale=lam)

@@ -10,14 +10,16 @@ A design is stored compactly: each point lies in one knot interval, where only
 p + 1 consecutive functions are non-zero, so a `DesignMatrix` keeps the first
 non-zero column and those p + 1 values per row.  Every product the estimator
 needs (the banded Gram matrix, the cross-product of two designs, X'y and Xb)
-is formed from that layout in O(n p^2) time and memory; the dense n x q matrix
-is built only on request, as the `values` view.
+is formed from that layout in O(n p^2) time and O(n p) memory; the dense
+n x q matrix is built only on request, as the `values` view.  Several designs
+stacked block diagonally (`DesignMatrix.block_diagonal`) share all of these
+products, one block per design.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,23 +124,47 @@ class DesignMatrix:
         v = self.vals
         if weights is not None:
             v = v * np.asarray(weights, dtype=float)[:, None]
-        r, s = np.triu_indices(p1)  # entry pairs (r, s), s >= r, on band d = s - r
-        idx = ((s - r) * q + r) + self.first[:, None]
-        w = v[:, r] * self.vals[:, s]
-        return np.bincount(idx.ravel(), w.ravel(), minlength=p1 * q).reshape(p1, q)
+        bands = np.zeros((p1, q))
+        for r in range(p1):
+            col = self.first + r
+            for s in range(r, p1):  # entry pair (r, s) of every row, on band s - r
+                bands[s - r] += np.bincount(col, v[:, r] * self.vals[:, s], minlength=q)
+        return bands
+
+    def block_diagonal(self, blocks: int) -> "DesignMatrix":
+        """The rows as `blocks` independent designs of rows / blocks consecutive
+        rows each: block b's rows move to columns b q .. b q + q - 1.
+
+        Every product of the result is block diagonal, with exact zeros off
+        the blocks, so one banded system serves all blocks at once.
+        """
+        n, rem = divmod(self.rows, blocks)
+        if rem:
+            raise ValueError(f"{self.rows} rows do not split into {blocks} blocks")
+        offsets = np.repeat(np.arange(blocks) * self.cols, n)
+        return replace(self, cols=blocks * self.cols, first=self.first + offsets)
 
     def cross(self, other: "DesignMatrix") -> np.ndarray:
         """X'Z for a design Z on the same points, dense shape (cols, other.cols)."""
+        return self.block_cross(other, 1)[0]
+
+    def block_cross(self, other: "DesignMatrix", blocks: int) -> np.ndarray:
+        """The diagonal blocks of X'Z for block diagonal designs X and Z on the
+        same points (see `block_diagonal`), shape (blocks, q, q') with
+        q = cols / blocks and q' = other.cols / blocks; the rest of X'Z is zero.
+        """
         if other.rows != self.rows:
             raise ValueError(f"row mismatch: {self.rows} and {other.rows}")
-        p1, s1 = self.vals.shape[1], other.vals.shape[1]
-        offsets = (np.arange(p1)[:, None] * other.cols + np.arange(s1)).ravel()
-        idx = (self.first * other.cols + other.first)[:, None] + offsets
-        w = self.vals[:, :, None] * other.vals[:, None, :]
-        size = self.cols * other.cols
-        return np.bincount(idx.ravel(), w.ravel(), minlength=size).reshape(
-            self.cols, other.cols
-        )
+        q, q2 = self.cols // blocks, other.cols // blocks
+        # entry (c, c2) of block b, at c = b q + i and c2 = b q2 + k, is entry
+        # b q q2 + i q2 + k of the flat stack, that is c q2 + k
+        idx = (self.first * q2 + other.first % q2)[:, None] + np.arange(other.vals.shape[1])
+        size = self.cols * q2
+        out = np.zeros(size)
+        for r in range(self.vals.shape[1]):  # column offset r of X moves c by r
+            w = self.vals[:, r, None] * other.vals
+            out[r * q2 :] += np.bincount(idx.ravel(), w.ravel(), minlength=size)[: size - r * q2]
+        return out.reshape(blocks, q, q2)
 
 
 def make_knots(degree: int, num_intervals: int) -> SplineConfig:
@@ -181,10 +207,18 @@ def bspline_eval(cfg: SplineConfig, k: int, x: float) -> float:
 
 
 def _interval_index(cfg: SplineConfig, x: np.ndarray) -> np.ndarray:
-    """Index j in 1..K with x in (kappa_{j-1}, kappa_j], exact on stored knots."""
+    """Index j in 1..K with x in (kappa_{j-1}, kappa_j], exact on stored knots.
+
+    On uniform knots j = ceil(x K).  The product x K can round across an
+    integer when x lies on or next to a knot, so j moves by one where the
+    stored knots say so.
+    """
     p, K = cfg.degree, cfg.num_intervals
-    interior = cfg.knots[p + 1 : p + K + 1]  # kappa_1..kappa_K
-    return np.searchsorted(interior, x, side="left") + 1
+    j = np.clip(np.ceil(x * K), 1, K).astype(np.intp)
+    kn = cfg.knots  # kappa_i is kn[i + p]
+    j -= x <= kn[j - 1 + p]
+    j += x > kn[j + p]
+    return j
 
 
 def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
@@ -207,26 +241,26 @@ def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
             )
     j = _interval_index(cfg, x)
 
-    # Bottom-up de Boor table over the p+1 active functions per point.  At
-    # degree d the active indices are k = j-d..j and the uniform denominators
-    # collapse to d/K.
-    vals = np.ones((x.size, 1))
-    kn = cfg.knots
+    # Bottom-up de Boor table over the p+1 active functions per point, one
+    # column per function.  At degree d the active indices are k = j-d..j and
+    # the uniform denominators collapse to d/K; knot kappa_{j+i} is (j + i)/K,
+    # the stored value.
+    jf = j.astype(float)
+    cols = [np.ones(x.size)]
     for d in range(1, p + 1):
-        prev = vals
-        vals = np.empty((x.size, d + 1))
-        for r in range(d + 1):
-            k = j - d + r
-            acc = np.zeros(x.size)
-            if r > 0:
-                acc += (x - kn[k - 1 + p]) * prev[:, r - 1]
+        prev, cols = cols, []
+        for r in range(d + 1):  # k = j-d+r, from the two functions below it
+            v = (x - (jf + (r - d - 1)) / K) * prev[r - 1] if r else 0.0
             if r < d:
-                acc += (kn[k + d + p] - x) * prev[:, r]
-            vals[:, r] = acc * (K / d)
+                v = v + ((jf + r) / K - x) * prev[r]
+            if r:
+                prev[r - 1] = None  # its last use: free it before the next column
+            v *= K / d
+            cols.append(v)
+    vals = np.column_stack(cols)
 
-    return DesignMatrix(
-        rows=x.size, cols=q, first=j - 1, vals=vals, covariate=x, config=cfg
-    )
+    j -= 1
+    return DesignMatrix(rows=x.size, cols=q, first=j, vals=vals, covariate=x, config=cfg)
 
 
 def basis_integral(cfg: SplineConfig, k: int) -> float:

@@ -71,7 +71,9 @@ class StageSmoother:
     (`NormalEquations.sweep`) started from b2 = 0, at any evaluation points.
 
     `evaluate_rows` gives estimates and weight inner products of basis rows,
-    `component_weights` the observation weights of one estimate.
+    `component_weights` the observation weights of one estimate.  On a design
+    of several blocks (`AdditiveDesign.blocks`) every block gets the same
+    evaluation points, and one run of the kernel serves all blocks.
     """
 
     def __init__(self, design: AdditiveDesign, stages: int):
@@ -81,29 +83,41 @@ class StageSmoother:
         self.stages = stages
 
     def _weights(self, S: np.ndarray) -> np.ndarray:
-        """Coefficient weights, 2q x k, of the 2q x k seed columns S."""
-        q, eq = self.design.num_coef, self.design.normal_equations
-        return np.vstack(_coef_weights(eq, self.stages, S[:q], S[q:]))
+        """Coefficient weights of the 2q x k seed columns S in every block,
+        shape (blocks, 2q, k)."""
+        eq = self.design.normal_equations
+        q, blocks = S.shape[0] // 2, eq.blocks
+        return _coef_weights(eq, self.stages, np.tile(S[:q], (blocks, 1)),
+                             np.tile(S[q:], (blocks, 1)))
 
     def evaluate_rows(self, r1: np.ndarray, r2: np.ndarray):
         """Estimates of f_hat_1 at basis rows r1 = B(x1)' and f_hat_2 at r2
         (m x q each), shape (m, 2), and the inner products w_j . w_k of their
         observation weights, shape (m, 2, 2): times the noise variance, their
-        exact covariance under homoskedastic noise."""
+        exact covariance under homoskedastic noise.  With several blocks the
+        leading axis runs over the m rows of block 0, then of block 1, ..."""
         eq = self.design.normal_equations
-        q, m = self.design.num_coef, r1.shape[0]
+        (m, q), blocks = r1.shape, eq.blocks
         # seeds [[r1', 0], [0, r2']]: f_hat_1 at the rows r1, then f_hat_2 at r2
         A = self._weights(scipy.linalg.block_diag(r1.T, r2.T))
-        estimates = (np.concatenate([eq.u1, eq.u2]) @ A).reshape(2, m).T
+        u = np.concatenate([eq.u1.reshape(blocks, 1, q), eq.u2.reshape(blocks, 1, q)], axis=2)
+        estimates = (u @ A).reshape(blocks, 2, m).swapaxes(1, 2).reshape(-1, 2)
         # both bases sum to one, so moving a constant between the components
         # leaves the weights X_1 a_1 + X_2 a_2 as they are; taking the mean
         # such shift out of a first cuts the rounding of a'G a tenfold
-        shift = (A[:q].sum(axis=0) - A[q:].sum(axis=0)) / (2 * q)
-        A1, A2 = A[:q] - shift, A[q:] + shift
-        GA = np.vstack([eq.gram1.matvec(A1) + eq.C @ A2, eq.C.T @ A1 + eq.gram2.matvec(A2)])
-        P = np.einsum("kim,kjm->mij", np.vstack([A1, A2]).reshape(2 * q, 2, m),
-                      GA.reshape(2 * q, 2, m))
-        return estimates, (P + P.transpose(0, 2, 1)) / 2
+        ones = np.ones((1, q))
+        shift = (ones @ A[:, :q] - ones @ A[:, q:]) / (2 * q)
+        A = A - np.where(np.arange(2 * q)[:, None] < q, shift, -shift)
+        A1, A2 = A[:, :q].reshape(blocks * q, 2 * m), A[:, q:].reshape(blocks * q, 2 * m)
+        GA = np.concatenate([
+            (eq.gram1.matvec(A1) + eq.cross(A2)).reshape(blocks, q, 2 * m),
+            (eq.cross(A1, transpose=True) + eq.gram2.matvec(A2)).reshape(blocks, q, 2 * m),
+        ], axis=1)
+        # per block and row i: the 2 x 2q weights (a_1i, a_2i)' times the
+        # 2q x 2 products G (a_1i, a_2i)
+        A, GA = A.reshape(blocks, 2 * q, 2, m), GA.reshape(blocks, 2 * q, 2, m)
+        P = (A.transpose(0, 3, 2, 1) @ GA.transpose(0, 3, 1, 2)).reshape(-1, 2, 2)
+        return estimates, (P + P.swapaxes(1, 2)) / 2
 
     def weight_products(self, x1, x2) -> np.ndarray:
         """Inner products w_j . w_k of the weights of f_hat_1(x1) and f_hat_2(x2).
@@ -121,40 +135,45 @@ class StageSmoother:
             raise ValueError(f"component index must be 1 or 2, got {j}")
         r = design_matrix(self.design.X1.config, float(x)).values
         S = scipy.linalg.block_diag(r.T, r.T)[:, j - 1 : j]
-        return _map_weights(self.design, self._weights(S)[:, 0])
+        return _map_weights(self.design, self._weights(S)[:, :, 0])
 
 
-def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray):
-    """Coefficient weights (A1, A2) of the seed columns (S1, S2), q x k each.
+def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
+    """Coefficient weights of the seed columns (S1, S2), shape (blocks, 2q, k).
 
-    With (b1, b2) the coefficients after `stages` sweeps from b2 = 0, each
-    seed column r = (r1, r2) gets the weight a = (a1, a2) with
+    S1 and S2 hold q x k seeds per block, stacked block after block.  With
+    (b1, b2) the coefficients after `stages` sweeps from b2 = 0, each seed
+    column r = (r1, r2) gets the weight a = (a1, a2) with
     r1'b1 + r2'b2 = a1'u1 + a2'u2.  The sweep runs backwards: per stage one
     Lam_2 and one Lam_1 solve on k columns, with C and C' in between.  The
     pinned solves are symmetric, so they are their own adjoints.  Beyond 2q
     columns it is cheaper to sweep the 2q unit seeds and multiply by S.
     """
-    q, k = S1.shape
+    blocks = eq.blocks
+    q, k = S1.shape[0] // blocks, S1.shape[1]
     if k > 2 * q:
-        T1, T2 = _coef_weights(eq, stages, np.eye(q, 2 * q), np.eye(q, 2 * q, k=q))
-        S = np.vstack([S1, S2])
-        return T1 @ S, T2 @ S
-    a1, a2 = np.zeros((q, k)), np.zeros((q, k))
+        unit = np.eye(2 * q)
+        T = _coef_weights(eq, stages, np.tile(unit[:q], (blocks, 1)),
+                          np.tile(unit[q:], (blocks, 1)))
+        S = np.concatenate([S1.reshape(blocks, q, k), S2.reshape(blocks, q, k)], axis=1)
+        return T @ S
+    a1, a2 = np.zeros((blocks * q, k)), np.zeros((blocks * q, k))
     g1, g2 = S1, S2
     for _ in range(stages):
         t2 = eq.L2.solve(g2)
         a2 += t2
-        t1 = eq.L1.solve(g1 - eq.C @ t2)
+        t1 = eq.L1.solve(g1 - eq.cross(t2))
         a1 += t1
         # a stage's b1 reaches later stages only through that stage's b2
-        g1, g2 = 0.0, -eq.C.T @ t1
-    return a1, a2
+        g1, g2 = 0.0, -eq.cross(t1, transpose=True)
+    return np.concatenate([a1.reshape(blocks, q, k), a2.reshape(blocks, q, k)], axis=1)
 
 
 def _map_weights(design: AdditiveDesign, a: np.ndarray) -> np.ndarray:
-    """Observation weights X_1 a_1 + X_2 a_2 of the coefficient weights a."""
-    q = design.num_coef
-    return design.X1.matvec(a[:q]) + design.X2.matvec(a[q:])
+    """Observation weights X_1 a_1 + X_2 a_2 of the coefficient weights a,
+    shape (blocks, 2q): the weights of every block's rows, block after block."""
+    q = a.shape[1] // 2
+    return design.X1.matvec(a[:, :q].ravel()) + design.X2.matvec(a[:, q:].ravel())
 
 
 def smoother_weights(
@@ -180,13 +199,13 @@ def smoother_weights(
             "limit-mode weights are undefined under the shared constant "
             "direction -- use stage mode"
         )
-        A = scipy.linalg.cho_solve(factor, S)  # H^{-1} S, H symmetric
+        A = scipy.linalg.cho_solve(factor, S)[None]  # H^{-1} S, H symmetric
         stages = None
     else:
         raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")
     return SmootherWeights(
-        w1=_map_weights(design, A[:, 0]),
-        w2=_map_weights(design, A[:, 1]),
+        w1=_map_weights(design, A[:, :, 0]),
+        w2=_map_weights(design, A[:, :, 1]),
         x1=float(x1),
         x2=float(x2),
         mode=mode,

@@ -10,6 +10,15 @@ Three studies plus a coverage experiment:
 
 Replication r of a scenario draws its own generator from (seed, r), so results
 are independent of execution order and safe to parallelize.
+
+The replications of a study run in blocks.  A block of R replications is one
+block diagonal system (`AdditiveDesign.blocks`): one basis evaluation of the
+R n covariate values per component, one banded factorization per component,
+and one run of the weight kernel, 2 * stages banded solves, for all R.  The
+blocks do not interact, so each replication's row is bit for bit the row a
+block of one computes: any row is recomputable alone (`sim3_replication`).
+R is the largest count whose R n rows of temporaries fit in a fixed byte
+budget, so memory stays bounded at any n.
 """
 
 from __future__ import annotations
@@ -23,14 +32,14 @@ import numpy as np
 from .backfit import (
     AdditiveDesign,
     backfit_stages,
-    build_design,
     kn_rule,
     lambda_rule,
     predict,
     univariate_penalized,
 )
-from .basis import design_matrix, eval_grid
+from .basis import design_matrix, eval_grid, make_knots
 from .inference import StageSmoother, confidence_interval
+from .penalty import penalty_matrix
 
 __all__ = [
     "ScenarioConfig",
@@ -114,17 +123,28 @@ def generate_dataset(cfg: ScenarioConfig, replication: int) -> SimDataset:
 
 def scenario_design(cfg: ScenarioConfig, data: SimDataset) -> AdditiveDesign:
     """Assemble the design with the scenario's K and lambda rules."""
+    return _stacked_design(cfg, [data])
+
+
+def _stacked_design(cfg: ScenarioConfig, datasets: list[SimDataset]) -> AdditiveDesign:
+    """The designs of several datasets as the blocks of one design, each
+    component's basis evaluated in one call on all datasets' values."""
     K = cfg.k_rule(cfg.n)
     lam = cfg.lam_rule(cfg.n, K)
-    return build_design(
-        data.y,
-        data.x1,
-        data.x2,
-        degree=cfg.degree,
-        diff_order=cfg.diff_order,
-        num_intervals=K,
+    basis, blocks = make_knots(cfg.degree, K), len(datasets)
+    X1, X2 = (
+        design_matrix(basis, np.concatenate([getattr(d, x) for d in datasets]))
+        .block_diagonal(blocks)
+        for x in ("x1", "x2")
+    )
+    return AdditiveDesign(
+        y=np.concatenate([d.y for d in datasets]),
+        X1=X1,
+        X2=X2,
         lambda1=lam,
         lambda2=lam,
+        penalty=penalty_matrix(cfg.diff_order, basis.num_basis),
+        blocks=blocks,
     )
 
 
@@ -232,18 +252,52 @@ class MonteCarloSummary:
 
 
 _EIG_FLOOR = 1e-14
+# Byte budget of one block's allocations, and the allowance per data row for
+# the design values, indices and products (tracemalloc measures about 250
+# bytes at n = 1000); a block holds as many replications as fit, at least one.
+_BLOCK_BYTES = 4 << 20
+_ROW_BYTES = 512
 
 
-def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.ndarray]:
-    """The deviation f_hat - f_true at the evaluation point and its exact
-    covariance V, from one replication's fixed-stage fit."""
-    data = generate_dataset(cfg, replication)
-    design = scenario_design(cfg, data)
+def _block_size(n: int) -> int:
+    """Replications per block at n observations each."""
+    return max(1, _BLOCK_BYTES // (_ROW_BYTES * n))
+
+
+def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.ndarray]:
+    """The deviations f_hat - f_true at the evaluation point, shape (R, 2), and
+    their exact covariances V, shape (R, 2, 2), of R replications' fixed-stage
+    fits, computed as the blocks of one system."""
+    design = _stacked_design(cfg, [generate_dataset(cfg, r) for r in replications])
     x1e, x2e = cfg.eval_point
     rows = design_matrix(design.X1.config, [x1e, x2e]).values
     est, P = StageSmoother(design, cfg.stages).evaluate_rows(rows[:1], rows[1:])
     truth = [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
-    return est[0] - truth, cfg.error_variance * P[0]
+    return est - truth, cfg.error_variance * P
+
+
+def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.ndarray]:
+    """The deviation and its exact covariance V of one replication: a block of one."""
+    dev, V = _replicate_block(cfg, [replication])
+    return dev[0], V[0]
+
+
+def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations (M, 2) and covariances (M, 2, 2) of all M replications, in
+    blocks of `_block_size`."""
+    M, R = cfg.replications, _block_size(cfg.n)
+    parts = [_replicate_block(cfg, range(s, min(s + R, M))) for s in range(0, M, R)]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([V for _, V in parts])
+
+
+def _standardize(dev: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows V^{-1/2} dev of the replications whose V has every eigenvalue above
+    the 1e-14 floor, and the mask of those replications."""
+    evals, evecs = np.linalg.eigh(V)
+    kept = evals.min(axis=1) > _EIG_FLOOR
+    evals, evecs = evals[kept], evecs[kept]
+    inv_half = evecs @ ((evals**-0.5)[:, :, None] * evecs.swapaxes(1, 2))
+    return (inv_half @ dev[kept][:, :, None])[:, :, 0], kept
 
 
 def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None:
@@ -252,12 +306,8 @@ def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None
     Returns None when the exact covariance is numerically degenerate (an
     eigenvalue at or below the 1e-14 floor); callers count such rejections.
     """
-    dev, V = _replicate(cfg, replication)
-    evals, evecs = np.linalg.eigh(V)
-    if evals.min() <= _EIG_FLOOR:
-        return None
-    inv_half = evecs @ ((evals**-0.5)[:, None] * evecs.T)
-    return inv_half @ dev
+    values, kept = _standardize(*_replicate_block(cfg, [replication]))
+    return values[0] if kept[0] else None
 
 
 def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: int,
@@ -292,14 +342,7 @@ def run_sim3(cfg: ScenarioConfig) -> tuple[StandardizedSample, MonteCarloSummary
     """Replicate the standardized statistic and summarize against N(0, I)."""
     start = time.perf_counter()
     M = cfg.replications
-    rows = np.full((M, 2), np.nan)
-    kept = np.zeros(M, dtype=bool)
-    for r in range(M):
-        row = sim3_replication(cfg, r)
-        if row is not None:
-            rows[r] = row
-            kept[r] = True
-    values = rows[kept]
+    values, kept = _standardize(*_replicate_all(cfg))
     ids = np.flatnonzero(kept)
     rejected = int(M - kept.sum())
     sample = StandardizedSample(
@@ -321,12 +364,9 @@ def coverage_experiment(
     """
     confidence_interval(0.0, 1.0, level)  # reject a bad level before replicating
     start = time.perf_counter()
-    M = cfg.replications
-    devs = np.empty((M, 2))
-    for r in range(M):
-        dev, V = _replicate(cfg, r)
-        devs[r] = dev / np.sqrt(np.diag(V))
-    return _summarize(devs, time.perf_counter() - start, M, 0, level)
+    dev, V = _replicate_all(cfg)
+    devs = dev / np.sqrt(np.diagonal(V, axis1=1, axis2=2))
+    return _summarize(devs, time.perf_counter() - start, cfg.replications, 0, level)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,33 @@ def _interp(a: float, b: float, va: float, vb: float, level: float) -> float:
     return a + t * (b - a)
 
 
+# The cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1) and
+# d = (i, j+1), and its case is a + 2b + 4c + 8d over the corners above the
+# level.  Its edges S, N, W and E are the grid edges ("x", i, j),
+# ("x", i, j+1), ("y", i, j) and ("y", i+1, j), written here as (kind, di, dj).
+_S, _N, _W, _E = ("x", 0, 0), ("x", 0, 1), ("y", 0, 0), ("y", 1, 0)
+# The edge pairs each case joins; saddles 5 and 10 list the pairs for a
+# cell-centre mean above the level, then for one at or below it.
+_CASE_PAIRS = {
+    1: [(_W, _S)],
+    2: [(_S, _E)],
+    3: [(_W, _E)],
+    4: [(_E, _N)],
+    6: [(_S, _N)],
+    7: [(_W, _N)],
+    8: [(_N, _W)],
+    9: [(_S, _N)],
+    11: [(_E, _N)],
+    12: [(_E, _W)],
+    13: [(_S, _E)],
+    14: [(_W, _S)],
+}
+_SADDLE_PAIRS = {
+    5: ([(_S, _E), (_N, _W)], [(_W, _S), (_E, _N)]),
+    10: ([(_W, _S), (_E, _N)], [(_S, _E), (_N, _W)]),
+}
+
+
 def contour_loops(
     x: np.ndarray, y: np.ndarray, Z: np.ndarray, level: float
 ) -> list[tuple[list[tuple[float, float]], bool]]:
@@ -28,7 +55,8 @@ def contour_loops(
 
     Returns (points, closed) chains; saddle cells are disambiguated with the
     cell-center mean.  Crossing points are computed once per grid edge, so
-    chains join exactly.
+    chains join exactly.  The cases of all cells come from array operations;
+    only the cells the level crosses are visited, in row-major order.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -36,7 +64,9 @@ def contour_loops(
     nx, ny = Z.shape
     if nx != x.size or ny != y.size:
         raise ValueError("grid shape mismatch")
-    above = Z > level
+    above = (Z > level).astype(np.int8)
+    cases = above[:-1, :-1] + 2 * above[1:, :-1] + 4 * above[1:, 1:] + 8 * above[:-1, 1:]
+    crossed = (cases != 0) & (cases != 15)
 
     points: dict[tuple, tuple[float, float]] = {}
 
@@ -52,45 +82,17 @@ def contour_loops(
         return key
 
     segments: list[tuple[tuple, tuple]] = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a = above[i, j]
-            b = above[i + 1, j]
-            c = above[i + 1, j + 1]
-            d = above[i, j + 1]
-            case = a + 2 * b + 4 * c + 8 * d
-            if case in (0, 15):
-                continue
-            S = ("x", i, j)
-            N = ("x", i, j + 1)
-            W = ("y", i, j)
-            E = ("y", i + 1, j)
-            pair_sets = {
-                1: [(W, S)],
-                2: [(S, E)],
-                3: [(W, E)],
-                4: [(E, N)],
-                6: [(S, N)],
-                7: [(W, N)],
-                8: [(N, W)],
-                9: [(S, N)],
-                11: [(E, N)],
-                12: [(E, W)],
-                13: [(S, E)],
-                14: [(W, S)],
-            }
-            if case == 5:
-                center = 0.25 * (Z[i, j] + Z[i + 1, j] + Z[i + 1, j + 1] + Z[i, j + 1])
-                pairs = [(S, E), (N, W)] if center > level else [(W, S), (E, N)]
-            elif case == 10:
-                center = 0.25 * (Z[i, j] + Z[i + 1, j] + Z[i + 1, j + 1] + Z[i, j + 1])
-                pairs = [(W, S), (E, N)] if center > level else [(S, E), (N, W)]
-            else:
-                pairs = pair_sets[case]
-            for e1, e2 in pairs:
-                segments.append(
-                    (edge_point(*e1), edge_point(*e2))
-                )
+    for i, j, case in zip(*np.nonzero(crossed), cases[crossed]):
+        i, j, case = int(i), int(j), int(case)
+        if case in _SADDLE_PAIRS:
+            center = 0.25 * (Z[i, j] + Z[i + 1, j] + Z[i + 1, j + 1] + Z[i, j + 1])
+            pairs = _SADDLE_PAIRS[case][0 if center > level else 1]
+        else:
+            pairs = _CASE_PAIRS[case]
+        for (k1, di1, dj1), (k2, di2, dj2) in pairs:
+            segments.append(
+                (edge_point(k1, i + di1, j + dj1), edge_point(k2, i + di2, j + dj2))
+            )
 
     # Chain segments into loops/arcs via shared edge keys.
     adjacency: dict[tuple, list[int]] = {}

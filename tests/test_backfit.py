@@ -21,7 +21,8 @@ from addspline import (
     predict,
     univariate_penalized,
 )
-from addspline.backfit import NormalEquations
+from addspline.backfit import NormalEquations, _PinnedCholesky
+from addspline.bandmat import BandedMatrix
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
 
@@ -96,6 +97,13 @@ class TestDesignValidation:
         y, x1, x2 = sim_xy(50, seed=3)
         with pytest.raises(ValueError):
             build_design(y, x1, x2, num_intervals=6, lambda1=-1.0, lambda2=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_response_names_y_and_row(self, bad):
+        y, x1, x2 = sim_xy(50, seed=3)
+        y[[17, 31]] = bad
+        with pytest.raises(ValueError, match=r"response y must be finite; row 17 is"):
+            build_design(y, x1, x2, num_intervals=6)
 
 
 class TestSweeps:
@@ -228,6 +236,23 @@ class TestPinnedColumns:
     def test_positive_penalty_pins_nothing(self):
         for d in (ozone_design(None), ozone_design(1e-6), ridged_design()):
             assert all(cols.size == 0 for cols in d.normal_equations.pinned)
+
+    def test_each_block_takes_its_own_floor(self):
+        # a block diagonal system of the pinned ozone block, the same block
+        # 1e20 times larger and a ridged block: each block pins its own
+        # data-free columns, whatever the scale of the others, and solves
+        # bit for bit as it does alone
+        zero = ozone_design(0.0).normal_equations.lam_banded1
+        ridged = ozone_design(1.0).normal_equations.lam_banded1
+        parts = [zero, BandedMatrix(zero.size, zero.bandwidth, 1e20 * zero.bands), ridged]
+        q, w = zero.size, zero.bandwidth
+        L = _PinnedCholesky(BandedMatrix(3 * q, w, np.hstack([m.bands for m in parts])), 3)
+        assert L.pinned.tolist() == [0, 1, 2, 3, 4, q, q + 1, q + 2, q + 3, q + 4]
+        rhs = np.random.default_rng(4).normal(size=(3 * q, 2))
+        got = L.solve(rhs)
+        for i, m in enumerate(parts):
+            alone = _PinnedCholesky(m).solve(rhs[i * q : (i + 1) * q])
+            assert np.array_equal(got[i * q : (i + 1) * q], alone)
 
 
 class TestOptimality:

@@ -256,6 +256,51 @@ class TestCompactProducts:
         with pytest.raises(ValueError, match="row mismatch"):
             design_matrix(cfg, [0.5]).cross(design_matrix(cfg, [0.5, 1.0]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(_designs(), st.integers(1, 4))
+    def test_block_diagonal_products(self, designs, blocks):
+        # the same designs stacked `blocks` times: every product is block
+        # diagonal, each block bit for bit the product of one copy
+        X, Z = designs
+        n, q = X.rows, X.cols
+        Xb, Zb = (
+            design_matrix(D.config, np.tile(D.covariate, blocks)).block_diagonal(blocks)
+            for D in (X, Z)
+        )
+        assert (Xb.rows, Xb.cols) == (blocks * n, blocks * q)
+        assert np.array_equal(Xb.first, np.tile(X.first, blocks) + np.repeat(np.arange(blocks) * q, n))
+        gram = X.gram_bands()
+        assert np.array_equal(Xb.gram_bands(), np.tile(gram, blocks))
+        assert np.array_equal(Xb.block_cross(Zb, blocks), np.stack([X.cross(Z)] * blocks))
+        assert np.array_equal(Xb.values[:n, :q], X.values)
+        y = np.arange(n, dtype=float)
+        assert np.array_equal(Xb.rmatvec(np.tile(y, blocks)), np.tile(X.rmatvec(y), blocks))
+        if blocks > 1:
+            with pytest.raises(ValueError, match="do not split"):
+                design_matrix(X.config, np.tile(X.covariate, blocks)[1:]).block_diagonal(blocks)
+
+
+@st.composite
+def _knot_points(draw):
+    """A knot layout and points on its interior knots and one ulp either side."""
+    cfg = make_knots(draw(st.integers(0, 4)), draw(st.integers(1, 300)))
+    K = cfg.num_intervals
+    on = np.array(draw(st.lists(st.integers(1, K), min_size=1, max_size=20))) / K
+    x = np.concatenate([on, np.nextafter(on, 0.0), np.nextafter(on, 2.0)])
+    return cfg, x[(x > 0.0) & (x <= 1.0)]
+
+
+class TestIntervalIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(_knot_points())
+    def test_first_column_is_the_searchsorted_interval(self, case):
+        # kappa_{j-1} < x <= kappa_j on the stored knots, exactly, where x K
+        # rounds across an integer
+        cfg, x = case
+        p, K = cfg.degree, cfg.num_intervals
+        want = np.searchsorted(cfg.knots[p + 1 : p + K + 1], x, side="left")
+        assert np.array_equal(design_matrix(cfg, x).first, want)
+
 
 class TestIntegral:
     def test_interior_integral_is_reciprocal_intervals(self):

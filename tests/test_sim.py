@@ -1,12 +1,13 @@
 """Simulation harness: data generation, the three studies, KDE utilities."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from addspline import sim
-from addspline.bandmat import BandedCholesky
+from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.inference import StageSmoother
 from addspline.sim import (
     ScenarioConfig,
@@ -232,6 +233,116 @@ class TestReplicationKernel:
         sm = StageSmoother(scenario_design(cfg, generate_dataset(cfg, 0)), cfg.stages)
         want = cfg.error_variance * sm.weight_products(*cfg.eval_point)
         assert V == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _zero_penalty(n, K):
+    return 0.0
+
+
+class TestReplicationBlocks:
+    """R replications as the blocks of one system, against blocks of one."""
+
+    def test_block_rows_bitwise_equal_blocks_of_one(self):
+        cfg = ScenarioConfig(n=300, seed=5)
+        ids = [4, 0, 9, 2, 7, 3, 11]
+        dev, V = sim._replicate_block(cfg, ids)
+        assert dev.shape == (7, 2) and V.shape == (7, 2, 2)
+        for i, r in enumerate(ids):
+            d1, V1 = sim._replicate(cfg, r)
+            assert np.array_equal(dev[i], d1)
+            assert np.array_equal(V[i], V1)
+
+    def test_studies_split_into_blocks_bitwise(self, monkeypatch):
+        # 12 replications in blocks of 5, 5 and 2, against one block of 12
+        cfg = ScenarioConfig(n=120, replications=12)
+        whole, _ = run_sim3(cfg)
+        cov = coverage_experiment(cfg)
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 5 * sim._ROW_BYTES * cfg.n)
+        assert sim._block_size(cfg.n) == 5
+        sizes = []
+        block = sim._replicate_block
+
+        def counting(cfg, replications):
+            sizes.append(len(replications))
+            return block(cfg, replications)
+
+        monkeypatch.setattr(sim, "_replicate_block", counting)
+        split, _ = run_sim3(cfg)
+        assert sizes == [5, 5, 2]
+        assert np.array_equal(split.values, whole.values)
+        assert np.array_equal(split.replication_ids, whole.replication_ids)
+        split_cov = coverage_experiment(cfg)
+        assert np.array_equal(split_cov.mean, cov.mean)
+        assert np.array_equal(split_cov.covariance, cov.covariance)
+
+    def test_pinned_columns_per_replication(self):
+        # at zero penalty and n = 20 some replications leave a boundary
+        # interval empty and pin its column, others pin nothing; one block
+        # holds both kinds
+        cfg = ScenarioConfig(n=20, lam_rule=_zero_penalty, k_rule=lambda n: 6)
+        q = cfg.k_rule(cfg.n) + cfg.degree
+        own = {}
+        for r in range(60):
+            d = scenario_design(cfg, generate_dataset(cfg, r))
+            try:
+                own[r] = d.normal_equations.pinned
+            except NotPositiveDefiniteError:
+                continue
+        ids = sorted(own)[:30]
+        pins = [any(cols.size for cols in own[r]) for r in ids]
+        assert any(pins) and not all(pins)
+        design = sim._stacked_design(cfg, [generate_dataset(cfg, r) for r in ids])
+        got = design.normal_equations.pinned
+        for j in (0, 1):
+            want = np.concatenate([own[r][j] + i * q for i, r in enumerate(ids)])
+            assert np.array_equal(got[j], want)
+        dev, V = sim._replicate_block(cfg, ids)
+        x1e, x2e = cfg.eval_point
+        for i, r in enumerate(ids):
+            d1, V1 = sim._replicate(cfg, r)
+            assert np.array_equal(dev[i], d1) and np.array_equal(V[i], V1)
+            d = scenario_design(cfg, generate_dataset(cfg, r))
+            res = backfit.backfit_stages(d, cfg.stages)
+            f1, f2, _ = backfit.predict(res, d.X1.config, x1e, x2e)
+            want = np.array([f1 - truth_f1(x1e), f2 - truth_f2(x2e)])
+            assert np.abs(dev[i] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+            P = StageSmoother(d, cfg.stages).weight_products(x1e, x2e)
+            want_V = cfg.error_variance * P
+            assert np.abs(V[i] - want_V).max() <= 1e-10 * np.abs(want_V).max()
+
+    def test_block_factors_once_and_sweeps_once(self, monkeypatch):
+        cfg = ScenarioConfig(n=200)
+        factors, solves = [], []
+        init, solve = BandedCholesky.__init__, BandedCholesky.solve
+
+        def counting_init(self, matrix):
+            factors.append(matrix.size)
+            init(self, matrix)
+
+        def counting_solve(self, rhs):
+            solves.append(rhs.shape)
+            return solve(self, rhs)
+
+        monkeypatch.setattr(BandedCholesky, "__init__", counting_init)
+        monkeypatch.setattr(BandedCholesky, "solve", counting_solve)
+        R, q = 9, cfg.k_rule(cfg.n) + cfg.degree
+        sim._replicate_block(cfg, range(R))
+        assert factors == [R * q, R * q]
+        assert solves == [(R * q, 2)] * (2 * cfg.stages)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_block_peak_memory_within_budget(self, n):
+        cfg = ScenarioConfig(n=n)
+        R = sim._block_size(n)
+        assert R > 1
+        sim._replicate_block(cfg, range(2))  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            sim._replicate_block(cfg, range(R))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sim._BLOCK_BYTES
 
 
 class TestCoverage:

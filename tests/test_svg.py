@@ -59,6 +59,27 @@ class TestContourLoops:
             for px, py in points:
                 assert px * py == pytest.approx(0.2, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_crossed_edge_joins_once(self, seed):
+        # random grids of few distinct values, so many saddle cells and no
+        # value on the level: the chains hold each grid-edge crossing of the
+        # level exactly once
+        rng = np.random.default_rng(seed)
+        x, y = np.sort(rng.random(23)), np.sort(rng.random(17))
+        Z = np.round(rng.random((23, 17)) * 4) / 4
+        level = 0.4
+        above = Z > level
+        want = set()
+        for i, j in zip(*np.nonzero(above[:-1] != above[1:])):
+            t = (level - Z[i, j]) / (Z[i + 1, j] - Z[i, j])
+            want.add((x[i] + t * (x[i + 1] - x[i]), y[j]))
+        for i, j in zip(*np.nonzero(above[:, :-1] != above[:, 1:])):
+            t = (level - Z[i, j]) / (Z[i, j + 1] - Z[i, j])
+            want.add((x[i], y[j] + t * (y[j + 1] - y[j])))
+        got = [pt for points, _ in contour_loops(x, y, Z, level) for pt in points]
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == want
+
     def test_grid_shape_validation(self):
         ax = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
