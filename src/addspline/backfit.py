@@ -6,7 +6,11 @@ spline B(x)'b_j, estimated by minimizing
     ||y - X_1 b_1 - X_2 b_2||^2 + lam_1 b_1' Q_m b_1 + lam_2 b_2' Q_m b_2.
 
 Stages alternate the two penalized normal-equation solves (block Gauss-Seidel);
-every solve is banded, and no n x n smoother matrix is ever formed.
+every solve is banded, and no n x n smoother matrix is ever formed.  The fit
+reads the data only through X_j'X_j, X_1'X_2 and X_j'y, added up in one pass
+over chunks of rows (`NormalEquations`), and the residual sum of squares,
+added up in another: no n-row array of basis values exists on the fit path,
+whatever n.
 
 A structural caveat that shapes several routines here: both design matrices
 satisfy the partition of unity (rows sum to 1) and the difference penalty
@@ -117,6 +121,15 @@ class AdditiveDesign:
     def num_coef(self) -> int:
         return self.X1.cols
 
+    def residual_sum_of_squares(self, b1: np.ndarray, b2: np.ndarray) -> float:
+        """||y - X_1 b_1 - X_2 b_2||^2, added up over chunks of rows."""
+        b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+        total = 0.0
+        for (rows, R1), (_, R2) in zip(self.X1.chunks(), self.X2.chunks()):
+            resid = self.y[rows] - R1.matvec(b1) - R2.matvec(b2)
+            total += float(np.sum(resid**2))
+        return total
+
     @functools.cached_property
     def normal_equations(self) -> "NormalEquations":
         """The design's one factored system, built on first use and shared by
@@ -153,7 +166,7 @@ def build_design(
     lambda2: float | None = None,
 ) -> AdditiveDesign:
     """Assemble an AdditiveDesign from raw samples using the default rules."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
     K = kn_rule(n) if num_intervals is None else int(num_intervals)
     cfg = make_knots(degree, K)
@@ -208,27 +221,45 @@ class NormalEquations:
     Holds the banded Cholesky factors of Lam_j = X_j'X_j + lam_j Q_m (with
     data-free columns pinned, see _PinnedCholesky), the cross-product
     C = X_1'X_2 as the (blocks, q, q) stack `C_blocks` of its diagonal blocks,
-    and the right-hand sides u_j = X_j'y.  `pinned` holds the pinned column
-    indices of each component; `stacked_matrix` and the residual use the
-    unpinned Lam_j.
+    the right-hand sides u_j = X_j'y and the column sums X_j'1
+    (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
+    column indices of each component; `stacked_matrix` and the residual use
+    the unpinned Lam_j.
+
+    These statistics and the residual sum of squares are all the estimator
+    reads of the data.  They are added up in one pass over chunks of rows
+    (`DesignMatrix.chunks`), which evaluates each component's basis once per
+    chunk, so building them takes O(q^2 + chunk) memory at any n.
     """
 
     def __init__(self, design: AdditiveDesign):
         # no reference back to the design: the design caches this object, and
         # a cycle would leave both to the cyclic garbage collector
-        self.num_coef = design.num_coef
+        self.num_coef = q = design.num_coef
         self.blocks = blocks = design.blocks
+        p = design.X1.config.degree
+        bands1, bands2 = np.zeros((p + 1, q)), np.zeros((p + 1, q))
+        self.C_blocks = np.zeros((blocks, q // blocks, q // blocks))
+        self.u1, self.u2 = np.zeros(q), np.zeros(q)
+        for (rows, R1), (_, R2) in zip(design.X1.chunks(), design.X2.chunks()):
+            y = design.y[rows]
+            R1.gram_bands(bands1)
+            R2.gram_bands(bands2)
+            R1.block_cross(R2, self.C_blocks)
+            R1.rmatvec(y, self.u1)
+            R2.rmatvec(y, self.u2)
         Q = design.penalty
-        self.gram1 = gram_banded(design.X1)
-        self.gram2 = gram_banded(design.X2)
+        self.gram1 = BandedMatrix(size=q, bandwidth=p, bands=bands1)
+        self.gram2 = BandedMatrix(size=q, bandwidth=p, bands=bands2)
+        # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
+        # product per chunk, for sums that only the display centring reads
+        ones = np.ones(q)
+        self.column_sums = (self.gram1.matvec(ones), self.gram2.matvec(ones))
         self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q, blocks)
         self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q, blocks)
         self.L1 = _PinnedCholesky(self.lam_banded1, blocks)
         self.L2 = _PinnedCholesky(self.lam_banded2, blocks)
         self.pinned = (self.L1.pinned, self.L2.pinned)
-        self.C_blocks = design.X1.block_cross(design.X2, blocks)
-        self.u1 = design.X1.rmatvec(design.y)
-        self.u2 = design.X2.rmatvec(design.y)
 
     @property
     def C(self) -> np.ndarray:
@@ -289,9 +320,8 @@ def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
 
 def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
     """Penalized least-squares objective at the given coefficients."""
-    resid = design.y - design.X1.matvec(b1) - design.X2.matvec(b2)
     return float(
-        resid @ resid
+        design.residual_sum_of_squares(b1, b2)
         + design.lambda1 * design.penalty.quad_form(b1)
         + design.lambda2 * design.penalty.quad_form(b2)
     )
@@ -437,10 +467,10 @@ def center_component(
     """
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
-    X = design.X1 if j == 1 else design.X2
     b = result.b1 if j == 1 else result.b2
-    offset = float(np.mean(X.matvec(b)))
-    vals = design_matrix(X.config, x).matvec(b) - offset
+    # mean_i B(x_ij)'b is (X_j'1)'b / n
+    offset = float(design.normal_equations.column_sums[j - 1] @ b) / design.y.shape[0]
+    vals = design_matrix(design.X1.config, x).matvec(b) - offset
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 

@@ -92,7 +92,7 @@ class BandedMatrix:
 
 
 class BandedCholesky:
-    """Factor once, solve many.  Wraps scipy's banded Cholesky (lower form)."""
+    """Factor once, solve many.  Wraps LAPACK's banded Cholesky (lower form)."""
 
     def __init__(self, matrix: BandedMatrix):
         self.matrix = matrix
@@ -102,7 +102,21 @@ class BandedCholesky:
             raise NotPositiveDefiniteError(str(exc)) from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.cho_solve_banded((self._factor, True), rhs)
+        """A^{-1} rhs for a vector or a q x k block rhs.
+
+        Calls LAPACK dpbtrs on the factor, as `scipy.linalg.cho_solve_banded`
+        does, without that wrapper's argument checks (about 10 us a call).
+        Only the row count is checked.  Finiteness is not: the factor is
+        finite, and the right-hand sides of the estimator come from
+        `AdditiveDesign`, which rejects a non-finite response.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.matrix.size:
+            raise ValueError(
+                f"right-hand side has {rhs.shape[0]} rows, the matrix {self.matrix.size}"
+            )
+        x, _ = scipy.linalg.lapack.dpbtrs(self._factor, rhs, lower=1)
+        return x
 
 
 def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMatrix:

@@ -6,14 +6,17 @@ half-open interval (kappa_{k-1}, kappa_k], so every x in (0, 1] lies in exactly
 one base interval and the partition of unity holds on (0, 1] (and fails at 0,
 which is outside the data domain by convention).
 
-A design is stored compactly: each point lies in one knot interval, where only
-p + 1 consecutive functions are non-zero, so a `DesignMatrix` keeps the first
-non-zero column and those p + 1 values per row.  Every product the estimator
-needs (the banded Gram matrix, the cross-product of two designs, X'y and Xb)
-is formed from that layout in O(n p^2) time and O(n p) memory; the dense
-n x q matrix is built only on request, as the `values` view.  Several designs
-stacked block diagonally (`DesignMatrix.block_diagonal`) share all of these
-products, one block per design.
+A design is lazy: a `DesignMatrix` holds its covariate values, and each
+product evaluates the basis one chunk of rows at a time (`DesignChunk`).  Each
+point lies in one knot interval, where only p + 1 consecutive functions are
+non-zero, so a chunk keeps the first non-zero column and those p + 1 values
+per row.  Every product the estimator needs (the banded Gram matrix, the
+cross-product of two designs, X'y and Xb) is added up over chunks in
+O(n p^2) time and O(chunk p) memory, so no n-row array of basis values
+exists on the fit path; the compact rows of all points and the dense n x q
+matrix are built only on request, as the `first`, `vals` and `values` views.
+Several designs stacked block diagonally (`DesignMatrix.block_diagonal`)
+share all of these products, one block per design.
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+
+# Byte budget of the temporaries of one pass over a run of rows, and the
+# allowance per row for the basis values, indices and products (tracemalloc
+# measures about 250 bytes at n = 1000).  Products run over chunks of
+# _BLOCK_BYTES // _ROW_BYTES = 8192 rows, and the Monte Carlo harness sizes
+# its blocks of replications from the same budget.
+_BLOCK_BYTES = 4 << 20
+_ROW_BYTES = 512
+_CHUNK_ROWS = _BLOCK_BYTES // _ROW_BYTES
 
 __all__ = [
     "SplineConfig",
@@ -73,25 +85,114 @@ class SplineConfig:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Basis evaluations of one covariate sample, in compact row form.
+class DesignChunk:
+    """Basis evaluations of consecutive rows of a design, in compact row form.
 
     Row i holds the p + 1 possibly non-zero values `vals[i, r]` = B_k(x_i) of
     columns `first[i] + r`, r = 0..p, where column c is the basis index
-    k = c - p + 1: column 0 is the leftmost function B_{-p+1} and column
-    q - 1 is B_K.  `values` is the dense n x q view, built on first access and
-    cached; the products below never build it.
+    k = c - p + 1 (shifted by b q in block b of a block diagonal design).
+    The products below are the only product code: a design runs them chunk
+    by chunk, adding each chunk's share into one accumulator.
     """
 
-    rows: int
-    cols: int
     first: np.ndarray  # shape (rows,), int: first non-zero column of each row
     vals: np.ndarray  # shape (rows, p + 1)
+    cols: int
+
+    @property
+    def columns(self) -> np.ndarray:
+        """Column index of each entry of `vals`, shape (rows, p + 1)."""
+        return self.first[:, None] + np.arange(self.vals.shape[1])
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """X b, shape (rows,)."""
+        return np.einsum("ir,ir->i", self.vals, b[self.columns])
+
+    def rmatvec(self, y: np.ndarray, out: np.ndarray) -> None:
+        """Add X'y to `out` (shape (cols,))."""
+        w = self.vals * y[:, None]
+        out += np.bincount(self.columns.ravel(), w.ravel(), minlength=self.cols)
+
+    def gram_bands(self, out: np.ndarray, weights: np.ndarray | None = None) -> None:
+        """Add the lower bands of X' diag(weights) X to `out` (shape (p + 1, cols)).
+
+        `out[d, c]` is the (c + d, c) entry; basis functions more than p
+        columns apart share no support, so the bands hold the whole matrix.
+        """
+        p1, q = self.vals.shape[1], self.cols
+        v = self.vals if weights is None else self.vals * weights[:, None]
+        for r in range(p1):
+            col = self.first + r
+            for s in range(r, p1):  # entry pair (r, s) of every row, on band s - r
+                out[s - r] += np.bincount(col, v[:, r] * self.vals[:, s], minlength=q)
+
+    def block_cross(self, other: "DesignChunk", out: np.ndarray) -> None:
+        """Add the diagonal blocks of X'Z, for Z the same rows of another block
+        diagonal design, to `out` (shape (blocks, q, q'))."""
+        q2, size = out.shape[2], out.size
+        flat = out.reshape(-1)
+        # entry (c, c2) of block b, at c = b q + i and c2 = b q2 + k, is entry
+        # b q q2 + i q2 + k of the flat stack, that is c q2 + k
+        idx = (self.first * q2 + other.first % q2)[:, None] + np.arange(other.vals.shape[1])
+        for r in range(self.vals.shape[1]):  # column offset r of X moves c by r
+            w = self.vals[:, r, None] * other.vals
+            flat[r * q2 :] += np.bincount(idx.ravel(), w.ravel(), minlength=size)[: size - r * q2]
+
+
+@dataclass(frozen=True)
+class DesignMatrix:
+    """Basis evaluations of one covariate sample, evaluated a chunk of rows at a time.
+
+    The design holds its covariate values and nothing of size n besides them.
+    Every product evaluates the basis on `_CHUNK_ROWS` rows at a time
+    (`chunks`) and adds up the chunks' products, so it takes O(chunk p) memory
+    at any n.  With `blocks` > 1 the rows are that many independent designs
+    of rows / blocks consecutive rows each, and block b's rows use columns
+    b q .. b q + q - 1 (see `block_diagonal`).  `first`, `vals` (the compact
+    rows of `DesignChunk`) and the dense n x q `values` are views of all rows
+    at once, built on first access and cached, for tests, oracles and small
+    grids; the products never build them.
+    """
+
     covariate: np.ndarray
     config: SplineConfig
+    blocks: int = 1
+
+    @property
+    def rows(self) -> int:
+        return self.covariate.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.blocks * self.config.num_basis
 
     def basis_index(self, col: int) -> int:
         return col - self.config.degree + 1
+
+    def chunk(self, start: int, stop: int) -> DesignChunk:
+        """Rows start..stop - 1, evaluated."""
+        first, vals = _basis_rows(self.config, self.covariate[start:stop])
+        if self.blocks > 1:
+            block_rows = self.rows // self.blocks
+            first += np.arange(start, stop) // block_rows * self.config.num_basis
+        return DesignChunk(first=first, vals=vals, cols=self.cols)
+
+    def chunks(self):
+        """(rows, chunk) pairs that cover the design: the slice of rows and
+        those rows evaluated, `_CHUNK_ROWS` rows at a time."""
+        for start in range(0, max(self.rows, 1), _CHUNK_ROWS):  # 0 rows: 1 empty chunk
+            stop = min(start + _CHUNK_ROWS, self.rows)
+            yield slice(start, stop), self.chunk(start, stop)
+
+    @functools.cached_property
+    def first(self) -> np.ndarray:
+        """First non-zero column of every row, shape (rows,)."""
+        return self.chunk(0, self.rows).first
+
+    @functools.cached_property
+    def vals(self) -> np.ndarray:
+        """The p + 1 basis values of every row, shape (rows, p + 1)."""
+        return self.chunk(0, self.rows).vals
 
     @property
     def columns(self) -> np.ndarray:
@@ -101,34 +202,31 @@ class DesignMatrix:
     @functools.cached_property
     def values(self) -> np.ndarray:
         """The dense n x q matrix; `values[i, c]` is B_k(x_i), k = c - p + 1."""
+        rows = self.chunk(0, self.rows)
         X = np.zeros((self.rows, self.cols))
-        X[np.arange(self.rows)[:, None], self.columns] = self.vals
+        X[np.arange(self.rows)[:, None], rows.columns] = rows.vals
         return X
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """X b, shape (rows,)."""
-        return np.einsum("ir,ir->i", self.vals, np.asarray(b, dtype=float)[self.columns])
+        b = np.asarray(b, dtype=float)
+        return np.concatenate([chunk.matvec(b) for _, chunk in self.chunks()])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """X'y, shape (cols,)."""
-        w = self.vals * np.asarray(y, dtype=float)[:, None]
-        return np.bincount(self.columns.ravel(), w.ravel(), minlength=self.cols)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(self.cols)
+        for rows, chunk in self.chunks():
+            chunk.rmatvec(y[rows], out)
+        return out
 
     def gram_bands(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Lower bands of X' diag(weights) X, shape (p + 1, cols).
-
-        `bands[d, c]` is the (c + d, c) entry; basis functions more than p
-        columns apart share no support, so the bands hold the whole matrix.
-        """
-        p1, q = self.vals.shape[1], self.cols
-        v = self.vals
-        if weights is not None:
-            v = v * np.asarray(weights, dtype=float)[:, None]
-        bands = np.zeros((p1, q))
-        for r in range(p1):
-            col = self.first + r
-            for s in range(r, p1):  # entry pair (r, s) of every row, on band s - r
-                bands[s - r] += np.bincount(col, v[:, r] * self.vals[:, s], minlength=q)
+        """Lower bands of X' diag(weights) X, shape (p + 1, cols); see
+        `DesignChunk.gram_bands`."""
+        bands = np.zeros((self.config.degree + 1, self.cols))
+        w = None if weights is None else np.asarray(weights, dtype=float)
+        for rows, chunk in self.chunks():
+            chunk.gram_bands(bands, None if w is None else w[rows])
         return bands
 
     def block_diagonal(self, blocks: int) -> "DesignMatrix":
@@ -138,33 +236,28 @@ class DesignMatrix:
         Every product of the result is block diagonal, with exact zeros off
         the blocks, so one banded system serves all blocks at once.
         """
-        n, rem = divmod(self.rows, blocks)
-        if rem:
+        if self.rows % blocks:
             raise ValueError(f"{self.rows} rows do not split into {blocks} blocks")
-        offsets = np.repeat(np.arange(blocks) * self.cols, n)
-        return replace(self, cols=blocks * self.cols, first=self.first + offsets)
+        return replace(self, blocks=blocks)
 
     def cross(self, other: "DesignMatrix") -> np.ndarray:
         """X'Z for a design Z on the same points, dense shape (cols, other.cols)."""
-        return self.block_cross(other, 1)[0]
+        return self.block_cross(other)[0]
 
-    def block_cross(self, other: "DesignMatrix", blocks: int) -> np.ndarray:
-        """The diagonal blocks of X'Z for block diagonal designs X and Z on the
-        same points (see `block_diagonal`), shape (blocks, q, q') with
-        q = cols / blocks and q' = other.cols / blocks; the rest of X'Z is zero.
+    def block_cross(self, other: "DesignMatrix") -> np.ndarray:
+        """The diagonal blocks of X'Z for block diagonal designs X and Z of as
+        many blocks on the same points (see `block_diagonal`), shape
+        (blocks, q, q') for q and q' basis functions; the rest of X'Z is zero.
         """
-        if other.rows != self.rows:
-            raise ValueError(f"row mismatch: {self.rows} and {other.rows}")
-        q, q2 = self.cols // blocks, other.cols // blocks
-        # entry (c, c2) of block b, at c = b q + i and c2 = b q2 + k, is entry
-        # b q q2 + i q2 + k of the flat stack, that is c q2 + k
-        idx = (self.first * q2 + other.first % q2)[:, None] + np.arange(other.vals.shape[1])
-        size = self.cols * q2
-        out = np.zeros(size)
-        for r in range(self.vals.shape[1]):  # column offset r of X moves c by r
-            w = self.vals[:, r, None] * other.vals
-            out[r * q2 :] += np.bincount(idx.ravel(), w.ravel(), minlength=size)[: size - r * q2]
-        return out.reshape(blocks, q, q2)
+        if (other.rows, other.blocks) != (self.rows, self.blocks):
+            raise ValueError(
+                f"row mismatch: {self.rows} rows in {self.blocks} blocks and "
+                f"{other.rows} in {other.blocks}"
+            )
+        out = np.zeros((self.blocks, self.config.num_basis, other.config.num_basis))
+        for (_, chunk), (_, other_chunk) in zip(self.chunks(), other.chunks()):
+            chunk.block_cross(other_chunk, out)
+        return out
 
 
 def make_knots(degree: int, num_intervals: int) -> SplineConfig:
@@ -222,15 +315,16 @@ def _interval_index(cfg: SplineConfig, x: np.ndarray) -> np.ndarray:
 
 
 def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
-    """Evaluate all K + p basis functions at points in (0, 1].
+    """The design of all K + p basis functions at points in (0, 1].
 
     Each row carries the p + 1 possibly-nonzero values; rows sum to 1.  Raises
     ValueError when a point falls outside the (0, 1] domain (the preprocessing
-    layer is responsible for nudging exact zeros into the domain).
+    layer is responsible for nudging exact zeros into the domain).  The points
+    are checked here and evaluated by each product, a chunk of rows at a time;
+    a one-dimensional float array is kept as it is, without a copy, so it
+    must not change while the design is in use.
     """
-    x = np.ascontiguousarray(points, dtype=float).ravel()
-    p, K = cfg.degree, cfg.num_intervals
-    q = K + p
+    x = np.asarray(points, dtype=float).reshape(-1)
     if x.size:
         if not np.all(np.isfinite(x)):
             raise ValueError("covariate values must be finite")
@@ -239,6 +333,12 @@ def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
             raise ValueError(
                 f"covariate values must lie in (0, 1]; saw range [{lo}, {hi}]"
             )
+    return DesignMatrix(covariate=x, config=cfg)
+
+
+def _basis_rows(cfg: SplineConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First non-zero column and the p + 1 basis values of each point."""
+    p, K = cfg.degree, cfg.num_intervals
     j = _interval_index(cfg, x)
 
     # Bottom-up de Boor table over the p+1 active functions per point, one
@@ -257,10 +357,8 @@ def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
                 prev[r - 1] = None  # its last use: free it before the next column
             v *= K / d
             cols.append(v)
-    vals = np.column_stack(cols)
-
     j -= 1
-    return DesignMatrix(rows=x.size, cols=q, first=j, vals=vals, covariate=x, config=cfg)
+    return j, np.column_stack(cols)
 
 
 def basis_integral(cfg: SplineConfig, k: int) -> float:

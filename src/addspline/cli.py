@@ -212,9 +212,10 @@ def cmd_fit(args) -> int:
     scales = (1.0, 1.0)
     if dataset.preprocessing is not None:
         scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
-    for j, X, b in ((1, design.X1, result.b1), (2, design.X2, result.b2)):
-        # the fitted component centred on its mean over the data
-        estimate = rows.matvec(b) - float(np.mean(X.matvec(b)))
+    for j, b in ((1, result.b1), (2, result.b2)):
+        # the fitted component centred on its mean over the data, (X_j'1)'b / n
+        column_sums = design.normal_equations.column_sums[j - 1]
+        estimate = rows.matvec(b) - float(column_sums @ b) / n
         half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
         lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]

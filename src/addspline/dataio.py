@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,10 +139,13 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     if any(a.shape[0] != n for a in arrays):
         raise ValueError("all columns must have equal length")
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([format_float(a[i]) for a in arrays])
+        csv.writer(fh).writerow(header)
+        # a formatted float never needs quoting, so each row is its cells
+        # joined by commas, ended as csv.writer ends a row
+        fh.writelines(
+            ",".join(map(format_float, row)) + "\r\n"
+            for row in zip(*(a.tolist() for a in arrays))
+        )
 
 
 def preprocess_columns(
@@ -153,20 +156,24 @@ def preprocess_columns(
     Exact zeros after scaling are nudged to the smallest positive double (with
     a warning) so they enter the basis domain.  Negative covariate values are
     rejected.  The transform is idempotent: re-running it on its own output
-    returns bit-identical arrays.
+    returns bit-identical arrays.  It works on copies; the inputs are left
+    as they are.
     """
-    y = np.asarray(y, dtype=float).copy()
+    y, x1, x2 = (np.array(a, dtype=float) for a in (y, x1, x2))
+    return y, x1, x2, _preprocess_in_place(y, x1, x2)
+
+
+def _preprocess_in_place(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> Preprocessing:
+    """`preprocess_columns` on float arrays that it overwrites."""
     mean = float(np.mean(y))
     if abs(mean) > 1e-12 * (float(np.max(np.abs(y), initial=0.0)) + 1.0):
         y -= mean
         center = mean
     else:
         center = 0.0
-    scaled = []
     scales = []
     nudged = 0
     for name, x in (("x1", x1), ("x2", x2)):
-        x = np.asarray(x, dtype=float).copy()
         if np.any(x < 0):
             raise DataError(f"{name}: negative covariate values are unsupported")
         top = float(x.max())
@@ -177,17 +184,15 @@ def preprocess_columns(
         if np.any(zeros):
             nudged += int(zeros.sum())
             x[zeros] = np.nextafter(0.0, 1.0)
-        scaled.append(x)
         scales.append(top)
     if nudged:
         warnings.warn(
             f"{nudged} zero covariate values nudged to the smallest positive double",
-            stacklevel=2,
+            stacklevel=3,
         )
-    record = Preprocessing(
+    return Preprocessing(
         y_center=center, x1_scale=scales[0], x2_scale=scales[1], zeros_nudged=nudged
     )
-    return y, scaled[0], scaled[1], record
 
 
 def load_csv(
@@ -213,12 +218,14 @@ def load_csv(
         raise DataError(
             f"{path}: {table.shape[0]} rows is fewer than the required {min_rows}"
         )
+    # the columns stay views of the table, which no one else holds, and are
+    # preprocessed where they are: the data exist once
     y = table[:, header.index(y_col)]
     x1 = table[:, header.index(x1_col)]
     x2 = table[:, header.index(x2_col)]
-    record = None
-    if preprocess:
-        y, x1, x2, record = preprocess_columns(y, x1, x2)
+    if len({y_col, x1_col, x2_col}) < 3:  # one column in two roles: one copy each
+        y, x1, x2 = y.copy(), x1.copy(), x2.copy()
+    record = _preprocess_in_place(y, x1, x2) if preprocess else None
     return Dataset(
         column_names=tuple(header),
         y_name=y_col,
@@ -251,7 +258,9 @@ class RunReport:
     pinned_columns: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
+        # the fields as they are: `asdict` would deep-copy every list of floats
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(data, sort_keys=True, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

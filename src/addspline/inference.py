@@ -19,11 +19,11 @@ variance formulas are provided as diagnostics with empirical plug-ins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.special import ndtri
 
 from .backfit import AdditiveDesign, BackfitResult
 from .bandmat import BandedMatrix, gram_banded
@@ -87,8 +87,10 @@ class StageSmoother:
         shape (blocks, 2q, k)."""
         eq = self.design.normal_equations
         q, blocks = S.shape[0] // 2, eq.blocks
-        return _coef_weights(eq, self.stages, np.tile(S[:q], (blocks, 1)),
-                             np.tile(S[q:], (blocks, 1)))
+        S1, S2 = S[:q], S[q:]
+        if blocks > 1:
+            S1, S2 = np.tile(S1, (blocks, 1)), np.tile(S2, (blocks, 1))
+        return _coef_weights(eq, self.stages, S1, S2)
 
     def evaluate_rows(self, r1: np.ndarray, r2: np.ndarray):
         """Estimates of f_hat_1 at basis rows r1 = B(x1)' and f_hat_2 at r2
@@ -107,17 +109,26 @@ class StageSmoother:
         # such shift out of a first cuts the rounding of a'G a tenfold
         ones = np.ones((1, q))
         shift = (ones @ A[:, :q] - ones @ A[:, q:]) / (2 * q)
-        A = A - np.where(np.arange(2 * q)[:, None] < q, shift, -shift)
+        A[:, :q] -= shift
+        A[:, q:] += shift
         A1, A2 = A[:, :q].reshape(blocks * q, 2 * m), A[:, q:].reshape(blocks * q, 2 * m)
-        GA = np.concatenate([
-            (eq.gram1.matvec(A1) + eq.cross(A2)).reshape(blocks, q, 2 * m),
-            (eq.cross(A1, transpose=True) + eq.gram2.matvec(A2)).reshape(blocks, q, 2 * m),
-        ], axis=1)
-        # per block and row i: the 2 x 2q weights (a_1i, a_2i)' times the
-        # 2q x 2 products G (a_1i, a_2i)
+        GA = np.empty_like(A)
+        G = eq.gram1.matvec(A1)
+        G += eq.cross(A2)
+        GA[:, :q] = G.reshape(blocks, q, 2 * m)
+        G = eq.cross(A1, transpose=True)
+        G += eq.gram2.matvec(A2)
+        GA[:, q:] = G.reshape(blocks, q, 2 * m)
+        # per block and row i: P[a, b] = a_a' G a_b over the 2q coefficients,
+        # a_0 and a_1 the weights of f_hat_1 and f_hat_2 at row i
         A, GA = A.reshape(blocks, 2 * q, 2, m), GA.reshape(blocks, 2 * q, 2, m)
-        P = (A.transpose(0, 3, 2, 1) @ GA.transpose(0, 3, 1, 2)).reshape(-1, 2, 2)
-        return estimates, (P + P.swapaxes(1, 2)) / 2
+        P = np.empty((blocks, m, 2, 2))
+        for a in range(2):
+            P[:, :, a, a] = (A[:, :, a] * GA[:, :, a]).sum(axis=1)
+        P[:, :, 0, 1] = P[:, :, 1, 0] = (
+            (A[:, :, 0] * GA[:, :, 1]).sum(axis=1) + (A[:, :, 1] * GA[:, :, 0]).sum(axis=1)
+        ) / 2
+        return estimates, P.reshape(-1, 2, 2)
 
     def weight_products(self, x1, x2) -> np.ndarray:
         """Inner products w_j . w_k of the weights of f_hat_1(x1) and f_hat_2(x2).
@@ -157,16 +168,21 @@ def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray) -> np.ndarray
                           np.tile(unit[q:], (blocks, 1)))
         S = np.concatenate([S1.reshape(blocks, q, k), S2.reshape(blocks, q, k)], axis=1)
         return T @ S
-    a1, a2 = np.zeros((blocks * q, k)), np.zeros((blocks * q, k))
+    A = np.zeros((blocks, 2 * q, k))
+    a1, a2 = A[:, :q], A[:, q:]
     g1, g2 = S1, S2
     for _ in range(stages):
-        t2 = eq.L2.solve(g2)
-        a2 += t2
-        t1 = eq.L1.solve(g1 - eq.cross(t2))
-        a1 += t1
+        t = eq.L2.solve(g2)
+        a2 += t.reshape(blocks, q, k)
+        # each array is rebound as soon as it is spent and the right-hand
+        # sides are formed in place: at most three q x k temporaries live
+        g2 = eq.cross(t)
+        t = eq.L1.solve(np.subtract(g1, g2, out=g2))  # g1 - C t
+        a1 += t.reshape(blocks, q, k)
         # a stage's b1 reaches later stages only through that stage's b2
-        g1, g2 = 0.0, -eq.cross(t1, transpose=True)
-    return np.concatenate([a1.reshape(blocks, q, k), a2.reshape(blocks, q, k)], axis=1)
+        g1, g2 = 0.0, eq.cross(t, transpose=True)
+        g2 *= -1.0
+    return A
 
 
 def _map_weights(design: AdditiveDesign, a: np.ndarray) -> np.ndarray:
@@ -234,8 +250,7 @@ def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
 
 def sigma2_hat(design: AdditiveDesign, result: BackfitResult) -> float:
     """Mean squared residual of the fitted additive model."""
-    resid = design.y - design.X1.matvec(result.b1) - design.X2.matvec(result.b2)
-    return float(np.mean(resid**2))
+    return design.residual_sum_of_squares(result.b1, result.b2) / design.y.shape[0]
 
 
 def confidence_interval(
@@ -246,7 +261,7 @@ def confidence_interval(
         raise ValueError(f"level must be in (0, 1), got {level}")
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
-    z = float(ndtri(0.5 * (1.0 + level)))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     half = z * float(np.sqrt(variance))
     return IntervalEstimate(
         estimate=float(estimate),

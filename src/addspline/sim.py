@@ -37,7 +37,7 @@ from .backfit import (
     predict,
     univariate_penalized,
 )
-from .basis import design_matrix, eval_grid, make_knots
+from .basis import _BLOCK_BYTES, _ROW_BYTES, design_matrix, eval_grid, make_knots
 from .inference import StageSmoother, confidence_interval
 from .penalty import penalty_matrix
 
@@ -252,11 +252,9 @@ class MonteCarloSummary:
 
 
 _EIG_FLOOR = 1e-14
-# Byte budget of one block's allocations, and the allowance per data row for
-# the design values, indices and products (tracemalloc measures about 250
-# bytes at n = 1000); a block holds as many replications as fit, at least one.
-_BLOCK_BYTES = 4 << 20
-_ROW_BYTES = 512
+# A block holds as many replications as fit in the byte budget of one pass
+# over rows (`basis._BLOCK_BYTES`, at `basis._ROW_BYTES` per data row), at
+# least one; a block of R n <= 8192 rows is then one chunk of that pass.
 
 
 def _block_size(n: int) -> int:

@@ -54,9 +54,12 @@ def contour_loops(
     """Marching-squares contours of Z (indexed [i, j] over x[i], y[j]).
 
     Returns (points, closed) chains; saddle cells are disambiguated with the
-    cell-center mean.  Crossing points are computed once per grid edge, so
-    chains join exactly.  The cases of all cells come from array operations;
-    only the cells the level crosses are visited, in row-major order.
+    cell-center mean.  Crossing points are computed once per grid edge, or
+    once per grid node where a node lies on the level, so chains join
+    exactly and no chain repeats a point in a row; a point recurs only where
+    the contour passes one grid node twice.  The cases of all cells come from
+    array operations; only the cells the level crosses are visited, in
+    row-major order.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
@@ -71,6 +74,13 @@ def contour_loops(
     points: dict[tuple, tuple[float, float]] = {}
 
     def edge_point(kind: str, i: int, j: int) -> tuple:
+        i2, j2 = (i + 1, j) if kind == "x" else (i, j + 1)
+        # a crossing at a grid node on the level is that node, whichever of
+        # the node's edges it is found on
+        for a, b in ((i, j), (i2, j2)):
+            if Z[a, b] == level:
+                points[("node", a, b)] = (x[a], y[b])
+                return ("node", a, b)
         key = (kind, i, j)
         if key not in points:
             if kind == "x":  # edge (i,j)-(i+1,j)
@@ -90,9 +100,9 @@ def contour_loops(
         else:
             pairs = _CASE_PAIRS[case]
         for (k1, di1, dj1), (k2, di2, dj2) in pairs:
-            segments.append(
-                (edge_point(k1, i + di1, j + dj1), edge_point(k2, i + di2, j + dj2))
-            )
+            e1, e2 = edge_point(k1, i + di1, j + dj1), edge_point(k2, i + di2, j + dj2)
+            if e1 != e2:  # both ends on one node: a segment of length zero
+                segments.append((e1, e2))
 
     # Chain segments into loops/arcs via shared edge keys.
     adjacency: dict[tuple, list[int]] = {}

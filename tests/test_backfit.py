@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
 
+from addspline import basis
 from addspline import (
     AdditiveDesign,
     SingularSystemError,
@@ -193,6 +194,89 @@ class TestNormalEquations:
         d = ridged_design(n=90, K=6)
         A, _ = stacked_dense(d)
         assert np.allclose(NormalEquations(d).stacked_matrix(), A, atol=1e-12)
+
+    def test_column_sums_are_the_design_column_sums(self):
+        d = ridged_design(n=90, K=6)
+        s1, s2 = NormalEquations(d).column_sums
+        assert np.abs(s1 - d.X1.values.sum(axis=0)).max() <= 1e-13 * d.y.size
+        assert np.abs(s2 - d.X2.values.sum(axis=0)).max() <= 1e-13 * d.y.size
+
+
+def _statistics(design):
+    """Everything the fit reads of the data, built afresh."""
+    eq = NormalEquations(design)
+    q = design.num_coef
+    b = np.linspace(-1.0, 1.0, 2 * q)
+    return {
+        "G1": eq.gram1.bands,
+        "G2": eq.gram2.bands,
+        "C_blocks": eq.C_blocks,
+        "u1": eq.u1,
+        "u2": eq.u2,
+        "column_sums": np.concatenate(eq.column_sums),
+        "rss": np.array([design.residual_sum_of_squares(b[:q], b[q:])]),
+    }
+
+
+class TestChunkedStatistics:
+    """The statistics added up over chunks of rows equal those of one chunk."""
+
+    CHUNK = basis._CHUNK_ROWS
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunks_match_one_chunk(self, n, monkeypatch):
+        d = build_design(*sim_xy(n, seed=n), num_intervals=12)
+        chunked = _statistics(d)
+        monkeypatch.setattr(basis, "_CHUNK_ROWS", n)
+        whole = _statistics(d)
+        for name, want in whole.items():
+            gap = np.abs(chunked[name] - want).max()
+            assert gap <= 1e-13 * np.abs(want).max(), name
+
+    def test_blocks_straddling_a_chunk_boundary(self, monkeypatch):
+        # three blocks of 5000 rows: the boundary at row 8192 cuts block 1
+        blocks, n = 3, 5000
+        y, x1, x2 = sim_xy(blocks * n, seed=8)
+        cfg = make_knots(3, 9)
+        d = AdditiveDesign(
+            y=y,
+            X1=design_matrix(cfg, x1).block_diagonal(blocks),
+            X2=design_matrix(cfg, x2).block_diagonal(blocks),
+            lambda1=1.0,
+            lambda2=1.0,
+            penalty=penalty_matrix(2, cfg.num_basis),
+            blocks=blocks,
+        )
+        assert sum(1 for _ in d.X1.chunks()) == 2
+        chunked = _statistics(d)
+        monkeypatch.setattr(basis, "_CHUNK_ROWS", blocks * n)
+        whole = _statistics(d)
+        for name, want in whole.items():
+            gap = np.abs(chunked[name] - want).max()
+            assert gap <= 1e-13 * np.abs(want).max(), name
+        # and each block's statistics are those of its rows alone
+        q = cfg.num_basis
+        for b in range(blocks):
+            rows = slice(b * n, (b + 1) * n)
+            alone = _statistics(build_design(y[rows], x1[rows], x2[rows], num_intervals=9,
+                                             lambda1=1.0, lambda2=1.0))
+            cols = slice(b * q, (b + 1) * q)
+            for name in ("G1", "G2"):
+                gap = np.abs(whole[name][:, cols] - alone[name]).max()
+                assert gap <= 1e-13 * np.abs(alone[name]).max(), name
+            gap = np.abs(whole["C_blocks"][b] - alone["C_blocks"][0]).max()
+            assert gap <= 1e-13 * np.abs(alone["C_blocks"]).max()
+            for name in ("u1", "u2"):
+                gap = np.abs(whole[name][cols] - alone[name]).max()
+                assert gap <= 1e-13 * np.abs(alone[name]).max(), name
+
+    def test_fit_reads_no_full_row_view(self):
+        d = build_design(*sim_xy(3 * self.CHUNK, seed=1), num_intervals=12)
+        res = backfit(d)
+        center_component(res, d, 1, 0.5)
+        criterion(d, res.b1, res.b2)
+        for X in (d.X1, d.X2):
+            assert not {"first", "vals", "values"} & set(X.__dict__)
 
 
 def ozone_design(lam):

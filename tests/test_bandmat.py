@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from addspline.bandmat import (
     BandedCholesky,
@@ -91,6 +92,27 @@ class TestCholesky:
             assert np.allclose(chol.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-9)
             rhs2 = rng.normal(size=(size, 3))
             assert np.allclose(chol.solve(rhs2), np.linalg.solve(dense, rhs2), atol=1e-9)
+
+    def test_solve_is_bit_identical_to_cho_solve_banded(self):
+        rng = np.random.default_rng(4)
+        for size, bw in [(16, 3), (35, 3), (280, 3)]:
+            chol = BandedCholesky(BandedMatrix.from_dense(random_banded_spd(rng, size, bw), bw))
+            for rhs in (
+                rng.normal(size=size),
+                rng.normal(size=(size, 2)),
+                np.asfortranarray(rng.normal(size=(size, 5))),
+                rng.normal(size=(7, size)).T,
+            ):
+                want = scipy.linalg.cho_solve_banded((chol._factor, True), rhs)
+                got = chol.solve(rhs)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_solve_rejects_a_wrong_row_count(self):
+        chol = BandedCholesky(BandedMatrix.from_dense(np.eye(6) * 2.0, 1))
+        for rhs in (np.ones(5), np.ones((7, 2))):
+            with pytest.raises(ValueError, match="rows"):
+                chol.solve(rhs)
 
     def test_not_positive_definite(self):
         dense = np.diag([1.0, -1.0, 1.0])

@@ -6,6 +6,7 @@ import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addspline import basis
 from addspline.bandmat import BandedMatrix
 from addspline.basis import (
     SplineConfig,
@@ -251,6 +252,31 @@ class TestCompactProducts:
         assert X.values is X.values
         assert "values" in X.__dict__
 
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_products_over_many_chunks_match_dense_view(self, degree, monkeypatch):
+        # 7-row chunks: every product is added up over 15 chunks, and the
+        # 3 blocks of 33 rows start and end inside chunks
+        monkeypatch.setattr(basis, "_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(degree)
+        cfg = make_knots(degree, 9)
+        X, Z = (design_matrix(cfg, 1.0 - rng.random(99)) for _ in "XZ")
+        assert len(list(X.chunks())) == 15
+        y, b, w = rng.normal(size=99), rng.normal(size=X.cols), rng.random(99)
+        D, E = X.values, Z.values
+        gram = BandedMatrix(X.cols, degree, X.gram_bands(w)).to_dense()
+        assert np.abs(gram - D.T @ (w[:, None] * D)).max() <= 1e-12
+        assert np.abs(X.cross(Z) - D.T @ E).max() <= 1e-12
+        assert np.abs(X.rmatvec(y) - D.T @ y).max() <= 1e-12
+        assert np.abs(X.matvec(b) - D @ b).max() <= 1e-12
+        Xb, Zb = X.block_diagonal(3), Z.block_diagonal(3)
+        q = cfg.num_basis
+        for k in range(3):
+            rows = slice(33 * k, 33 * (k + 1))
+            cross = Xb.block_cross(Zb)[k]
+            assert np.abs(cross - D[rows].T @ E[rows]).max() <= 1e-12
+            assert np.array_equal(Xb.values[rows, k * q : (k + 1) * q], D[rows])
+        assert not {"first", "vals"} & set(X.__dict__)
+
     def test_cross_rejects_row_mismatch(self):
         cfg = make_knots(2, 4)
         with pytest.raises(ValueError, match="row mismatch"):
@@ -271,7 +297,7 @@ class TestCompactProducts:
         assert np.array_equal(Xb.first, np.tile(X.first, blocks) + np.repeat(np.arange(blocks) * q, n))
         gram = X.gram_bands()
         assert np.array_equal(Xb.gram_bands(), np.tile(gram, blocks))
-        assert np.array_equal(Xb.block_cross(Zb, blocks), np.stack([X.cross(Z)] * blocks))
+        assert np.array_equal(Xb.block_cross(Zb), np.stack([X.cross(Z)] * blocks))
         assert np.array_equal(Xb.values[:n, :q], X.values)
         y = np.arange(n, dtype=float)
         assert np.array_equal(Xb.rmatvec(np.tile(y, blocks)), np.tile(X.rmatvec(y), blocks))

@@ -1,5 +1,8 @@
 """Command-line interface: fit and simulate subcommands, exit codes, files."""
 
+import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -63,6 +66,23 @@ class TestFit:
         # covariates are reported on their original scale
         h1, t1 = read_table(tmp_path / "fit_component1.csv")
         assert t1[:, 0].max() > 30.0  # degrees Celsius, not (0, 1]
+
+    def test_outputs_match_the_reference_writers_byte_for_byte(self, tmp_path, capsys, ozone_args):
+        # the writers against plain csv.writer rows and a json dump of
+        # dataclasses.asdict, on the files of the ozone fit
+        assert run_main(capsys, *ozone_args)[0] == 0
+        for j in (1, 2):
+            path = tmp_path / f"fit_component{j}.csv"
+            header, table = read_table(path)
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(header)
+            for row in table:
+                writer.writerow([format(float(v), ".17g") for v in row])
+            assert path.read_bytes() == buf.getvalue().encode()
+        text = (tmp_path / "fit_report.json").read_text()
+        report = RunReport.from_json(text)
+        assert text == json.dumps(dataclasses.asdict(report), sort_keys=True, indent=1)
 
     def test_rerun_is_deterministic(self, tmp_path, capsys, ozone_args):
         run_main(capsys, *ozone_args)
@@ -383,6 +403,20 @@ class TestEntryPoint:
                 sys.executable,
                 "-c",
                 "import sys, addspline.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_does_not_load_scipy_special(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, addspline.cli; print('scipy.special' in sys.modules)",
             ],
             capture_output=True,
             text=True,

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,16 @@ class TestPreprocessing:
         with pytest.raises(DataError, match="negative"):
             preprocess_columns(y, -ok, ok)
 
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(3)
+        cols = [rng.normal(size=40) + 5.0, rng.uniform(0, 4, 40), rng.uniform(1, 3, 40)]
+        cols[1][7] = 0.0
+        saved = [c.copy() for c in cols]
+        with pytest.warns(UserWarning, match="nudged"):
+            preprocess_columns(*cols)
+        for c, s in zip(cols, saved):
+            assert np.array_equal(c, s)
+
     def test_all_zero_covariate_rejected(self):
         y = np.zeros(12)
         with pytest.raises(DataError, match="maximum must be positive"):
@@ -259,6 +270,33 @@ class TestLoadCsv:
     def test_missing_column_lists_available(self):
         with pytest.raises(DataError, match="available: ozone"):
             load_csv(OZONE_CSV, "Ozone", "temperature", "wind")
+
+    def test_columns_are_preprocessed_in_the_one_table(self, tmp_path):
+        rng = np.random.default_rng(9)
+        n = 20_000
+        p = tmp_path / "big.csv"
+        write_table(p, ["y", "a", "b"], [rng.normal(size=n), rng.random(n) + 1, rng.random(n)])
+        load_csv(p, "y", "a", "b")  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            ds = load_csv(p, "y", "a", "b")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = 3 * 8 * n
+        # the columns are views of the parsed table: no second copy of the data
+        assert ds.y.base is not None and ds.y.base is ds.x1.base is ds.x2.base
+        assert held < 1.1 * table and peak < 1.5 * table
+        want = preprocess_columns(*read_table(p)[1].T)
+        for got, expect in zip((ds.y, ds.x1, ds.x2), want):
+            assert np.array_equal(got, expect)
+        assert ds.preprocessing == want[3]
+
+    def test_one_column_in_two_roles_is_preprocessed_once_per_role(self):
+        ds = load_csv(OZONE_CSV, "temperature", "temperature", "wind")
+        raw = load_csv(OZONE_CSV, "ozone", "temperature", "wind", preprocess=False)
+        assert np.array_equal(ds.x1, raw.x1 / raw.x1.max())
+        assert np.array_equal(ds.y, raw.x1 - raw.x1.mean())
 
     def test_min_rows(self, tmp_path):
         p = tmp_path / "small.csv"

@@ -80,6 +80,41 @@ class TestContourLoops:
         assert len(got) == len(set(got)) == len(want)
         assert set(got) == want
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_nodes_on_the_level_join_once(self, seed):
+        # quarter values at level 0.5: many nodes lie on the level, where the
+        # crossings of all edges meeting at the node are the node itself
+        rng = np.random.default_rng(seed)
+        x, y = np.sort(rng.random(23)), np.sort(rng.random(17))
+        Z = np.round(rng.random((23, 17)) * 4) / 4
+        level = 0.5
+        above = Z > level
+        nodes = {(x[i], y[j]) for i, j in zip(*np.nonzero(Z == level))}
+        want = set()
+        for i, j in zip(*np.nonzero(above[:-1] != above[1:])):
+            if Z[i, j] == level or Z[i + 1, j] == level:
+                continue
+            t = (level - Z[i, j]) / (Z[i + 1, j] - Z[i, j])
+            want.add((x[i] + t * (x[i + 1] - x[i]), y[j]))
+        for i, j in zip(*np.nonzero(above[:, :-1] != above[:, 1:])):
+            if Z[i, j] == level or Z[i, j + 1] == level:
+                continue
+            t = (level - Z[i, j]) / (Z[i, j + 1] - Z[i, j])
+            want.add((x[i], y[j] + t * (y[j + 1] - y[j])))
+        chains = contour_loops(x, y, Z, level)
+        got = [pt for points, _ in chains for pt in points]
+        for points, closed in chains:
+            assert len(points) >= 2
+            assert all(a != b for a, b in zip(points, points[1:]))
+            assert not closed or points[0] != points[-1]
+        # every crossing inside an edge once; every other point a node on the
+        # level, met at most twice (where two arcs of the contour touch)
+        off_node = [pt for pt in got if pt not in nodes]
+        assert len(off_node) == len(set(off_node)) and set(off_node) == want
+        assert all(got.count(pt) <= 2 for pt in set(got) & nodes)
+        if seed == 0:
+            assert (len(got), len(set(got))) == (319, 306)  # were 372 and 308
+
     def test_grid_shape_validation(self):
         ax = np.linspace(0, 1, 5)
         with pytest.raises(ValueError):
