@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    # strict: NaN and infinity are not JSON
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
 
 
 def cmd_fit(args) -> int:
@@ -212,19 +213,33 @@ def cmd_fit(args) -> int:
     scales = (1.0, 1.0)
     if dataset.preprocessing is not None:
         scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
-    for j, b in ((1, result.b1), (2, result.b2)):
+    for j, b, x in ((1, result.b1, dataset.x1), (2, result.b2, dataset.x2)):
         # the fitted component centred on its mean over the data, (X_j'1)'b / n
         column_sums = design.normal_equations.column_sums[j - 1]
         estimate = rows.matvec(b) - float(column_sums @ b) / n
         half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
         lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]
+        # grid points outside the data's range are extrapolated: there the
+        # band can collapse to zero width or blow up
+        support = (float(x.min()), float(x.max()))
+        in_support = (grid >= support[0]) & (grid <= support[1])
+        outside = int(grid.size - in_support.sum())
+        if outside:
+            print(
+                f"warning: component {j}: {outside} of {grid.size} grid points lie "
+                f"outside the data's support [{support[0]:.6g}, {support[1]:.6g}] "
+                "(scaled covariate); their estimates and intervals are extrapolated.",
+                file=sys.stderr,
+            )
         grids[f"component{j}"] = {
             "x": x_original.tolist(),
             "x_scaled": grid.tolist(),
             "estimate": estimate.tolist(),
             "lower": lower.tolist(),
             "upper": upper.tolist(),
+            "in_support": in_support.tolist(),
+            "support": list(support),
         }
         write_table(
             out_dir / f"fit_component{j}.csv",
@@ -294,8 +309,10 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 20:
         raise DataError(f"--n must be >= 20, got {args.n}")
-    if args.reps < 1:
-        raise DataError(f"--reps must be >= 1, got {args.reps}")
+    # sim3 and coverage summarize a sample covariance, which needs two rows
+    min_reps = 2 if args.scenario in ("sim3", "coverage") else 1
+    if args.reps < min_reps:
+        raise DataError(f"--reps must be >= {min_reps} for {args.scenario}, got {args.reps}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ScenarioConfig(

@@ -251,7 +251,9 @@ class RunReport:
     sigma2: float
     joint_system_singular: bool
     coefficients: dict  # {"b1": [...], "b2": [...]}
-    grids: dict  # per component: {"x": [...], "x_scaled": [...], "estimate", "lower", "upper"}
+    # per component: {"x": [...], "x_scaled": [...], "estimate", "lower", "upper",
+    # "in_support": [bool, ...], "support": [min, max] of the scaled covariate}
+    grids: dict
     runtime_seconds: float = 0.0
     # {"component1": [...], "component2": [...]}: NormalEquations.pinned;
     # reports written before this field existed load with {}

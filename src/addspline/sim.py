@@ -23,6 +23,7 @@ budget, so memory stays bounded at any n.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -252,6 +253,7 @@ class MonteCarloSummary:
 
 
 _EIG_FLOOR = 1e-14
+_SQRT2 = math.sqrt(2.0)
 # A block holds as many replications as fit in the byte budget of one pass
 # over rows (`basis._BLOCK_BYTES`, at `basis._ROW_BYTES` per data row), at
 # least one; a block of R n <= 8192 rows is then one chunk of that pass.
@@ -308,22 +310,35 @@ def sim3_replication(cfg: ScenarioConfig, replication: int) -> np.ndarray | None
     return values[0] if kept[0] else None
 
 
+def _ks_normal(sample) -> float:
+    """Two-sided one-sample Kolmogorov-Smirnov statistic against N(0, 1).
+
+    D = max_i max(i/n - Phi(x_(i)), Phi(x_(i)) - (i-1)/n) over the sorted
+    sample, with Phi(x) = erfc(-x / sqrt 2) / 2 as `statistics.NormalDist`
+    computes it, accurate in both tails.  An empty sample gives NaN.
+    """
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    if n == 0:
+        return float("nan")
+    cdf = np.array([0.5 * math.erfc(-v / _SQRT2) for v in x.tolist()])
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return float(max(d_plus, d_minus))
+
+
 def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: int,
                level: float = 0.95) -> MonteCarloSummary:
-    # imported here: scipy.stats takes about a second to load, and only the
-    # Monte Carlo summaries need it
-    from scipy.stats import kstest
-
+    if len(values) < 2:
+        raise ValueError(
+            f"the summary needs at least two replications, got {len(values)} of "
+            f"{replications} ({rejected} rejected at the {_EIG_FLOOR:g} eigenvalue floor)"
+        )
     z = confidence_interval(0.0, 1.0, level).upper
     return MonteCarloSummary(
         mean=values.mean(axis=0),
         covariance=np.cov(values.T, ddof=1),
-        ks_stat=np.array(
-            [
-                float(kstest(values[:, 0], "norm").statistic),
-                float(kstest(values[:, 1], "norm").statistic),
-            ]
-        ),
+        ks_stat=np.array([_ks_normal(values[:, 0]), _ks_normal(values[:, 1])]),
         coverage=np.array(
             [
                 float(np.mean(np.abs(values[:, 0]) <= z)),

@@ -15,7 +15,8 @@ from conftest import OZONE_CSV
 
 import addspline
 from addspline.backfit import NormalEquations
-from addspline.cli import main
+from addspline import sim
+from addspline.cli import _write_json, main
 from addspline.dataio import RunReport, read_table
 
 
@@ -114,6 +115,31 @@ class TestFit:
         report = RunReport.load(tmp_path / "fit_report.json")
         assert report.joint_system_singular
         assert report.config["lambda1"] == 0.0
+
+    def test_grid_points_outside_the_support_are_flagged(self, tmp_path, capsys, ozone_args):
+        # the scaled ozone covariates start at 5/13 (temperature) and 1/9
+        # (wind), so 77 and 22 of the grid points k/201 lie below them; at
+        # zero penalty the band collapses to zero width or blows up there
+        code, _, err = run_main(
+            capsys, *ozone_args, "--lambda1", "0", "--lambda2", "0", "--max-stages", "400"
+        )
+        assert code == 0
+        report = RunReport.load(tmp_path / "fit_report.json")
+        for j, low, outside, zero_width in ((1, 5 / 13, 77, 30), (2, 1 / 9, 22, 0)):
+            grid = report.grids[f"component{j}"]
+            assert grid["support"] == [pytest.approx(low, rel=1e-15), 1.0]
+            flags = np.array(grid["in_support"])
+            assert flags.dtype == bool and flags.shape == (201,)
+            assert int((~flags).sum()) == outside
+            x = np.array(grid["x_scaled"])
+            assert np.array_equal(flags, (x >= grid["support"][0]) & (x <= 1.0))
+            width = np.array(grid["upper"]) - np.array(grid["lower"])
+            assert int((width == 0.0).sum()) == zero_width
+            assert not np.any(flags & (width == 0.0))
+            assert f"component {j}: {outside} of 201 grid points" in err
+        # the CSV columns are unchanged
+        header, _ = read_table(tmp_path / "fit_component1.csv")
+        assert header == ["x", "x_scaled", "estimate", "lower", "upper"]
 
     def test_zero_penalty_warning_names_pinned_columns(self, tmp_path, capsys, ozone_args):
         code, out, err = run_main(
@@ -347,6 +373,37 @@ class TestSimulate:
         assert "no figure" in err
         assert not (tmp_path / "unused.svg").exists()
 
+    @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
+    def test_single_replication_exit_1_before_any_output(self, tmp_path, capsys, scenario):
+        code, _, err = run_main(
+            capsys, "simulate", scenario, "--n", "50", "--reps", "1", "--out", str(tmp_path),
+            "--svg", str(tmp_path / "f.svg"),
+        )
+        assert code == 1
+        assert f"--reps must be >= 2 for {scenario}, got 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_single_replication_allowed_for_sim1(self, tmp_path, capsys):
+        code, _, _ = run_main(
+            capsys, "simulate", "sim1", "--n", "50", "--reps", "1", "--out", str(tmp_path)
+        )
+        assert code == 0
+
+    def test_sim3_too_few_kept_rows_exit_1_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # a floor above every eigenvalue rejects every replication
+        monkeypatch.setattr(sim, "_EIG_FLOOR", 1e300)
+        code, _, err = run_main(
+            capsys, "simulate", "sim3", "--n", "50", "--reps", "4", "--out", str(tmp_path),
+            "--svg", str(tmp_path / "f.svg"),
+        )
+        assert code == 1
+        assert "at least two replications, got 0 of 4 (4 rejected" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_writer_rejects_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"covariance": [[float("nan")]]})
+
     def test_unknown_scenario_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "sim9"])
@@ -397,33 +454,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "fit_report.json").exists()
 
-    def test_import_does_not_load_scipy_stats(self):
+    @pytest.mark.parametrize("run", ["import", "fit", "sim3", "coverage"])
+    def test_command_does_not_load_scipy_stats_or_special(self, tmp_path, run):
+        argv = {
+            "import": [],
+            "fit": ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature",
+                    "--x2", "wind", "--svg", str(tmp_path / "fit.svg")],
+            "sim3": ["simulate", "sim3", "--n", "80", "--reps", "40",
+                     "--svg", str(tmp_path / "sim3.svg")],
+            "coverage": ["simulate", "coverage", "--n", "80", "--reps", "25"],
+        }[run]
+        if argv:
+            argv += ["--out", str(tmp_path)]
+        script = (
+            "import sys, addspline.cli\n"
+            "code = addspline.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, [m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
+        )
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, addspline.cli; print('scipy.stats' in sys.modules)",
-            ],
+            [sys.executable, "-c", script, *argv],
             capture_output=True,
             text=True,
             env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
-    def test_import_does_not_load_scipy_special(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, addspline.cli; print('scipy.special' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env=CHILD_ENV,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(

@@ -362,6 +362,49 @@ class TestCoverage:
         assert np.array_equal(low.covariance, high.covariance)
 
 
+class TestKsStatistic:
+    """`sim._ks_normal` against scipy's two-sided `kstest(x, "norm")`."""
+
+    @staticmethod
+    def scipy_ks(x):
+        from scipy.stats import kstest
+
+        return float(kstest(x, "norm").statistic)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 200, 1000])
+    def test_matches_kstest_on_shifted_and_scaled_normals(self, n):
+        rng = np.random.default_rng(n)
+        for loc, scale in ((0.0, 1.0), (0.8, 1.0), (0.0, 2.5), (-1.5, 0.3)):
+            x = rng.normal(loc, scale, n)  # unsorted, as the summaries pass it
+            assert abs(sim._ks_normal(x) - self.scipy_ks(x)) <= 1e-15
+
+    def test_leaves_unsorted_input_unchanged(self):
+        # the summaries pass column views of the sample that sim3 writes out
+        x = np.random.default_rng(3).normal(size=50)
+        before = x.copy()
+        sim._ks_normal(x)
+        assert np.array_equal(x, before)
+
+    def test_ties(self):
+        x = np.array([0.3, -1.2, 0.3, 0.3, 2.0, -1.2, 0.0, 0.0])
+        assert abs(sim._ks_normal(x) - self.scipy_ks(x)) <= 1e-15
+
+    def test_far_tails(self):
+        x = np.array([40.0, -40.0, -38.5, 9.0, -9.0, 0.1, 37.0, -0.4, 25.0])
+        assert abs(sim._ks_normal(x) - self.scipy_ks(x)) <= 1e-15
+        # a sample wholly in one far tail sits at distance one from N(0, 1)
+        assert sim._ks_normal(np.array([39.0, 40.0])) == 1.0
+        assert sim._ks_normal(np.array([-40.0, -39.0])) == 1.0
+
+    def test_empty_sample_is_nan(self):
+        assert np.isnan(sim._ks_normal(np.array([])))
+
+    def test_summaries_need_two_rows(self):
+        with pytest.raises(ValueError, match="at least two replications, got 1 of 3 "
+                           r"\(2 rejected"):
+            sim._summarize(np.zeros((1, 2)), 0.0, 3, 2)
+
+
 class TestKde:
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(8)
