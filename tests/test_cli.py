@@ -454,21 +454,47 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "fit_report.json").exists()
 
-    @pytest.mark.parametrize("run", ["import", "fit", "sim3", "coverage"])
+    def test_import_does_not_load_scipy_stats(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, addspline.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_does_not_load_scipy_special(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, addspline.cli; print('scipy.special' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    # the bare import is covered by the two tests above
+    @pytest.mark.parametrize("run", ["fit", "sim3", "coverage"])
     def test_command_does_not_load_scipy_stats_or_special(self, tmp_path, run):
         argv = {
-            "import": [],
             "fit": ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature",
                     "--x2", "wind", "--svg", str(tmp_path / "fit.svg")],
             "sim3": ["simulate", "sim3", "--n", "80", "--reps", "40",
                      "--svg", str(tmp_path / "sim3.svg")],
             "coverage": ["simulate", "coverage", "--n", "80", "--reps", "25"],
-        }[run]
-        if argv:
-            argv += ["--out", str(tmp_path)]
+        }[run] + ["--out", str(tmp_path)]
         script = (
             "import sys, addspline.cli\n"
-            "code = addspline.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "code = addspline.cli.main(sys.argv[1:])\n"
             "print(code, [m for m in ('scipy.stats', 'scipy.special') if m in sys.modules])"
         )
         proc = subprocess.run(
