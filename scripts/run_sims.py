@@ -24,14 +24,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from addspline.cli import main as cli_main
 
 
-def run(outdir: Path, scenario: str, n: int, reps: int, seed: int, svg: bool) -> dict:
+def run(outdir: Path, scenario: str, n: int, reps: int | None, seed: int, svg: bool) -> dict:
     argv = [
         "simulate", scenario,
         "--n", str(n),
-        "--reps", str(reps),
         "--seed", str(seed),
         "--out", str(outdir),
     ]
+    if reps is not None:  # sim1 and sim2 fit one dataset and take no --reps
+        argv += ["--reps", str(reps)]
     if svg and scenario in ("sim3",):
         argv += ["--svg", str(outdir / f"{scenario}_n{n}_seed{seed}.svg")]
     code = cli_main(argv)
@@ -44,7 +45,8 @@ def run(outdir: Path, scenario: str, n: int, reps: int, seed: int, svg: bool) ->
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="sim_results", help="output directory")
-    ap.add_argument("--reps", type=int, default=1000, help="Monte Carlo replications")
+    ap.add_argument("--reps", type=int, default=1000,
+                    help="Monte Carlo replications of sim3 and coverage")
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--svg", action="store_true", help="write the sim3 density contour figure")
     args = ap.parse_args()
@@ -55,10 +57,10 @@ def main() -> int:
 
     rows = []
     for n in (100, 1000):
-        p = run(outdir, "sim1", n, args.reps, args.seed, args.svg)
+        p = run(outdir, "sim1", n, None, args.seed, args.svg)
         rows.append(("sim1", n, f"rmse1={p['rmse'][0]:.5f} rmse2={p['rmse'][1]:.5f}"))
     for n in (100, 1000):
-        p = run(outdir, "sim2", n, args.reps, args.seed, args.svg)
+        p = run(outdir, "sim2", n, None, args.seed, args.svg)
         rows.append(("sim2", n, f"sup1={p['sup_diff'][0]:.5f} sup2={p['sup_diff'][1]:.5f}"))
     p = run(outdir, "sim3", 1000, args.reps, args.seed, args.svg)
     rows.append((

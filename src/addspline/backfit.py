@@ -6,11 +6,11 @@ spline B(x)'b_j, estimated by minimizing
     ||y - X_1 b_1 - X_2 b_2||^2 + lam_1 b_1' Q_m b_1 + lam_2 b_2' Q_m b_2.
 
 Stages alternate the two penalized normal-equation solves (block Gauss-Seidel);
-every solve is banded, and no n x n smoother matrix is ever formed.  The fit
-reads the data only through X_j'X_j, X_1'X_2 and X_j'y, added up in one pass
-over chunks of rows (`NormalEquations`), and the residual sum of squares,
-added up in another: no n-row array of basis values exists on the fit path,
-whatever n.
+each solve is a product with the inverse of a q x q system, and no n x n
+smoother matrix is ever formed.  The fit reads the data only through X_j'X_j,
+X_1'X_2 and X_j'y, added up in one pass over chunks of rows
+(`NormalEquations`), and the residual sum of squares, added up in another: no
+n-row array of basis values exists on the fit path, whatever n.
 
 A structural caveat that shapes several routines here: both design matrices
 satisfy the partition of unity (rows sum to 1) and the difference penalty
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .bandmat import (
     BandedCholesky,
@@ -181,45 +180,46 @@ def build_design(
     )
 
 
-class _PinnedCholesky:
-    """Banded Cholesky of Lam_j = X_j'X_j + lam_j Q_m with data-free columns pinned.
+class _PinnedCholesky(BandedCholesky):
+    """Factor of Lam_j = X_j'X_j + lam_j Q_m with data-free columns pinned.
 
     A column whose diagonal entry is at or below the rounding floor
     q eps max(diag) carries neither data nor a penalty above rounding, which
-    happens only at lam_j = 0 in practice.  Its row and column are factored as a unit diagonal and its
-    right-hand-side entries are zeroed, so its coefficient solves to exactly
-    0.0: the minimum-norm solution on that block.  `pinned` lists those
-    columns.  A block that is rank-deficient for any other reason still
+    happens only at lam_j = 0 in practice.  Its row and column are factored as
+    a unit diagonal, and then zeroed in the inverse, so its coefficient solves
+    to exactly 0.0: the minimum-norm solution on that block.  `pinned` lists
+    those columns.  A block that is rank-deficient for any other reason still
     raises NotPositiveDefiniteError.  A block diagonal Lam of `blocks` q x q
-    blocks takes each block's floor from that block's diagonal.
+    blocks (by default `lam.blocks`) takes each block's floor from that
+    block's diagonal.
     """
 
-    def __init__(self, lam: BandedMatrix, blocks: int = 1):
+    def __init__(self, lam: BandedMatrix, blocks: int | None = None):
+        blocks = lam.blocks if blocks is None else blocks
         diag = lam.bands[0].reshape(blocks, -1)
         floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
         self.pinned = np.flatnonzero(diag <= floor)
+        bands = lam.bands
         if self.pinned.size:
-            bands = lam.bands.copy()
+            bands = bands.copy()
             for d in range(1, lam.bandwidth + 1):
                 bands[d, self.pinned] = 0.0  # column below the diagonal
                 left = self.pinned - d
                 bands[d, left[left >= 0]] = 0.0  # row left of the diagonal
             bands[0, self.pinned] = 1.0
-            lam = BandedMatrix(size=lam.size, bandwidth=lam.bandwidth, bands=bands)
-        self._factor = BandedCholesky(lam)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        super().__init__(BandedMatrix(lam.size, lam.bandwidth, bands, blocks))
         if self.pinned.size:
-            rhs = np.array(rhs, dtype=float)
-            rhs[self.pinned] = 0.0
-        return self._factor.solve(rhs)
+            block, col = np.divmod(self.pinned, diag.shape[1])
+            self.inverse[block, col, :] = 0.0
+            self.inverse[block, :, col] = 0.0
 
 
 class NormalEquations:
     """Factored per-component systems shared by sweeps, weights, and oracles.
 
-    Holds the banded Cholesky factors of Lam_j = X_j'X_j + lam_j Q_m (with
-    data-free columns pinned, see _PinnedCholesky), the cross-product
+    Holds Lam_j = X_j'X_j + lam_j Q_m in band form (`lam_banded1/2`) and their
+    factors, the inverses of their q x q blocks (with data-free columns
+    pinned, see _PinnedCholesky), the cross-product
     C = X_1'X_2 as the (blocks, q, q) stack `C_blocks` of its diagonal blocks,
     the right-hand sides u_j = X_j'y and the column sums X_j'1
     (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
@@ -249,16 +249,16 @@ class NormalEquations:
             R1.rmatvec(y, self.u1)
             R2.rmatvec(y, self.u2)
         Q = design.penalty
-        self.gram1 = BandedMatrix(size=q, bandwidth=p, bands=bands1)
-        self.gram2 = BandedMatrix(size=q, bandwidth=p, bands=bands2)
+        self.gram1 = BandedMatrix(size=q, bandwidth=p, bands=bands1, blocks=blocks)
+        self.gram2 = BandedMatrix(size=q, bandwidth=p, bands=bands2, blocks=blocks)
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
         ones = np.ones(q)
         self.column_sums = (self.gram1.matvec(ones), self.gram2.matvec(ones))
-        self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q, blocks)
-        self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q, blocks)
-        self.L1 = _PinnedCholesky(self.lam_banded1, blocks)
-        self.L2 = _PinnedCholesky(self.lam_banded2, blocks)
+        self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q)
+        self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q)
+        self.L1 = _PinnedCholesky(self.lam_banded1)
+        self.L2 = _PinnedCholesky(self.lam_banded2)
         self.pinned = (self.L1.pinned, self.L2.pinned)
 
     @property
@@ -291,8 +291,8 @@ class NormalEquations:
             [[self.lam_banded1.to_dense(), self.C], [self.C.T, self.lam_banded2.to_dense()]]
         )
 
-    def stacked_factor(self, consequence: str):
-        """Dense Cholesky factor of the stacked matrix, for scipy's cho_solve.
+    def stacked_solve(self, rhs: np.ndarray, consequence: str) -> np.ndarray:
+        """The stacked matrix's solution for `rhs`, a vector or a block of columns.
 
         Raises SingularSystemError, ending its message with `consequence`, when
         the smallest eigenvalue is at or below the rounding floor.
@@ -304,10 +304,7 @@ class NormalEquations:
                 f"stacked system is numerically singular (min eig {eigs[0]:.3e}, "
                 f"floor {floor:.3e}); {consequence}"
             )
-        try:
-            return scipy.linalg.cho_factor(A)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-            raise SingularSystemError(str(exc)) from exc
+        return np.linalg.solve(A, rhs)
 
 
 def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -402,7 +399,7 @@ def backfit_stages(
 
 
 def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stacked 2q x 2q normal equations by dense Cholesky.
+    """Solve the stacked 2q x 2q normal equations densely.
 
     Serves as the dense oracle for backfit.  The stacked matrix is verified to
     be numerically positive definite first (smallest eigenvalue above the
@@ -413,11 +410,11 @@ def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:
     absent, or bases not summing to one) solve normally.
     """
     eq = design.normal_equations
-    c = eq.stacked_factor(
+    sol = eq.stacked_solve(
+        np.concatenate([eq.u1, eq.u2]),
         "with both full bases present the constant shift between components "
-        "is an exact null direction"
+        "is an exact null direction",
     )
-    sol = scipy.linalg.cho_solve(c, np.concatenate([eq.u1, eq.u2]))
     q = design.num_coef
     return sol[:q], sol[q:]
 

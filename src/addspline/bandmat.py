@@ -1,9 +1,15 @@
-"""Symmetric banded matrices and banded Cholesky solves.
+"""Symmetric banded matrices and their factorization.
 
 Storage is the lower band form: `bands[d, j] = A[j + d, j]` for diagonals
-d = 0..w, zero-padded past the matrix edge.  This is the layout scipy's
-banded Cholesky routines consume directly, so factorization costs O(q w^2)
-and each solve O(q w); an n x n smoother matrix never needs to exist.
+d = 0..w, zero-padded past the matrix edge, so a product with a band costs
+O(q w) and an n x n smoother matrix never needs to exist.  A matrix may be
+block diagonal (`blocks` equal diagonal blocks, the systems of independent
+designs side by side); its band is then zero past the edge of each block.
+
+The systems solved here are small: one block is q x q with q = K + p basis
+functions.  `BandedCholesky` factors each block densely with numpy's
+Cholesky and keeps each block's inverse, so that every solve is one batched
+matrix product, the same product for every block.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import DesignMatrix
 from .penalty import PenaltyMatrix
@@ -31,11 +36,16 @@ class NotPositiveDefiniteError(Exception):
 
 @dataclass(frozen=True)
 class BandedMatrix:
-    """Symmetric q x q matrix stored as its lower band."""
+    """Symmetric q x q matrix stored as its lower band.
+
+    With `blocks` > 1 the matrix is block diagonal with that many blocks of
+    size q / blocks, and the band holds zeros past the edge of each block.
+    """
 
     size: int
     bandwidth: int
     bands: np.ndarray  # shape (bandwidth + 1, size)
+    blocks: int = 1
 
     def __post_init__(self) -> None:
         w1, q = self.bands.shape
@@ -44,6 +54,8 @@ class BandedMatrix:
                 f"band storage shape {self.bands.shape} inconsistent with "
                 f"size={self.size}, bandwidth={self.bandwidth}"
             )
+        if self.blocks < 1 or self.size % self.blocks:
+            raise ValueError(f"size {self.size} does not split into {self.blocks} blocks")
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, bandwidth: int) -> "BandedMatrix":
@@ -71,15 +83,25 @@ class BandedMatrix:
                 A[idx, idx + d] = self.bands[d, : q - d]
         return A
 
+    def block_stack(self) -> np.ndarray:
+        """The diagonal blocks as one dense array, shape (blocks, m, m), m = size / blocks."""
+        m = self.size // self.blocks
+        out = np.zeros((self.blocks, m, m))
+        idx = np.arange(m)
+        for d in range(min(self.bandwidth, m - 1) + 1):
+            band = self.bands[d].reshape(self.blocks, m)[:, : m - d]
+            out[:, idx[d:], idx[: m - d]] = band
+            out[:, idx[: m - d], idx[d:]] = band
+        return out
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v for a vector or a q x k block v."""
         q, w = self.size, self.bandwidth
-        if np.ndim(v) == 1:  # BLAS reads this band layout as it is
-            return scipy.linalg.blas.dsbmv(w, 1.0, self.bands, v, lower=1)
-        out = self.bands[0, :, None] * v
+        bands = self.bands if np.ndim(v) == 1 else self.bands[:, :, None]
+        out = bands[0] * v
         for d in range(1, w + 1):
-            out[d:] += self.bands[d, : q - d, None] * v[: q - d]
-            out[: q - d] += self.bands[d, : q - d, None] * v[d:]
+            out[d:] += bands[d, : q - d] * v[: q - d]
+            out[: q - d] += bands[d, : q - d] * v[d:]
         return out
 
     def add(self, other: "BandedMatrix", scale: float = 1.0) -> "BandedMatrix":
@@ -88,35 +110,85 @@ class BandedMatrix:
         bands = np.zeros((w + 1, self.size))
         bands[: self.bandwidth + 1] = self.bands
         bands[: other.bandwidth + 1] += scale * other.bands
-        return BandedMatrix(size=self.size, bandwidth=w, bands=bands)
+        return BandedMatrix(size=self.size, bandwidth=w, bands=bands, blocks=self.blocks)
 
 
 class BandedCholesky:
-    """Factor once, solve many.  Wraps LAPACK's banded Cholesky (lower form)."""
+    """Factor once, solve many: the inverse of each diagonal block.
+
+    Each block is factored as L L' by numpy's Cholesky, which also checks
+    that it is positive definite, and its inverse L'^{-1} L^{-1} is kept
+    (`inverse`, shape (blocks, m, m)).  A solve is then one batched matrix
+    product; every block runs the same product, so a block's solution does
+    not depend on the blocks beside it.
+    """
 
     def __init__(self, matrix: BandedMatrix):
         self.matrix = matrix
+        A = matrix.block_stack()
         try:
-            self._factor = scipy.linalg.cholesky_banded(matrix.bands, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
+            L = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(
+                f"{_first_bad_minor(A)}-th leading minor not positive definite"
+            ) from None
+        Linv = _triangular_inverse(L, matrix.bandwidth)
+        self.inverse = Linv.swapaxes(1, 2) @ Linv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs for a vector or a q x k block rhs.
-
-        Calls LAPACK dpbtrs on the factor, as `scipy.linalg.cho_solve_banded`
-        does, without that wrapper's argument checks (about 10 us a call).
-        Only the row count is checked.  Finiteness is not: the factor is
-        finite, and the right-hand sides of the estimator come from
-        `AdditiveDesign`, which rejects a non-finite response.
-        """
+        """A^{-1} rhs for a vector or a q x k block rhs."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.matrix.size:
             raise ValueError(
                 f"right-hand side has {rhs.shape[0]} rows, the matrix {self.matrix.size}"
             )
-        x, _ = scipy.linalg.lapack.dpbtrs(self._factor, rhs, lower=1)
-        return x
+        blocks, m, _ = self.inverse.shape
+        return (self.inverse @ rhs.reshape(blocks, m, -1)).reshape(rhs.shape)
+
+
+def _triangular_inverse(L: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Inverses of a stack of lower triangular factors of the given bandwidth.
+
+    Split each factor into its diagonal halves, L = [[A, 0], [B, D]], so
+    L^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]].  B is zero outside its
+    top-right w x w corner, so the coupling needs only w columns of D^{-1} and
+    w rows of A^{-1}; two inverses of half the size cost less than one of the
+    whole.
+    """
+    m = L.shape[1]
+    h, w = m // 2, bandwidth
+    if 2 * w > m or m < 2:
+        return np.linalg.inv(L)
+    Ai = np.linalg.inv(L[:, :h, :h])
+    Di = np.linalg.inv(L[:, h:, h:])
+    out = np.zeros_like(L)
+    out[:, :h, :h] = Ai
+    out[:, h:, h:] = Di
+    out[:, h:, :h] = -(Di[:, :, :w] @ L[:, h : h + w, h - w : h]) @ Ai[:, h - w :]
+    return out
+
+
+def _first_bad_minor(A: np.ndarray) -> int:
+    """1-based order, counted over the whole block diagonal matrix, of the
+    first leading minor whose Cholesky factorization fails: the block's offset
+    plus the smallest failing order within the first block that fails."""
+    m = A.shape[1]
+    for b, block in enumerate(A):
+        try:
+            np.linalg.cholesky(block)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        lo, hi = 0, m  # the minor of order hi fails; find the smallest such
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                np.linalg.cholesky(block[:mid, :mid])
+                lo = mid
+            except np.linalg.LinAlgError:
+                hi = mid
+        return b * m + hi
+    raise AssertionError("every block factors")  # pragma: no cover
 
 
 def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMatrix:
@@ -124,25 +196,29 @@ def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMat
 
     Basis functions more than p indices apart never share support, so every
     out-of-band entry of the dense Gram matrix is an exact zero and the band
-    stores it without loss.
+    stores it without loss.  A block diagonal design gives a block diagonal
+    matrix of as many blocks.
     """
-    return BandedMatrix(size=X.cols, bandwidth=X.config.degree, bands=X.gram_bands(weights))
+    return BandedMatrix(
+        size=X.cols, bandwidth=X.config.degree, bands=X.gram_bands(weights), blocks=X.blocks
+    )
 
 
-def penalized_gram(
-    gram: BandedMatrix, lam: float, Q: PenaltyMatrix, blocks: int = 1
-) -> BandedMatrix:
+def penalized_gram(gram: BandedMatrix, lam: float, Q: PenaltyMatrix) -> BandedMatrix:
     """X'X + lam * Q_m, bandwidth max(p, m).
 
-    With `blocks` > 1, X'X is block diagonal with that many q x q blocks and
-    each block gets lam * Q_m: the penalty band is tiled, and its zero padding
-    past the edge of each block keeps the sum block diagonal.
+    With `gram.blocks` > 1, X'X is block diagonal and each block gets
+    lam * Q_m: the penalty band is tiled, and its zero padding past the edge
+    of each block keeps the sum block diagonal.
     """
     if lam < 0:
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
-    if Q.size * blocks != gram.size:
-        raise ValueError(f"size mismatch: gram {gram.size}, penalty {Q.size} x {blocks}")
-    Qb = BandedMatrix.from_dense(Q.values, Q.order)
-    if blocks > 1:
-        Qb = BandedMatrix(size=gram.size, bandwidth=Q.order, bands=np.tile(Qb.bands, blocks))
+    if Q.size * gram.blocks != gram.size:
+        raise ValueError(
+            f"size mismatch: gram {gram.size}, penalty {Q.size} x {gram.blocks}"
+        )
+    Qb = BandedMatrix(
+        size=gram.size, bandwidth=Q.order, bands=np.tile(Q.bands, gram.blocks),
+        blocks=gram.blocks,
+    )
     return gram.add(Qb, scale=lam)

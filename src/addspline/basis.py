@@ -88,29 +88,34 @@ class SplineConfig:
 class DesignChunk:
     """Basis evaluations of consecutive rows of a design, in compact row form.
 
-    Row i holds the p + 1 possibly non-zero values `vals[i, r]` = B_k(x_i) of
+    Row i holds the p + 1 possibly non-zero values `vals[r, i]` = B_k(x_i) of
     columns `first[i] + r`, r = 0..p, where column c is the basis index
     k = c - p + 1 (shifted by b q in block b of a block diagonal design).
-    The products below are the only product code: a design runs them chunk
-    by chunk, adding each chunk's share into one accumulator.
+    The values of one offset r lie together, so every operation below runs
+    along whole rows of the chunk.  The products below are the only product
+    code: a design runs them chunk by chunk, adding each chunk's share into
+    one accumulator.
     """
 
     first: np.ndarray  # shape (rows,), int: first non-zero column of each row
-    vals: np.ndarray  # shape (rows, p + 1)
+    vals: np.ndarray  # shape (p + 1, rows)
     cols: int
 
     @property
     def columns(self) -> np.ndarray:
-        """Column index of each entry of `vals`, shape (rows, p + 1)."""
-        return self.first[:, None] + np.arange(self.vals.shape[1])
+        """Column index of each entry of `vals`, shape (p + 1, rows)."""
+        return self.first + np.arange(self.vals.shape[0])[:, None]
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """X b, shape (rows,)."""
-        return np.einsum("ir,ir->i", self.vals, b[self.columns])
+        out = self.vals[0] * b[self.first]
+        for r in range(1, self.vals.shape[0]):
+            out += self.vals[r] * b[self.first + r]
+        return out
 
     def rmatvec(self, y: np.ndarray, out: np.ndarray) -> None:
         """Add X'y to `out` (shape (cols,))."""
-        w = self.vals * y[:, None]
+        w = self.vals * y
         out += np.bincount(self.columns.ravel(), w.ravel(), minlength=self.cols)
 
     def gram_bands(self, out: np.ndarray, weights: np.ndarray | None = None) -> None:
@@ -119,12 +124,12 @@ class DesignChunk:
         `out[d, c]` is the (c + d, c) entry; basis functions more than p
         columns apart share no support, so the bands hold the whole matrix.
         """
-        p1, q = self.vals.shape[1], self.cols
-        v = self.vals if weights is None else self.vals * weights[:, None]
+        p1, q = self.vals.shape[0], self.cols
+        v = self.vals if weights is None else self.vals * weights
         for r in range(p1):
             col = self.first + r
             for s in range(r, p1):  # entry pair (r, s) of every row, on band s - r
-                out[s - r] += np.bincount(col, v[:, r] * self.vals[:, s], minlength=q)
+                out[s - r] += np.bincount(col, v[r] * self.vals[s], minlength=q)
 
     def block_cross(self, other: "DesignChunk", out: np.ndarray) -> None:
         """Add the diagonal blocks of X'Z, for Z the same rows of another block
@@ -133,10 +138,10 @@ class DesignChunk:
         flat = out.reshape(-1)
         # entry (c, c2) of block b, at c = b q + i and c2 = b q2 + k, is entry
         # b q q2 + i q2 + k of the flat stack, that is c q2 + k
-        idx = (self.first * q2 + other.first % q2)[:, None] + np.arange(other.vals.shape[1])
-        for r in range(self.vals.shape[1]):  # column offset r of X moves c by r
-            w = self.vals[:, r, None] * other.vals
-            flat[r * q2 :] += np.bincount(idx.ravel(), w.ravel(), minlength=size)[: size - r * q2]
+        idx = (self.first * q2 + other.first % q2 + np.arange(other.vals.shape[0])[:, None]).ravel()
+        for r in range(self.vals.shape[0]):  # column offset r of X moves c by r
+            w = self.vals[r] * other.vals
+            flat[r * q2 :] += np.bincount(idx, w.ravel(), minlength=size)[: size - r * q2]
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,7 @@ class DesignMatrix:
     @functools.cached_property
     def vals(self) -> np.ndarray:
         """The p + 1 basis values of every row, shape (rows, p + 1)."""
-        return self.chunk(0, self.rows).vals
+        return self.chunk(0, self.rows).vals.T
 
     @property
     def columns(self) -> np.ndarray:
@@ -204,7 +209,7 @@ class DesignMatrix:
         """The dense n x q matrix; `values[i, c]` is B_k(x_i), k = c - p + 1."""
         rows = self.chunk(0, self.rows)
         X = np.zeros((self.rows, self.cols))
-        X[np.arange(self.rows)[:, None], rows.columns] = rows.vals
+        X[np.arange(self.rows), rows.columns] = rows.vals
         return X
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
@@ -337,7 +342,8 @@ def design_matrix(cfg: SplineConfig, points) -> DesignMatrix:
 
 
 def _basis_rows(cfg: SplineConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First non-zero column and the p + 1 basis values of each point."""
+    """First non-zero column of each point, and the p + 1 basis values of
+    each point, shape (p + 1, points)."""
     p, K = cfg.degree, cfg.num_intervals
     j = _interval_index(cfg, x)
 
@@ -358,7 +364,7 @@ def _basis_rows(cfg: SplineConfig, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
             v *= K / d
             cols.append(v)
     j -= 1
-    return j, np.column_stack(cols)
+    return j, np.stack(cols)
 
 
 def basis_integral(cfg: SplineConfig, k: int) -> float:

@@ -141,7 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     sim.add_argument("scenario", choices=["sim1", "sim2", "sim3", "coverage"])
     sim.add_argument("--n", type=int, default=1000)
-    sim.add_argument("--reps", type=int, default=1000)
+    sim.add_argument(
+        "--reps", type=int, default=None,
+        help="replications of sim3 and coverage (default 1000); sim1 and sim2 fit one dataset",
+    )
     sim.add_argument("--seed", type=int, default=42)
     sim.add_argument("--degree", type=int, default=3)
     sim.add_argument("--diff-order", type=int, default=2)
@@ -309,10 +312,19 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n < 20:
         raise DataError(f"--n must be >= 20, got {args.n}")
-    # sim3 and coverage summarize a sample covariance, which needs two rows
-    min_reps = 2 if args.scenario in ("sim3", "coverage") else 1
-    if args.reps < min_reps:
-        raise DataError(f"--reps must be >= {min_reps} for {args.scenario}, got {args.reps}")
+    if args.scenario in ("sim1", "sim2"):
+        # one dataset, one fit: a count other than 1 would be ignored
+        if args.reps not in (None, 1):
+            raise DataError(
+                f"--reps does not apply to {args.scenario}, which fits one dataset; "
+                f"got {args.reps}"
+            )
+        reps = 1
+    else:
+        reps = 1000 if args.reps is None else args.reps
+        # sim3 and coverage summarize a sample covariance, which needs two rows
+        if reps < 2:
+            raise DataError(f"--reps must be >= 2 for {args.scenario}, got {reps}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ScenarioConfig(
@@ -320,7 +332,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         degree=args.degree,
         diff_order=args.diff_order,
-        replications=args.reps,
+        replications=reps,
         grid_points=args.grid,
     )
     tag = f"{args.scenario}_n{args.n}_seed{args.seed}"

@@ -23,7 +23,6 @@ from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .backfit import AdditiveDesign, BackfitResult
 from .bandmat import BandedMatrix, gram_banded
@@ -100,8 +99,7 @@ class StageSmoother:
         leading axis runs over the m rows of block 0, then of block 1, ..."""
         eq = self.design.normal_equations
         (m, q), blocks = r1.shape, eq.blocks
-        # seeds [[r1', 0], [0, r2']]: f_hat_1 at the rows r1, then f_hat_2 at r2
-        A = self._weights(scipy.linalg.block_diag(r1.T, r2.T))
+        A = self._weights(_seeds(r1, r2))
         u = np.concatenate([eq.u1.reshape(blocks, 1, q), eq.u2.reshape(blocks, 1, q)], axis=2)
         estimates = (u @ A).reshape(blocks, 2, m).swapaxes(1, 2).reshape(-1, 2)
         # both bases sum to one, so moving a constant between the components
@@ -145,8 +143,18 @@ class StageSmoother:
         if j not in (1, 2):
             raise ValueError(f"component index must be 1 or 2, got {j}")
         r = design_matrix(self.design.X1.config, float(x)).values
-        S = scipy.linalg.block_diag(r.T, r.T)[:, j - 1 : j]
+        S = _seeds(r, r)[:, j - 1 : j]
         return _map_weights(self.design, self._weights(S)[:, :, 0])
+
+
+def _seeds(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Seed columns [[r1', 0], [0, r2']] of basis rows r1 (m1 x q) and r2
+    (m2 x q): f_hat_1 at the rows r1, then f_hat_2 at r2, shape (2q, m1 + m2)."""
+    (m1, q), m2 = r1.shape, r2.shape[0]
+    S = np.zeros((2 * q, m1 + m2))
+    S[:q, :m1] = r1.T
+    S[q:, m1:] = r2.T
+    return S
 
 
 def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
@@ -206,16 +214,15 @@ def smoother_weights(
     SingularSystemError whenever that system is singular (always the case for
     two full partition-of-unity bases).
     """
-    rows = (design_matrix(design.X1.config, float(x)).values for x in (x1, x2))
-    S = scipy.linalg.block_diag(*(r.T for r in rows))
+    S = _seeds(*(design_matrix(design.X1.config, float(x)).values for x in (x1, x2)))
     if mode == "stage":
         A = StageSmoother(design, stages)._weights(S)
     elif mode == "limit":
-        factor = design.normal_equations.stacked_factor(
+        A = design.normal_equations.stacked_solve(  # H^{-1} S, H symmetric
+            S,
             "limit-mode weights are undefined under the shared constant "
-            "direction -- use stage mode"
-        )
-        A = scipy.linalg.cho_solve(factor, S)[None]  # H^{-1} S, H symmetric
+            "direction -- use stage mode",
+        )[None]
         stages = None
     else:
         raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")

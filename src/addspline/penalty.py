@@ -8,6 +8,7 @@ degree-(m-1) polynomial sequences, so constants (m >= 1) are never penalized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -27,6 +28,23 @@ class PenaltyMatrix:
     def quad_form(self, b: np.ndarray) -> float:
         """Penalty value b' Q_m b."""
         return float(b @ self.values @ b)
+
+    @functools.cached_property
+    def bands(self) -> np.ndarray:
+        """Lower band form of Q_m, `bands[d, j] = Q[j + d, j]`, shape (order + 1, size).
+
+        Raises ValueError when the values are not symmetric within bandwidth
+        `order`, which the band could not represent.
+        """
+        Q, m = self.values, self.order
+        bands = np.zeros((m + 1, self.size))
+        for d in range(m + 1):
+            bands[d, : self.size - d] = np.diagonal(Q, -d)
+        gap = max(np.abs(np.tril(Q, -m - 1)).max(), np.abs(Q - Q.T).max())
+        if gap > 1e-12 * (1.0 + np.abs(Q).max()):
+            raise ValueError(f"penalty is not symmetric within bandwidth {m} (gap {gap:.3e})")
+        bands.setflags(write=False)  # cached: every caller shares it
+        return bands
 
 
 def difference_matrix(order: int, size: int) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from addspline.bandmat import (
     BandedCholesky,
@@ -93,20 +92,57 @@ class TestCholesky:
             rhs2 = rng.normal(size=(size, 3))
             assert np.allclose(chol.solve(rhs2), np.linalg.solve(dense, rhs2), atol=1e-9)
 
-    def test_solve_is_bit_identical_to_cho_solve_banded(self):
+    def test_solve_matches_numpy_solve_on_block_stacks(self):
+        # block diagonal SPD systems of several sizes and bandwidths, with
+        # pinned columns (a unit row and column in the factored matrix, a
+        # zero row and column in the inverse) in some blocks
+        from addspline.backfit import _PinnedCholesky
+
         rng = np.random.default_rng(4)
-        for size, bw in [(16, 3), (35, 3), (280, 3)]:
-            chol = BandedCholesky(BandedMatrix.from_dense(random_banded_spd(rng, size, bw), bw))
+        for blocks, size, bw in [(1, 16, 3), (1, 35, 3), (8, 35, 3), (3, 17, 2), (2, 203, 3),
+                                 (4, 5, 3), (5, 9, 0), (2, 1, 0)]:
+            dense = [random_banded_spd(rng, size, bw) * rng.uniform(0.1, 1e3)
+                     for _ in range(blocks)]
+            pinned = []
+            if size > 3:
+                for b in range(0, blocks, 2):
+                    cols = rng.choice(size, size=2, replace=False)
+                    dense[b][cols, :] = dense[b][:, cols] = 0.0
+                    pinned += (b * size + np.sort(cols)).tolist()
+            bands = np.hstack([BandedMatrix.from_dense(A, bw).bands for A in dense])
+            chol = _PinnedCholesky(BandedMatrix(blocks * size, bw, bands), blocks)
+            assert chol.pinned.tolist() == pinned
             for rhs in (
-                rng.normal(size=size),
-                rng.normal(size=(size, 2)),
-                np.asfortranarray(rng.normal(size=(size, 5))),
-                rng.normal(size=(7, size)).T,
+                rng.normal(size=blocks * size),
+                rng.normal(size=(blocks * size, 2)),
+                np.asfortranarray(rng.normal(size=(blocks * size, 5))),
+                rng.normal(size=(7, blocks * size)).T,
             ):
-                want = scipy.linalg.cho_solve_banded((chol._factor, True), rhs)
                 got = chol.solve(rhs)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
+                assert got.shape == rhs.shape
+                assert np.all(got[pinned] == 0.0)
+                for b, A in enumerate(dense):
+                    rows = slice(b * size, (b + 1) * size)
+                    keep = np.setdiff1d(np.arange(size), np.array(pinned) - b * size)
+                    want = np.linalg.solve(A[np.ix_(keep, keep)], rhs[rows][keep])
+                    part = got[rows][keep]
+                    assert np.abs(part - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_block_solve_is_bit_identical_to_solving_each_block(self):
+        # the factor of a block diagonal system solves each block exactly as
+        # the factor of that block alone does
+        rng = np.random.default_rng(12)
+        for blocks, size, bw in [(8, 35, 3), (3, 16, 3), (5, 7, 2)]:
+            parts = [BandedMatrix.from_dense(random_banded_spd(rng, size, bw), bw)
+                     for _ in range(blocks)]
+            whole = BandedCholesky(
+                BandedMatrix(blocks * size, bw, np.hstack([m.bands for m in parts]), blocks)
+            )
+            for rhs in (rng.normal(size=blocks * size), rng.normal(size=(blocks * size, 2))):
+                got = whole.solve(rhs)
+                for b, m in enumerate(parts):
+                    rows = slice(b * size, (b + 1) * size)
+                    assert np.array_equal(got[rows], BandedCholesky(m).solve(rhs[rows]))
 
     def test_solve_rejects_a_wrong_row_count(self):
         chol = BandedCholesky(BandedMatrix.from_dense(np.eye(6) * 2.0, 1))
@@ -123,6 +159,17 @@ class TestCholesky:
         dense = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
             BandedCholesky(BandedMatrix.from_dense(dense, 0))
+
+
+    def test_failure_names_the_leading_minor_of_the_whole_matrix(self):
+        # the order counts over all blocks, as LAPACK's banded factor reported it
+        dense = np.diag([1.0, 2.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError, match="^3-th leading minor not positive"):
+            BandedCholesky(BandedMatrix.from_dense(dense, 0))
+        good, bad = np.eye(4) * 2.0, np.diag([1.0, 0.0, 1.0, 1.0])
+        bands = np.hstack([BandedMatrix.from_dense(A, 1).bands for A in (good, bad)])
+        with pytest.raises(NotPositiveDefiniteError, match="^6-th leading minor not positive"):
+            BandedCholesky(BandedMatrix(8, 1, bands, blocks=2))
 
 
 class TestGram:

@@ -389,6 +389,26 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("scenario", ["sim1", "sim2"])
+    @pytest.mark.parametrize("reps", ["0", "2", "500"])
+    def test_reps_for_one_dataset_exit_1_before_any_output(
+        self, tmp_path, capsys, scenario, reps
+    ):
+        # sim1 and sim2 fit one dataset; a replication count other than one
+        # used to be accepted and ignored
+        code, _, err = run_main(
+            capsys, "simulate", scenario, "--n", "50", "--reps", reps, "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert f"--reps does not apply to {scenario}, which fits one dataset; got {reps}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reps_default_is_1000_for_coverage(self, tmp_path, capsys):
+        code, _, _ = run_main(capsys, "simulate", "coverage", "--n", "20", "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "coverage_n20_seed42.json").read_text())
+        assert payload["replications"] == 1000
+
     def test_sim3_too_few_kept_rows_exit_1_before_any_output(self, tmp_path, capsys, monkeypatch):
         # a floor above every eigenvalue rejects every replication
         monkeypatch.setattr(sim, "_EIG_FLOOR", 1e300)
@@ -499,6 +519,30 @@ class TestEntryPoint:
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=CHILD_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("run", ["import", "fit", "sim3", "coverage"])
+    def test_no_scipy_module_is_loaded(self, tmp_path, run):
+        argv = {
+            "import": [],
+            "fit": ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature",
+                    "--x2", "wind", "--svg", str(tmp_path / "fit.svg")],
+            "sim3": ["simulate", "sim3", "--n", "80", "--reps", "40",
+                     "--svg", str(tmp_path / "sim3.svg")],
+            "coverage": ["simulate", "coverage", "--n", "80", "--reps", "25"],
+        }[run]
+        script = (
+            "import sys, addspline.cli\n"
+            "code = addspline.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *(argv + ["--out", str(tmp_path)] if argv else [])],
             capture_output=True,
             text=True,
             env=CHILD_ENV,
