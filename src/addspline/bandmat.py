@@ -173,22 +173,20 @@ def _first_bad_minor(A: np.ndarray) -> int:
     first leading minor whose Cholesky factorization fails: the block's offset
     plus the smallest failing order within the first block that fails."""
     m = A.shape[1]
-    for b, block in enumerate(A):
-        try:
-            np.linalg.cholesky(block)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        lo, hi = 0, m  # the minor of order hi fails; find the smallest such
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                np.linalg.cholesky(block[:mid, :mid])
-                lo = mid
-            except np.linalg.LinAlgError:
-                hi = mid
-        return b * m + hi
-    raise AssertionError("every block factors")  # pragma: no cover
+    b = next(b for b, block in enumerate(A) if not _factors(block))
+    lo, hi = 0, m  # the minor of order hi fails; bisect for the smallest such
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _factors(A[b, :mid, :mid]) else (lo, mid)
+    return b * m + hi
+
+
+def _factors(block: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMatrix:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from addspline.backfit import _PinnedCholesky
 from addspline.bandmat import (
     BandedCholesky,
     BandedMatrix,
@@ -96,8 +97,6 @@ class TestCholesky:
         # block diagonal SPD systems of several sizes and bandwidths, with
         # pinned columns (a unit row and column in the factored matrix, a
         # zero row and column in the inverse) in some blocks
-        from addspline.backfit import _PinnedCholesky
-
         rng = np.random.default_rng(4)
         for blocks, size, bw in [(1, 16, 3), (1, 35, 3), (8, 35, 3), (3, 17, 2), (2, 203, 3),
                                  (4, 5, 3), (5, 9, 0), (2, 1, 0)]:
@@ -159,7 +158,6 @@ class TestCholesky:
         dense = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
             BandedCholesky(BandedMatrix.from_dense(dense, 0))
-
 
     def test_failure_names_the_leading_minor_of_the_whole_matrix(self):
         # the order counts over all blocks, as LAPACK's banded factor reported it
