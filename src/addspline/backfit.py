@@ -189,14 +189,12 @@ class _PinnedCholesky(BandedCholesky):
     a unit diagonal, and then zeroed in the inverse, so its coefficient solves
     to exactly 0.0: the minimum-norm solution on that block.  `pinned` lists
     those columns.  A block that is rank-deficient for any other reason still
-    raises NotPositiveDefiniteError.  A block diagonal Lam of `blocks` q x q
-    blocks (by default `lam.blocks`) takes each block's floor from that
-    block's diagonal.
+    raises NotPositiveDefiniteError.  A block diagonal Lam (`lam.blocks` > 1)
+    takes each block's floor from that block's diagonal.
     """
 
-    def __init__(self, lam: BandedMatrix, blocks: int | None = None):
-        blocks = lam.blocks if blocks is None else blocks
-        diag = lam.bands[0].reshape(blocks, -1)
+    def __init__(self, lam: BandedMatrix):
+        diag = lam.bands[0].reshape(lam.blocks, -1)
         floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
         self.pinned = np.flatnonzero(diag <= floor)
         bands = lam.bands
@@ -207,7 +205,7 @@ class _PinnedCholesky(BandedCholesky):
                 left = self.pinned - d
                 bands[d, left[left >= 0]] = 0.0  # row left of the diagonal
             bands[0, self.pinned] = 1.0
-        super().__init__(BandedMatrix(lam.size, lam.bandwidth, bands, blocks))
+        super().__init__(BandedMatrix(lam.size, lam.bandwidth, bands, lam.blocks))
         if self.pinned.size:
             block, col = np.divmod(self.pinned, diag.shape[1])
             self.inverse[block, col, :] = 0.0

@@ -153,10 +153,9 @@ class DesignMatrix:
     (`chunks`) and adds up the chunks' products, so it takes O(chunk p) memory
     at any n.  With `blocks` > 1 the rows are that many independent designs
     of rows / blocks consecutive rows each, and block b's rows use columns
-    b q .. b q + q - 1 (see `block_diagonal`).  `first`, `vals` (the compact
-    rows of `DesignChunk`) and the dense n x q `values` are views of all rows
-    at once, built on first access and cached, for tests, oracles and small
-    grids; the products never build them.
+    b q .. b q + q - 1 (see `block_diagonal`).  `first` and the dense n x q
+    `values` are views of all rows at once, built on first access and cached,
+    for tests, oracles and small grids; the products never build them.
     """
 
     covariate: np.ndarray
@@ -193,16 +192,6 @@ class DesignMatrix:
     def first(self) -> np.ndarray:
         """First non-zero column of every row, shape (rows,)."""
         return self.chunk(0, self.rows).first
-
-    @functools.cached_property
-    def vals(self) -> np.ndarray:
-        """The p + 1 basis values of every row, shape (rows, p + 1)."""
-        return self.chunk(0, self.rows).vals.T
-
-    @property
-    def columns(self) -> np.ndarray:
-        """Column index of each entry of `vals`, shape (rows, p + 1)."""
-        return self.first[:, None] + np.arange(self.vals.shape[1])
 
     @functools.cached_property
     def values(self) -> np.ndarray:

@@ -34,15 +34,11 @@ class PenaltyMatrix:
         """Lower band form of Q_m, `bands[d, j] = Q[j + d, j]`, shape (order + 1, size).
 
         Raises ValueError when the values are not symmetric within bandwidth
-        `order`, which the band could not represent.
+        `order` (see `BandedMatrix.from_dense`).
         """
-        Q, m = self.values, self.order
-        bands = np.zeros((m + 1, self.size))
-        for d in range(m + 1):
-            bands[d, : self.size - d] = np.diagonal(Q, -d)
-        gap = max(np.abs(np.tril(Q, -m - 1)).max(), np.abs(Q - Q.T).max())
-        if gap > 1e-12 * (1.0 + np.abs(Q).max()):
-            raise ValueError(f"penalty is not symmetric within bandwidth {m} (gap {gap:.3e})")
+        from .bandmat import BandedMatrix  # bandmat imports this module
+
+        bands = BandedMatrix.from_dense(self.values, self.order).bands
         bands.setflags(write=False)  # cached: every caller shares it
         return bands
 

@@ -109,7 +109,7 @@ class TestCholesky:
                     dense[b][cols, :] = dense[b][:, cols] = 0.0
                     pinned += (b * size + np.sort(cols)).tolist()
             bands = np.hstack([BandedMatrix.from_dense(A, bw).bands for A in dense])
-            chol = _PinnedCholesky(BandedMatrix(blocks * size, bw, bands), blocks)
+            chol = _PinnedCholesky(BandedMatrix(blocks * size, bw, bands, blocks))
             assert chol.pinned.tolist() == pinned
             for rhs in (
                 rng.normal(size=blocks * size),
