@@ -8,9 +8,9 @@ spline B(x)'b_j, estimated by minimizing
 Stages alternate the two penalized normal-equation solves (block Gauss-Seidel);
 each solve is a product with the inverse of a q x q system, and no n x n
 smoother matrix is ever formed.  The fit reads the data only through X_j'X_j,
-X_1'X_2 and X_j'y, added up in one pass over chunks of rows
-(`NormalEquations`), and the residual sum of squares, added up in another: no
-n-row array of basis values exists on the fit path, whatever n.
+X_1'X_2, X_j'y and y'y, added up in one pass over chunks of rows
+(`NormalEquations`): no n-row array of basis values exists on the fit path,
+whatever n.
 
 A structural caveat that shapes several routines here: both design matrices
 satisfy the partition of unity (rows sum to 1) and the difference penalty
@@ -18,7 +18,8 @@ ignores constants, so adding a constant to one component and subtracting it
 from the other changes nothing.  The stacked normal-equation matrix is
 therefore exactly singular for every lam >= 0, the minimizer is a line rather
 than a point, and backfitting converges to the point on that line selected by
-its initial value.  `joint_solve` detects this and raises SingularSystem;
+its initial value.  `NormalEquations.joint_system_singular` checks that
+direction in O(q^2); `joint_solve` detects it and raises SingularSystemError;
 `backfit` is well-defined because each half-step system is positive definite.
 
 At zero penalty a basis column that holds no data leaves its half-step system
@@ -219,15 +220,16 @@ class NormalEquations:
     factors, the inverses of their q x q blocks (with data-free columns
     pinned, see _PinnedCholesky), the cross-product
     C = X_1'X_2 as the (blocks, q, q) stack `C_blocks` of its diagonal blocks,
-    the right-hand sides u_j = X_j'y and the column sums X_j'1
-    (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
-    column indices of each component; `stacked_matrix` and the residual use
-    the unpinned Lam_j.
+    the right-hand sides u_j = X_j'y, the response's sum of squares `yy`
+    and the column sums X_j'1 (`column_sums`, read off the Gram matrices).
+    `pinned` holds the pinned column indices of each component;
+    `stacked_matrix`, the residual and the shift check use the unpinned Lam_j.
 
-    These statistics and the residual sum of squares are all the estimator
-    reads of the data.  They are added up in one pass over chunks of rows
-    (`DesignMatrix.chunks`), which evaluates each component's basis once per
-    chunk, so building them takes O(q^2 + chunk) memory at any n.
+    These statistics are all the estimator reads of the data, the residual
+    sum of squares included (`rss_estimate`).  They are added up in one pass
+    over chunks of rows (`DesignMatrix.chunks`), which evaluates each
+    component's basis once per chunk, so building them takes O(q^2 + chunk)
+    memory at any n.
     """
 
     def __init__(self, design: AdditiveDesign):
@@ -239,8 +241,10 @@ class NormalEquations:
         bands1, bands2 = np.zeros((p + 1, q)), np.zeros((p + 1, q))
         self.C_blocks = np.zeros((blocks, q // blocks, q // blocks))
         self.u1, self.u2 = np.zeros(q), np.zeros(q)
+        self.yy = 0.0
         for (rows, R1), (_, R2) in zip(design.X1.chunks(), design.X2.chunks()):
             y = design.y[rows]
+            self.yy += float(y @ y)
             R1.gram_bands(bands1)
             R2.gram_bands(bands2)
             R1.block_cross(R2, self.C_blocks)
@@ -283,6 +287,59 @@ class NormalEquations:
         r2 = self.cross(b1, transpose=True) + self.lam_banded2.matvec(b2) - self.u2
         return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
+    def rss_estimate(self, b1: np.ndarray, b2: np.ndarray) -> tuple[float, float]:
+        """||y - X_1 b_1 - X_2 b_2||^2 from the statistics, and its rounding bound.
+
+        RSS = y'y - 2 b'u + b'Gb, with b'u = b1'u1 + b2'u2 and
+        b'Gb = b1'G1 b1 + b2'G2 b2 + 2 b1'C b2 for the unpenalized Grams.
+        The bound, relative to RSS, is _RSS_ROUNDING eps (y'y + 2|b'u| + |b'Gb|)
+        / RSS: the cancellation the formula suffers when the fit leaves little
+        residual.  It is infinite when the computed RSS is not positive.
+        """
+        fit_y = float(b1 @ self.u1 + b2 @ self.u2)
+        fit_fit = float(
+            b1 @ self.gram1.matvec(b1) + b2 @ self.gram2.matvec(b2) + 2.0 * (b1 @ self.cross(b2))
+        )
+        rss = self.yy - 2.0 * fit_y + fit_fit
+        if not rss > 0.0:
+            return rss, np.inf
+        scale = self.yy + 2.0 * abs(fit_y) + abs(fit_fit)
+        return rss, _RSS_ROUNDING * np.finfo(float).eps * scale / rss
+
+    @functools.cached_property
+    def constant_shift(self) -> tuple[float, float]:
+        """||H z||_inf at the constant shift z = (1_q, -1_q), and its rounding floor.
+
+        H is the stacked matrix, so H z = (Lam_1 1 - C 1, C'1 - Lam_2 1).  Both
+        bases sum to one and Q_m 1 = 0, which makes H z exactly zero on full
+        bases.  The floor is 2q eps ||H||_inf, with ||H||_inf the largest
+        absolute row sum, read off the bands and `C_blocks`.  O(q^2), and no
+        2q x 2q matrix.
+        """
+        ones = np.ones(self.num_coef)
+        shift = np.concatenate(
+            [
+                self.lam_banded1.matvec(ones) - self.cross(ones),
+                self.cross(ones, transpose=True) - self.lam_banded2.matvec(ones),
+            ]
+        )
+        abs_C = np.abs(self.C_blocks)
+        row_sums = np.concatenate(
+            [
+                _abs_row_sums(self.lam_banded1) + abs_C.sum(axis=2).ravel(),
+                _abs_row_sums(self.lam_banded2) + abs_C.sum(axis=1).ravel(),
+            ]
+        )
+        floor = shift.size * np.finfo(float).eps * float(row_sums.max())
+        return float(np.abs(shift).max()), floor
+
+    @property
+    def joint_system_singular(self) -> bool:
+        """The constant shift is a null vector of the stacked system to rounding:
+        its residual `constant_shift` is at or below the floor."""
+        residual, floor = self.constant_shift
+        return bool(residual <= floor)
+
     def stacked_matrix(self) -> np.ndarray:
         """The 2q x 2q penalized normal-equation matrix, i.e. the Hessian H1 + H2."""
         return np.block(
@@ -303,6 +360,16 @@ class NormalEquations:
                 f"floor {floor:.3e}); {consequence}"
             )
         return np.linalg.solve(A, rhs)
+
+
+# Multiple of eps (y'y + 2|b'u| + |b'Gb|) taken as the rounding error of
+# `NormalEquations.rss_estimate`.
+_RSS_ROUNDING = 16.0
+
+
+def _abs_row_sums(A: BandedMatrix) -> np.ndarray:
+    """Row sums of |A| for a symmetric banded A."""
+    return BandedMatrix(A.size, A.bandwidth, np.abs(A.bands), A.blocks).matvec(np.ones(A.size))
 
 
 def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:

@@ -8,22 +8,16 @@ key=value lines supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .backfit import (
-    SingularSystemError,
-    backfit,
-    build_design,
-    hessian_check,
-)
+from .backfit import AdditiveDesign, SingularSystemError, backfit, build_design
 from .bandmat import NotPositiveDefiniteError
 from .basis import design_matrix, eval_grid
-from .dataio import DataError, RunReport, load_csv, write_table
+from .dataio import DataError, RunReport, json_text, load_csv, write_table
 from .inference import StageSmoother, confidence_interval, sigma2_hat
 from .sim import (
     ScenarioConfig,
@@ -159,7 +153,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_json(path: Path, payload: dict) -> None:
     # strict: NaN and infinity are not JSON
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1, allow_nan=False) + "\n")
+    path.write_text(json_text(payload, allow_nan=False) + "\n")
+
+
+def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -> DataError:
+    """The input error of a per-component system that does not factor."""
+    if design.lambda1 == 0 or design.lambda2 == 0:
+        why = (
+            "at zero penalty the basis columns that hold data do not determine "
+            "their coefficients (too few distinct covariate values per knot "
+            "interval). Increase --lambda1/--lambda2 or reduce --kn."
+        )
+    else:
+        m = design.penalty.order
+        why = (
+            f"the order-{m} difference penalty leaves polynomials of degree "
+            f"{m - 1} unpenalized, and the covariate has too few distinct "
+            "values to determine them. Reduce --diff-order."
+        )
+    return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
 
 
 def cmd_fit(args) -> int:
@@ -177,6 +189,13 @@ def cmd_fit(args) -> int:
     if args.max_stages < 1:
         raise DataError(f"--max-stages must be >= 1, got {args.max_stages}")
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
+    for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
+        # a spline in one value is not identified at any penalty
+        if x.min() == x.max():
+            raise DataError(
+                f"{args.data}: covariate column {name!r} ({role}) has a single "
+                "distinct value; a spline in it needs at least two"
+            )
     grid = eval_grid(args.grid)
     design = build_design(
         dataset.y,
@@ -188,7 +207,11 @@ def cmd_fit(args) -> int:
         lambda1=lam1,
         lambda2=lam2,
     )
-    for j, cols in enumerate(design.normal_equations.pinned, start=1):
+    try:
+        eq = design.normal_equations
+    except NotPositiveDefiniteError as exc:
+        raise _singular_component(exc, design) from None
+    for j, cols in enumerate(eq.pinned, start=1):
         if cols.size:
             print(
                 f"warning: component {j} basis columns {cols.tolist()} hold no "
@@ -196,13 +219,14 @@ def cmd_fit(args) -> int:
                 file=sys.stderr,
             )
     result = backfit(design, tol=args.tol, max_stages=args.max_stages)
-    hess = hessian_check(design)
-    if not hess.is_pd:
+    shift_residual, shift_floor = eq.constant_shift
+    if eq.joint_system_singular:
         print(
-            "warning: the joint normal-equation system is singular "
-            f"(min eigenvalue {hess.min_eig:.3e}); the component split is "
-            "identified only up to a constant shift. Reporting the zero-start "
-            "backfit solution with mean-centered display components.",
+            "warning: the joint normal-equation system is singular: the constant "
+            "shift between the components is a null vector to rounding (residual "
+            f"{shift_residual:.3e}, floor {shift_floor:.3e}), so the component "
+            "split is identified only up to a constant shift. Reporting the "
+            "zero-start backfit solution with mean-centered display components.",
             file=sys.stderr,
         )
     sigma2 = sigma2_hat(design, result)
@@ -211,6 +235,7 @@ def cmd_fit(args) -> int:
     _, products = StageSmoother(design, stages=result.stages).evaluate_rows(
         rows.values, rows.values
     )
+    grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     grids = {}
     curves = []
     scales = (1.0, 1.0)
@@ -218,8 +243,8 @@ def cmd_fit(args) -> int:
         scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
     for j, b, x in ((1, result.b1, dataset.x1), (2, result.b2, dataset.x2)):
         # the fitted component centred on its mean over the data, (X_j'1)'b / n
-        column_sums = design.normal_equations.column_sums[j - 1]
-        estimate = rows.matvec(b) - float(column_sums @ b) / n
+        column_sums = eq.column_sums[j - 1]
+        estimate = grid_rows.matvec(b) - float(column_sums @ b) / n
         half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
         lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]
@@ -283,11 +308,15 @@ def cmd_fit(args) -> int:
         stages=result.stages,
         residual_norm=result.residual_norm,
         sigma2=sigma2,
-        joint_system_singular=not hess.is_pd,
+        joint_system_singular=eq.joint_system_singular,
         coefficients={"b1": result.b1.tolist(), "b2": result.b2.tolist()},
         pinned_columns={
-            f"component{j}": cols.tolist()
-            for j, cols in enumerate(design.normal_equations.pinned, start=1)
+            f"component{j}": cols.tolist() for j, cols in enumerate(eq.pinned, start=1)
+        },
+        diagnostics={
+            "constant_shift_residual": shift_residual,
+            "constant_shift_floor": shift_floor,
+            "f2_sum": float(eq.column_sums[1] @ result.b2),
         },
         grids=grids,
         runtime_seconds=time.perf_counter() - start,
@@ -479,11 +508,7 @@ def main(argv=None) -> int:
         return 1
     except NotPositiveDefiniteError as exc:
         print(
-            "error: a per-component normal-equation system is singular "
-            f"({exc}); at zero penalty the basis columns that hold data do "
-            "not determine their coefficients (too few distinct covariate "
-            "values per knot interval). "
-            "Increase --lambda1/--lambda2 or reduce --kn.",
+            f"error: a per-component normal-equation system is singular ({exc})",
             file=sys.stderr,
         )
         return 1

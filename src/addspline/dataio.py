@@ -2,7 +2,9 @@
 
 Floats are written with 17 significant digits ('%.17g'), which reproduces the
 double exactly on re-parse; JSON relies on Python's shortest-repr floats, which
-round-trip as well.
+round-trip as well.  Both writers hand whole arrays to C-level formatting: a
+table is one '%' format, and each list of numbers in a JSON document is one
+call of json's encoder.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "Preprocessing",
     "Dataset",
     "format_float",
+    "json_text",
     "load_csv",
     "preprocess_columns",
     "read_table",
@@ -138,14 +141,43 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     n = arrays[0].shape[0]
     if any(a.shape[0] != n for a in arrays):
         raise ValueError("all columns must have equal length")
+    # a formatted float never needs quoting, so each row is its cells joined
+    # by commas, ended as csv.writer ends a row; '%.17g' % v is format_float(v)
+    row = ",".join(["%.17g"] * len(arrays)) + "\r\n"
+    cells = tuple(np.column_stack(arrays).ravel().tolist())
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # a formatted float never needs quoting, so each row is its cells
-        # joined by commas, ended as csv.writer ends a row
-        fh.writelines(
-            ",".join(map(format_float, row)) + "\r\n"
-            for row in zip(*(a.tolist() for a in arrays))
-        )
+        fh.write(row * n % cells)
+
+
+def json_text(obj, allow_nan: bool = True, _level: int = 0) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=1, allow_nan=allow_nan)`, with
+    each list of scalars encoded by one call of json's C encoder.
+
+    json's indenting encoder is pure Python and formats one value per call.
+    Here dicts with string keys and lists are walked in Python, in sorted key
+    order, and each list that holds no list or dict is encoded whole, its
+    items separated by the comma and the line break the indented form puts
+    between them.  json still writes every value, so the text is the same.
+    """
+    pad = "\n" + " " * (_level + 1)
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = [
+            json.dumps(k) + ": " + json_text(v, allow_nan, _level + 1)
+            for k, v in sorted(obj.items())
+        ]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if any(isinstance(v, (list, tuple, dict)) for v in obj):
+            items = [json_text(v, allow_nan, _level + 1) for v in obj]
+        else:
+            flat = json.dumps(obj, separators=("," + pad, ": "), allow_nan=allow_nan)
+            return "[" + pad + flat[1:-1] + pad[:-1] + "]"
+    else:
+        # a scalar, an empty container, or a dict that json must key itself
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=allow_nan)
+        return text.replace("\n", "\n" + " " * _level)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + pad + ("," + pad).join(items) + pad[:-1] + closing
 
 
 def preprocess_columns(
@@ -258,11 +290,15 @@ class RunReport:
     # {"component1": [...], "component2": [...]}: NormalEquations.pinned;
     # reports written before this field existed load with {}
     pinned_columns: dict = field(default_factory=dict)
+    # the identification diagnostics: "constant_shift_residual" and
+    # "constant_shift_floor" (NormalEquations.constant_shift) and "f2_sum",
+    # sum_i f2_hat(x_i2) = (X_2'1)'b_2; reports written before this field
+    # existed load with {}
+    diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         # the fields as they are: `asdict` would deep-copy every list of floats
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(data, sort_keys=True, indent=1)
+        return json_text({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":

@@ -255,9 +255,23 @@ def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
     )
 
 
+# Largest relative rounding bound at which `sigma2_hat` reads the residual sum
+# of squares off the normal-equation statistics.
+_RSS_RTOL = 1e-12
+
+
 def sigma2_hat(design: AdditiveDesign, result: BackfitResult) -> float:
-    """Mean squared residual of the fitted additive model."""
-    return design.residual_sum_of_squares(result.b1, result.b2) / design.y.shape[0]
+    """Mean squared residual of the fitted additive model.
+
+    The residual sum of squares is read off the statistics of the normal
+    equations (`NormalEquations.rss_estimate`) when its rounding bound is
+    below 1e-12, and added up over the rows again otherwise
+    (`AdditiveDesign.residual_sum_of_squares`), as for a near noise-free fit.
+    """
+    rss, bound = design.normal_equations.rss_estimate(result.b1, result.b2)
+    if not bound < _RSS_RTOL:
+        rss = design.residual_sum_of_squares(result.b1, result.b2)
+    return rss / design.y.shape[0]
 
 
 def confidence_interval(

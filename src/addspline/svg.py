@@ -162,6 +162,7 @@ class _Mapper:
         self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
 
     def pt(self, x, y):
+        """Page coordinates of data points: scalars, or arrays elementwise."""
         px = _MARGIN + (x - self.x0) / (self.x1 - self.x0) * (_WIDTH - 2 * _MARGIN)
         py = _HEIGHT - _MARGIN - (y - self.y0) / (self.y1 - self.y0) * (
             _HEIGHT - 2 * _MARGIN
@@ -172,9 +173,12 @@ class _Mapper:
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _path_element(points, mapper, color, closed=False, dashed=False):
-    coords = " L ".join(
-        f"{px:.2f} {py:.2f}" for px, py in (mapper.pt(x, y) for x, y in points)
+def _path_element(xs, ys, mapper, color, closed=False, dashed=False):
+    """One <path> through the points (xs[k], ys[k]), mapped and formatted
+    as whole arrays: the same float operations as point by point."""
+    px, py = mapper.pt(np.asarray(xs, float), np.asarray(ys, float))
+    coords = " L ".join(["%.2f %.2f"] * px.size) % tuple(
+        np.column_stack([px, py]).ravel().tolist()
     )
     dash = ' stroke-dasharray="6 4"' if dashed else ""
     tail = " Z" if closed else ""
@@ -241,9 +245,7 @@ def write_svg(
         body.extend(_frame(mapper))
         for idx, (cx, cy) in enumerate(curves):
             color = _PALETTE[idx % len(_PALETTE)]
-            body.append(
-                _path_element(zip(cx, cy), mapper, color, dashed=idx % 2 == 1)
-            )
+            body.append(_path_element(cx, cy, mapper, color, dashed=idx % 2 == 1))
             if labels and idx < len(labels):
                 px, py = mapper.pt(cx[-1], cy[-1])
                 body.append(
@@ -264,7 +266,8 @@ def write_svg(
             for pts, closed in contour_loops(gx, gy, Z, float(level)):
                 if len(pts) < 2:
                     continue
-                body.append(_path_element(pts, mapper, color, closed=closed))
+                xs, ys = zip(*pts)
+                body.append(_path_element(xs, ys, mapper, color, closed=closed))
                 drew = True
         if not drew:
             raise ValueError("no contour lines at the requested levels")

@@ -214,6 +214,7 @@ def _statistics(design):
         "C_blocks": eq.C_blocks,
         "u1": eq.u1,
         "u2": eq.u2,
+        "yy": np.array([eq.yy]),
         "column_sums": np.concatenate(eq.column_sums),
         "rss": np.array([design.residual_sum_of_squares(b[:q], b[q:])]),
     }
@@ -567,3 +568,48 @@ class TestHessianCheck:
         assert rep.is_pd
         assert rep.min_eig > 0.0
         assert rep.constant_shift_quadform > 1.0
+
+
+class TestShiftCheck:
+    """`NormalEquations.constant_shift` and `joint_system_singular`: the O(q^2)
+    check of the constant shift z = (1_q, -1_q) against the dense oracles."""
+
+    def test_residual_and_floor_match_the_dense_stacked_matrix(self):
+        for d in (build_design(*sim_xy(160, seed=16), num_intervals=8), ridged_design()):
+            eq = NormalEquations(d)
+            H = eq.stacked_matrix()
+            q = d.num_coef
+            z = np.concatenate([np.ones(q), -np.ones(q)])
+            residual, floor = eq.constant_shift
+            assert residual == pytest.approx(np.abs(H @ z).max(), rel=1e-12, abs=1e-12)
+            norm_inf = np.abs(H).sum(axis=1).max()
+            assert floor == pytest.approx(2 * q * np.finfo(float).eps * norm_inf, rel=1e-14)
+
+    def test_agrees_with_the_hessian_check_on_its_designs(self):
+        y, x1, x2 = sim_xy(160, seed=16)
+        for lam in (0.0, 1.0, 10.0):
+            d = build_design(y, x1, x2, num_intervals=8, lambda1=lam, lambda2=lam)
+            assert d.normal_equations.joint_system_singular is True
+            assert d.normal_equations.joint_system_singular == (not hessian_check(d).is_pd)
+        d = ridged_design()
+        assert d.normal_equations.joint_system_singular is False
+        assert hessian_check(d).is_pd
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 1e-6])
+    def test_agrees_with_the_hessian_check_on_ozone(self, lam):
+        d = ozone_design(lam)
+        assert d.normal_equations.joint_system_singular
+        assert d.normal_equations.joint_system_singular == (not hessian_check(d).is_pd)
+
+    @pytest.mark.parametrize("lam", [None, 0.0])
+    def test_zero_start_keeps_the_sum_of_f2_at_zero(self, lam):
+        # l = X_2'1 is a left fixed vector of the b2 sweep map, so l'b2 =
+        # sum_i f2_hat(x_i2) stays at its start, 0.  Each stage rounds its
+        # length-q inner products, an error of at most q eps sum_k |l_k b2_k|,
+        # and the stages add up.
+        d = ozone_design(lam)
+        res = backfit(d, max_stages=400)
+        assert res.converged
+        ell = d.normal_equations.column_sums[1]
+        tol = res.stages * d.num_coef * np.finfo(float).eps * np.abs(ell * res.b2).sum()
+        assert abs(ell @ res.b2) <= tol

@@ -302,6 +302,85 @@ class TestFit:
         assert report.config["lambda2"] == 2.0
 
 
+def _write_fit_csv(path, x2):
+    """y on a spread covariate a and the given covariate b, 200 rows."""
+    rng = np.random.default_rng(19)
+    a = 1.0 - rng.random(x2.size)
+    y = np.sin(2 * np.pi * a) + rng.uniform(-0.5, 0.5, x2.size)
+    from addspline.dataio import write_table
+
+    write_table(path, ["y", "a", "b"], [y, a, x2])
+    return ["fit", "--data", str(path), "--y", "y", "--x1", "a", "--x2", "b",
+            "--out", str(path.parent)]
+
+
+class TestDegenerateInput:
+    def test_constant_covariate_names_its_column(self, tmp_path, capsys):
+        args = _write_fit_csv(tmp_path / "const.csv", np.full(200, 3.0))
+        code, _, err = run_main(capsys, *args)
+        assert code == 1
+        assert "covariate column 'b' (x2) has a single distinct value" in err
+        assert "zero penalty" not in err
+        assert not (tmp_path / "fit_report.json").exists()
+
+    def test_too_few_values_at_positive_penalty_leave_zero_penalty_unsaid(
+        self, tmp_path, capsys
+    ):
+        # two covariate values cannot fix the quadratics that an order-3
+        # penalty leaves free, whatever lambda
+        x2 = np.where(np.arange(200) % 2 == 0, 1.0, 2.0)
+        args = _write_fit_csv(tmp_path / "two.csv", x2)
+        code, _, err = run_main(capsys, *args, "--diff-order", "3")
+        assert code == 1
+        assert "singular" in err
+        assert "order-3 difference penalty" in err
+        assert "zero penalty" not in err
+        code, _, err = run_main(capsys, *args, "--lambda1", "0", "--lambda2", "0")
+        assert code == 1
+        assert "at zero penalty" in err
+
+
+class TestFitDiagnostics:
+    def test_report_carries_the_identification_diagnostics(self, tmp_path, capsys, ozone_args):
+        assert run_main(capsys, *ozone_args)[0] == 0
+        report = RunReport.load(tmp_path / "fit_report.json")
+        diag = report.diagnostics
+        assert set(diag) == {"constant_shift_residual", "constant_shift_floor", "f2_sum"}
+        assert 0.0 <= diag["constant_shift_residual"] <= diag["constant_shift_floor"]
+        assert report.joint_system_singular
+        # f2_sum is (X_2'1)'b_2, zero for the zero-start backfit up to rounding
+        b2 = np.array(report.coefficients["b2"])
+        assert abs(diag["f2_sum"]) <= 1e-9 * np.abs(b2).sum() * report.n
+        # a report written before the field existed still loads
+        old = json.loads((tmp_path / "fit_report.json").read_text())
+        del old["diagnostics"]
+        assert RunReport.from_json(json.dumps(old)).diagnostics == {}
+
+    def test_fit_runs_no_dense_hessian_and_one_row_pass(
+        self, tmp_path, capsys, ozone_args, monkeypatch
+    ):
+        from addspline import basis
+
+        def forbidden(self):
+            raise AssertionError("the fit must not build the dense stacked matrix")
+
+        # hessian_check and joint_solve both start from the stacked matrix
+        monkeypatch.setattr(NormalEquations, "stacked_matrix", forbidden)
+        rows = []
+        original = basis._basis_rows
+
+        def counting(cfg, x):
+            rows.append(np.size(x))
+            return original(cfg, x)
+
+        monkeypatch.setattr(basis, "_basis_rows", counting)
+        code, _, _ = run_main(capsys, *ozone_args)
+        assert code == 0
+        # each covariate's rows once, for the normal equations; the grid once
+        # for the band and once for both estimates
+        assert rows == [111, 111, 201, 201]
+
+
 class TestSimulate:
     def test_sim1_outputs(self, tmp_path, capsys):
         code, out, _ = run_main(

@@ -1,6 +1,9 @@
 """CSV round trips, preprocessing invariants, run reports."""
 
+import csv
+import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,6 +20,7 @@ from addspline.dataio import (
     RunReport,
     _read_table_cells,
     format_float,
+    json_text,
     load_csv,
     preprocess_columns,
     read_table,
@@ -341,3 +345,72 @@ class TestRunReport:
         r = self.report()
         r.save(p)
         assert RunReport.load(p) == r
+
+
+# NaN, the infinities, signed zero, the extreme doubles and whole numbers
+HARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53,
+               1e16, 1e22, 0.1, 1 / 3, 2.2250738585072014e-308]
+
+
+class TestWholeArrayWriters:
+    """The one-call writers give the bytes of the per-value references."""
+
+    def test_table_matches_format_float_per_cell(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cols = [np.array(HARD_FLOATS), rng.permutation(HARD_FLOATS),
+                rng.normal(size=len(HARD_FLOATS)) * 10.0 ** rng.integers(-300, 300, 17)]
+        p = tmp_path / "t.csv"
+        write_table(p, ["a", "b", "c d"], cols)
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerow(["a", "b", "c d"])
+        for row in zip(*cols):
+            buf.write(",".join(format_float(v) for v in row) + "\r\n")
+        assert p.read_bytes() == buf.getvalue().encode()
+
+    def test_empty_table_is_its_header(self, tmp_path):
+        p = tmp_path / "e.csv"
+        write_table(p, ["a", "b"], [np.zeros(0), np.zeros(0)])
+        assert p.read_bytes() == b"a,b\r\n"
+
+    def test_report_json_matches_json_dumps(self):
+        report = RunReport(
+            command="fit",
+            config={"data": "Ozon \u00b5g/m\u00b3 \u6e29\u5ea6.csv", "empty": {}, "none": None,
+                    "nested": {"b": [], "a": [[1, 2.5], []]}},
+            n=3,
+            converged=False,
+            stages=0,
+            residual_norm=math.inf,
+            sigma2=math.nan,
+            joint_system_singular=True,
+            coefficients={"b1": HARD_FLOATS, "b2": []},
+            grids={"component1": {"in_support": [True, False], "x": [0.5, -0.0]}},
+            pinned_columns={"component1": [0, 1], "component2": []},
+            diagnostics={},
+        )
+        data = {name: getattr(report, name) for name in report.__dataclass_fields__}
+        assert report.to_json() == json.dumps(data, sort_keys=True, indent=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_json_text_matches_json_dumps_on_any_document(self, doc):
+        assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+    def test_json_text_keys_non_string_keys_as_json_does(self):
+        doc = {"outer": {2: [1.0], 1: "a"}, "t": (1, (2, 3))}
+        assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_strict_json_text_rejects_non_finite(self, bad):
+        for doc in (bad, [1.0, bad], {"a": [[0.0], [bad]]}, {"a": {"b": bad}}):
+            with pytest.raises(ValueError):
+                json_text(doc, allow_nan=False)
+        assert json_text([1.0, bad]) == json.dumps([1.0, bad], indent=1)

@@ -9,6 +9,7 @@ import pytest
 from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
 
 from addspline import (
+    AdditiveDesign,
     PopulationSpec,
     SingularSystemError,
     StageSmoother,
@@ -289,6 +290,64 @@ class TestSigmaHatAndIntervals:
     def test_zero_variance_degenerate_interval(self):
         ci = confidence_interval(1.5, 0.0)
         assert ci.lower == ci.upper == 1.5
+
+
+def _count_residual_passes(monkeypatch):
+    """A list that gets one entry per call of the chunked residual pass."""
+    calls = []
+    original = AdditiveDesign.residual_sum_of_squares
+
+    def counting(self, b1, b2):
+        calls.append(self.y.size)
+        return original(self, b1, b2)
+
+    monkeypatch.setattr(AdditiveDesign, "residual_sum_of_squares", counting)
+    return calls
+
+
+class TestSigmaHatFromStatistics:
+    """sigma2_hat reads RSS off the normal-equation statistics, and falls back
+    to the chunked residual pass when the statistics' rounding bound is loose."""
+
+    def test_typical_design_reads_the_statistics(self, monkeypatch):
+        d = build_design(*sim_xy(5000, seed=25))
+        r = backfit(d)
+        calls = _count_residual_passes(monkeypatch)
+        s2 = sigma2_hat(d, r)
+        assert calls == []
+        assert s2 == pytest.approx(d.residual_sum_of_squares(r.b1, r.b2) / 5000, rel=1e-14)
+
+    def test_near_noise_free_design_takes_the_residual_pass(self, monkeypatch):
+        _, x1, x2 = sim_xy(2000, seed=26)
+        y = np.sin(2.0 * np.pi * x1) + 0.5 * np.cos(np.pi * x2)
+        d = build_design(y, x1, x2, num_intervals=9)
+        r = backfit(d, tol=1e-12)
+        _, bound = d.normal_equations.rss_estimate(r.b1, r.b2)
+        assert bound >= 1e-12
+        calls = _count_residual_passes(monkeypatch)
+        s2 = sigma2_hat(d, r)
+        assert calls == [2000]
+        resid = y - d.X1.values @ r.b1 - d.X2.values @ r.b2
+        assert s2 == pytest.approx(np.mean(resid**2), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [None, 0.0])
+    def test_bound_covers_the_gap_to_the_residual_pass(self, lam):
+        data = load_csv(OZONE_CSV, "ozone", "temperature", "wind")
+        designs = [
+            build_design(data.y, data.x1, data.x2, lambda1=lam, lambda2=lam),
+            build_design(*sim_xy(20000, seed=27), lambda1=lam, lambda2=lam),
+        ]
+        for d in designs:
+            r = backfit(d, max_stages=400)
+            rss, bound = d.normal_equations.rss_estimate(r.b1, r.b2)
+            direct = d.residual_sum_of_squares(r.b1, r.b2)
+            assert bound < 1e-12
+            assert abs(rss - direct) <= bound * direct
+
+    def test_yy_is_the_response_sum_of_squares(self):
+        y, x1, x2 = sim_xy(300, seed=28)
+        eq = build_design(y, x1, x2).normal_equations
+        assert eq.yy == pytest.approx(float(y @ y), rel=1e-14)
 
 
 class TestAsymptoticVariance:

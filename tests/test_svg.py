@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from addspline import svg
 from addspline.svg import contour_loops, write_svg
-from addspline.sim import std_normal_density2d
+from addspline.sim import ScenarioConfig, kde2d, run_sim1, run_sim3, std_normal_density2d
 
 
 def circle_grid(half_width=3.2, size=161):
@@ -175,3 +176,51 @@ class TestWriteSvg:
     def test_mismatched_curve_lengths_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_svg(tmp_path / "m.svg", curves=[(np.arange(5), np.arange(4))])
+
+
+def _per_point_path_element(xs, ys, mapper, color, closed=False, dashed=False):
+    """The path writer point by point: each point mapped and f-string formatted."""
+    coords = " L ".join(
+        f"{px:.2f} {py:.2f}" for px, py in (mapper.pt(x, y) for x, y in zip(xs, ys))
+    )
+    dash = ' stroke-dasharray="6 4"' if dashed else ""
+    tail = " Z" if closed else ""
+    return (
+        f'<path d="M {coords}{tail}" fill="none" stroke="{color}" '
+        f'stroke-width="1.5"{dash}/>'
+    )
+
+
+class TestWholeArrayPaths:
+    """The array path writer gives the bytes of the per-point reference."""
+
+    def assert_same_bytes(self, tmp_path, monkeypatch, **kwargs):
+        write_svg(tmp_path / "arrays.svg", **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(svg, "_path_element", _per_point_path_element)
+            write_svg(tmp_path / "points.svg", **kwargs)
+        got = (tmp_path / "arrays.svg").read_bytes()
+        assert got == (tmp_path / "points.svg").read_bytes()
+        return got
+
+    def test_sim3_contours(self, tmp_path, monkeypatch):
+        sample, _ = run_sim3(ScenarioConfig(n=200, replications=60))
+        kde = kde2d(sample.values)
+        text = self.assert_same_bytes(
+            tmp_path, monkeypatch, contour=(kde.x, kde.y, kde.density),
+            levels=[0.02, 0.04, 0.06, 0.08, 0.1], title="sim3",
+        )
+        assert text.count(b"<path") >= 3
+
+    def test_sim1_curves(self, tmp_path, monkeypatch):
+        res = run_sim1(ScenarioConfig(n=200))
+        curves = [(res.grid, res.fit1), (res.grid, res.true1), (res.grid, res.fit2),
+                  (res.grid, res.true2)]
+        self.assert_same_bytes(tmp_path, monkeypatch, curves=curves,
+                               labels=["fit1", "true1", "fit2", "true2"])
+
+    def test_extreme_coordinates(self, tmp_path, monkeypatch):
+        x = np.array([-0.0, 5e-324, 1.0, 2.0, 3.0])
+        curves = [(x, np.array([0.0, -0.0, 1e300, -1e300, 5e-324])),
+                  (x, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))]
+        self.assert_same_bytes(tmp_path, monkeypatch, curves=curves)
