@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench.py --label pr11
+    python3 scripts/bench.py --label after-change
     python3 scripts/bench.py --label try --seed 3 --seconds 5 --sizes 1000
 
 It runs `perfbench/run.py` once per workload with `--trace 0` and once with
