@@ -581,9 +581,12 @@ class TestShiftCheck:
             q = d.num_coef
             z = np.concatenate([np.ones(q), -np.ones(q)])
             residual, floor = eq.constant_shift
-            assert residual == pytest.approx(np.abs(H @ z).max(), rel=1e-12, abs=1e-12)
             norm_inf = np.abs(H).sum(axis=1).max()
-            assert floor == pytest.approx(2 * q * np.finfo(float).eps * norm_inf, rel=1e-14)
+            assert floor == pytest.approx(2 * q * np.finfo(float).eps * norm_inf, rel=1e-14, abs=0)
+            # the two sums differ only in their order of rounding
+            assert abs(residual - np.abs(H @ z).max()) <= floor
+        # the ridge delta I in the penalty leaves H z = (lam delta 1, -lam delta 1)
+        assert eq.constant_shift[0] == pytest.approx(2.0 * 5.0, rel=1e-12, abs=0)
 
     def test_agrees_with_the_hessian_check_on_its_designs(self):
         y, x1, x2 = sim_xy(160, seed=16)

@@ -315,7 +315,8 @@ class TestSigmaHatFromStatistics:
         calls = _count_residual_passes(monkeypatch)
         s2 = sigma2_hat(d, r)
         assert calls == []
-        assert s2 == pytest.approx(d.residual_sum_of_squares(r.b1, r.b2) / 5000, rel=1e-14)
+        direct = d.residual_sum_of_squares(r.b1, r.b2) / 5000
+        assert s2 == pytest.approx(direct, rel=1e-14, abs=0)
 
     def test_near_noise_free_design_takes_the_residual_pass(self, monkeypatch):
         _, x1, x2 = sim_xy(2000, seed=26)
@@ -328,7 +329,7 @@ class TestSigmaHatFromStatistics:
         s2 = sigma2_hat(d, r)
         assert calls == [2000]
         resid = y - d.X1.values @ r.b1 - d.X2.values @ r.b2
-        assert s2 == pytest.approx(np.mean(resid**2), rel=1e-12)
+        assert s2 == pytest.approx(np.mean(resid**2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("lam", [None, 0.0])
     def test_bound_covers_the_gap_to_the_residual_pass(self, lam):
@@ -347,7 +348,7 @@ class TestSigmaHatFromStatistics:
     def test_yy_is_the_response_sum_of_squares(self):
         y, x1, x2 = sim_xy(300, seed=28)
         eq = build_design(y, x1, x2).normal_equations
-        assert eq.yy == pytest.approx(float(y @ y), rel=1e-14)
+        assert eq.yy == pytest.approx(float(y @ y), rel=1e-14, abs=0)
 
 
 class TestAsymptoticVariance:
