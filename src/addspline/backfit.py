@@ -35,12 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bandmat import (
-    BandedCholesky,
-    BandedMatrix,
-    gram_banded,
-    penalized_gram,
-)
+from .bandmat import BandedCholesky, BandedMatrix, _block_matmul, gram_banded
 from .basis import DesignMatrix, SplineConfig, design_matrix, make_knots
 from .penalty import PenaltyMatrix, penalty_matrix
 
@@ -195,46 +190,60 @@ class _PinnedCholesky(BandedCholesky):
     """
 
     def __init__(self, lam: BandedMatrix):
-        diag = lam.bands[0].reshape(lam.blocks, -1)
+        stack = lam.stack
+        diag = np.diagonal(stack, axis1=1, axis2=2)
         floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
-        self.pinned = np.flatnonzero(diag <= floor)
-        bands = lam.bands
+        block, col = np.nonzero(diag <= floor)
+        self.pinned = block * diag.shape[1] + col
         if self.pinned.size:
-            bands = bands.copy()
-            for d in range(1, lam.bandwidth + 1):
-                bands[d, self.pinned] = 0.0  # column below the diagonal
-                left = self.pinned - d
-                bands[d, left[left >= 0]] = 0.0  # row left of the diagonal
-            bands[0, self.pinned] = 1.0
-        super().__init__(BandedMatrix(lam.size, lam.bandwidth, bands, lam.blocks))
-        if self.pinned.size:
-            block, col = np.divmod(self.pinned, diag.shape[1])
-            self.inverse[block, col, :] = 0.0
-            self.inverse[block, :, col] = 0.0
+            stack = stack.copy()
+            stack[block, col, :] = 0.0
+            stack[block, :, col] = 0.0
+            stack[block, col, col] = 1.0
+        super().__init__(BandedMatrix(stack, lam.bandwidth))
+        self.inverse[block, col, :] = 0.0
+        self.inverse[block, :, col] = 0.0
+
+
+def _check_penalty(Q: PenaltyMatrix) -> None:
+    """Raise ValueError unless Q_m is symmetric and zero more than `order`
+    places off its diagonal: the factors' inverses take Lam_j to lie within
+    bandwidth max(p, order)."""
+    V = Q.values
+    gap = max(np.abs(V - V.T).max(initial=0.0), np.abs(np.triu(V, Q.order + 1)).max(initial=0.0))
+    if gap > 1e-12 * (1.0 + np.abs(V).max(initial=0.0)):
+        raise ValueError(
+            f"penalty is not symmetric within bandwidth {Q.order} "
+            f"(worst entry outside it {gap:.3e})"
+        )
 
 
 class NormalEquations:
     """Factored per-component systems shared by sweeps, weights, and oracles.
 
-    Holds Lam_j = X_j'X_j + lam_j Q_m in band form (`lam_banded1/2`) and their
-    factors, the inverses of their q x q blocks (with data-free columns
-    pinned, see _PinnedCholesky), the cross-product
-    C = X_1'X_2 as the (blocks, q, q) stack `C_blocks` of its diagonal blocks,
-    the right-hand sides u_j = X_j'y, the response's sum of squares `yy`
-    and the column sums X_j'1 (`column_sums`, read off the Gram matrices).
-    `pinned` holds the pinned column indices of each component;
-    `stacked_matrix`, the residual and the shift check use the unpinned Lam_j.
+    Every q x q matrix here is block diagonal over the design's blocks and
+    stored as the dense stack of its diagonal blocks, shape (blocks, q, q):
+    the Gram matrices G_j = X_j'X_j (`G1`, `G2`), the systems
+    Lam_j = G_j + lam_j Q_m (`Lam1`, `Lam2`), the cross-product C = X_1'X_2
+    (`C_blocks`) and the inverses in the factors `L1`, `L2` (with data-free
+    columns pinned, see _PinnedCholesky).  Every product with them is one
+    batched matrix product.  Beside them: the right-hand sides u_j = X_j'y,
+    the response's sum of squares `yy` and the column sums X_j'1
+    (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
+    column indices of each component; `stacked_matrix`, the residual and the
+    shift check use the unpinned Lam_j.
 
     These statistics are all the estimator reads of the data, the residual
     sum of squares included (`rss_estimate`).  They are added up in one pass
     over chunks of rows (`DesignMatrix.chunks`), which evaluates each
-    component's basis once per chunk, so building them takes O(q^2 + chunk)
-    memory at any n.
+    component's basis once per chunk and adds up only the p + 1 bands of each
+    Gram matrix, so building them takes O(q^2 + chunk) memory at any n.
     """
 
     def __init__(self, design: AdditiveDesign):
         # no reference back to the design: the design caches this object, and
         # a cycle would leave both to the cyclic garbage collector
+        _check_penalty(design.penalty)
         self.num_coef = q = design.num_coef
         self.blocks = blocks = design.blocks
         p = design.X1.config.degree
@@ -251,16 +260,16 @@ class NormalEquations:
             R1.rmatvec(y, self.u1)
             R2.rmatvec(y, self.u2)
         Q = design.penalty
-        self.gram1 = BandedMatrix(size=q, bandwidth=p, bands=bands1, blocks=blocks)
-        self.gram2 = BandedMatrix(size=q, bandwidth=p, bands=bands2, blocks=blocks)
+        self.G1 = BandedMatrix.from_bands(bands1, blocks).stack
+        self.G2 = BandedMatrix.from_bands(bands2, blocks).stack
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
-        ones = np.ones(q)
-        self.column_sums = (self.gram1.matvec(ones), self.gram2.matvec(ones))
-        self.lam_banded1 = penalized_gram(self.gram1, design.lambda1, Q)
-        self.lam_banded2 = penalized_gram(self.gram2, design.lambda2, Q)
-        self.L1 = _PinnedCholesky(self.lam_banded1)
-        self.L2 = _PinnedCholesky(self.lam_banded2)
+        self.column_sums = (self.G1.sum(axis=2).ravel(), self.G2.sum(axis=2).ravel())
+        self.Lam1 = self.G1 + design.lambda1 * Q.values
+        self.Lam2 = self.G2 + design.lambda2 * Q.values
+        w = max(p, Q.order)
+        self.L1 = _PinnedCholesky(BandedMatrix(self.Lam1, w))
+        self.L2 = _PinnedCholesky(BandedMatrix(self.Lam2, w))
         self.pinned = (self.L1.pinned, self.L2.pinned)
 
     @property
@@ -272,9 +281,7 @@ class NormalEquations:
 
     def cross(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
         """C v, or C' v, block by block, for a vector or a block of columns."""
-        C = self.C_blocks.swapaxes(1, 2) if transpose else self.C_blocks
-        blocks, q, _ = C.shape
-        return (C @ v.reshape(blocks, q, -1)).reshape(v.shape)
+        return _block_matmul(self.C_blocks, v, transpose)
 
     def sweep(self, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One stage: b1 = Lam_1^{-1}(u1 - C b2), then b2 = Lam_2^{-1}(u2 - C' b1)."""
@@ -283,8 +290,8 @@ class NormalEquations:
         return b1, b2_new
 
     def residual_norm(self, b1: np.ndarray, b2: np.ndarray) -> float:
-        r1 = self.lam_banded1.matvec(b1) + self.cross(b2) - self.u1
-        r2 = self.cross(b1, transpose=True) + self.lam_banded2.matvec(b2) - self.u2
+        r1 = _block_matmul(self.Lam1, b1) + self.cross(b2) - self.u1
+        r2 = self.cross(b1, transpose=True) + _block_matmul(self.Lam2, b2) - self.u2
         return float(max(np.abs(r1).max(), np.abs(r2).max()))
 
     def rss_estimate(self, b1: np.ndarray, b2: np.ndarray) -> tuple[float, float]:
@@ -298,7 +305,9 @@ class NormalEquations:
         """
         fit_y = float(b1 @ self.u1 + b2 @ self.u2)
         fit_fit = float(
-            b1 @ self.gram1.matvec(b1) + b2 @ self.gram2.matvec(b2) + 2.0 * (b1 @ self.cross(b2))
+            b1 @ _block_matmul(self.G1, b1)
+            + b2 @ _block_matmul(self.G2, b2)
+            + 2.0 * (b1 @ self.cross(b2))
         )
         rss = self.yy - 2.0 * fit_y + fit_fit
         if not rss > 0.0:
@@ -313,21 +322,20 @@ class NormalEquations:
         H is the stacked matrix, so H z = (Lam_1 1 - C 1, C'1 - Lam_2 1).  Both
         bases sum to one and Q_m 1 = 0, which makes H z exactly zero on full
         bases.  The floor is 2q eps ||H||_inf, with ||H||_inf the largest
-        absolute row sum, read off the bands and `C_blocks`.  O(q^2), and no
-        2q x 2q matrix.
+        absolute row sum, read off the stacks.  O(q^2), and no 2q x 2q matrix.
         """
         ones = np.ones(self.num_coef)
         shift = np.concatenate(
             [
-                self.lam_banded1.matvec(ones) - self.cross(ones),
-                self.cross(ones, transpose=True) - self.lam_banded2.matvec(ones),
+                _block_matmul(self.Lam1, ones) - self.cross(ones),
+                self.cross(ones, transpose=True) - _block_matmul(self.Lam2, ones),
             ]
         )
         abs_C = np.abs(self.C_blocks)
         row_sums = np.concatenate(
             [
-                _abs_row_sums(self.lam_banded1) + abs_C.sum(axis=2).ravel(),
-                _abs_row_sums(self.lam_banded2) + abs_C.sum(axis=1).ravel(),
+                np.abs(self.Lam1).sum(axis=2).ravel() + abs_C.sum(axis=2).ravel(),
+                np.abs(self.Lam2).sum(axis=2).ravel() + abs_C.sum(axis=1).ravel(),
             ]
         )
         floor = shift.size * np.finfo(float).eps * float(row_sums.max())
@@ -342,9 +350,7 @@ class NormalEquations:
 
     def stacked_matrix(self) -> np.ndarray:
         """The 2q x 2q penalized normal-equation matrix, i.e. the Hessian H1 + H2."""
-        return np.block(
-            [[self.lam_banded1.to_dense(), self.C], [self.C.T, self.lam_banded2.to_dense()]]
-        )
+        return np.block([[self.Lam1[0], self.C], [self.C.T, self.Lam2[0]]])
 
     def stacked_solve(self, rhs: np.ndarray, consequence: str) -> np.ndarray:
         """The stacked matrix's solution for `rhs`, a vector or a block of columns.
@@ -365,11 +371,6 @@ class NormalEquations:
 # Multiple of eps (y'y + 2|b'u| + |b'Gb|) taken as the rounding error of
 # `NormalEquations.rss_estimate`.
 _RSS_ROUNDING = 16.0
-
-
-def _abs_row_sums(A: BandedMatrix) -> np.ndarray:
-    """Row sums of |A| for a symmetric banded A."""
-    return BandedMatrix(A.size, A.bandwidth, np.abs(A.bands), A.blocks).matvec(np.ones(A.size))
 
 
 def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
@@ -491,9 +492,15 @@ def univariate_penalized(
 
     At lam = 0, columns without data are pinned to zero (see _PinnedCholesky).
     """
+    if lam < 0:
+        raise ValueError(f"penalty weight must be >= 0, got {lam}")
+    if Q.size != X.config.num_basis:
+        raise ValueError(f"penalty size {Q.size} != basis size {X.config.num_basis}")
+    _check_penalty(Q)
     y = np.asarray(y, dtype=float).ravel()
-    lam_band = penalized_gram(gram_banded(X), lam, Q)
-    b = _PinnedCholesky(lam_band).solve(X.rmatvec(y))
+    G = gram_banded(X)
+    lam_stack = BandedMatrix(G.stack + lam * Q.values, max(G.bandwidth, Q.order))
+    b = _PinnedCholesky(lam_stack).solve(X.rmatvec(y))
     out = design_matrix(X.config, x).matvec(b)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 

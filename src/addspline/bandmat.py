@@ -1,15 +1,17 @@
-"""Symmetric banded matrices and their factorization.
+"""Symmetric block diagonal matrices of a known bandwidth, and their factors.
 
-Storage is the lower band form: `bands[d, j] = A[j + d, j]` for diagonals
-d = 0..w, zero-padded past the matrix edge, so a product with a band costs
-O(q w) and an n x n smoother matrix never needs to exist.  A matrix may be
-block diagonal (`blocks` equal diagonal blocks, the systems of independent
-designs side by side); its band is then zero past the edge of each block.
+A matrix here is block diagonal with `blocks` equal diagonal blocks (the
+systems of independent designs side by side), and each block is zero more
+than `bandwidth` places off its diagonal.  It is stored as the dense stack of
+its diagonal blocks, shape (blocks, m, m), so every product with it is one
+batched matrix product (`_block_matmul`), the same product for every block.
+The blocks are small: one is q x q with q = K + p basis functions.  The
+chunked Gram accumulators add up the p + 1 lower bands of X'X
+(`DesignChunk.gram_bands`), and `BandedMatrix.from_bands` scatters those into
+the stack once.
 
-The systems solved here are small: one block is q x q with q = K + p basis
-functions.  `BandedCholesky` factors each block densely with numpy's
-Cholesky and keeps each block's inverse, so that every solve is one batched
-matrix product, the same product for every block.
+`BandedCholesky` factors each block densely with numpy's Cholesky and keeps
+each block's inverse, so that every solve is one batched matrix product too.
 """
 
 from __future__ import annotations
@@ -19,98 +21,70 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DesignMatrix
-from .penalty import PenaltyMatrix
 
 __all__ = [
     "BandedMatrix",
     "BandedCholesky",
     "NotPositiveDefiniteError",
     "gram_banded",
-    "penalized_gram",
 ]
 
 
 class NotPositiveDefiniteError(Exception):
-    """A banded (or dense) Cholesky factorization met a nonpositive pivot."""
+    """A Cholesky factorization met a nonpositive pivot."""
 
 
 @dataclass(frozen=True)
 class BandedMatrix:
-    """Symmetric q x q matrix stored as its lower band.
+    """Symmetric block diagonal matrix of bandwidth `bandwidth`, stored as the
+    stack of its diagonal blocks, shape (blocks, m, m); its size is blocks m."""
 
-    With `blocks` > 1 the matrix is block diagonal with that many blocks of
-    size q / blocks, and the band holds zeros past the edge of each block.
-    """
-
-    size: int
+    stack: np.ndarray
     bandwidth: int
-    bands: np.ndarray  # shape (bandwidth + 1, size)
-    blocks: int = 1
 
     def __post_init__(self) -> None:
-        w1, q = self.bands.shape
-        if q != self.size or w1 != self.bandwidth + 1:
-            raise ValueError(
-                f"band storage shape {self.bands.shape} inconsistent with "
-                f"size={self.size}, bandwidth={self.bandwidth}"
-            )
-        if self.blocks < 1 or self.size % self.blocks:
-            raise ValueError(f"size {self.size} does not split into {self.blocks} blocks")
+        if self.stack.ndim != 3 or self.stack.shape[1] != self.stack.shape[2]:
+            raise ValueError(f"block stack shape {self.stack.shape} is not (blocks, m, m)")
+
+    @property
+    def blocks(self) -> int:
+        return self.stack.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.stack.shape[0] * self.stack.shape[1]
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, bandwidth: int) -> "BandedMatrix":
-        q = dense.shape[0]
-        bands = np.zeros((bandwidth + 1, q))
-        for d in range(bandwidth + 1):
-            bands[d, : q - d] = np.diagonal(dense, -d)
-        out = cls(size=q, bandwidth=bandwidth, bands=bands)
-        # only the lower band was read; reject input it cannot represent
-        gap = np.abs(out.to_dense() - dense).max()
-        if gap > 1e-12 * (1.0 + np.abs(dense).max()):
-            raise ValueError(
-                f"matrix is not symmetric within bandwidth {bandwidth} "
-                f"(worst dropped entry {gap:.3e})"
-            )
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        q, w = self.size, self.bandwidth
-        A = np.zeros((q, q))
-        for d in range(w + 1):
-            idx = np.arange(q - d)
-            A[idx + d, idx] = self.bands[d, : q - d]
-            if d:
-                A[idx, idx + d] = self.bands[d, : q - d]
-        return A
-
-    def block_stack(self) -> np.ndarray:
-        """The diagonal blocks as one dense array, shape (blocks, m, m), m = size / blocks."""
-        m = self.size // self.blocks
-        out = np.zeros((self.blocks, m, m))
+    def from_bands(cls, bands: np.ndarray, blocks: int = 1) -> "BandedMatrix":
+        """The matrix of lower bands `bands[d, j] = A[j + d, j]`, shape
+        (bandwidth + 1, size), split into `blocks` diagonal blocks; the bands
+        past the edge of each block are not read."""
+        w, size = bands.shape[0] - 1, bands.shape[1]
+        if size % blocks:
+            raise ValueError(f"size {size} does not split into {blocks} blocks")
+        m = size // blocks
+        out = np.zeros((blocks, m, m))
         idx = np.arange(m)
-        for d in range(min(self.bandwidth, m - 1) + 1):
-            band = self.bands[d].reshape(self.blocks, m)[:, : m - d]
+        for d in range(min(w, m - 1) + 1):
+            band = bands[d].reshape(blocks, m)[:, : m - d]
             out[:, idx[d:], idx[: m - d]] = band
             out[:, idx[: m - d], idx[d:]] = band
-        return out
+        return cls(stack=out, bandwidth=w)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A v for a vector or a q x k block v."""
-        q, w = self.size, self.bandwidth
-        bands = self.bands if np.ndim(v) == 1 else self.bands[:, :, None]
-        out = bands[0] * v
-        for d in range(1, w + 1):
-            out[d:] += bands[d, : q - d] * v[: q - d]
-            out[: q - d] += bands[d, : q - d] * v[d:]
-        return out
+    def to_dense(self) -> np.ndarray:
+        """The q x q matrix, for a matrix of one block."""
+        if self.blocks != 1:
+            raise ValueError(f"a matrix of {self.blocks} blocks is its stack")
+        return self.stack[0]
 
-    def add(self, other: "BandedMatrix", scale: float = 1.0) -> "BandedMatrix":
-        """self + scale * other, widening the band as needed."""
-        w = max(self.bandwidth, other.bandwidth)
-        bands = np.zeros((w + 1, self.size))
-        bands[: self.bandwidth + 1] = self.bands
-        bands[: other.bandwidth + 1] += scale * other.bands
-        return BandedMatrix(size=self.size, bandwidth=w, bands=bands, blocks=self.blocks)
+
+def _block_matmul(stack: np.ndarray, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A v, or A' v, for the block diagonal A of the square blocks `stack`
+    (blocks, m, m) and a vector or a block of columns v of blocks m rows, or
+    v of shape (blocks, m, k), its rows block by block."""
+    A = stack.swapaxes(1, 2) if transpose else stack
+    blocks, m, _ = A.shape
+    return (A @ v.reshape(blocks, m, -1)).reshape(v.shape)
 
 
 class BandedCholesky:
@@ -124,8 +98,8 @@ class BandedCholesky:
     """
 
     def __init__(self, matrix: BandedMatrix):
-        self.matrix = matrix
-        A = matrix.block_stack()
+        self.size = matrix.size
+        A = matrix.stack
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
@@ -138,12 +112,11 @@ class BandedCholesky:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs for a vector or a q x k block rhs."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.matrix.size:
+        if rhs.shape[0] != self.size:
             raise ValueError(
-                f"right-hand side has {rhs.shape[0]} rows, the matrix {self.matrix.size}"
+                f"right-hand side has {rhs.shape[0]} rows, the matrix {self.size}"
             )
-        blocks, m, _ = self.inverse.shape
-        return (self.inverse @ rhs.reshape(blocks, m, -1)).reshape(rhs.shape)
+        return _block_matmul(self.inverse, rhs)
 
 
 def _triangular_inverse(L: np.ndarray, bandwidth: int) -> np.ndarray:
@@ -190,33 +163,11 @@ def _factors(block: np.ndarray) -> bool:
 
 
 def gram_banded(X: DesignMatrix, weights: np.ndarray | None = None) -> BandedMatrix:
-    """X'X, or X' diag(weights) X, as a banded matrix of bandwidth p.
+    """X'X, or X' diag(weights) X, as a matrix of bandwidth p.
 
     Basis functions more than p indices apart never share support, so every
-    out-of-band entry of the dense Gram matrix is an exact zero and the band
-    stores it without loss.  A block diagonal design gives a block diagonal
-    matrix of as many blocks.
+    entry of X'X outside the band is an exact zero: the chunks add up the
+    p + 1 bands alone, and the stack is built from them once.  A block
+    diagonal design gives a block diagonal matrix of as many blocks.
     """
-    return BandedMatrix(
-        size=X.cols, bandwidth=X.config.degree, bands=X.gram_bands(weights), blocks=X.blocks
-    )
-
-
-def penalized_gram(gram: BandedMatrix, lam: float, Q: PenaltyMatrix) -> BandedMatrix:
-    """X'X + lam * Q_m, bandwidth max(p, m).
-
-    With `gram.blocks` > 1, X'X is block diagonal and each block gets
-    lam * Q_m: the penalty band is tiled, and its zero padding past the edge
-    of each block keeps the sum block diagonal.
-    """
-    if lam < 0:
-        raise ValueError(f"penalty weight must be >= 0, got {lam}")
-    if Q.size * gram.blocks != gram.size:
-        raise ValueError(
-            f"size mismatch: gram {gram.size}, penalty {Q.size} x {gram.blocks}"
-        )
-    Qb = BandedMatrix(
-        size=gram.size, bandwidth=Q.order, bands=np.tile(Q.bands, gram.blocks),
-        blocks=gram.blocks,
-    )
-    return gram.add(Qb, scale=lam)
+    return BandedMatrix.from_bands(X.gram_bands(weights), X.blocks)

@@ -10,13 +10,17 @@ A design is lazy: a `DesignMatrix` holds its covariate values, and each
 product evaluates the basis one chunk of rows at a time (`DesignChunk`).  Each
 point lies in one knot interval, where only p + 1 consecutive functions are
 non-zero, so a chunk keeps the first non-zero column and those p + 1 values
-per row.  Every product the estimator needs (the banded Gram matrix, the
-cross-product of two designs, X'y and Xb) is added up over chunks in
-O(n p^2) time and O(chunk p) memory, so no n-row array of basis values
-exists on the fit path; the compact rows of all points and the dense n x q
-matrix are built only on request, as the `first`, `vals` and `values` views.
-Several designs stacked block diagonally (`DesignMatrix.block_diagonal`)
-share all of these products, one block per design.
+per row.  Every product the estimator needs is added up over chunks in
+O(n p^2) time and O(chunk p) memory: the p + 1 lower bands of the Gram
+matrix X'X (the rest of it is exactly zero), the dense q x q diagonal blocks
+of the cross-product X_1'X_2 of two designs, X'y and Xb.  The normal
+equations scatter the Gram bands once into the dense per-block stacks that
+every solve and product then uses (`bandmat.BandedMatrix.from_bands`).  No
+n-row array of basis values exists on the fit path; the compact rows of all
+points and the dense n x q matrix are built only on request, as the `first`,
+`vals` and `values` views.  Several designs stacked block diagonally
+(`DesignMatrix.block_diagonal`) share all of these products, one block per
+design.
 """
 
 from __future__ import annotations
@@ -228,30 +232,11 @@ class DesignMatrix:
         rows each: block b's rows move to columns b q .. b q + q - 1.
 
         Every product of the result is block diagonal, with exact zeros off
-        the blocks, so one banded system serves all blocks at once.
+        the blocks, so one block diagonal system serves all blocks at once.
         """
         if self.rows % blocks:
             raise ValueError(f"{self.rows} rows do not split into {blocks} blocks")
         return replace(self, blocks=blocks)
-
-    def cross(self, other: "DesignMatrix") -> np.ndarray:
-        """X'Z for a design Z on the same points, dense shape (cols, other.cols)."""
-        return self.block_cross(other)[0]
-
-    def block_cross(self, other: "DesignMatrix") -> np.ndarray:
-        """The diagonal blocks of X'Z for block diagonal designs X and Z of as
-        many blocks on the same points (see `block_diagonal`), shape
-        (blocks, q, q') for q and q' basis functions; the rest of X'Z is zero.
-        """
-        if (other.rows, other.blocks) != (self.rows, self.blocks):
-            raise ValueError(
-                f"row mismatch: {self.rows} rows in {self.blocks} blocks and "
-                f"{other.rows} in {other.blocks}"
-            )
-        out = np.zeros((self.blocks, self.config.num_basis, other.config.num_basis))
-        for (_, chunk), (_, other_chunk) in zip(self.chunks(), other.chunks()):
-            chunk.block_cross(other_chunk, out)
-        return out
 
 
 def make_knots(degree: int, num_intervals: int) -> SplineConfig:

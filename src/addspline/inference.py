@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .backfit import AdditiveDesign, BackfitResult
-from .bandmat import BandedMatrix, gram_banded
+from .bandmat import BandedMatrix, _block_matmul, gram_banded
 from .basis import SplineConfig, design_matrix, eval_grid
 
 __all__ = [
@@ -109,14 +109,14 @@ class StageSmoother:
         shift = (ones @ A[:, :q] - ones @ A[:, q:]) / (2 * q)
         A[:, :q] -= shift
         A[:, q:] += shift
-        A1, A2 = A[:, :q].reshape(blocks * q, 2 * m), A[:, q:].reshape(blocks * q, 2 * m)
+        A1, A2 = A[:, :q], A[:, q:]
         GA = np.empty_like(A)
-        G = eq.gram1.matvec(A1)
+        G = _block_matmul(eq.G1, A1)
         G += eq.cross(A2)
-        GA[:, :q] = G.reshape(blocks, q, 2 * m)
+        GA[:, :q] = G
         G = eq.cross(A1, transpose=True)
-        G += eq.gram2.matvec(A2)
-        GA[:, q:] = G.reshape(blocks, q, 2 * m)
+        G += _block_matmul(eq.G2, A2)
+        GA[:, q:] = G
         # per block and row i: P[a, b] = a_a' G a_b over the 2q coefficients,
         # a_0 and a_1 the weights of f_hat_1 and f_hat_2 at row i
         A, GA = A.reshape(blocks, 2 * q, 2, m), GA.reshape(blocks, 2 * q, 2, m)

@@ -8,7 +8,6 @@ degree-(m-1) polynomial sequences, so constants (m >= 1) are never penalized.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -28,19 +27,6 @@ class PenaltyMatrix:
     def quad_form(self, b: np.ndarray) -> float:
         """Penalty value b' Q_m b."""
         return float(b @ self.values @ b)
-
-    @functools.cached_property
-    def bands(self) -> np.ndarray:
-        """Lower band form of Q_m, `bands[d, j] = Q[j + d, j]`, shape (order + 1, size).
-
-        Raises ValueError when the values are not symmetric within bandwidth
-        `order` (see `BandedMatrix.from_dense`).
-        """
-        from .bandmat import BandedMatrix  # bandmat imports this module
-
-        bands = BandedMatrix.from_dense(self.values, self.order).bands
-        bands.setflags(write=False)  # cached: every caller shares it
-        return bands
 
 
 def difference_matrix(order: int, size: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from addspline.backfit import NormalEquations, _PinnedCholesky
 from addspline.bandmat import BandedMatrix
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
-from addspline.penalty import difference_matrix
+from addspline.penalty import PenaltyMatrix, difference_matrix
 
 
 class TestTuningRules:
@@ -99,6 +99,34 @@ class TestDesignValidation:
         y, x1, x2 = sim_xy(50, seed=3)
         with pytest.raises(ValueError):
             build_design(y, x1, x2, num_intervals=6, lambda1=-1.0, lambda2=1.0)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[(0, 1, 0.5)], [(0, 3, 0.5), (3, 0, 0.5)]],
+        ids=["asymmetric", "wider_than_its_order"],
+    )
+    def test_penalty_outside_its_bandwidth(self, entries):
+        # the factors' inverses take Lam_j to lie within bandwidth
+        # max(p, order): a penalty that breaks it is rejected where a system
+        # is built, though PenaltyMatrix itself stays unvalidated
+        y, x1, x2 = sim_xy(50, seed=3)
+        cfg = make_knots(3, 6)
+        values = penalty_matrix(2, cfg.num_basis).values.copy()
+        for i, j, v in entries:
+            values[i, j] += v
+        Q = PenaltyMatrix(order=2, size=cfg.num_basis, values=values)
+        d = AdditiveDesign(
+            y=y,
+            X1=design_matrix(cfg, x1),
+            X2=design_matrix(cfg, x2),
+            lambda1=1.0,
+            lambda2=1.0,
+            penalty=Q,
+        )
+        with pytest.raises(ValueError, match="not symmetric within bandwidth 2"):
+            d.normal_equations
+        with pytest.raises(ValueError, match="not symmetric within bandwidth 2"):
+            univariate_penalized(d.X1, y, 1.0, Q, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_response_names_y_and_row(self, bad):
@@ -209,8 +237,8 @@ def _statistics(design):
     q = design.num_coef
     b = np.linspace(-1.0, 1.0, 2 * q)
     return {
-        "G1": eq.gram1.bands,
-        "G2": eq.gram2.bands,
+        "G1": eq.G1,
+        "G2": eq.G2,
         "C_blocks": eq.C_blocks,
         "u1": eq.u1,
         "u2": eq.u2,
@@ -263,11 +291,9 @@ class TestChunkedStatistics:
             alone = _statistics(build_design(y[rows], x1[rows], x2[rows], num_intervals=9,
                                              lambda1=1.0, lambda2=1.0))
             cols = slice(b * q, (b + 1) * q)
-            for name in ("G1", "G2"):
-                gap = np.abs(whole[name][:, cols] - alone[name]).max()
+            for name in ("G1", "G2", "C_blocks"):
+                gap = np.abs(whole[name][b] - alone[name][0]).max()
                 assert gap <= 1e-13 * np.abs(alone[name]).max(), name
-            gap = np.abs(whole["C_blocks"][b] - alone["C_blocks"][0]).max()
-            assert gap <= 1e-13 * np.abs(alone["C_blocks"]).max()
             for name in ("u1", "u2"):
                 gap = np.abs(whole[name][cols] - alone[name]).max()
                 assert gap <= 1e-13 * np.abs(alone[name]).max(), name
@@ -328,16 +354,16 @@ class TestPinnedColumns:
         # 1e20 times larger and a ridged block: each block pins its own
         # data-free columns, whatever the scale of the others, and solves
         # bit for bit as it does alone
-        zero = ozone_design(0.0).normal_equations.lam_banded1
-        ridged = ozone_design(1.0).normal_equations.lam_banded1
-        parts = [zero, BandedMatrix(zero.size, zero.bandwidth, 1e20 * zero.bands), ridged]
-        q, w = zero.size, zero.bandwidth
-        L = _PinnedCholesky(BandedMatrix(3 * q, w, np.hstack([m.bands for m in parts]), 3))
+        zero = ozone_design(0.0).normal_equations.Lam1
+        ridged = ozone_design(1.0).normal_equations.Lam1
+        parts = [zero, 1e20 * zero, ridged]
+        q, w = zero.shape[1], 3
+        L = _PinnedCholesky(BandedMatrix(np.concatenate(parts), w))
         assert L.pinned.tolist() == [0, 1, 2, 3, 4, q, q + 1, q + 2, q + 3, q + 4]
         rhs = np.random.default_rng(4).normal(size=(3 * q, 2))
         got = L.solve(rhs)
         for i, m in enumerate(parts):
-            alone = _PinnedCholesky(m).solve(rhs[i * q : (i + 1) * q])
+            alone = _PinnedCholesky(BandedMatrix(m, w)).solve(rhs[i * q : (i + 1) * q])
             assert np.array_equal(got[i * q : (i + 1) * q], alone)
 
 
@@ -353,8 +379,8 @@ class TestIllConditionedSolve:
         # cond(A) eps of np.linalg.solve (measured 2.9e-9)
         eq = ozone_design(1e-6).normal_equations
         rng = np.random.default_rng(8)
-        for L, lam in ((eq.L1, eq.lam_banded1), (eq.L2, eq.lam_banded2)):
-            A = lam.to_dense()
+        for L, lam in ((eq.L1, eq.Lam1), (eq.L2, eq.Lam2)):
+            A = lam[0]
             cond = np.linalg.cond(A)
             assert cond > 1e7
             norm = np.linalg.norm(A, 2)

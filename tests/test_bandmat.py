@@ -1,15 +1,23 @@
-"""Banded symmetric storage, Cholesky solves, Gram assembly."""
+"""Block stacks of symmetric matrices, Cholesky solves, Gram assembly, and
+the stacks of the normal equations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from addspline.backfit import _PinnedCholesky
+from addspline.backfit import (
+    AdditiveDesign,
+    _PinnedCholesky,
+    lambda_rule,
+    univariate_penalized,
+)
 from addspline.bandmat import (
     BandedCholesky,
     BandedMatrix,
     NotPositiveDefiniteError,
+    _block_matmul,
     gram_banded,
-    penalized_gram,
 )
 from addspline.basis import design_matrix, make_knots
 from addspline.penalty import penalty_matrix
@@ -27,59 +35,55 @@ def random_banded_spd(rng, size, bandwidth):
     return dense
 
 
+def lower_bands(dense, bandwidth):
+    """`bands[d, j] = dense[j + d, j]`, zero past the edge."""
+    q = dense.shape[0]
+    bands = np.zeros((bandwidth + 1, q))
+    for d in range(bandwidth + 1):
+        bands[d, : q - d] = np.diagonal(dense, -d)
+    return bands
+
+
+def block_diag(stack):
+    blocks, m, _ = stack.shape
+    out = np.zeros((blocks * m, blocks * m))
+    for b, A in enumerate(stack):
+        out[b * m : (b + 1) * m, b * m : (b + 1) * m] = A
+    return out
+
+
 class TestStorage:
     def test_round_trip(self):
+        # the lower bands of each block, side by side, scatter back into the
+        # stack of the blocks
         rng = np.random.default_rng(0)
-        for size, bw in [(5, 0), (8, 2), (12, 5)]:
-            dense = random_banded_spd(rng, size, bw)
-            B = BandedMatrix.from_dense(dense, bw)
-            assert B.size == size
-            assert B.bandwidth == bw
-            assert np.array_equal(B.to_dense(), dense)
-
-    def test_from_dense_rejects_out_of_band(self):
-        dense = np.eye(6)
-        dense[0, 3] = dense[3, 0] = 0.5
-        with pytest.raises(ValueError):
-            BandedMatrix.from_dense(dense, 2)
-
-    def test_from_dense_rejects_asymmetric(self):
-        dense = np.eye(4)
-        dense[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            BandedMatrix.from_dense(dense, 1)
+        for blocks, size, bw in [(1, 5, 0), (1, 8, 2), (1, 12, 5), (3, 7, 2), (2, 4, 3)]:
+            dense = np.stack([random_banded_spd(rng, size, bw) for _ in range(blocks)])
+            B = BandedMatrix.from_bands(np.hstack([lower_bands(A, bw) for A in dense]), blocks)
+            assert (B.size, B.blocks, B.bandwidth) == (blocks * size, blocks, bw)
+            assert np.array_equal(B.stack, dense)
+            if blocks == 1:
+                assert np.array_equal(B.to_dense(), dense[0])
+            else:
+                with pytest.raises(ValueError, match="blocks"):
+                    B.to_dense()
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            BandedMatrix(size=4, bandwidth=2, bands=np.zeros((2, 4)))
+        for shape in [(4, 4), (2, 3, 4)]:
+            with pytest.raises(ValueError):
+                BandedMatrix(np.zeros(shape), 1)
+        with pytest.raises(ValueError, match="does not split"):
+            BandedMatrix.from_bands(np.zeros((2, 7)), blocks=2)
 
     def test_matvec_matches_dense(self):
+        # the one batched product: A v and A' v, block by block
         rng = np.random.default_rng(1)
-        dense = random_banded_spd(rng, 10, 3)
-        B = BandedMatrix.from_dense(dense, 3)
-        for _ in range(4):
-            v = rng.normal(size=10)
-            assert np.allclose(B.matvec(v), dense @ v, atol=1e-12)
-
-    def test_add_widens_band(self):
-        rng = np.random.default_rng(2)
-        A = random_banded_spd(rng, 9, 1)
-        C = random_banded_spd(rng, 9, 4)
-        BA = BandedMatrix.from_dense(A, 1)
-        BC = BandedMatrix.from_dense(C, 4)
-        out = BA.add(BC, scale=2.5)
-        assert out.bandwidth == 4
-        assert np.allclose(out.to_dense(), A + 2.5 * C, atol=1e-12)
-        # the other order narrows nothing
-        out2 = BC.add(BA)
-        assert out2.bandwidth == 4
-        assert np.allclose(out2.to_dense(), A + C, atol=1e-12)
-
-    def test_add_size_mismatch(self):
-        A = BandedMatrix.from_dense(np.eye(4), 0)
-        B = BandedMatrix.from_dense(np.eye(5), 0)
-        with pytest.raises(ValueError):
-            A.add(B)
+        for blocks, size in [(1, 10), (3, 6)]:
+            stack = rng.normal(size=(blocks, size, size))
+            dense = block_diag(stack)
+            for v in (rng.normal(size=blocks * size), rng.normal(size=(blocks * size, 3))):
+                assert np.allclose(_block_matmul(stack, v), dense @ v, atol=1e-12)
+                assert np.allclose(_block_matmul(stack, v, transpose=True), dense.T @ v, atol=1e-12)
 
 
 class TestCholesky:
@@ -87,7 +91,7 @@ class TestCholesky:
         rng = np.random.default_rng(3)
         for size, bw in [(6, 1), (15, 4), (30, 6)]:
             dense = random_banded_spd(rng, size, bw)
-            chol = BandedCholesky(BandedMatrix.from_dense(dense, bw))
+            chol = BandedCholesky(BandedMatrix(dense[None], bw))
             rhs = rng.normal(size=size)
             assert np.allclose(chol.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-9)
             rhs2 = rng.normal(size=(size, 3))
@@ -108,9 +112,10 @@ class TestCholesky:
                     cols = rng.choice(size, size=2, replace=False)
                     dense[b][cols, :] = dense[b][:, cols] = 0.0
                     pinned += (b * size + np.sort(cols)).tolist()
-            bands = np.hstack([BandedMatrix.from_dense(A, bw).bands for A in dense])
-            chol = _PinnedCholesky(BandedMatrix(blocks * size, bw, bands, blocks))
+            stack = np.stack(dense)
+            chol = _PinnedCholesky(BandedMatrix(stack, bw))
             assert chol.pinned.tolist() == pinned
+            assert np.array_equal(stack, np.stack(dense))  # the input is not changed
             for rhs in (
                 rng.normal(size=blocks * size),
                 rng.normal(size=(blocks * size, 2)),
@@ -132,19 +137,17 @@ class TestCholesky:
         # the factor of that block alone does
         rng = np.random.default_rng(12)
         for blocks, size, bw in [(8, 35, 3), (3, 16, 3), (5, 7, 2)]:
-            parts = [BandedMatrix.from_dense(random_banded_spd(rng, size, bw), bw)
-                     for _ in range(blocks)]
-            whole = BandedCholesky(
-                BandedMatrix(blocks * size, bw, np.hstack([m.bands for m in parts]), blocks)
-            )
+            parts = [random_banded_spd(rng, size, bw) for _ in range(blocks)]
+            whole = BandedCholesky(BandedMatrix(np.stack(parts), bw))
             for rhs in (rng.normal(size=blocks * size), rng.normal(size=(blocks * size, 2))):
                 got = whole.solve(rhs)
-                for b, m in enumerate(parts):
+                for b, A in enumerate(parts):
                     rows = slice(b * size, (b + 1) * size)
-                    assert np.array_equal(got[rows], BandedCholesky(m).solve(rhs[rows]))
+                    alone = BandedCholesky(BandedMatrix(A[None], bw)).solve(rhs[rows])
+                    assert np.array_equal(got[rows], alone)
 
     def test_solve_rejects_a_wrong_row_count(self):
-        chol = BandedCholesky(BandedMatrix.from_dense(np.eye(6) * 2.0, 1))
+        chol = BandedCholesky(BandedMatrix(np.eye(6)[None] * 2.0, 1))
         for rhs in (np.ones(5), np.ones((7, 2))):
             with pytest.raises(ValueError, match="rows"):
                 chol.solve(rhs)
@@ -152,22 +155,21 @@ class TestCholesky:
     def test_not_positive_definite(self):
         dense = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            BandedCholesky(BandedMatrix.from_dense(dense, 0))
+            BandedCholesky(BandedMatrix(dense[None], 0))
 
     def test_exactly_singular(self):
         dense = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            BandedCholesky(BandedMatrix.from_dense(dense, 0))
+            BandedCholesky(BandedMatrix(dense[None], 0))
 
     def test_failure_names_the_leading_minor_of_the_whole_matrix(self):
         # the order counts over all blocks, as LAPACK's banded factor reported it
         dense = np.diag([1.0, 2.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match="^3-th leading minor not positive"):
-            BandedCholesky(BandedMatrix.from_dense(dense, 0))
+            BandedCholesky(BandedMatrix(dense[None], 0))
         good, bad = np.eye(4) * 2.0, np.diag([1.0, 0.0, 1.0, 1.0])
-        bands = np.hstack([BandedMatrix.from_dense(A, 1).bands for A in (good, bad)])
         with pytest.raises(NotPositiveDefiniteError, match="^6-th leading minor not positive"):
-            BandedCholesky(BandedMatrix(8, 1, bands, blocks=2))
+            BandedCholesky(BandedMatrix(np.stack([good, bad]), 1))
 
 
 class TestGram:
@@ -178,6 +180,11 @@ class TestGram:
         G = gram_banded(X)
         assert G.bandwidth == 3
         assert np.allclose(G.to_dense(), X.values.T @ X.values, atol=1e-12)
+        Gb = gram_banded(X.block_diagonal(4))
+        assert Gb.blocks == 4
+        for b in range(4):
+            rows = X.values[20 * b : 20 * (b + 1)]
+            assert np.allclose(Gb.stack[b], rows.T @ rows, atol=1e-12)
 
     def test_out_of_band_entries_exactly_zero(self):
         # supports of B_k and B_h are disjoint when |k - h| > degree
@@ -190,21 +197,92 @@ class TestGram:
             assert np.all(dense[np.abs(i - j) > degree] == 0.0)
 
     def test_penalized_gram(self):
+        # Lam_j = X_j'X_j + lam Q_m block by block, exactly zero more than
+        # max(p, m) places off the diagonal
         rng = np.random.default_rng(7)
-        cfg = make_knots(3, 9)
-        X = design_matrix(cfg, 1.0 - rng.random(60))
-        Q = penalty_matrix(2, cfg.num_basis)
-        G = gram_banded(X)
-        A = penalized_gram(G, 1.7, Q)
-        assert A.bandwidth == 3
-        assert np.allclose(A.to_dense(), X.values.T @ X.values + 1.7 * Q.values, atol=1e-12)
+        cfg = make_knots(2, 9)
+        Q = penalty_matrix(3, cfg.num_basis)
+        for blocks in (1, 3):
+            X1, X2 = (design_matrix(cfg, 1.0 - rng.random(60 * blocks)) for _ in "12")
+            d = AdditiveDesign(
+                y=rng.normal(size=60 * blocks),
+                X1=X1.block_diagonal(blocks),
+                X2=X2.block_diagonal(blocks),
+                lambda1=1.7,
+                lambda2=0.0,
+                penalty=Q,
+                blocks=blocks,
+            )
+            eq = d.normal_equations
+            i, j = np.indices(Q.values.shape)
+            for b in range(blocks):
+                for Lam, X, lam in ((eq.Lam1, X1, 1.7), (eq.Lam2, X2, 0.0)):
+                    rows = X.values[60 * b : 60 * (b + 1)]
+                    assert np.allclose(Lam[b], rows.T @ rows + lam * Q.values, atol=1e-12)
+                    assert np.all(Lam[b][np.abs(i - j) > 3] == 0.0)
 
     def test_penalized_gram_validation(self):
         rng = np.random.default_rng(8)
         cfg = make_knots(3, 9)
-        G = gram_banded(design_matrix(cfg, 1.0 - rng.random(30)))
+        X = design_matrix(cfg, 1.0 - rng.random(30))
+        y = rng.normal(size=30)
         Q = penalty_matrix(2, cfg.num_basis)
-        with pytest.raises(ValueError):
-            penalized_gram(G, -0.5, Q)
-        with pytest.raises(ValueError):
-            penalized_gram(G, 1.0, penalty_matrix(2, cfg.num_basis + 1))
+        with pytest.raises(ValueError, match="penalty weight"):
+            univariate_penalized(X, y, -0.5, Q, 0.5)
+        with pytest.raises(ValueError, match="penalty size"):
+            univariate_penalized(X, y, 1.0, penalty_matrix(2, cfg.num_basis + 1), 0.5)
+
+
+@st.composite
+def _stacked_designs(draw):
+    """A block diagonal additive design of 1 to 3 blocks of n points each,
+    some with K >= n, at lambda 0, 1e-6 or the default rule."""
+    n = draw(st.integers(5, 300))
+    K = draw(st.integers(1, 40))
+    degree, order = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    blocks = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([0.0, 1e-6, lambda_rule(n, K)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x1, x2 = 1.0 - rng.random(blocks * n), 1.0 - rng.random(blocks * n)
+    return n, K, degree, order, blocks, lam, rng.normal(size=blocks * n), x1, x2
+
+
+def _rel_gap(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+class TestNormalEquationStacks:
+    """Every per-component system is a stack of dense diagonal blocks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stacked_designs())
+    def test_blocks_match_the_dense_view(self, drawn):
+        n, K, degree, order, blocks, lam, y, x1, x2 = drawn
+        cfg = make_knots(degree, K)
+        q = cfg.num_basis
+        try:
+            Q = penalty_matrix(order, q)
+            d = AdditiveDesign(
+                y=y,
+                X1=design_matrix(cfg, x1).block_diagonal(blocks),
+                X2=design_matrix(cfg, x2).block_diagonal(blocks),
+                lambda1=lam,
+                lambda2=lam,
+                penalty=Q,
+                blocks=blocks,
+            )
+            eq = d.normal_equations
+        except (NotPositiveDefiniteError, ValueError):
+            return  # too few coefficients for the order, or rank deficient
+        D1, D2 = d.X1.values, d.X2.values
+        for b in range(blocks):
+            rows, cols = slice(b * n, (b + 1) * n), slice(b * q, (b + 1) * q)
+            X1b, X2b = D1[rows, cols], D2[rows, cols]
+            for G, Lam, X in ((eq.G1, eq.Lam1, X1b), (eq.G2, eq.Lam2, X2b)):
+                assert _rel_gap(G[b], X.T @ X) <= 1e-13
+                assert _rel_gap(Lam[b], X.T @ X + lam * Q.values) <= 1e-13
+            assert _rel_gap(eq.C_blocks[b], X1b.T @ X2b) <= 1e-13
+        if lam == 0.0:
+            rhs = np.random.default_rng(n).normal(size=(blocks * q, 2))
+            for L, pinned in zip((eq.L1, eq.L2), eq.pinned):
+                assert np.all(L.solve(rhs)[pinned] == 0.0)

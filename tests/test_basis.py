@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addspline import basis
+from addspline.backfit import AdditiveDesign, NormalEquations
 from addspline.bandmat import BandedMatrix
 from addspline.basis import (
     SplineConfig,
@@ -16,6 +17,7 @@ from addspline.basis import (
     eval_grid,
     make_knots,
 )
+from addspline.penalty import PenaltyMatrix
 
 
 class TestKnots:
@@ -211,6 +213,23 @@ def _designs(draw):
     return design_matrix(cfg, x1), design_matrix(cfg, x2)
 
 
+def _cross_blocks(X, Z):
+    """The diagonal blocks of X'Z, as the normal equations of an additive
+    design of X and Z hold them (`C_blocks`); a unit ridge keeps every factor
+    positive definite."""
+    q = X.config.num_basis
+    design = AdditiveDesign(
+        y=np.zeros(X.rows),
+        X1=X,
+        X2=Z,
+        lambda1=1.0,
+        lambda2=1.0,
+        penalty=PenaltyMatrix(order=0, size=q, values=np.eye(q)),
+        blocks=X.blocks,
+    )
+    return NormalEquations(design).C_blocks
+
+
 class TestCompactProducts:
     """The O(n p^2) products of the compact rows equal the dense products."""
 
@@ -224,11 +243,11 @@ class TestCompactProducts:
         A = np.abs(D)
         bands = X.gram_bands()
         assert bands.shape == (X.config.degree + 1, X.cols)
-        dense_gram = BandedMatrix(X.cols, X.config.degree, bands).to_dense()
+        dense_gram = BandedMatrix.from_bands(bands).to_dense()
         assert _rel_err(dense_gram, D.T @ D, A.T @ A) <= 1e-12
-        weighted = BandedMatrix(X.cols, X.config.degree, X.gram_bands(w)).to_dense()
+        weighted = BandedMatrix.from_bands(X.gram_bands(w)).to_dense()
         assert _rel_err(weighted, D.T @ (w[:, None] * D), A.T @ (w[:, None] * A)) <= 1e-12
-        assert _rel_err(X.cross(Z), D.T @ E, A.T @ np.abs(E)) <= 1e-12
+        assert _rel_err(_cross_blocks(X, Z)[0], D.T @ E, A.T @ np.abs(E)) <= 1e-12
         assert _rel_err(X.rmatvec(y), D.T @ y, A.T @ np.abs(y)) <= 1e-12
         assert _rel_err(X.matvec(b), D @ b, A @ np.abs(b)) <= 1e-12
 
@@ -263,24 +282,27 @@ class TestCompactProducts:
         assert len(list(X.chunks())) == 15
         y, b, w = rng.normal(size=99), rng.normal(size=X.cols), rng.random(99)
         D, E = X.values, Z.values
-        gram = BandedMatrix(X.cols, degree, X.gram_bands(w)).to_dense()
+        gram = BandedMatrix.from_bands(X.gram_bands(w)).to_dense()
         assert np.abs(gram - D.T @ (w[:, None] * D)).max() <= 1e-12
-        assert np.abs(X.cross(Z) - D.T @ E).max() <= 1e-12
+        assert np.abs(_cross_blocks(X, Z)[0] - D.T @ E).max() <= 1e-12
         assert np.abs(X.rmatvec(y) - D.T @ y).max() <= 1e-12
         assert np.abs(X.matvec(b) - D @ b).max() <= 1e-12
         Xb, Zb = X.block_diagonal(3), Z.block_diagonal(3)
         q = cfg.num_basis
+        crosses = _cross_blocks(Xb, Zb)
         for k in range(3):
             rows = slice(33 * k, 33 * (k + 1))
-            cross = Xb.block_cross(Zb)[k]
+            cross = crosses[k]
             assert np.abs(cross - D[rows].T @ E[rows]).max() <= 1e-12
             assert np.array_equal(Xb.values[rows, k * q : (k + 1) * q], D[rows])
         assert not {"first", "vals"} & set(X.__dict__)
 
     def test_cross_rejects_row_mismatch(self):
+        # the cross-product of two designs is built only for an additive
+        # design, which needs them on as many rows
         cfg = make_knots(2, 4)
         with pytest.raises(ValueError, match="row mismatch"):
-            design_matrix(cfg, [0.5]).cross(design_matrix(cfg, [0.5, 1.0]))
+            _cross_blocks(design_matrix(cfg, [0.5]), design_matrix(cfg, [0.5, 1.0]))
 
     @settings(max_examples=100, deadline=None)
     @given(_designs(), st.integers(1, 4))
@@ -297,7 +319,7 @@ class TestCompactProducts:
         assert np.array_equal(Xb.first, np.tile(X.first, blocks) + np.repeat(np.arange(blocks) * q, n))
         gram = X.gram_bands()
         assert np.array_equal(Xb.gram_bands(), np.tile(gram, blocks))
-        assert np.array_equal(Xb.block_cross(Zb), np.stack([X.cross(Z)] * blocks))
+        assert np.array_equal(_cross_blocks(Xb, Zb), np.tile(_cross_blocks(X, Z), (blocks, 1, 1)))
         assert np.array_equal(Xb.values[:n, :q], X.values)
         y = np.arange(n, dtype=float)
         assert np.array_equal(Xb.rmatvec(np.tile(y, blocks)), np.tile(X.rmatvec(y), blocks))
