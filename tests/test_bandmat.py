@@ -3,6 +3,7 @@ the stacks of the normal equations."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,14 +45,6 @@ def lower_bands(dense, bandwidth):
     return bands
 
 
-def block_diag(stack):
-    blocks, m, _ = stack.shape
-    out = np.zeros((blocks * m, blocks * m))
-    for b, A in enumerate(stack):
-        out[b * m : (b + 1) * m, b * m : (b + 1) * m] = A
-    return out
-
-
 class TestStorage:
     def test_round_trip(self):
         # the lower bands of each block, side by side, scatter back into the
@@ -80,7 +73,7 @@ class TestStorage:
         rng = np.random.default_rng(1)
         for blocks, size in [(1, 10), (3, 6)]:
             stack = rng.normal(size=(blocks, size, size))
-            dense = block_diag(stack)
+            dense = scipy.linalg.block_diag(*stack)
             for v in (rng.normal(size=blocks * size), rng.normal(size=(blocks * size, 3))):
                 assert np.allclose(_block_matmul(stack, v), dense @ v, atol=1e-12)
                 assert np.allclose(_block_matmul(stack, v, transpose=True), dense.T @ v, atol=1e-12)
