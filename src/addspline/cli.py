@@ -455,6 +455,8 @@ def cmd_simulate(args) -> int:
                 "ks_stat": summary.ks_stat.tolist(),
                 "coverage": summary.coverage.tolist(),
                 "runtime_seconds": summary.runtime_seconds,
+                "workers": summary.workers,
+                "block_seconds": list(summary.block_seconds),
             },
         )
         if args.svg:
@@ -486,6 +488,8 @@ def cmd_simulate(args) -> int:
                 "covariance": summary.covariance.tolist(),
                 "ks_stat": summary.ks_stat.tolist(),
                 "runtime_seconds": summary.runtime_seconds,
+                "workers": summary.workers,
+                "block_seconds": list(summary.block_seconds),
             },
         )
         if args.svg:

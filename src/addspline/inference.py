@@ -81,15 +81,14 @@ class StageSmoother:
         self.design = design
         self.stages = stages
 
-    def _weights(self, S: np.ndarray) -> np.ndarray:
-        """Coefficient weights of the 2q x k seed columns S in every block,
-        shape (blocks, 2q, k)."""
+    def _weights(self, seeds: list[np.ndarray]) -> np.ndarray:
+        """Coefficient weights of the seed columns `seeds` = [S1, S2] (q x k
+        each) in every block, shape (blocks, 2q, k).  The kernel takes the
+        seeds out of the list (`_coef_weights`)."""
         eq = self.design.normal_equations
-        q, blocks = S.shape[0] // 2, eq.blocks
-        S1, S2 = S[:q], S[q:]
-        if blocks > 1:
-            S1, S2 = np.tile(S1, (blocks, 1)), np.tile(S2, (blocks, 1))
-        return _coef_weights(eq, self.stages, S1, S2)
+        if eq.blocks > 1:
+            seeds[:] = [np.tile(S, (eq.blocks, 1)) for S in seeds]
+        return _coef_weights(eq, self.stages, seeds)
 
     def evaluate_rows(self, r1: np.ndarray, r2: np.ndarray):
         """Estimates of f_hat_1 at basis rows r1 = B(x1)' and f_hat_2 at r2
@@ -143,22 +142,24 @@ class StageSmoother:
         if j not in (1, 2):
             raise ValueError(f"component index must be 1 or 2, got {j}")
         r = design_matrix(self.design.X1.config, float(x)).values
-        S = _seeds(r, r)[:, j - 1 : j]
-        return _map_weights(self.design, self._weights(S)[:, :, 0])
+        seeds = [S[:, j - 1 : j] for S in _seeds(r, r)]
+        return _map_weights(self.design, self._weights(seeds)[:, :, 0])
 
 
-def _seeds(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Seed columns [[r1', 0], [0, r2']] of basis rows r1 (m1 x q) and r2
-    (m2 x q): f_hat_1 at the rows r1, then f_hat_2 at r2, shape (2q, m1 + m2)."""
+def _seeds(r1: np.ndarray, r2: np.ndarray) -> list[np.ndarray]:
+    """Seed columns [S1, S2] = [[r1', 0], [0, r2']] of basis rows r1 (m1 x q)
+    and r2 (m2 x q): f_hat_1 at the rows r1, then f_hat_2 at r2, each half of
+    shape (q, m1 + m2) in its own array."""
     (m1, q), m2 = r1.shape, r2.shape[0]
-    S = np.zeros((2 * q, m1 + m2))
-    S[:q, :m1] = r1.T
-    S[q:, m1:] = r2.T
-    return S
+    S1, S2 = np.zeros((q, m1 + m2)), np.zeros((q, m1 + m2))
+    S1[:, :m1] = r1.T
+    S2[:, m1:] = r2.T
+    return [S1, S2]
 
 
-def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray) -> np.ndarray:
-    """Coefficient weights of the seed columns (S1, S2), shape (blocks, 2q, k).
+def _coef_weights(eq, stages: int, seeds: list[np.ndarray]) -> np.ndarray:
+    """Coefficient weights of the seed columns `seeds` = [S1, S2], shape
+    (blocks, 2q, k).
 
     S1 and S2 hold q x k seeds per block, stacked block after block.  With
     (b1, b2) the coefficients after `stages` sweeps from b2 = 0, each seed
@@ -167,28 +168,35 @@ def _coef_weights(eq, stages: int, S1: np.ndarray, S2: np.ndarray) -> np.ndarray
     Lam_2 and one Lam_1 solve on k columns, with C and C' in between.  The
     pinned solves are symmetric, so they are their own adjoints.  Beyond 2q
     columns it is cheaper to sweep the 2q unit seeds and multiply by S.
+
+    The kernel takes the seeds out of the list, so that a caller that keeps
+    no other reference has them freed once the first stage has spent them.
     """
     blocks = eq.blocks
-    q, k = S1.shape[0] // blocks, S1.shape[1]
+    g1, g2 = seeds.pop(0), seeds.pop()
+    q, k = g1.shape[0] // blocks, g1.shape[1]
     if k > 2 * q:
         unit = np.eye(2 * q)
-        T = _coef_weights(eq, stages, np.tile(unit[:q], (blocks, 1)),
-                          np.tile(unit[q:], (blocks, 1)))
-        S = np.concatenate([S1.reshape(blocks, q, k), S2.reshape(blocks, q, k)], axis=1)
+        T = _coef_weights(eq, stages, [np.tile(unit[:q], (blocks, 1)),
+                                       np.tile(unit[q:], (blocks, 1))])
+        S = np.concatenate([g1.reshape(blocks, q, k), g2.reshape(blocks, q, k)], axis=1)
         return T @ S
     A = np.zeros((blocks, 2 * q, k))
     a1, a2 = A[:, :q], A[:, q:]
-    g1, g2 = S1, S2
     for _ in range(stages):
+        # each array is dropped as soon as it is spent, the seeds within the
+        # first stage, and the right-hand sides are formed in place: besides
+        # A at most three q x k arrays live at once
         t = eq.L2.solve(g2)
+        del g2
         a2 += t.reshape(blocks, q, k)
-        # each array is rebound as soon as it is spent and the right-hand
-        # sides are formed in place: at most three q x k temporaries live
-        g2 = eq.cross(t)
-        t = eq.L1.solve(np.subtract(g1, g2, out=g2))  # g1 - C t
+        rhs = eq.cross(t)
+        del t
+        t = eq.L1.solve(np.subtract(g1, rhs, out=rhs))  # g1 - C t
         a1 += t.reshape(blocks, q, k)
         # a stage's b1 reaches later stages only through that stage's b2
-        g1, g2 = 0.0, eq.cross(t, transpose=True)
+        g1, rhs = 0.0, None
+        g2 = eq.cross(t, transpose=True)
         g2 *= -1.0
     return A
 
@@ -214,12 +222,12 @@ def smoother_weights(
     SingularSystemError whenever that system is singular (always the case for
     two full partition-of-unity bases).
     """
-    S = _seeds(*(design_matrix(design.X1.config, float(x)).values for x in (x1, x2)))
+    seeds = _seeds(*(design_matrix(design.X1.config, float(x)).values for x in (x1, x2)))
     if mode == "stage":
-        A = StageSmoother(design, stages)._weights(S)
+        A = StageSmoother(design, stages)._weights(seeds)
     elif mode == "limit":
         A = design.normal_equations.stacked_solve(  # H^{-1} S, H symmetric
-            S,
+            np.concatenate(seeds),
             "limit-mode weights are undefined under the shared constant "
             "direction -- use stage mode",
         )[None]

@@ -15,6 +15,7 @@ from conftest import OZONE_CSV
 
 import addspline
 from addspline.backfit import NormalEquations
+from addspline.bandmat import NotPositiveDefiniteError
 from addspline import sim
 from addspline.cli import _write_json, main
 from addspline.dataio import RunReport, read_table
@@ -451,6 +452,51 @@ class TestSimulate:
         assert payload["level"] == 0.95
         assert "no figure" in err
         assert not (tmp_path / "unused.svg").exists()
+
+    @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
+    def test_forked_study_reports_workers_and_block_times(self, tmp_path, capsys, scenario):
+        # 40000 rows in 5 blocks of 40: above the fork floor
+        code, _, _ = run_main(
+            capsys, "simulate", scenario, "--n", "200", "--reps", "200", "--out", str(tmp_path)
+        )
+        assert code == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        text = (tmp_path / f"{scenario}_n200_seed42.json").read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)  # strict JSON
+        assert payload["workers"] == sim._worker_count(200 * 200, 5)
+        assert len(payload["block_seconds"]) == 5
+        assert all(t > 0 for t in payload["block_seconds"])
+
+    @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
+    def test_worker_error_exits_1_as_the_serial_run_does(
+        self, tmp_path, capsys, monkeypatch, scenario
+    ):
+        block = sim._replicate_block
+
+        def failing(cfg, replications):
+            if 190 in replications:  # in the second share of 2
+                raise NotPositiveDefiniteError("3-th leading minor not positive definite")
+            return block(cfg, replications)
+
+        monkeypatch.setattr(sim, "_replicate_block", failing)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(sim, "_worker_count", lambda rows, blocks, w=workers: w)
+            runs.append(run_main(
+                capsys, "simulate", scenario, "--n", "200", "--reps", "200",
+                "--out", str(tmp_path),
+            ))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert runs[1] == runs[0]
+        code, _, err = runs[1]
+        assert code == 1
+        assert err == (
+            "error: a per-component normal-equation system is singular "
+            "(3-th leading minor not positive definite)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
     def test_single_replication_exit_1_before_any_output(self, tmp_path, capsys, scenario):

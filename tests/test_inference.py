@@ -33,6 +33,7 @@ from addspline import (
 from addspline.bandmat import BandedCholesky
 from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
 from addspline.dataio import load_csv
+from addspline.inference import _seeds
 
 Z975 = 1.959963984540054
 
@@ -191,6 +192,27 @@ class TestCoefWeightsKernel:
             assert np.abs(c2 - w2[i]).max() <= 1e-12 * np.abs(w2[i]).max()
             want = np.array([[c1 @ c1, c1 @ c2], [c1 @ c2, c2 @ c2]])
             assert np.abs(P[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+    def test_seeds_are_freed_within_the_first_stage(self):
+        # besides the output A (two q x k halves) the kernel holds at most
+        # three q x k arrays at once; keeping the seed block S (another two)
+        # through the sweeps would hold seven
+        d = build_design(*sim_xy(20_000, seed=5), num_intervals=200)
+        rows = design_matrix(d.X1.config, eval_grid()).values
+        sm = StageSmoother(d, stages=7)
+        want = sm._weights(_seeds(rows, rows))
+        array = d.num_coef * 2 * rows.shape[0] * 8
+        tracemalloc.start()
+        try:
+            seeds = _seeds(rows, rows)
+            A = sm._weights(seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seeds == []
+        assert np.array_equal(A, want)
+        assert peak <= 5.25 * array
 
 
 class TestLimitWeights:

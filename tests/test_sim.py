@@ -1,6 +1,8 @@
 """Simulation harness: data generation, the three studies, KDE utilities."""
 
 import importlib
+import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -343,6 +345,106 @@ class TestReplicationBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= sim._BLOCK_BYTES
+
+
+# 200 replications of n = 200: 40000 rows in 5 blocks of 40, above the fork floor
+FORKED = ScenarioConfig(n=200, replications=200, seed=3)
+SINGULAR = "3-th leading minor not positive definite"
+
+
+def _force_workers(monkeypatch, count):
+    monkeypatch.setattr(sim, "_worker_count", lambda rows, blocks: count)
+
+
+def _fail_at(monkeypatch, replication):
+    block = sim._replicate_block
+
+    def failing(cfg, replications):
+        if replication in replications:
+            raise NotPositiveDefiniteError(SINGULAR)
+        return block(cfg, replications)
+
+    monkeypatch.setattr(sim, "_replicate_block", failing)
+
+
+def _assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedStudies:
+    """Blocks run by forked workers against the serial loop."""
+
+    def test_worker_count(self, monkeypatch):
+        rows = sim._FORK_ROWS
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert sim._worker_count(rows, 3) == 3
+        assert sim._worker_count(rows, 9) == 4
+        assert sim._worker_count(rows - 1, 9) == 1
+        assert sim._worker_count(rows, 1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
+        assert sim._worker_count(rows, 9) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert sim._worker_count(rows, 9) == 1
+
+    @pytest.mark.parametrize("workers", [None, 2, 3])
+    def test_forked_study_is_bitwise_the_serial_one(self, monkeypatch, workers):
+        assert FORKED.n * FORKED.replications >= sim._FORK_ROWS
+        _force_workers(monkeypatch, 1)
+        serial, serial_summary = run_sim3(FORKED)
+        serial_cov = coverage_experiment(FORKED)
+        monkeypatch.undo()
+        if workers is None:  # as many as this process may use
+            workers = sim._worker_count(FORKED.n * FORKED.replications, 5)
+        else:
+            _force_workers(monkeypatch, workers)
+        forked, forked_summary = run_sim3(FORKED)
+        forked_cov = coverage_experiment(FORKED)
+        _assert_no_child_remains()
+        assert np.array_equal(forked.values, serial.values)
+        assert np.array_equal(forked.replication_ids, serial.replication_ids)
+        assert forked.rejected == serial.rejected
+        for name in ("mean", "covariance", "ks_stat", "coverage"):
+            assert np.array_equal(getattr(forked_cov, name), getattr(serial_cov, name))
+        # the same partition: one time per block of 40, in block order
+        assert (serial_summary.workers, serial_cov.workers) == (1, 1)
+        assert (forked_summary.workers, forked_cov.workers) == (workers, workers)
+        for s in (serial_summary, serial_cov, forked_summary, forked_cov):
+            assert len(s.block_seconds) == 5
+            assert all(t > 0 for t in s.block_seconds)
+
+    @pytest.mark.parametrize("replication", [190, 10])  # a worker's share, then ours
+    def test_block_error_reaches_the_caller(self, monkeypatch, replication):
+        _force_workers(monkeypatch, 2)
+        _fail_at(monkeypatch, replication)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            run_sim3(FORKED)
+        assert str(exc.value) == SINGULAR
+        _assert_no_child_remains()
+
+    @pytest.mark.parametrize("sent", [0, 40])
+    def test_short_read_names_the_exit_status(self, monkeypatch, sent):
+        # the worker sends the first `sent` bytes of its result, then exits
+        _force_workers(monkeypatch, 2)
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:sent])
+        with pytest.raises(ChildProcessError,
+                           match=f"exited with status 0 after sending {sent} bytes"):
+            coverage_experiment(FORKED)
+        _assert_no_child_remains()
+
+    def test_knots_and_penalty_are_built_once_per_study(self, monkeypatch):
+        calls = []
+        build = sim.penalty_matrix
+        monkeypatch.setattr(sim, "penalty_matrix", lambda *a: calls.append(a) or build(*a))
+        sim._scenario_basis.cache_clear()
+        try:
+            _, summary = run_sim3(ScenarioConfig(n=120, replications=200))
+        finally:
+            sim._scenario_basis.cache_clear()
+        assert len(summary.block_seconds) == 3
+        assert len(calls) == 1
 
 
 class TestCoverage:
