@@ -335,7 +335,9 @@ def _run_blocks(cfg: ScenarioConfig, starts: range, R: int) -> list:
     return blocks
 
 
-def _replicate_all(cfg: ScenarioConfig):
+def _replicate_all(
+    cfg: ScenarioConfig,
+) -> tuple[np.ndarray, np.ndarray, int, tuple[float, ...]]:
     """Deviations (M, 2) and covariances (M, 2, 2) of all M replications, in
     blocks of `_block_size`, the number of processes that ran them, and the
     wall time of each block.
