@@ -20,16 +20,15 @@ block of one computes: any row is recomputable alone (`sim3_replication`).
 R is the largest count whose R n rows of temporaries fit in a fixed byte
 budget, so memory stays bounded at any n.
 
-The blocks of a study run on every CPU the process may use, in forked
-workers (`_replicate_all`).  The blocks and their arithmetic do not depend on
+The blocks of a study run on up to two CPUs, the second share in a forked
+worker (`_replicate_all`).  The blocks and their arithmetic do not depend on
 the worker count, so the rows are bit for bit those of the serial loop.
-Studies below `_FORK_ROWS` data rows, of a single block, or on one CPU or a
-platform without `os.fork` run serially in the calling process.
+Studies below `_FORK_ROWS` data rows, of a single block, on one CPU or on a
+platform other than Linux run serially in the calling process.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -136,23 +135,12 @@ def scenario_design(cfg: ScenarioConfig, data: SimDataset) -> AdditiveDesign:
     return _stacked_design(cfg, [data])
 
 
-@functools.lru_cache(maxsize=4)
-def _scenario_basis(degree: int, num_intervals: int, diff_order: int):
-    """The knots and the difference penalty that every design of a scenario
-    shares, built once per process; the penalty is read-only."""
-    basis = make_knots(degree, num_intervals)
-    penalty = penalty_matrix(diff_order, basis.num_basis)
-    penalty.values.flags.writeable = False
-    return basis, penalty
-
-
 def _stacked_design(cfg: ScenarioConfig, datasets: list[SimDataset]) -> AdditiveDesign:
     """The designs of several datasets as the blocks of one design, each
     component's basis evaluated in one call on all datasets' values."""
     K = cfg.k_rule(cfg.n)
     lam = cfg.lam_rule(cfg.n, K)
-    basis, penalty = _scenario_basis(cfg.degree, K, cfg.diff_order)
-    blocks = len(datasets)
+    basis, blocks = make_knots(cfg.degree, K), len(datasets)
     X1, X2 = (
         design_matrix(basis, np.concatenate([getattr(d, x) for d in datasets]))
         .block_diagonal(blocks)
@@ -164,7 +152,7 @@ def _stacked_design(cfg: ScenarioConfig, datasets: list[SimDataset]) -> Additive
         X2=X2,
         lambda1=lam,
         lambda2=lam,
-        penalty=penalty,
+        penalty=penalty_matrix(cfg.diff_order, basis.num_basis),
         blocks=blocks,
     )
 
@@ -310,18 +298,22 @@ def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.nd
 # counted (two workers against one at 16000-48000 rows, n = 200 and 1000).
 # A study's blocks cost 1.0-1.6 us per data row, so a second worker breaks
 # even near 20000 rows; from 32768 rows it saves a fifth of the study or more.
+# Two workers is the only count measured, so it is the most forked; the
+# affinity mask does not see a cgroup CPU quota, and the cap bounds what a
+# one-CPU quota costs to that one worker.
 _FORK_ROWS = 32_768
+_MAX_WORKERS = 2
 
 
 def _worker_count(rows: int, blocks: int) -> int:
-    """Processes to run a study of `rows` data rows in `blocks` blocks: one per
-    CPU this process may use and at most one per block; one where `os.fork`
-    is missing or the study is below `_FORK_ROWS` rows."""
-    if not hasattr(os, "fork") or blocks < 2 or rows < _FORK_ROWS:
+    """Processes to run a study of `rows` data rows in `blocks` blocks: two
+    when the study has two blocks or more and at least `_FORK_ROWS` rows and
+    this process may use two CPUs or more; one otherwise, and one on any
+    platform without `os.sched_getaffinity`, that is other than Linux, where
+    forking a process whose BLAS threads have started was not measured."""
+    if blocks < 2 or rows < _FORK_ROWS or not hasattr(os, "sched_getaffinity"):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), blocks)
-    return min(os.cpu_count() or 1, blocks)
+    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 
 
 def _run_blocks(cfg: ScenarioConfig, starts: range, R: int) -> list:
@@ -354,7 +346,6 @@ def _replicate_all(
     workers = _worker_count(cfg.n * M, len(starts))
     cuts = [-(-len(starts) * w // workers) for w in range(workers + 1)]
     shares = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    _scenario_basis(cfg.degree, cfg.k_rule(cfg.n), cfg.diff_order)  # workers inherit it
     children = []  # (pid, read end of its pipe), in share order
     try:
         for share in shares[1:]:

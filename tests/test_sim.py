@@ -377,15 +377,14 @@ class TestForkedStudies:
 
     def test_worker_count(self, monkeypatch):
         rows = sim._FORK_ROWS
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert sim._worker_count(rows, 3) == 3
-        assert sim._worker_count(rows, 9) == 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+        assert sim._worker_count(rows, 3) == 2
+        assert sim._worker_count(100 * rows, 125) == 2  # two, the count measured
         assert sim._worker_count(rows - 1, 9) == 1
         assert sim._worker_count(rows, 1) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
         assert sim._worker_count(rows, 9) == 1
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.delattr(os, "fork", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform other than Linux
         assert sim._worker_count(rows, 9) == 1
 
     @pytest.mark.parametrize("workers", [None, 2, 3])
@@ -433,18 +432,6 @@ class TestForkedStudies:
                            match=f"exited with status 0 after sending {sent} bytes"):
             coverage_experiment(FORKED)
         _assert_no_child_remains()
-
-    def test_knots_and_penalty_are_built_once_per_study(self, monkeypatch):
-        calls = []
-        build = sim.penalty_matrix
-        monkeypatch.setattr(sim, "penalty_matrix", lambda *a: calls.append(a) or build(*a))
-        sim._scenario_basis.cache_clear()
-        try:
-            _, summary = run_sim3(ScenarioConfig(n=120, replications=200))
-        finally:
-            sim._scenario_basis.cache_clear()
-        assert len(summary.block_seconds) == 3
-        assert len(calls) == 1
 
 
 class TestCoverage:
