@@ -298,9 +298,9 @@ def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.nd
 # counted (two workers against one at 16000-48000 rows, n = 200 and 1000).
 # A study's blocks cost 1.0-1.6 us per data row, so a second worker breaks
 # even near 20000 rows; from 32768 rows it saves a fifth of the study or more.
-# Two workers is the only count measured, so it is the most forked; the
+# Two processes is the only count measured, so no study runs on more; the
 # affinity mask does not see a cgroup CPU quota, and the cap bounds what a
-# one-CPU quota costs to that one worker.
+# one-CPU quota costs to that one forked worker.
 _FORK_ROWS = 32_768
 _MAX_WORKERS = 2
 
