@@ -421,7 +421,7 @@ def _run(
             if change <= tol and residual <= tol:
                 converged = True
                 break
-    if tol is None or not np.isfinite(residual) or not converged:
+    if tol is None:  # otherwise the last stage's residual is the final one
         residual = eq.residual_norm(b1, b2)
     return BackfitResult(
         b1=b1,
@@ -449,6 +449,8 @@ def backfit(
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
+    if max_stages < 1:
+        raise ValueError("max_stages must be >= 1")
     return _run(design.normal_equations, b2_init, tol, max_stages, keep_history)
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backfit import AdditiveDesign, SingularSystemError, backfit, build_design
+from .backfit import AdditiveDesign, backfit, build_design
 from .bandmat import NotPositiveDefiniteError
 from .basis import design_matrix, eval_grid
 from .dataio import DataError, RunReport, json_text, load_csv, write_table
@@ -84,55 +84,51 @@ def _expand_config(argv: list[str]) -> list[str]:
     return argv
 
 
-def _auto_int(text: str, flag: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise DataError(f"{flag} expects an integer or 'auto', got {text!r}") from None
-    if value < 1:
-        raise DataError(f"{flag} must be >= 1, got {value}")
+def _at_least(flag: str, value: float, low: float) -> float:
+    """`value`, or the input error of a `flag` below `low`."""
+    if value < low:
+        raise DataError(f"{flag} must be >= {low}, got {value}")
     return value
 
 
-def _auto_float(text: str, flag: str) -> float | None:
+def _auto(text: str, flag: str, kind: type = int) -> float | None:
+    """None for 'auto', else `text` as an int >= 1 or a float >= 0."""
     if text == "auto":
         return None
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError:
-        raise DataError(f"{flag} expects a number or 'auto', got {text!r}") from None
-    if value < 0:
-        raise DataError(f"{flag} must be >= 0, got {value}")
-    return value
+        noun = "an integer" if kind is int else "a number"
+        raise DataError(f"{flag} expects {noun} or 'auto', got {text!r}") from None
+    return _at_least(flag, value, 1 if kind is int else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="addspline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--degree", type=int, default=3)
+    shared.add_argument("--diff-order", type=int, default=2)
+    shared.add_argument("--level", type=float, default=0.95)
+    shared.add_argument("--grid", type=int, default=201, help="evaluation grid size per component")
+    shared.add_argument("--out", default=".", help="output directory")
+    shared.add_argument("--svg", default=None, help="also write an SVG figure")
+    shared.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
-    fit = sub.add_parser("fit", parents=[], help="fit the additive model to a CSV file")
+    fit = sub.add_parser("fit", parents=[shared], help="fit the additive model to a CSV file")
     fit.add_argument("--data", required=True, help="input CSV path")
     fit.add_argument("--y", required=True, help="response column name")
     fit.add_argument("--x1", required=True, help="first covariate column name")
     fit.add_argument("--x2", required=True, help="second covariate column name")
-    fit.add_argument("--degree", type=int, default=3)
-    fit.add_argument("--diff-order", type=int, default=2)
     fit.add_argument("--kn", default="auto", help="knot intervals K (default round(2 n^(2/5)))")
     fit.add_argument("--lambda1", default="auto", help="penalty for component 1 (default 2 n^(2/5)/sqrt(K))")
     fit.add_argument("--lambda2", default="auto", help="penalty for component 2")
     fit.add_argument("--tol", type=float, default=1e-10)
     fit.add_argument("--max-stages", type=int, default=100)
-    fit.add_argument("--level", type=float, default=0.95)
-    fit.add_argument("--grid", type=int, default=201, help="evaluation grid size per component")
-    fit.add_argument("--out", default=".", help="output directory")
-    fit.add_argument("--svg", default=None, help="also write an SVG of the fitted curves")
     fit.add_argument("--no-preprocess", action="store_true", help="skip centering/scaling")
-    fit.add_argument("--config", default=None, help="key=value defaults file (flags win)")
     fit.set_defaults(func=cmd_fit)
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
+    sim = sub.add_parser("simulate", parents=[shared], help="run a Monte Carlo scenario")
     sim.add_argument("scenario", choices=["sim1", "sim2", "sim3", "coverage"])
     sim.add_argument("--n", type=int, default=1000)
     sim.add_argument(
@@ -140,13 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replications of sim3 and coverage (default 1000); sim1 and sim2 fit one dataset",
     )
     sim.add_argument("--seed", type=int, default=42)
-    sim.add_argument("--degree", type=int, default=3)
-    sim.add_argument("--diff-order", type=int, default=2)
-    sim.add_argument("--level", type=float, default=0.95)
-    sim.add_argument("--grid", type=int, default=201)
-    sim.add_argument("--out", default=".", help="output directory")
-    sim.add_argument("--svg", default=None, help="also write an SVG figure")
-    sim.add_argument("--config", default=None, help="key=value defaults file (flags win)")
     sim.set_defaults(func=cmd_simulate)
     return parser
 
@@ -183,11 +172,11 @@ def cmd_fit(args) -> int:
         args.data, args.y, args.x1, args.x2, preprocess=not args.no_preprocess
     )
     n = dataset.n
-    kn = _auto_int(args.kn, "--kn")
-    lam1 = _auto_float(args.lambda1, "--lambda1")
-    lam2 = _auto_float(args.lambda2, "--lambda2")
-    if args.max_stages < 1:
-        raise DataError(f"--max-stages must be >= 1, got {args.max_stages}")
+    kn = _auto(args.kn, "--kn")
+    lam1 = _auto(args.lambda1, "--lambda1", float)
+    lam2 = _auto(args.lambda2, "--lambda2", float)
+    _at_least("--max-stages", args.max_stages, 1)
+    _at_least("--grid", args.grid, 1)
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
     for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
         # a spline in one value is not identified at any penalty
@@ -338,9 +327,24 @@ def cmd_fit(args) -> int:
     return 0 if result.converged else 2
 
 
+def _summary_fields(summary, level: float) -> dict:
+    """The JSON fields that sim3 and coverage share."""
+    return {
+        "level": level,
+        "replications": summary.replications,
+        "mean": summary.mean.tolist(),
+        "covariance": summary.covariance.tolist(),
+        "ks_stat": summary.ks_stat.tolist(),
+        "coverage": summary.coverage.tolist(),
+        "runtime_seconds": summary.runtime_seconds,
+        "workers": summary.workers,
+        "block_seconds": list(summary.block_seconds),
+    }
+
+
 def cmd_simulate(args) -> int:
-    if args.n < 20:
-        raise DataError(f"--n must be >= 20, got {args.n}")
+    _at_least("--n", args.n, 20)
+    _at_least("--grid", args.grid, 1)
     if args.scenario in ("sim1", "sim2"):
         # one dataset, one fit: a count other than 1 would be ignored
         if args.reps not in (None, 1):
@@ -367,107 +371,51 @@ def cmd_simulate(args) -> int:
     tag = f"{args.scenario}_n{args.n}_seed{args.seed}"
     start = time.perf_counter()
 
+    # each scenario names its table (header, columns), JSON payload, figure
+    # (write_svg keywords) and summary line; one tail writes them all
+    table = figure = None
     if args.scenario == "sim1":
         res = run_sim1(cfg)
-        write_table(
-            out_dir / f"{tag}.csv",
+        table = (
             ["x", "true1", "fit1", "true2", "fit2"],
             [res.grid, res.true1, res.fit1, res.true2, res.fit2],
         )
-        _write_json(
-            out_dir / f"{tag}.json",
-            {
-                "scenario": "sim1",
-                "n": res.n,
-                "seed": res.seed,
-                "stages": res.stages,
-                "rmse": res.rmse.tolist(),
-                "runtime_seconds": time.perf_counter() - start,
-            },
-        )
-        if args.svg:
-            write_svg(
-                args.svg,
-                curves=[
-                    (res.grid, res.fit1),
-                    (res.grid, res.true1),
-                    (res.grid, res.fit2),
-                    (res.grid, res.true2),
-                ],
-                labels=["fit1", "true1", "fit2", "true2"],
-                title=f"fit vs truth (n={res.n})",
-            )
-        print(
-            f"sim1: n={res.n} rmse1={res.rmse[0]:.4f} rmse2={res.rmse[1]:.4f}"
-        )
+        payload = {"stages": res.stages, "rmse": res.rmse.tolist()}
+        figure = {
+            "curves": [(res.grid, c) for c in (res.fit1, res.true1, res.fit2, res.true2)],
+            "labels": ["fit1", "true1", "fit2", "true2"],
+            "title": f"fit vs truth (n={res.n})",
+        }
+        line = f"sim1: n={res.n} rmse1={res.rmse[0]:.4f} rmse2={res.rmse[1]:.4f}"
     elif args.scenario == "sim2":
         res = run_sim2(cfg)
-        write_table(
-            out_dir / f"{tag}.csv",
+        table = (
             ["x", "fit1", "penalized1", "fit2", "penalized2"],
             [res.grid, res.fit1, res.pen1, res.fit2, res.pen2],
         )
-        _write_json(
-            out_dir / f"{tag}.json",
-            {
-                "scenario": "sim2",
-                "n": res.n,
-                "seed": res.seed,
-                "stages": res.stages,
-                "sup_diff": res.sup_diff.tolist(),
-                "runtime_seconds": time.perf_counter() - start,
-            },
-        )
-        if args.svg:
-            write_svg(
-                args.svg,
-                curves=[
-                    (res.grid, res.fit1),
-                    (res.grid, res.pen1),
-                    (res.grid, res.fit2),
-                    (res.grid, res.pen2),
-                ],
-                labels=["fit1", "uni1", "fit2", "uni2"],
-                title=f"backfit vs univariate penalized (n={res.n})",
-            )
-        print(
-            f"sim2: n={res.n} sup_diff1={res.sup_diff[0]:.4f} "
-            f"sup_diff2={res.sup_diff[1]:.4f}"
-        )
+        payload = {"stages": res.stages, "sup_diff": res.sup_diff.tolist()}
+        figure = {
+            "curves": [(res.grid, c) for c in (res.fit1, res.pen1, res.fit2, res.pen2)],
+            "labels": ["fit1", "uni1", "fit2", "uni2"],
+            "title": f"backfit vs univariate penalized (n={res.n})",
+        }
+        line = f"sim2: n={res.n} sup_diff1={res.sup_diff[0]:.4f} sup_diff2={res.sup_diff[1]:.4f}"
     elif args.scenario == "sim3":
-        sample, summary = run_sim3(cfg)
-        write_table(
-            out_dir / f"{tag}.csv",
-            ["z1", "z2"],
-            [sample.values[:, 0], sample.values[:, 1]],
-        )
-        _write_json(
-            out_dir / f"{tag}.json",
-            {
-                "scenario": "sim3",
-                "n": args.n,
-                "seed": sample.seed,
-                "replications": summary.replications,
-                "rejected": summary.rejected,
-                "replication_ids": sample.replication_ids.tolist(),
-                "mean": summary.mean.tolist(),
-                "covariance": summary.covariance.tolist(),
-                "ks_stat": summary.ks_stat.tolist(),
-                "coverage": summary.coverage.tolist(),
-                "runtime_seconds": summary.runtime_seconds,
-                "workers": summary.workers,
-                "block_seconds": list(summary.block_seconds),
-            },
-        )
-        if args.svg:
+        sample, summary = run_sim3(cfg, level=args.level)
+        table = (["z1", "z2"], [sample.values[:, 0], sample.values[:, 1]])
+        payload = {
+            "rejected": summary.rejected,
+            "replication_ids": sample.replication_ids.tolist(),
+            **_summary_fields(summary, args.level),
+        }
+        if args.svg:  # the density estimate serves only the figure
             kde = kde2d(sample.values)
-            write_svg(
-                args.svg,
-                contour=(kde.x, kde.y, kde.density),
-                levels=[0.02, 0.04, 0.06, 0.08, 0.1],
-                title=f"standardized sample density (M={summary.replications})",
-            )
-        print(
+            figure = {
+                "contour": (kde.x, kde.y, kde.density),
+                "levels": [0.02, 0.04, 0.06, 0.08, 0.1],
+                "title": f"standardized sample density (M={summary.replications})",
+            }
+        line = (
             f"sim3: n={args.n} reps={summary.replications} "
             f"rejected={summary.rejected} mean=({summary.mean[0]:+.3f}, "
             f"{summary.mean[1]:+.3f}) ks=({summary.ks_stat[0]:.3f}, "
@@ -475,29 +423,23 @@ def cmd_simulate(args) -> int:
         )
     else:  # coverage
         summary = coverage_experiment(cfg, level=args.level)
-        _write_json(
-            out_dir / f"{tag}.json",
-            {
-                "scenario": "coverage",
-                "n": args.n,
-                "seed": args.seed,
-                "level": args.level,
-                "replications": summary.replications,
-                "coverage": summary.coverage.tolist(),
-                "mean": summary.mean.tolist(),
-                "covariance": summary.covariance.tolist(),
-                "ks_stat": summary.ks_stat.tolist(),
-                "runtime_seconds": summary.runtime_seconds,
-                "workers": summary.workers,
-                "block_seconds": list(summary.block_seconds),
-            },
-        )
-        if args.svg:
-            print("note: no figure defined for the coverage scenario", file=sys.stderr)
-        print(
+        payload = _summary_fields(summary, args.level)
+        line = (
             f"coverage: n={args.n} level={args.level} "
             f"coverage1={summary.coverage[0]:.3f} coverage2={summary.coverage[1]:.3f}"
         )
+
+    if table is not None:
+        write_table(out_dir / f"{tag}.csv", *table)
+    # the payloads of sim3 and coverage replace this runtime with their study's
+    fields = {"scenario": args.scenario, "n": args.n, "seed": args.seed}
+    fields["runtime_seconds"] = time.perf_counter() - start
+    _write_json(out_dir / f"{tag}.json", {**fields, **payload})
+    if args.svg and figure is None:
+        print(f"note: no figure defined for the {args.scenario} scenario", file=sys.stderr)
+    elif args.svg:
+        write_svg(args.svg, **figure)
+    print(line)
     return 0
 
 
@@ -507,19 +449,13 @@ def main(argv=None) -> int:
         tokens = _expand_config(list(sys.argv[1:] if argv is None else argv))
         args = parser.parse_args(tokens)
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NotPositiveDefiniteError as exc:
         print(
             f"error: a per-component normal-equation system is singular ({exc})",
             file=sys.stderr,
         )
         return 1
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -469,8 +469,12 @@ def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: 
     )
 
 
-def run_sim3(cfg: ScenarioConfig) -> tuple[StandardizedSample, MonteCarloSummary]:
-    """Replicate the standardized statistic and summarize against N(0, I)."""
+def run_sim3(
+    cfg: ScenarioConfig, level: float = 0.95
+) -> tuple[StandardizedSample, MonteCarloSummary]:
+    """Replicate the standardized statistic and summarize against N(0, I);
+    the coverage is that of the normal-quantile interval at `level`."""
+    confidence_interval(0.0, 1.0, level)  # reject a bad level before replicating
     start = time.perf_counter()
     M = cfg.replications
     dev, V, workers, block_seconds = _replicate_all(cfg)
@@ -481,7 +485,7 @@ def run_sim3(cfg: ScenarioConfig) -> tuple[StandardizedSample, MonteCarloSummary
         values=values, replication_ids=ids, seed=cfg.seed, rejected=rejected
     )
     summary = _summarize(
-        values, time.perf_counter() - start, M, rejected,
+        values, time.perf_counter() - start, M, rejected, level,
         workers=workers, block_seconds=block_seconds,
     )
     return sample, summary

@@ -195,6 +195,21 @@ class TestSweeps:
         assert not short.converged
         assert short.stages == 2
 
+    @pytest.mark.parametrize("max_stages", [0, -3])
+    def test_fewer_than_one_stage_is_rejected(self, max_stages):
+        # as backfit_stages rejects stages < 1, rather than return b = 0
+        with pytest.raises(ValueError, match="max_stages must be >= 1"):
+            backfit(ridged_design(), max_stages=max_stages)
+
+    @pytest.mark.parametrize("tol,max_stages", [(1e-13, 400), (1e-13, 2), (None, 3)])
+    def test_residual_is_that_of_the_returned_coefficients(self, tol, max_stages):
+        d = ridged_design()
+        if tol is None:
+            r = backfit_stages(d, max_stages)
+        else:
+            r = backfit(d, tol=tol, max_stages=max_stages)
+        assert r.residual_norm == d.normal_equations.residual_norm(r.b1, r.b2)
+
     def test_history_off_by_default(self):
         d = ridged_design()
         assert backfit(d).history is None

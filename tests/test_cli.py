@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
 import subprocess
+import re
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -340,6 +343,40 @@ class TestDegenerateInput:
         assert code == 1
         assert "at zero penalty" in err
 
+    def test_more_intervals_than_rows(self, tmp_path, capsys):
+        # n = 30 rows and K = 40 knot intervals: the default penalty fixes
+        # the coefficients of the intervals without data, zero penalty does not
+        x2 = 1.0 - np.random.default_rng(23).random(30)
+        args = [*_write_fit_csv(tmp_path / "k_over_n.csv", x2), "--kn", "40"]
+        code, _, _ = run_main(capsys, *args, "--out", str(tmp_path / "default"))
+        report = RunReport.load(tmp_path / "default" / "fit_report.json")
+        assert (report.n, report.config["num_intervals"]) == (30, 40)
+        assert code == (0 if report.converged else 2)
+        out = tmp_path / "zero"
+        code, stdout, err = run_main(
+            capsys, *args, "--lambda1", "0", "--lambda2", "0", "--out", str(out)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "singular" in err and "at zero penalty" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit", "sim1", "sim3"])
+    def test_empty_grid_exit_1_naming_the_flag_before_any_work(
+        self, tmp_path, capsys, monkeypatch, ozone_args, command
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no fit may run with an empty grid")
+
+        monkeypatch.setattr("addspline.cli.build_design", forbidden)
+        monkeypatch.setattr("addspline.cli.run_sim1", forbidden)
+        monkeypatch.setattr("addspline.cli.run_sim3", forbidden)
+        out = tmp_path / "out"
+        argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
+        code, stdout, err = run_main(capsys, *argv, "--grid", "0", "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: --grid must be >= 1, got 0\n")
+        assert list(out.glob("*")) == []
+
 
 class TestFitDiagnostics:
     def test_report_carries_the_identification_diagnostics(self, tmp_path, capsys, ozone_args):
@@ -380,6 +417,92 @@ class TestFitDiagnostics:
         # each covariate's rows once, for the normal equations; the grid once
         # for the band and once for both estimates
         assert rows == [111, 111, 201, 201]
+
+
+_SUMMARY_KEYS = [
+    "block_seconds", "covariance", "coverage", "ks_stat", "level", "mean", "n",
+    "replications", "runtime_seconds", "scenario", "seed", "workers",
+]
+_FIT = ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature", "--x2", "wind"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys,stdout,stderr",
+    [
+        pytest.param(
+            ["simulate", "sim1", "--n", "50"],
+            ["n", "rmse", "runtime_seconds", "scenario", "seed", "stages"],
+            r"sim1: n=50 rmse1=\d+\.\d{4} rmse2=\d+\.\d{4}\n", "", id="sim1",
+        ),
+        pytest.param(
+            ["simulate", "sim2", "--n", "50"],
+            ["n", "runtime_seconds", "scenario", "seed", "stages", "sup_diff"],
+            r"sim2: n=50 sup_diff1=\d+\.\d{4} sup_diff2=\d+\.\d{4}\n", "", id="sim2",
+        ),
+        pytest.param(
+            ["simulate", "sim3", "--n", "50", "--reps", "8"],
+            sorted(_SUMMARY_KEYS + ["rejected", "replication_ids"]),
+            r"sim3: n=50 reps=8 rejected=\d+ mean=\([-+]\d+\.\d{3}, [-+]\d+\.\d{3}\) "
+            r"ks=\(\d\.\d{3}, \d\.\d{3}\)\n",
+            "", id="sim3",
+        ),
+        pytest.param(
+            ["simulate", "coverage", "--n", "50", "--reps", "8"], _SUMMARY_KEYS,
+            r"coverage: n=50 level=0\.95 coverage1=\d\.\d{3} coverage2=\d\.\d{3}\n",
+            "", id="coverage",
+        ),
+        pytest.param(
+            [*_FIT, "--kn", "abc"], None, "",
+            "error: --kn expects an integer or 'auto', got 'abc'\n", id="DataError",
+        ),
+        pytest.param(
+            ["simulate", "coverage", "--n", "200", "--reps", "200"], None, "",
+            "error: a per-component normal-equation system is singular "
+            "(3-th leading minor not positive definite)\n",
+            id="NotPositiveDefiniteError-in-worker",
+        ),
+        pytest.param(
+            ["simulate", "sim1", "--n", "50", "--out", "{tmp}/taken"], None, "",
+            f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{{tmp}}/taken'\n",
+            id="OSError",
+        ),
+        pytest.param(
+            [*_FIT, "--degree", "-1"], None, "",
+            "error: degree must be >= 0, got -1\n", id="ValueError",
+        ),
+    ],
+)
+def test_json_keys_stdout_and_error_lines_are_pinned(
+    tmp_path, capsys, monkeypatch, request, argv, keys, stdout, stderr
+):
+    """What a refactor of the commands must keep: the JSON keys and the
+    summary line of each scenario, and the stderr line of each error class
+    that reaches `main`."""
+    if request.node.callspec.id.endswith("in-worker"):
+        block = sim._replicate_block
+
+        def failing(cfg, replications):
+            if 190 in replications:  # in the worker's share of 2
+                raise NotPositiveDefiniteError("3-th leading minor not positive definite")
+            return block(cfg, replications)
+
+        monkeypatch.setattr(sim, "_replicate_block", failing)
+        monkeypatch.setattr(sim, "_worker_count", lambda rows, blocks: 2)
+    (tmp_path / "taken").touch()
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    code, out_text, err = run_main(capsys, *argv)
+    assert err == stderr.format(tmp=tmp_path)
+    if keys is None:
+        assert (code, out_text) == (1, "")
+        assert list(out.glob("*")) == []
+        return
+    assert code == 0
+    assert re.fullmatch(stdout, out_text)
+    (path,) = out.glob("*.json")
+    assert sorted(json.loads(path.read_text())) == keys
 
 
 class TestSimulate:
@@ -431,6 +554,18 @@ class TestSimulate:
         assert 0.0 <= payload["ks_stat"][0] <= 1.0
         assert svg.exists()
         assert svg.read_text().count("<path") >= 1
+
+    def test_sim3_coverage_at_the_given_level(self, tmp_path, capsys):
+        code, _, _ = run_main(
+            capsys, "simulate", "sim3", "--n", "50", "--reps", "40", "--level", "0.5",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        _, table = read_table(tmp_path / "sim3_n50_seed42.csv")
+        payload = json.loads((tmp_path / "sim3_n50_seed42.json").read_text())
+        assert payload["level"] == 0.5
+        z = NormalDist().inv_cdf(0.75)
+        assert payload["coverage"] == [float(np.mean(np.abs(col) <= z)) for col in table.T]
 
     def test_coverage_outputs(self, tmp_path, capsys):
         code, _, err = run_main(

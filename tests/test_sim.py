@@ -450,6 +450,15 @@ class TestCoverage:
         assert np.array_equal(low.mean, high.mean)
         assert np.array_equal(low.covariance, high.covariance)
 
+    @pytest.mark.parametrize("study", [run_sim3, coverage_experiment])
+    def test_bad_level_is_rejected_before_replicating(self, monkeypatch, study):
+        def forbidden(cfg):
+            raise AssertionError("no replication may run at a bad level")
+
+        monkeypatch.setattr(sim, "_replicate_all", forbidden)
+        with pytest.raises(ValueError, match="level must be in"):
+            study(ScenarioConfig(n=50, replications=4), level=1.5)
+
 
 class TestKsStatistic:
     """`sim._ks_normal` against scipy's two-sided `kstest(x, "norm")`."""
