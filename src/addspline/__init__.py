@@ -12,17 +12,14 @@ from .backfit import (
     AdditiveDesign,
     BackfitResult,
     HessianReport,
-    SingularSystemError,
     backfit,
     backfit_stages,
     build_design,
-    center_component,
     criterion,
     hessian_check,
     joint_solve,
     kn_rule,
     lambda_rule,
-    one_stage_pair,
     predict,
     univariate_penalized,
 )
@@ -35,8 +32,6 @@ from .bandmat import (
 from .basis import (
     DesignMatrix,
     SplineConfig,
-    basis_integral,
-    bspline_eval,
     design_matrix,
     eval_grid,
     make_knots,
@@ -101,7 +96,6 @@ __all__ = [
     "Preprocessing",
     "RunReport",
     "ScenarioConfig",
-    "SingularSystemError",
     "SmootherWeights",
     "SplineConfig",
     "StageSmoother",
@@ -110,10 +104,7 @@ __all__ = [
     "asymptotic_variance",
     "backfit",
     "backfit_stages",
-    "basis_integral",
-    "bspline_eval",
     "build_design",
-    "center_component",
     "confidence_interval",
     "coverage_experiment",
     "criterion",
@@ -130,7 +121,6 @@ __all__ = [
     "lambda_rule",
     "load_csv",
     "make_knots",
-    "one_stage_pair",
     "penalty_matrix",
     "population_G",
     "predict",

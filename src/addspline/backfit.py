@@ -12,15 +12,13 @@ X_1'X_2, X_j'y and y'y, added up in one pass over chunks of rows
 (`NormalEquations`): no n-row array of basis values exists on the fit path,
 whatever n.
 
-A structural caveat that shapes several routines here: both design matrices
-satisfy the partition of unity (rows sum to 1) and the difference penalty
-ignores constants, so adding a constant to one component and subtracting it
-from the other changes nothing.  The stacked normal-equation matrix is
-therefore exactly singular for every lam >= 0, the minimizer is a line rather
-than a point, and backfitting converges to the point on that line selected by
-its initial value.  `NormalEquations.joint_system_singular` checks that
-direction in O(q^2); `joint_solve` detects it and raises SingularSystemError;
-`backfit` is well-defined because each half-step system is positive definite.
+Identification: both bases sum to one and the difference penalty ignores
+constants, so moving a constant between the components changes nothing: the
+stacked normal-equation matrix is exactly singular for every lam >= 0.  Where
+that shift is a null vector (`joint_system_singular`), the gauge l'b_2 = 0,
+l = X_2'1 (f_hat_2 sums to zero over the data), picks one minimizer.  The
+sweeps conserve l'b_2, so the zero-start backfit keeps it; `backfit` projects
+a given start onto it, and `NormalEquations.solve` imposes it.
 
 At zero penalty a basis column that holds no data leaves its half-step system
 singular; such columns are pinned (`NormalEquations.pinned`): their
@@ -35,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bandmat import BandedCholesky, BandedMatrix, _block_matmul, gram_banded
+from .bandmat import BandedCholesky, BandedMatrix, NotPositiveDefiniteError
+from .bandmat import _block_matmul, gram_banded
 from .basis import DesignMatrix, SplineConfig, design_matrix, make_knots
 from .penalty import PenaltyMatrix, penalty_matrix
 
@@ -44,7 +43,6 @@ __all__ = [
     "BackfitResult",
     "HessianReport",
     "NormalEquations",
-    "SingularSystemError",
     "kn_rule",
     "lambda_rule",
     "build_design",
@@ -58,10 +56,6 @@ __all__ = [
     "center_component",
     "hessian_check",
 ]
-
-
-class SingularSystemError(Exception):
-    """The stacked normal-equation matrix is not numerically positive definite."""
 
 
 def kn_rule(n: int) -> int:
@@ -81,8 +75,8 @@ class AdditiveDesign:
     `blocks` > 1 stacks that many independent designs of equal size, with
     block diagonal design matrices (`DesignMatrix.block_diagonal`) and the
     responses one after another: the normal equations, the sweeps and
-    `StageSmoother` then serve all of them at once, block by block.  The dense
-    oracles (`joint_solve`, `hessian_check`) and `criterion` take one block.
+    `StageSmoother` then serve all of them at once, block by block, as does
+    `joint_solve`; the dense `hessian_check` and `criterion` take one block.
     """
 
     y: np.ndarray
@@ -352,33 +346,60 @@ class NormalEquations:
         """The 2q x 2q penalized normal-equation matrix, i.e. the Hessian H1 + H2."""
         return np.block([[self.Lam1[0], self.C], [self.C.T, self.Lam2[0]]])
 
-    def stacked_solve(self, rhs: np.ndarray, consequence: str) -> np.ndarray:
-        """The stacked matrix's solution for `rhs`, a vector or a block of columns.
+    def gauge(self, b2: np.ndarray) -> np.ndarray:
+        """b2, a vector or columns, moved onto l'b2 = 0 (l = X_2'1) along the
+        ones vector with zeros at component 2's pinned columns, where
+        `joint_system_singular` holds; b2 as it is otherwise."""
+        if not self.joint_system_singular:
+            return b2
+        ell = self.column_sums[1].reshape(self.blocks, 1, -1)
+        ones = np.isin(np.arange(self.num_coef), self.pinned[1], invert=True)
+        g = b2.reshape(self.blocks, ell.shape[2], -1)
+        ones = ones.reshape(g.shape[:2] + (1,))
+        return (g - ones * (ell @ g) / ell.sum(axis=2, keepdims=True)).reshape(b2.shape)
 
-        Raises SingularSystemError, ending its message with `consequence`, when
-        the smallest eigenvalue is at or below the rounding floor.
-        """
-        A = self.stacked_matrix()
-        eigs, floor = _stacked_spectrum(A)
-        if eigs[0] <= floor:
-            raise SingularSystemError(
-                f"stacked system is numerically singular (min eig {eigs[0]:.3e}, "
-                f"floor {floor:.3e}); {consequence}"
+    @functools.cached_property
+    def _schur(self) -> _PinnedCholesky:
+        """Factor of S = Lam_2 - C'Lam_1^{-1}C (plus l l'/l'1 where S 1 = 0) with
+        component 2's pinned columns pinned.  A failed factor, a further pinned
+        column or a pivot 1/(S^{-1})_jj (column j's, eliminated last) at or below
+        _PIVOT_RTOL max(diag Lam_2) leaves the split undetermined beyond the shift."""
+        S = self.Lam2 - self.C_blocks.swapaxes(1, 2) @ self.L1.inverse @ self.C_blocks
+        if self.joint_system_singular:
+            ell = self.column_sums[1].reshape(self.blocks, 1, -1)
+            S += ell.swapaxes(1, 2) * ell / ell.sum(axis=2, keepdims=True)
+        block, col = np.divmod(self.pinned[1], S.shape[1])
+        S[block, col, :] = S[block, :, col] = 0.0
+        pivot, floor = 0.0, _PIVOT_RTOL * np.diagonal(self.Lam2, axis1=1, axis2=2).max()
+        try:
+            factor = _PinnedCholesky(BandedMatrix(S, S.shape[1] - 1))
+        except NotPositiveDefiniteError:
+            factor = None
+        if factor is not None and factor.pinned.size == self.pinned[1].size:
+            pivot = 1.0 / np.diagonal(factor.inverse, axis1=1, axis2=2).max()
+        if not pivot > floor:
+            raise NotPositiveDefiniteError(
+                "the joint system is singular beyond the constant shift between "
+                f"the components (smallest pivot {pivot:.3e}, floor {floor:.3e})"
             )
-        return np.linalg.solve(A, rhs)
+        return factor
+
+    def solve(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(b1, b2) with H (b1, b2) = (v1, v2), vectors or columns, in the gauge
+        l'b2 = 0 (`gauge`), b1 eliminated through Lam_1^{-1}.  For any (v1, v2)
+        this is the top left block of [[H, w], [w', 0]]^{-1}, w = (0, l): the
+        map is symmetric.  Pinned coefficients are exactly 0.0."""
+        b2 = self.gauge(self._schur.solve(v2 - self.cross(self.L1.solve(v1), transpose=True)))
+        return self.L1.solve(v1 - self.cross(b2)), b2
 
 
 # Multiple of eps (y'y + 2|b'u| + |b'Gb|) taken as the rounding error of
 # `NormalEquations.rss_estimate`.
 _RSS_ROUNDING = 16.0
 
-
-def _stacked_spectrum(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending eigenvalues of a stacked matrix and its rounding floor: an
-    eigenvalue at or below the floor is indistinguishable from zero."""
-    eigs = np.linalg.eigvalsh(A)
-    floor = A.shape[0] * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
-    return eigs, floor
+# Smallest pivot of the gauged Schur complement over max(diag Lam_2) that `solve`
+# accepts: measured, x2 = x1 gave at most 3.2e-11, identified designs 9.2e-11 and up.
+_PIVOT_RTOL = 5e-11
 
 
 def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
@@ -401,6 +422,7 @@ def _run(
     b2 = np.zeros(q) if b2_init is None else np.asarray(b2_init, dtype=float).copy()
     if b2.shape != (q,):
         raise ValueError(f"b2_init must have shape ({q},), got {b2.shape}")
+    b2 = b2 if b2_init is None else eq.gauge(b2)  # the sweeps conserve l'b2
     b1 = np.zeros(q)
     history: list[tuple[np.ndarray, np.ndarray]] | None = [] if keep_history else None
     converged = False
@@ -445,7 +467,8 @@ def backfit(
     Stops when the sup-norm coefficient change and the normal-equation residual
     sup-norm are both <= tol; otherwise runs max_stages sweeps and returns with
     converged=False (the result is still usable -- non-convergence is a flag,
-    not an exception).
+    not an exception).  A given `b2_init` is first moved onto the gauge
+    l'b2 = 0 (`NormalEquations.gauge`), which the sweeps then conserve.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -467,24 +490,11 @@ def backfit_stages(
 
 
 def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the stacked 2q x 2q normal equations densely.
-
-    Serves as the dense oracle for backfit.  The stacked matrix is verified to
-    be numerically positive definite first (smallest eigenvalue above the
-    rounding floor); otherwise SingularSystemError is raised.  With full bases
-    on both components this always triggers, because shifting a constant
-    between the components is an exact null direction -- see the module
-    docstring.  Designs without that shared direction (e.g. one component
-    absent, or bases not summing to one) solve normally.
-    """
+    """The oracle for `backfit`: `NormalEquations.solve` of (u1, u2), with two
+    full bases in the gauge l'b2 = 0 of the zero-start backfit.  Raises
+    NotPositiveDefiniteError where x2 = x1, say, leaves the split undetermined."""
     eq = design.normal_equations
-    sol = eq.stacked_solve(
-        np.concatenate([eq.u1, eq.u2]),
-        "with both full bases present the constant shift between components "
-        "is an exact null direction",
-    )
-    q = design.num_coef
-    return sol[:q], sol[q:]
+    return eq.solve(eq.u1, eq.u2)
 
 
 def univariate_penalized(
@@ -564,7 +574,8 @@ def hessian_check(design: AdditiveDesign) -> HessianReport:
     """Report whether the stacked Hessian is numerically positive definite."""
     H = design.normal_equations.stacked_matrix()
     q = design.num_coef
-    eigs, floor = _stacked_spectrum(H)
+    eigs = np.linalg.eigvalsh(H)
+    floor = 2 * q * np.finfo(float).eps * max(abs(eigs[0]), abs(eigs[-1]))
     chol_ok = True
     try:
         np.linalg.cholesky(H)

@@ -85,7 +85,9 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _at_least(flag: str, value: float, low: float) -> float:
-    """`value`, or the input error of a `flag` below `low`."""
+    """`value`, or the input error of a `flag` that is not finite or below `low`."""
+    if not np.isfinite(value):
+        raise DataError(f"{flag} must be finite, got {value}")
     if value < low:
         raise DataError(f"{flag} must be >= {low}, got {value}")
     return value
@@ -141,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # strict: NaN and infinity are not JSON
-    path.write_text(json_text(payload, allow_nan=False) + "\n")
+    path.write_text(json_text(payload) + "\n")  # strict, as json_text is
 
 
 def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -> DataError:
@@ -165,6 +166,13 @@ def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -
 
 def cmd_fit(args) -> int:
     start = time.perf_counter()
+    kn = _auto(args.kn, "--kn")
+    lam1 = _auto(args.lambda1, "--lambda1", float)
+    lam2 = _auto(args.lambda2, "--lambda2", float)
+    _at_least("--tol", args.tol, 0)
+    _at_least("--max-stages", args.max_stages, 1)
+    _at_least("--grid", args.grid, 1)
+    z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -172,12 +180,6 @@ def cmd_fit(args) -> int:
         args.data, args.y, args.x1, args.x2, preprocess=not args.no_preprocess
     )
     n = dataset.n
-    kn = _auto(args.kn, "--kn")
-    lam1 = _auto(args.lambda1, "--lambda1", float)
-    lam2 = _auto(args.lambda2, "--lambda2", float)
-    _at_least("--max-stages", args.max_stages, 1)
-    _at_least("--grid", args.grid, 1)
-    z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
     for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
         # a spline in one value is not identified at any penalty
         if x.min() == x.max():

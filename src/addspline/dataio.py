@@ -150,9 +150,9 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
         fh.write(row * n % cells)
 
 
-def json_text(obj, allow_nan: bool = True, _level: int = 0) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=1, allow_nan=allow_nan)`, with
-    each list of scalars encoded by one call of json's C encoder.
+def json_text(obj, _level: int = 0) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)`, strict (NaN
+    and infinity raise), each list of scalars one call of json's C encoder.
 
     json's indenting encoder is pure Python and formats one value per call.
     Here dicts with string keys and lists are walked in Python, in sorted key
@@ -163,18 +163,18 @@ def json_text(obj, allow_nan: bool = True, _level: int = 0) -> str:
     pad = "\n" + " " * (_level + 1)
     if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
         items = [
-            json.dumps(k) + ": " + json_text(v, allow_nan, _level + 1)
+            json.dumps(k) + ": " + json_text(v, _level + 1)
             for k, v in sorted(obj.items())
         ]
     elif isinstance(obj, (list, tuple)) and obj:
         if any(isinstance(v, (list, tuple, dict)) for v in obj):
-            items = [json_text(v, allow_nan, _level + 1) for v in obj]
+            items = [json_text(v, _level + 1) for v in obj]
         else:
-            flat = json.dumps(obj, separators=("," + pad, ": "), allow_nan=allow_nan)
+            flat = json.dumps(obj, separators=("," + pad, ": "), allow_nan=False)
             return "[" + pad + flat[1:-1] + pad[:-1] + "]"
     else:
         # a scalar, an empty container, or a dict that json must key itself
-        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=allow_nan)
+        text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
         return text.replace("\n", "\n" + " " * _level)
     opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
     return opening + pad + ("," + pad).join(items) + pad[:-1] + closing

@@ -4,11 +4,11 @@ The estimator is linear in y and touches y only through u = (X_1'y, X_2'y):
 an estimate r'b of the coefficients b = (b1, b2) is a'u for one weight a in
 coefficient space.  Stage mode gets a by running the backfit sweep backwards
 from the seed r (`_coef_weights`, the one kernel behind every stage-mode
-estimate, weight and variance); limit mode solves H a = r, H the stacked
-normal-equation matrix.  The observation weights of a are X_1 a_1 + X_2 a_2,
-so two of them have the inner product a'G c, G the stacked Gram matrix of
-(X_1, X_2): interval variances need no n-vector per point.  The n-vector
-weights (`component_weights`, `smoother_weights`, `exact_covariance`) serve
+estimate, weight and variance); limit mode maps r by the symmetric joint
+solve.  The observation weights of a are X_1 a_1 + X_2 a_2, so two of them
+have the inner product a'G c, G the stacked Gram matrix of (X_1, X_2):
+interval variances need no n-vector per point.  The n-vector weights
+(`component_weights`, `smoother_weights`, `exact_covariance`) serve
 heteroskedastic noise and test oracles.  No n x n matrix is ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
@@ -218,19 +218,15 @@ def smoother_weights(
     """Observation weights of the estimator at the evaluation point (x1, x2).
 
     mode="stage" reproduces the fixed-`stages` backfit started from zero;
-    mode="limit" reproduces the stacked normal-equation solution and raises
-    SingularSystemError whenever that system is singular (always the case for
-    two full partition-of-unity bases).
+    mode="limit" reproduces the stacked normal-equation solution
+    (`NormalEquations.solve`), which with two full bases is the one in the
+    gauge l'b2 = 0, the limit of the zero-start backfit.
     """
     seeds = _seeds(*(design_matrix(design.X1.config, float(x)).values for x in (x1, x2)))
     if mode == "stage":
         A = StageSmoother(design, stages)._weights(seeds)
-    elif mode == "limit":
-        A = design.normal_equations.stacked_solve(  # H^{-1} S, H symmetric
-            np.concatenate(seeds),
-            "limit-mode weights are undefined under the shared constant "
-            "direction -- use stage mode",
-        )[None]
+    elif mode == "limit":  # the solution map is symmetric: it maps the seeds
+        A = np.concatenate(design.normal_equations.solve(*seeds))[None]
         stages = None
     else:
         raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")

@@ -3,27 +3,26 @@
 import numpy as np
 import pytest
 from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addspline import basis
 from addspline import (
     AdditiveDesign,
-    SingularSystemError,
     backfit,
     backfit_stages,
     build_design,
-    center_component,
     criterion,
     hessian_check,
     joint_solve,
     kn_rule,
     lambda_rule,
-    one_stage_pair,
     penalty_matrix,
     predict,
     univariate_penalized,
 )
-from addspline.backfit import NormalEquations, _PinnedCholesky
-from addspline.bandmat import BandedMatrix
+from addspline.backfit import NormalEquations, _PinnedCholesky, center_component, one_stage_pair
+from addspline.bandmat import BandedMatrix, NotPositiveDefiniteError
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
 from addspline.penalty import PenaltyMatrix, difference_matrix
@@ -341,6 +340,14 @@ class TestPinnedColumns:
         assert np.all(r.b1[:5] == 0.0)
         assert r.b2[0] == 0.0
 
+    def test_joint_solve_pins_the_same_columns(self):
+        d = ozone_design(0.0)
+        r = backfit(d, tol=1e-12, max_stages=1000)
+        b1, b2 = joint_solve(d)
+        assert np.all(b1[:5] == 0.0) and b2[0] == 0.0
+        scale = max(np.abs(r.b1).max(), np.abs(r.b2).max())
+        assert max(np.abs(b1 - r.b1).max(), np.abs(b2 - r.b2).max()) <= 1e-12 * scale
+
     def test_fitted_values_match_dense_least_squares(self):
         d = ozone_design(0.0)
         r = backfit(d, max_stages=400)
@@ -454,15 +461,104 @@ class TestOptimality:
             assert shifted == pytest.approx(base, rel=1e-12)
 
 
+def gauged_oracle(design):
+    """Dense oracle of the joint solve: lstsq of the stacked system, with the
+    gauge row (0, l') = 0 appended where the constant shift is a null vector.
+    The minimum-norm solution sets the pinned coefficients to 0."""
+    A, rhs = stacked_dense(design)
+    if design.normal_equations.joint_system_singular:
+        ell = design.normal_equations.column_sums[1]
+        A = np.vstack([A, np.concatenate([np.zeros(design.num_coef), ell])])
+        rhs = np.append(rhs, 0.0)
+    return np.linalg.lstsq(A, rhs, rcond=None)[0]
+
+
+@st.composite
+def degenerate_designs(draw):
+    """Designs at the edges the joint solve must handle: K near or above n at
+    a positive penalty, zero penalty with data-free columns, and ridged
+    penalties, where the constant shift is no null vector."""
+    kind = draw(st.sampled_from(["k_near_n", "zero_penalty", "ridged"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "ridged":
+        K, lam = draw(st.integers(4, 20)), draw(st.floats(0.01, 10.0))
+        delta = draw(st.floats(0.1, 10.0))
+        return kind, ridged_design(n=150, K=K, lam=lam, delta=delta, seed=seed)
+    if kind == "k_near_n":
+        n = draw(st.integers(20, 60))
+        y, x1, x2 = sim_xy(n, seed=seed)
+        K, lam = n + draw(st.integers(-5, 5)), draw(st.floats(0.1, 10.0))
+    else:
+        y, x1, x2 = sim_xy(draw(st.integers(100, 200)), seed=seed)
+        K, lam = draw(st.integers(4, 8)), 0.0
+        # x1 within the first k of K knot intervals: the columns of x1 above
+        # them hold no data, and each column below holds a whole interval's
+        x1 = x1 * draw(st.integers(K // 2, K - 1)) / K
+    return kind, build_design(y, x1, x2, num_intervals=K, lambda1=lam, lambda2=lam)
+
+
 class TestJointSolve:
     def test_raises_on_exactly_singular_full_design(self):
-        # both bases sum to one, the difference penalty kills constants:
-        # the stacked system has an exact null vector for every lambda
-        for seed in (0, 1, 2):
-            y, x1, x2 = sim_xy(120, seed=seed)
-            d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
-            with pytest.raises(SingularSystemError):
+        # with x2 = x1 a linear trend moves between the components as freely
+        # as a constant does, at every penalty, and the gauge fixes only the
+        # constant: the joint system stays singular
+        y, x1, _ = sim_xy(120, seed=0)
+        for lam in (0.0, 1e-4, 1.0, 50.0):
+            d = build_design(y, x1, x1.copy(), num_intervals=8, lambda1=lam, lambda2=lam)
+            with pytest.raises(NotPositiveDefiniteError, match="beyond the constant shift"):
                 joint_solve(d)
+
+    def test_matches_zero_start_backfit_on_full_design(self):
+        # the sweeps conserve l'b2, so the zero-start backfit stays in the
+        # gauge l'b2 = 0 that the joint solve imposes: the two meet
+        for seed, lam in ((0, 0.1), (1, 1.0), (2, 10.0)):
+            y, x1, x2 = sim_xy(120, seed=seed)
+            d = build_design(y, x1, x2, num_intervals=8, lambda1=lam, lambda2=lam)
+            assert d.normal_equations.joint_system_singular
+            r = backfit(d, tol=1e-13, max_stages=1000)
+            b1, b2 = joint_solve(d)
+            assert np.abs(b1 - r.b1).max() <= 1e-10
+            assert np.abs(b2 - r.b2).max() <= 1e-10
+            ell = d.normal_equations.column_sums[1]
+            assert abs(ell @ b2) <= 1e-12 * (ell @ np.abs(b2))
+
+    def test_blocks_solve_as_the_designs_alone(self):
+        # every block takes its own gauge l_b'b2_b = 0 and its own solve
+        blocks, n = 3, 120
+        y, x1, x2 = sim_xy(blocks * n, seed=4)
+        cfg = make_knots(3, 8)
+        d = AdditiveDesign(
+            y=y,
+            X1=design_matrix(cfg, x1).block_diagonal(blocks),
+            X2=design_matrix(cfg, x2).block_diagonal(blocks),
+            lambda1=1.0,
+            lambda2=1.0,
+            penalty=penalty_matrix(2, cfg.num_basis),
+            blocks=blocks,
+        )
+        b1, b2 = joint_solve(d)
+        q = cfg.num_basis
+        for b in range(blocks):
+            rows, cols = slice(b * n, (b + 1) * n), slice(b * q, (b + 1) * q)
+            alone = build_design(y[rows], x1[rows], x2[rows], num_intervals=8,
+                                 lambda1=1.0, lambda2=1.0)
+            a1, a2 = joint_solve(alone)
+            assert np.abs(b1[cols] - a1).max() <= 1e-12 * np.abs(a1).max()
+            assert np.abs(b2[cols] - a2).max() <= 1e-12 * np.abs(a2).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(degenerate_designs())
+    def test_matches_the_dense_gauged_oracle(self, case):
+        kind, d = case
+        eq = d.normal_equations
+        assert eq.joint_system_singular is (kind != "ridged")
+        if kind == "zero_penalty":
+            assert eq.pinned[0].size
+        want = gauged_oracle(d)
+        got = np.concatenate(joint_solve(d))
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        pinned = np.concatenate([eq.pinned[0], d.num_coef + eq.pinned[1]])
+        assert np.all(got[pinned] == 0.0)
 
     def test_null_vector_is_exact(self):
         y, x1, x2 = sim_xy(120, seed=7)
@@ -529,15 +625,17 @@ class TestInitInvariance:
                 assert nxt <= 0.5 * prev
 
     def test_constant_direction_is_exactly_neutral(self):
-        # starting 1000 units up the constant direction never decays
+        # a start 1000 units up the constant direction is projected onto the
+        # gauge l'b2 = 0 that the zero start already has, and lands on the
+        # zero-start fit at every stage
         y, x1, x2 = sim_xy(150, seed=12)
         d = build_design(y, x1, x2, num_intervals=9, lambda1=1.0, lambda2=1.0)
         q = d.num_coef
         ra = backfit(d, tol=1e-13, max_stages=8, keep_history=True)
         rb = backfit(d, b2_init=1e3 * np.ones(q), tol=1e-13, max_stages=8, keep_history=True)
-        for s in range(8):
-            gap = rb.history[s][1] - ra.history[s][1]
-            assert np.abs(gap - 1e3).max() < 1e-6
+        for (a1, a2), (b1, b2) in zip(ra.history, rb.history):
+            assert np.abs(b1 - a1).max() <= 1e-9
+            assert np.abs(b2 - a2).max() <= 1e-9
 
 
 class TestPointwiseHelpers:

@@ -375,7 +375,23 @@ class TestDegenerateInput:
         argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
         code, stdout, err = run_main(capsys, *argv, "--grid", "0", "--out", str(out))
         assert (code, stdout, err) == (1, "", "error: --grid must be >= 1, got 0\n")
-        assert list(out.glob("*")) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda1", "nan"), ("--lambda1", "inf"), ("--tol", "inf"), ("--tol", "nan")],
+    )
+    def test_non_finite_flag_exit_1_naming_it_before_any_work(
+        self, tmp_path, capsys, monkeypatch, ozone_args, flag, value
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no data may be read with a non-finite flag")
+
+        monkeypatch.setattr("addspline.cli.load_csv", forbidden)
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, *ozone_args, flag, value, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {flag} must be finite, got {value}\n")
+        assert not out.exists()
 
 
 class TestFitDiagnostics:
@@ -402,7 +418,7 @@ class TestFitDiagnostics:
         def forbidden(self):
             raise AssertionError("the fit must not build the dense stacked matrix")
 
-        # hessian_check and joint_solve both start from the stacked matrix
+        # hessian_check starts from the stacked matrix
         monkeypatch.setattr(NormalEquations, "stacked_matrix", forbidden)
         rows = []
         original = basis._basis_rows

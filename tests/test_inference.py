@@ -11,16 +11,15 @@ from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
 from addspline import (
     AdditiveDesign,
     PopulationSpec,
-    SingularSystemError,
     StageSmoother,
     asymptotic_bias,
     asymptotic_variance,
     backfit,
     backfit_stages,
     build_design,
-    center_component,
     confidence_interval,
     exact_covariance,
+    joint_solve,
     kn_rule,
     lambda_rule,
     penalty_matrix,
@@ -30,7 +29,8 @@ from addspline import (
     uniform_population,
     univariate_penalized,
 )
-from addspline.bandmat import BandedCholesky
+from addspline.backfit import center_component
+from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
 from addspline.dataio import load_csv
 from addspline.inference import _seeds
@@ -217,10 +217,38 @@ class TestCoefWeightsKernel:
 
 class TestLimitWeights:
     def test_raises_on_full_design(self):
+        # x2 = x1: the components are not determined beyond the constant
+        # shift, which is all the gauge fixes
+        y, x1, _ = sim_xy(100, seed=22)
+        d = build_design(y, x1, x1.copy(), num_intervals=8, lambda1=1.0, lambda2=1.0)
+        with pytest.raises(NotPositiveDefiniteError, match="beyond the constant shift"):
+            smoother_weights(d, 0.5, 0.5, mode="limit")
+
+    def test_stage_weights_converge_to_limit_weights_on_full_design(self):
+        # the zero-start stages keep the gauge l'b2 = 0 of the limit mode, so
+        # their observation weights converge to the limit weights
         y, x1, x2 = sim_xy(100, seed=22)
         d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
-        with pytest.raises(SingularSystemError):
-            smoother_weights(d, 0.5, 0.5, mode="limit")
+        assert d.normal_equations.joint_system_singular
+        wlim = smoother_weights(d, 0.5, 0.5, mode="limit")
+        gaps = []
+        for stages in (2, 5, 10, 40):
+            ws = smoother_weights(d, 0.5, 0.5, mode="stage", stages=stages)
+            gaps.append(max(np.abs(ws.w1 - wlim.w1).max(), np.abs(ws.w2 - wlim.w2).max()))
+        assert all(a > b for a, b in zip(gaps[:-1], gaps[1:-1]))
+        assert gaps[-1] <= 1e-14
+
+    def test_limit_weights_reproduce_the_joint_solve(self):
+        # the gauged solution map is symmetric, so the weights of its seeds
+        # give the joint solution's estimates
+        y, x1, x2 = sim_xy(100, seed=22)
+        d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
+        b1, b2 = joint_solve(d)
+        w = smoother_weights(d, 0.37, 0.81, mode="limit")
+        v1 = design_matrix(d.X1.config, 0.37).values[0]
+        v2 = design_matrix(d.X2.config, 0.81).values[0]
+        assert w.w1 @ d.y == pytest.approx(v1 @ b1, rel=1e-12, abs=1e-14)
+        assert w.w2 @ d.y == pytest.approx(v2 @ b2, rel=1e-12, abs=1e-14)
 
     def test_matches_dense_stacked_solve_when_identified(self):
         d = ridged_design()
