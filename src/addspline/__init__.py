@@ -25,7 +25,6 @@ from .backfit import (
 )
 from .bandmat import (
     BandedCholesky,
-    BandedMatrix,
     NotPositiveDefiniteError,
     gram_banded,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "AdditiveDesign",
     "BackfitResult",
     "BandedCholesky",
-    "BandedMatrix",
     "DataError",
     "Dataset",
     "DesignMatrix",

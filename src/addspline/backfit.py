@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bandmat import BandedCholesky, BandedMatrix, NotPositiveDefiniteError
-from .bandmat import _block_matmul, gram_banded
+from .bandmat import BandedCholesky, NotPositiveDefiniteError
+from .bandmat import _block_matmul, _stack_from_bands, gram_banded
 from .basis import DesignMatrix, SplineConfig, design_matrix, make_knots
 from .penalty import PenaltyMatrix, penalty_matrix
 
@@ -179,12 +179,11 @@ class _PinnedCholesky(BandedCholesky):
     a unit diagonal, and then zeroed in the inverse, so its coefficient solves
     to exactly 0.0: the minimum-norm solution on that block.  `pinned` lists
     those columns.  A block that is rank-deficient for any other reason still
-    raises NotPositiveDefiniteError.  A block diagonal Lam (`lam.blocks` > 1)
-    takes each block's floor from that block's diagonal.
+    raises NotPositiveDefiniteError.  A stack of several blocks takes each
+    block's floor from that block's diagonal.
     """
 
-    def __init__(self, lam: BandedMatrix):
-        stack = lam.stack
+    def __init__(self, stack: np.ndarray):
         diag = np.diagonal(stack, axis1=1, axis2=2)
         floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
         block, col = np.nonzero(diag <= floor)
@@ -194,22 +193,18 @@ class _PinnedCholesky(BandedCholesky):
             stack[block, col, :] = 0.0
             stack[block, :, col] = 0.0
             stack[block, col, col] = 1.0
-        super().__init__(BandedMatrix(stack, lam.bandwidth))
+        super().__init__(stack)
         self.inverse[block, col, :] = 0.0
         self.inverse[block, :, col] = 0.0
 
 
 def _check_penalty(Q: PenaltyMatrix) -> None:
-    """Raise ValueError unless Q_m is symmetric and zero more than `order`
-    places off its diagonal: the factors' inverses take Lam_j to lie within
-    bandwidth max(p, order)."""
+    """Raise ValueError unless Q_m is symmetric: the factors read the lower
+    triangle of each Lam_j alone, and the products with it the whole."""
     V = Q.values
-    gap = max(np.abs(V - V.T).max(initial=0.0), np.abs(np.triu(V, Q.order + 1)).max(initial=0.0))
+    gap = np.abs(V - V.T).max(initial=0.0)
     if gap > 1e-12 * (1.0 + np.abs(V).max(initial=0.0)):
-        raise ValueError(
-            f"penalty is not symmetric within bandwidth {Q.order} "
-            f"(worst entry outside it {gap:.3e})"
-        )
+        raise ValueError(f"penalty is not symmetric (worst asymmetry {gap:.3e})")
 
 
 class NormalEquations:
@@ -221,7 +216,8 @@ class NormalEquations:
     Lam_j = G_j + lam_j Q_m (`Lam1`, `Lam2`), the cross-product C = X_1'X_2
     (`C_blocks`) and the inverses in the factors `L1`, `L2` (with data-free
     columns pinned, see _PinnedCholesky).  Every product with them is one
-    batched matrix product.  Beside them: the right-hand sides u_j = X_j'y,
+    batched matrix product, and none of them keeps a bandwidth, so Q_m may be
+    any symmetric matrix.  Beside them: the right-hand sides u_j = X_j'y,
     the response's sum of squares `yy` and the column sums X_j'1
     (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
     column indices of each component; `stacked_matrix`, the residual and the
@@ -254,16 +250,15 @@ class NormalEquations:
             R1.rmatvec(y, self.u1)
             R2.rmatvec(y, self.u2)
         Q = design.penalty
-        self.G1 = BandedMatrix.from_bands(bands1, blocks).stack
-        self.G2 = BandedMatrix.from_bands(bands2, blocks).stack
+        self.G1 = _stack_from_bands(bands1, blocks)
+        self.G2 = _stack_from_bands(bands2, blocks)
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
         self.column_sums = (self.G1.sum(axis=2).ravel(), self.G2.sum(axis=2).ravel())
         self.Lam1 = self.G1 + design.lambda1 * Q.values
         self.Lam2 = self.G2 + design.lambda2 * Q.values
-        w = max(p, Q.order)
-        self.L1 = _PinnedCholesky(BandedMatrix(self.Lam1, w))
-        self.L2 = _PinnedCholesky(BandedMatrix(self.Lam2, w))
+        self.L1 = _PinnedCholesky(self.Lam1)
+        self.L2 = _PinnedCholesky(self.Lam2)
         self.pinned = (self.L1.pinned, self.L2.pinned)
 
     @property
@@ -372,7 +367,7 @@ class NormalEquations:
         S[block, col, :] = S[block, :, col] = 0.0
         pivot, floor = 0.0, _PIVOT_RTOL * np.diagonal(self.Lam2, axis1=1, axis2=2).max()
         try:
-            factor = _PinnedCholesky(BandedMatrix(S, S.shape[1] - 1))
+            factor = _PinnedCholesky(S)
         except NotPositiveDefiniteError:
             factor = None
         if factor is not None and factor.pinned.size == self.pinned[1].size:
@@ -510,9 +505,7 @@ def univariate_penalized(
         raise ValueError(f"penalty size {Q.size} != basis size {X.config.num_basis}")
     _check_penalty(Q)
     y = np.asarray(y, dtype=float).ravel()
-    G = gram_banded(X)
-    lam_stack = BandedMatrix(G.stack + lam * Q.values, max(G.bandwidth, Q.order))
-    b = _PinnedCholesky(lam_stack).solve(X.rmatvec(y))
+    b = _PinnedCholesky(gram_banded(X) + lam * Q.values).solve(X.rmatvec(y))
     out = design_matrix(X.config, x).matvec(b)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 

@@ -15,7 +15,7 @@ O(n p^2) time and O(chunk p) memory: the p + 1 lower bands of the Gram
 matrix X'X (the rest of it is exactly zero), the dense q x q diagonal blocks
 of the cross-product X_1'X_2 of two designs, X'y and Xb.  The normal
 equations scatter the Gram bands once into the dense per-block stacks that
-every solve and product then uses (`bandmat.BandedMatrix.from_bands`).  No
+every solve and product then uses (`bandmat._stack_from_bands`).  No
 n-row array of basis values exists on the fit path; the compact rows of all
 points and the dense n x q matrix are built only on request, as the `first`,
 `vals` and `values` views.  Several designs stacked block diagonally

@@ -93,6 +93,15 @@ def _at_least(flag: str, value: float, low: float) -> float:
     return value
 
 
+def _check_basis_flags(args) -> None:
+    """Raise what the knots and the penalty would raise later on a bad
+    --degree or --diff-order, before any work."""
+    if args.degree < 0:
+        raise ValueError(f"degree must be >= 0, got {args.degree}")
+    if args.diff_order < 1:
+        raise ValueError(f"difference order must be >= 1, got {args.diff_order}")
+
+
 def _auto(text: str, flag: str, kind: type = int) -> float | None:
     """None for 'auto', else `text` as an int >= 1 or a float >= 0."""
     if text == "auto":
@@ -172,6 +181,7 @@ def cmd_fit(args) -> int:
     _at_least("--tol", args.tol, 0)
     _at_least("--max-stages", args.max_stages, 1)
     _at_least("--grid", args.grid, 1)
+    _check_basis_flags(args)
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -210,16 +220,6 @@ def cmd_fit(args) -> int:
                 file=sys.stderr,
             )
     result = backfit(design, tol=args.tol, max_stages=args.max_stages)
-    shift_residual, shift_floor = eq.constant_shift
-    if eq.joint_system_singular:
-        print(
-            "warning: the joint normal-equation system is singular: the constant "
-            "shift between the components is a null vector to rounding (residual "
-            f"{shift_residual:.3e}, floor {shift_floor:.3e}), so the component "
-            "split is identified only up to a constant shift. Reporting the "
-            "zero-start backfit solution with mean-centered display components.",
-            file=sys.stderr,
-        )
     sigma2 = sigma2_hat(design, result)
 
     rows = design_matrix(design.X1.config, grid)
@@ -305,8 +305,8 @@ def cmd_fit(args) -> int:
             f"component{j}": cols.tolist() for j, cols in enumerate(eq.pinned, start=1)
         },
         diagnostics={
-            "constant_shift_residual": shift_residual,
-            "constant_shift_floor": shift_floor,
+            "constant_shift_residual": eq.constant_shift[0],
+            "constant_shift_floor": eq.constant_shift[1],
             "f2_sum": float(eq.column_sums[1] @ result.b2),
         },
         grids=grids,
@@ -347,6 +347,7 @@ def _summary_fields(summary, level: float) -> dict:
 def cmd_simulate(args) -> int:
     _at_least("--n", args.n, 20)
     _at_least("--grid", args.grid, 1)
+    _check_basis_flags(args)
     if args.scenario in ("sim1", "sim2"):
         # one dataset, one fit: a count other than 1 would be ignored
         if args.reps not in (None, 1):

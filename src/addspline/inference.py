@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .backfit import AdditiveDesign, BackfitResult
-from .bandmat import BandedMatrix, _block_matmul, gram_banded
+from .bandmat import _block_matmul, gram_banded
 from .basis import SplineConfig, design_matrix, eval_grid
 
 __all__ = [
@@ -298,11 +298,14 @@ def confidence_interval(
 
 
 def _component_design(design: AdditiveDesign, j: int):
-    if j == 1:
-        return design.X1, design.lambda1
-    if j == 2:
-        return design.X2, design.lambda2
-    raise ValueError(f"component index must be 1 or 2, got {j}")
+    """Component j's design matrix, for a design of one block."""
+    if j not in (1, 2):
+        raise ValueError(f"component index must be 1 or 2, got {j}")
+    if design.blocks != 1:
+        raise ValueError(
+            f"the plug-in formulas take a design of one block, not {design.blocks} blocks"
+        )
+    return design.X1 if j == 1 else design.X2
 
 
 def asymptotic_variance(design: AdditiveDesign, j: int, x: float, noise) -> float:
@@ -311,11 +314,11 @@ def asymptotic_variance(design: AdditiveDesign, j: int, x: float, noise) -> floa
     G_n = X'X/n and S_n = X' diag(sigma^2) X / n are the empirical moment
     matrices of component j.
     """
-    X, _ = _component_design(design, j)
+    X = _component_design(design, j)
     n = X.rows
-    Gn = gram_banded(X).to_dense() / n
+    Gn = gram_banded(X)[0] / n
     s2 = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
-    Sn = gram_banded(X, s2).to_dense() / n
+    Sn = gram_banded(X, s2)[0] / n
     v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(t @ Sn @ t) / n
@@ -333,12 +336,12 @@ def asymptotic_bias(
     b* is the best spline approximation of `true_fn`, computed as a dense-grid
     least-squares projection on 2000 points of (0, 1].
     """
-    X, _ = _component_design(design, j)
+    X = _component_design(design, j)
     n = X.rows
     grid = eval_grid(2000)
     Xg = design_matrix(X.config, grid).values
     b_star, *_ = np.linalg.lstsq(Xg, np.asarray(true_fn(grid), dtype=float), rcond=None)
-    Gn = gram_banded(X).to_dense() / n
+    Gn = gram_banded(X)[0] / n
     v = design_matrix(X.config, float(x)).values[0]
     t = np.linalg.solve(Gn, v)
     return float(-(lam / n) * (t @ (design.penalty.values @ b_star)))
@@ -385,8 +388,9 @@ def _panel_quadrature(panels: int, nodes_per_panel: int):
     return xs, ws
 
 
-def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> BandedMatrix:
-    """Population moment matrices by per-knot-interval Gauss-Legendre quadrature.
+def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> np.ndarray:
+    """Population moment matrices, q x q, by per-knot-interval Gauss-Legendre
+    quadrature.
 
     which="g1"/"g2": G_j with entries int B_i B_k q_j over (0, 1].
     which="sigma1"/"sigma2": Sigma_j with the integrand weighted by
@@ -417,4 +421,4 @@ def population_G(cfg: SplineConfig, spec: PopulationSpec, which: str) -> BandedM
             f"which must be one of 'g1', 'g2', 'sigma1', 'sigma2'; got {which!r}"
         )
 
-    return gram_banded(design_matrix(cfg, xs), ws * weight_fn)
+    return gram_banded(design_matrix(cfg, xs), ws * weight_fn)[0]

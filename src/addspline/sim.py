@@ -286,12 +286,6 @@ def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.
     return est - truth, cfg.error_variance * P
 
 
-def _replicate(cfg: ScenarioConfig, replication: int) -> tuple[np.ndarray, np.ndarray]:
-    """The deviation and its exact covariance V of one replication: a block of one."""
-    dev, V = _replicate_block(cfg, [replication])
-    return dev[0], V[0]
-
-
 # Measured on a 2-vCPU Linux host in a 39 MB process whose OpenBLAS threads
 # had started: fork + _exit + waitpid takes 3-4.5 ms, and a worker costs about
 # 10 ms of wall time in all once its copy-on-write faults and its pipe are

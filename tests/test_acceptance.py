@@ -256,7 +256,7 @@ def test_criterion_10_empirical_gram_convergence():
         per_j = []
         for j, X in ((1, d.X1), (2, d.X2)):
             Gn = X.values.T @ X.values / n
-            Gp = population_G(X.config, uniform_population(), f"g{j}").to_dense()
+            Gp = population_G(X.config, uniform_population(), f"g{j}")
             per_j.append(K * np.abs(np.linalg.eigvalsh(Gn - Gp)).max())
         vals[n] = per_j
     assert vals[2000][0] < vals[200][0]

@@ -22,7 +22,7 @@ from addspline import (
     univariate_penalized,
 )
 from addspline.backfit import NormalEquations, _PinnedCholesky, center_component, one_stage_pair
-from addspline.bandmat import BandedMatrix, NotPositiveDefiniteError
+from addspline.bandmat import NotPositiveDefiniteError
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
 from addspline.penalty import PenaltyMatrix, difference_matrix
@@ -105,9 +105,11 @@ class TestDesignValidation:
         ids=["asymmetric", "wider_than_its_order"],
     )
     def test_penalty_outside_its_bandwidth(self, entries):
-        # the factors' inverses take Lam_j to lie within bandwidth
-        # max(p, order): a penalty that breaks it is rejected where a system
-        # is built, though PenaltyMatrix itself stays unvalidated
+        # the factors take a symmetric penalty of any band, so one wider than
+        # its order solves; there Q 1 != 0, so the constant shift is no null
+        # vector and the minimizer is unique.  An asymmetric penalty is
+        # rejected where a system is built, though PenaltyMatrix itself
+        # stays unvalidated
         y, x1, x2 = sim_xy(50, seed=3)
         cfg = make_knots(3, 6)
         values = penalty_matrix(2, cfg.num_basis).values.copy()
@@ -122,10 +124,20 @@ class TestDesignValidation:
             lambda2=1.0,
             penalty=Q,
         )
-        with pytest.raises(ValueError, match="not symmetric within bandwidth 2"):
-            d.normal_equations
-        with pytest.raises(ValueError, match="not symmetric within bandwidth 2"):
-            univariate_penalized(d.X1, y, 1.0, Q, 0.5)
+        if not np.array_equal(values, values.T):
+            with pytest.raises(ValueError, match="penalty is not symmetric"):
+                d.normal_equations
+            with pytest.raises(ValueError, match="penalty is not symmetric"):
+                univariate_penalized(d.X1, y, 1.0, Q, 0.5)
+            return
+        assert not d.normal_equations.joint_system_singular
+        A, rhs = stacked_dense(d)
+        want = np.linalg.solve(A, rhs)
+        fit = backfit(d, tol=1e-12, max_stages=5000)  # contracts slowly: 1813 stages
+        assert fit.converged
+        for b1, b2 in (joint_solve(d), (fit.b1, fit.b2)):
+            got = np.concatenate([b1, b2])
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_response_names_y_and_row(self, bad):
@@ -379,13 +391,13 @@ class TestPinnedColumns:
         zero = ozone_design(0.0).normal_equations.Lam1
         ridged = ozone_design(1.0).normal_equations.Lam1
         parts = [zero, 1e20 * zero, ridged]
-        q, w = zero.shape[1], 3
-        L = _PinnedCholesky(BandedMatrix(np.concatenate(parts), w))
+        q = zero.shape[1]
+        L = _PinnedCholesky(np.concatenate(parts))
         assert L.pinned.tolist() == [0, 1, 2, 3, 4, q, q + 1, q + 2, q + 3, q + 4]
         rhs = np.random.default_rng(4).normal(size=(3 * q, 2))
         got = L.solve(rhs)
         for i, m in enumerate(parts):
-            alone = _PinnedCholesky(BandedMatrix(m, w)).solve(rhs[i * q : (i + 1) * q])
+            alone = _PinnedCholesky(m).solve(rhs[i * q : (i + 1) * q])
             assert np.array_equal(got[i * q : (i + 1) * q], alone)
 
 

@@ -15,9 +15,10 @@ from addspline.backfit import (
 )
 from addspline.bandmat import (
     BandedCholesky,
-    BandedMatrix,
     NotPositiveDefiniteError,
     _block_matmul,
+    _stack_from_bands,
+    _triangular_inverse,
     gram_banded,
 )
 from addspline.basis import design_matrix, make_knots
@@ -52,21 +53,15 @@ class TestStorage:
         rng = np.random.default_rng(0)
         for blocks, size, bw in [(1, 5, 0), (1, 8, 2), (1, 12, 5), (3, 7, 2), (2, 4, 3)]:
             dense = np.stack([random_banded_spd(rng, size, bw) for _ in range(blocks)])
-            B = BandedMatrix.from_bands(np.hstack([lower_bands(A, bw) for A in dense]), blocks)
-            assert (B.size, B.blocks, B.bandwidth) == (blocks * size, blocks, bw)
-            assert np.array_equal(B.stack, dense)
-            if blocks == 1:
-                assert np.array_equal(B.to_dense(), dense[0])
-            else:
-                with pytest.raises(ValueError, match="blocks"):
-                    B.to_dense()
+            stack = _stack_from_bands(np.hstack([lower_bands(A, bw) for A in dense]), blocks)
+            assert np.array_equal(stack, dense)
 
     def test_shape_validation(self):
         for shape in [(4, 4), (2, 3, 4)]:
-            with pytest.raises(ValueError):
-                BandedMatrix(np.zeros(shape), 1)
+            with pytest.raises(ValueError, match="is not"):
+                BandedCholesky(np.zeros(shape))
         with pytest.raises(ValueError, match="does not split"):
-            BandedMatrix.from_bands(np.zeros((2, 7)), blocks=2)
+            _stack_from_bands(np.zeros((2, 7)), blocks=2)
 
     def test_matvec_matches_dense(self):
         # the one batched product: A v and A' v, block by block
@@ -82,21 +77,22 @@ class TestStorage:
 class TestCholesky:
     def test_solve_matches_dense(self):
         rng = np.random.default_rng(3)
-        for size, bw in [(6, 1), (15, 4), (30, 6)]:
+        for size, bw in [(6, 1), (15, 4), (30, 6), (1, 0), (2, 1), (3, 2), (16, 15), (35, 34)]:
             dense = random_banded_spd(rng, size, bw)
-            chol = BandedCholesky(BandedMatrix(dense[None], bw))
+            chol = BandedCholesky(dense[None])
             rhs = rng.normal(size=size)
             assert np.allclose(chol.solve(rhs), np.linalg.solve(dense, rhs), atol=1e-9)
             rhs2 = rng.normal(size=(size, 3))
             assert np.allclose(chol.solve(rhs2), np.linalg.solve(dense, rhs2), atol=1e-9)
 
     def test_solve_matches_numpy_solve_on_block_stacks(self):
-        # block diagonal SPD systems of several sizes and bandwidths, with
-        # pinned columns (a unit row and column in the factored matrix, a
-        # zero row and column in the inverse) in some blocks
+        # block diagonal SPD systems of several sizes and bandwidths, full
+        # bands among them, with pinned columns (a unit row and column in the
+        # factored matrix, a zero row and column in the inverse) in some blocks
         rng = np.random.default_rng(4)
         for blocks, size, bw in [(1, 16, 3), (1, 35, 3), (8, 35, 3), (3, 17, 2), (2, 203, 3),
-                                 (4, 5, 3), (5, 9, 0), (2, 1, 0)]:
+                                 (4, 5, 3), (5, 9, 0), (2, 1, 0), (8, 35, 34), (1, 16, 15),
+                                 (3, 2, 1), (2, 3, 2), (4, 4, 3)]:
             dense = [random_banded_spd(rng, size, bw) * rng.uniform(0.1, 1e3)
                      for _ in range(blocks)]
             pinned = []
@@ -106,7 +102,7 @@ class TestCholesky:
                     dense[b][cols, :] = dense[b][:, cols] = 0.0
                     pinned += (b * size + np.sort(cols)).tolist()
             stack = np.stack(dense)
-            chol = _PinnedCholesky(BandedMatrix(stack, bw))
+            chol = _PinnedCholesky(stack)
             assert chol.pinned.tolist() == pinned
             assert np.array_equal(stack, np.stack(dense))  # the input is not changed
             for rhs in (
@@ -129,18 +125,19 @@ class TestCholesky:
         # the factor of a block diagonal system solves each block exactly as
         # the factor of that block alone does
         rng = np.random.default_rng(12)
-        for blocks, size, bw in [(8, 35, 3), (3, 16, 3), (5, 7, 2)]:
+        for blocks, size, bw in [(8, 35, 3), (3, 16, 3), (5, 7, 2), (8, 35, 34), (4, 1, 0),
+                                 (3, 2, 1), (2, 3, 2)]:
             parts = [random_banded_spd(rng, size, bw) for _ in range(blocks)]
-            whole = BandedCholesky(BandedMatrix(np.stack(parts), bw))
+            whole = BandedCholesky(np.stack(parts))
             for rhs in (rng.normal(size=blocks * size), rng.normal(size=(blocks * size, 2))):
                 got = whole.solve(rhs)
                 for b, A in enumerate(parts):
                     rows = slice(b * size, (b + 1) * size)
-                    alone = BandedCholesky(BandedMatrix(A[None], bw)).solve(rhs[rows])
+                    alone = BandedCholesky(A[None]).solve(rhs[rows])
                     assert np.array_equal(got[rows], alone)
 
     def test_solve_rejects_a_wrong_row_count(self):
-        chol = BandedCholesky(BandedMatrix(np.eye(6)[None] * 2.0, 1))
+        chol = BandedCholesky(np.eye(6)[None] * 2.0)
         for rhs in (np.ones(5), np.ones((7, 2))):
             with pytest.raises(ValueError, match="rows"):
                 chol.solve(rhs)
@@ -148,21 +145,32 @@ class TestCholesky:
     def test_not_positive_definite(self):
         dense = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            BandedCholesky(BandedMatrix(dense[None], 0))
+            BandedCholesky(dense[None])
 
     def test_exactly_singular(self):
         dense = np.diag([1.0, 0.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError):
-            BandedCholesky(BandedMatrix(dense[None], 0))
+            BandedCholesky(dense[None])
 
     def test_failure_names_the_leading_minor_of_the_whole_matrix(self):
         # the order counts over all blocks, as LAPACK's banded factor reported it
         dense = np.diag([1.0, 2.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match="^3-th leading minor not positive"):
-            BandedCholesky(BandedMatrix(dense[None], 0))
+            BandedCholesky(dense[None])
         good, bad = np.eye(4) * 2.0, np.diag([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match="^6-th leading minor not positive"):
-            BandedCholesky(BandedMatrix(np.stack([good, bad]), 1))
+            BandedCholesky(np.stack([good, bad]))
+
+    def test_triangular_inverse_of_full_factors(self):
+        # the half split inverts lower triangular factors with no zero band,
+        # one block or several, as numpy's inverse does
+        rng = np.random.default_rng(13)
+        for blocks, size in [(1, 1), (1, 2), (2, 3), (1, 16), (8, 35), (1, 203)]:
+            A = np.stack([random_banded_spd(rng, size, size - 1) for _ in range(blocks)])
+            L = np.linalg.cholesky(A)
+            got, want = _triangular_inverse(L), np.linalg.inv(L)
+            assert np.array_equal(np.triu(got, 1), np.zeros_like(got))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestGram:
@@ -171,13 +179,13 @@ class TestGram:
         cfg = make_knots(3, 10)
         X = design_matrix(cfg, 1.0 - rng.random(80))
         G = gram_banded(X)
-        assert G.bandwidth == 3
-        assert np.allclose(G.to_dense(), X.values.T @ X.values, atol=1e-12)
+        assert G.shape == (1, X.cols, X.cols)
+        assert np.allclose(G[0], X.values.T @ X.values, atol=1e-12)
         Gb = gram_banded(X.block_diagonal(4))
-        assert Gb.blocks == 4
+        assert Gb.shape == (4, X.cols, X.cols)
         for b in range(4):
             rows = X.values[20 * b : 20 * (b + 1)]
-            assert np.allclose(Gb.stack[b], rows.T @ rows, atol=1e-12)
+            assert np.allclose(Gb[b], rows.T @ rows, atol=1e-12)
 
     def test_out_of_band_entries_exactly_zero(self):
         # supports of B_k and B_h are disjoint when |k - h| > degree

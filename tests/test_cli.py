@@ -52,9 +52,9 @@ class TestFit:
         code, out, err = run_main(capsys, *ozone_args)
         assert code == 0
         assert "converged=True" in out
-        # the full-basis system is singular by construction; the run warns
-        # and reports centered components instead of failing
-        assert "singular" in err
+        # the full-basis system is singular by construction; the gauge
+        # l'b2 = 0 fixes the split, so the run reports without a warning
+        assert "singular" not in err
         report = RunReport.load(tmp_path / "fit_report.json")
         assert report.n == 111
         assert report.converged
@@ -114,7 +114,12 @@ class TestFit:
         code, out, err = run_main(
             capsys, *ozone_args, "--lambda1", "0", "--lambda2", "0", "--max-stages", "400"
         )
-        assert "singular" in err
+        assert (
+            "warning: component 1 basis columns [0, 1, 2, 3, 4] hold no data at zero "
+            "penalty; their coefficients are pinned to 0.\n"
+        ) in err
+        assert "warning: component 2 basis columns [0] hold no data" in err
+        assert "singular" not in err
         assert code == 0
         report = RunReport.load(tmp_path / "fit_report.json")
         assert report.joint_system_singular
@@ -171,8 +176,9 @@ class TestFit:
         assert RunReport.from_json(json.dumps(old)).pinned_columns == {}
 
     def test_zero_penalty_full_range_covariates_warn_but_report(self, tmp_path, capsys):
-        # with covariates spanning (0, 1] only the joint system is singular;
-        # the per-component solves are fine and the fit is still reported
+        # with covariates spanning (0, 1] only the joint system is singular,
+        # which the gauge resolves without a warning; the per-component
+        # solves are fine and the fit is reported
         rng = np.random.default_rng(17)
         n = 200
         x1 = 1.0 - rng.random(n)
@@ -201,7 +207,7 @@ class TestFit:
             str(tmp_path),
         )
         assert code == 0
-        assert "singular" in err
+        assert "singular" not in err
         report = RunReport.load(tmp_path / "fit_report.json")
         assert report.joint_system_singular
         assert report.config["lambda1"] == 0.0
@@ -240,11 +246,12 @@ class TestFit:
     def test_bad_level_or_grid_exit_1_before_fitting(
         self, tmp_path, capsys, ozone_args, flag, value
     ):
-        # the ozone fit always warns "singular"; its absence shows no fit ran
+        # the ozone fit always warns of grid points outside the data's
+        # support; its absence shows no fit ran
         code, _, err = run_main(capsys, *ozone_args, flag, value)
         assert code == 1
         assert "error:" in err
-        assert "singular" not in err
+        assert "support" not in err
         assert not (tmp_path / "fit_report.json").exists()
 
     def test_nonconvergence_exit_code_keeps_report(self, tmp_path, capsys, ozone_args):
@@ -375,6 +382,27 @@ class TestDegenerateInput:
         argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
         code, stdout, err = run_main(capsys, *argv, "--grid", "0", "--out", str(out))
         assert (code, stdout, err) == (1, "", "error: --grid must be >= 1, got 0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sim1"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--degree", "-1", "degree must be >= 0, got -1"),
+         ("--diff-order", "0", "difference order must be >= 1, got 0")],
+        ids=["degree", "diff_order"],
+    )
+    def test_bad_basis_flag_exit_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, ozone_args, command, flag, value, message
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no data may be read or drawn with a bad basis flag")
+
+        monkeypatch.setattr("addspline.cli.load_csv", forbidden)
+        monkeypatch.setattr("addspline.cli.run_sim1", forbidden)
+        out = tmp_path / "out"
+        argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
+        code, stdout, err = run_main(capsys, *argv, flag, value, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

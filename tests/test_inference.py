@@ -445,6 +445,25 @@ class TestAsymptoticVariance:
         assert ratios[0] <= 1.5
         assert ratios[0] < ratios[1] < ratios[2]
 
+    def test_plug_ins_reject_a_design_of_several_blocks(self):
+        # each block has its own G_n: the plug-ins take one block and name
+        # the count rather than read the first block's moments
+        y, x1, x2 = sim_xy(150, seed=25)
+        d = build_design(y, x1, x2, num_intervals=9)
+        stacked = AdditiveDesign(
+            y=y,
+            X1=d.X1.block_diagonal(3),
+            X2=d.X2.block_diagonal(3),
+            lambda1=d.lambda1,
+            lambda2=d.lambda2,
+            penalty=d.penalty,
+            blocks=3,
+        )
+        with pytest.raises(ValueError, match="one block, not 3 blocks"):
+            asymptotic_variance(stacked, 1, 0.5, 1.0 / 12.0)
+        with pytest.raises(ValueError, match="one block, not 3 blocks"):
+            asymptotic_bias(stacked, 2, 0.5, 1.0, np.sin)
+
 
 class TestAsymptoticBias:
     def test_zero_at_zero_penalty(self):
@@ -515,27 +534,27 @@ class TestAsymptoticBias:
 class TestPopulationG:
     def test_uniform_row_sums_are_basis_integrals(self):
         cfg = make_knots(3, 10)
-        G = population_G(cfg, uniform_population(), "g1").to_dense()
+        G = population_G(cfg, uniform_population(), "g1")
         for col in range(cfg.num_basis):
             k = col - cfg.degree + 1
             assert G[col].sum() == pytest.approx(basis_integral(cfg, k), rel=1e-10)
 
     def test_uniform_interior_diagonal_constant(self):
         cfg = make_knots(3, 12)
-        G = population_G(cfg, uniform_population(), "g1").to_dense()
+        G = population_G(cfg, uniform_population(), "g1")
         interior = np.diag(G)[cfg.degree : 12 - 1]
         assert np.ptp(interior) < 1e-13
 
     def test_noise_weighted_version_scales(self):
         cfg = make_knots(3, 8)
         pop = uniform_population(noise_variance=0.25)
-        G = population_G(cfg, pop, "g1").to_dense()
-        S = population_G(cfg, pop, "sigma1").to_dense()
+        G = population_G(cfg, pop, "g1")
+        S = population_G(cfg, pop, "sigma1")
         assert np.allclose(S, 0.25 * G, atol=1e-14)
 
     def test_empirical_gram_approaches_population(self):
         cfg = make_knots(3, 10)
-        G = population_G(cfg, uniform_population(), "g1").to_dense()
+        G = population_G(cfg, uniform_population(), "g1")
         x = 1.0 - np.random.default_rng(31).random(100_000)
         X = design_matrix(cfg, x).values
         emp = X.T @ X / 100_000

@@ -204,7 +204,7 @@ class TestReplicationKernel:
         for module in (backfit, sim):
             monkeypatch.setattr(module, "backfit_stages", lambda *a, **k: sweeps.append(a))
         cfg = ScenarioConfig(n=1000)
-        dev, _ = sim._replicate(cfg, 0)
+        (dev,), _ = sim._replicate_block(cfg, [0])
         assert len(solves) == 20
         assert sweeps == []
         monkeypatch.undo()
@@ -229,7 +229,7 @@ class TestReplicationKernel:
 
             monkeypatch.setattr(module, "design_matrix", counting)
         cfg = ScenarioConfig(n=1000)
-        dev, V = sim._replicate(cfg, 0)
+        _, (V,) = sim._replicate_block(cfg, [0])
         assert calls == [1000, 1000, 2]
         monkeypatch.undo()
         sm = StageSmoother(scenario_design(cfg, generate_dataset(cfg, 0)), cfg.stages)
@@ -250,7 +250,7 @@ class TestReplicationBlocks:
         dev, V = sim._replicate_block(cfg, ids)
         assert dev.shape == (7, 2) and V.shape == (7, 2, 2)
         for i, r in enumerate(ids):
-            d1, V1 = sim._replicate(cfg, r)
+            (d1,), (V1,) = sim._replicate_block(cfg, [r])
             assert np.array_equal(dev[i], d1)
             assert np.array_equal(V[i], V1)
 
@@ -301,7 +301,7 @@ class TestReplicationBlocks:
         dev, V = sim._replicate_block(cfg, ids)
         x1e, x2e = cfg.eval_point
         for i, r in enumerate(ids):
-            d1, V1 = sim._replicate(cfg, r)
+            (d1,), (V1,) = sim._replicate_block(cfg, [r])
             assert np.array_equal(dev[i], d1) and np.array_equal(V[i], V1)
             d = scenario_design(cfg, generate_dataset(cfg, r))
             res = backfit.backfit_stages(d, cfg.stages)
@@ -317,9 +317,9 @@ class TestReplicationBlocks:
         factors, solves = [], []
         init, solve = BandedCholesky.__init__, BandedCholesky.solve
 
-        def counting_init(self, matrix):
-            factors.append(matrix.size)
-            init(self, matrix)
+        def counting_init(self, stack):
+            factors.append(stack.shape[0] * stack.shape[1])
+            init(self, stack)
 
         def counting_solve(self, rhs):
             solves.append(rhs.shape)
