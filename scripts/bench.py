@@ -12,8 +12,10 @@ first, and of the second the per-layer metrics that BENCHMARK.json names and
 the `calls` and `self_s` of every traced layer.  It then fits
 seeded CSVs of each size in `--sizes` (default n = 1e3 and 1e6), one child
 process to write each CSV and one to run `addspline fit` on it.  The fit child
-reports the fit's wall time, the part of it spent parsing the CSV, and its
-peak resident memory, the `VmHWM` line of its own /proc/self/status.
+reports the fit's wall time, the part of it spent reading the CSV and adding
+up the normal-equation statistics (`read_s`), the processes that did so
+(`read_workers`), and its peak resident memory, the `VmHWM` line of its own
+/proc/self/status; a forked reader's memory is its own and is not counted.
 `ru_maxrss` would not do: Linux carries the peak of the process that ran
 exec into the new process's `ru_maxrss`, so a fit started from a large
 parent would read that parent's peak.
@@ -50,26 +52,38 @@ np.savetxt(path, np.column_stack([y, x1, x2]), fmt="%.17g", delimiter=",",
            header="y,x1,x2", comments="")
 """
 
-# one `addspline fit`, timed in the process that runs it
+# one `addspline fit`, timed in the process that runs it; read_s is its
+# read-and-statistics phase: `load_csv_summarized` (the CSV read, the
+# preprocessing and, for a file read in parts, the normal-equation statistics)
+# plus any `NormalStatistics.of` pass outside it (a file read in one part)
 RUN_FIT = """
 import json, sys, time
 import addspline.cli as cli
-parse = []
-load_csv = cli.load_csv
-def timed_load_csv(*args, **kwargs):
-    start = time.perf_counter()
-    try:
-        return load_csv(*args, **kwargs)
-    finally:
-        parse.append(time.perf_counter() - start)
-cli.load_csv = timed_load_csv
+from addspline.backfit import NormalStatistics
+phase, inside = [], []
+def timed(fn):
+    def wrapper(*args, **kwargs):
+        if inside:  # a pass nested in the phase already timed
+            return fn(*args, **kwargs)
+        inside.append(True)
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            phase.append(time.perf_counter() - start)
+            inside.pop()
+    return wrapper
+cli.load_csv_summarized = timed(cli.load_csv_summarized)
+NormalStatistics.of = classmethod(timed(NormalStatistics.of.__func__))
 start = time.perf_counter()
 code = cli.main(["fit", "--data", sys.argv[1], "--y", "y", "--x1", "x1", "--x2", "x2",
                  "--out", sys.argv[2]])
 wall = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(json.dumps({"exit_code": code, "wall_s": wall, "parse_s": sum(parse),
+report = json.load(open(sys.argv[2] + "/fit_report.json"))
+print(json.dumps({"exit_code": code, "wall_s": wall, "read_s": sum(phase),
+                  "read_workers": report["diagnostics"]["read_workers"],
                   "peak_mb": hwm / 1024.0}))
 """
 
@@ -175,7 +189,8 @@ def main(argv=None) -> int:
     report["host"]["nproc"] = len(os.sched_getaffinity(0))
     report["fits"] = fit_sizes(args.sizes, args.seed)
     for n, fit in report["fits"].items():
-        print(f"fit n={n}: wall {fit['wall_s']:.3f} s (parse {fit['parse_s']:.3f} s), "
+        print(f"fit n={n}: wall {fit['wall_s']:.3f} s (read and statistics "
+              f"{fit['read_s']:.3f} s in {fit['read_workers']} processes), "
               f"peak {fit['peak_mb']:.1f} MB")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -28,8 +28,7 @@ coefficients are fixed at exactly 0.0, the minimum-norm solution.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +42,7 @@ __all__ = [
     "BackfitResult",
     "HessianReport",
     "NormalEquations",
+    "NormalStatistics",
     "kn_rule",
     "lambda_rule",
     "build_design",
@@ -77,6 +77,10 @@ class AdditiveDesign:
     responses one after another: the normal equations, the sweeps and
     `StageSmoother` then serve all of them at once, block by block, as does
     `joint_solve`; the dense `hessian_check` and `criterion` take one block.
+
+    `statistics`, when given, are the design's `NormalStatistics`, added up
+    elsewhere (say, over parts of the rows in several processes); otherwise
+    the normal equations add them up from y, X1 and X2.
     """
 
     y: np.ndarray
@@ -86,6 +90,7 @@ class AdditiveDesign:
     lambda2: float
     penalty: PenaltyMatrix
     blocks: int = 1
+    statistics: "NormalStatistics | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.y.shape[0]
@@ -105,6 +110,11 @@ class AdditiveDesign:
             )
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("penalty weights must be >= 0")
+        if self.statistics is not None and self.statistics.u1.shape != (self.X1.cols,):
+            raise ValueError(
+                f"statistics of {self.statistics.u1.shape[0]} columns for a basis "
+                f"of {self.X1.cols}"
+            )
 
     @property
     def num_coef(self) -> int:
@@ -153,8 +163,10 @@ def build_design(
     num_intervals: int | None = None,
     lambda1: float | None = None,
     lambda2: float | None = None,
+    statistics: "NormalStatistics | None" = None,
 ) -> AdditiveDesign:
-    """Assemble an AdditiveDesign from raw samples using the default rules."""
+    """Assemble an AdditiveDesign from raw samples using the default rules;
+    `statistics` as `AdditiveDesign` takes them."""
     y = np.asarray(y, dtype=float).reshape(-1)
     n = y.shape[0]
     K = kn_rule(n) if num_intervals is None else int(num_intervals)
@@ -167,7 +179,53 @@ def build_design(
         lambda1=lam_default if lambda1 is None else float(lambda1),
         lambda2=lam_default if lambda2 is None else float(lambda2),
         penalty=penalty_matrix(diff_order, cfg.num_basis),
+        statistics=statistics,
     )
+
+
+@dataclass(frozen=True)
+class NormalStatistics:
+    """Everything the estimator reads of the data, as sums over rows.
+
+    The p + 1 lower bands of each Gram matrix X_j'X_j (`bands1`, `bands2`,
+    see `DesignChunk.gram_bands`), the diagonal blocks of C = X_1'X_2
+    (`C_blocks`, shape (blocks, q, q)), u_j = X_j'y and y'y.  Being sums over
+    rows, the statistics of two sets of rows add up (`+`) to those of both:
+    a design's rows can be summed in parts, in any processes, as long as
+    every part uses the same basis.
+    """
+
+    bands1: np.ndarray
+    bands2: np.ndarray
+    C_blocks: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    yy: float
+
+    @classmethod
+    def of(cls, y: np.ndarray, X1: DesignMatrix, X2: DesignMatrix) -> "NormalStatistics":
+        """The statistics of the rows of y, X1 and X2, added up in one pass over
+        chunks of rows (`DesignMatrix.chunks`), which evaluates each
+        component's basis once per chunk, in O(q^2 + chunk) memory at any n."""
+        q, blocks, p = X1.cols, X1.blocks, X1.config.degree
+        bands1, bands2 = np.zeros((p + 1, q)), np.zeros((p + 1, q))
+        C_blocks = np.zeros((blocks, q // blocks, q // blocks))
+        u1, u2 = np.zeros(q), np.zeros(q)
+        yy = 0.0
+        for (rows, R1), (_, R2) in zip(X1.chunks(), X2.chunks()):
+            yr = y[rows]
+            yy += float(yr @ yr)
+            R1.gram_bands(bands1)
+            R2.gram_bands(bands2)
+            R1.block_cross(R2, C_blocks)
+            R1.rmatvec(yr, u1)
+            R2.rmatvec(yr, u2)
+        return cls(bands1, bands2, C_blocks, u1, u2, yy)
+
+    def __add__(self, other: "NormalStatistics") -> "NormalStatistics":
+        return NormalStatistics(
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
+        )
 
 
 class _PinnedCholesky(BandedCholesky):
@@ -224,34 +282,24 @@ class NormalEquations:
     shift check use the unpinned Lam_j.
 
     These statistics are all the estimator reads of the data, the residual
-    sum of squares included (`rss_estimate`).  They are added up in one pass
-    over chunks of rows (`DesignMatrix.chunks`), which evaluates each
-    component's basis once per chunk and adds up only the p + 1 bands of each
-    Gram matrix, so building them takes O(q^2 + chunk) memory at any n.
+    sum of squares included (`rss_estimate`).  They come from the design's
+    `NormalStatistics`: its `statistics` when given, else one pass over its
+    rows (`NormalStatistics.of`).
     """
 
     def __init__(self, design: AdditiveDesign):
         # no reference back to the design: the design caches this object, and
         # a cycle would leave both to the cyclic garbage collector
         _check_penalty(design.penalty)
-        self.num_coef = q = design.num_coef
+        self.num_coef = design.num_coef
         self.blocks = blocks = design.blocks
-        p = design.X1.config.degree
-        bands1, bands2 = np.zeros((p + 1, q)), np.zeros((p + 1, q))
-        self.C_blocks = np.zeros((blocks, q // blocks, q // blocks))
-        self.u1, self.u2 = np.zeros(q), np.zeros(q)
-        self.yy = 0.0
-        for (rows, R1), (_, R2) in zip(design.X1.chunks(), design.X2.chunks()):
-            y = design.y[rows]
-            self.yy += float(y @ y)
-            R1.gram_bands(bands1)
-            R2.gram_bands(bands2)
-            R1.block_cross(R2, self.C_blocks)
-            R1.rmatvec(y, self.u1)
-            R2.rmatvec(y, self.u2)
+        s = design.statistics
+        if s is None:
+            s = NormalStatistics.of(design.y, design.X1, design.X2)
+        self.C_blocks, self.u1, self.u2, self.yy = s.C_blocks, s.u1, s.u2, s.yy
         Q = design.penalty
-        self.G1 = _stack_from_bands(bands1, blocks)
-        self.G2 = _stack_from_bands(bands2, blocks)
+        self.G1 = _stack_from_bands(s.bands1, blocks)
+        self.G2 = _stack_from_bands(s.bands2, blocks)
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
         self.column_sums = (self.G1.sum(axis=2).ravel(), self.G2.sum(axis=2).ravel())

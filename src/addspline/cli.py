@@ -8,16 +8,24 @@ key=value lines supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .backfit import AdditiveDesign, backfit, build_design
+from .backfit import AdditiveDesign, NormalStatistics, backfit, build_design, kn_rule
 from .bandmat import NotPositiveDefiniteError
-from .basis import design_matrix, eval_grid
-from .dataio import DataError, RunReport, json_text, load_csv, write_table
+from .basis import design_matrix, eval_grid, make_knots
+from .dataio import (
+    DataError,
+    RunReport,
+    json_text,
+    load_csv,
+    load_csv_summarized,
+    write_table,
+)
 from .inference import StageSmoother, confidence_interval, sigma2_hat
 from .sim import (
     ScenarioConfig,
@@ -173,6 +181,13 @@ def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -
     return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
 
 
+def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int) -> NormalStatistics:
+    """The normal-equation statistics of some preprocessed rows of a dataset of
+    n rows, in the basis `build_design` gives that dataset."""
+    cfg = make_knots(degree, kn_rule(n) if kn is None else kn)
+    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
+
+
 def cmd_fit(args) -> int:
     start = time.perf_counter()
     kn = _auto(args.kn, "--kn")
@@ -186,9 +201,15 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    dataset = load_csv(
-        args.data, args.y, args.x1, args.x2, preprocess=not args.no_preprocess
-    )
+    stats, read_workers = None, 1
+    if args.no_preprocess:
+        dataset = load_csv(args.data, args.y, args.x1, args.x2, preprocess=False)
+    else:
+        # a large file is read and summarized in parts, on two CPUs where allowed
+        dataset, stats, read_workers = load_csv_summarized(
+            args.data, args.y, args.x1, args.x2,
+            functools.partial(_normal_statistics, args.degree, kn),
+        )
     n = dataset.n
     for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
         # a spline in one value is not identified at any penalty
@@ -207,6 +228,7 @@ def cmd_fit(args) -> int:
         num_intervals=kn,
         lambda1=lam1,
         lambda2=lam2,
+        statistics=stats,
     )
     try:
         eq = design.normal_equations
@@ -308,6 +330,7 @@ def cmd_fit(args) -> int:
             "constant_shift_residual": eq.constant_shift[0],
             "constant_shift_floor": eq.constant_shift[1],
             "f2_sum": float(eq.column_sums[1] @ result.b2),
+            "read_workers": read_workers,
         },
         grids=grids,
         runtime_seconds=time.perf_counter() - start,

@@ -4,18 +4,24 @@ Floats are written with 17 significant digits ('%.17g'), which reproduces the
 double exactly on re-parse; JSON relies on Python's shortest-repr floats, which
 round-trip as well.  Both writers hand whole arrays to C-level formatting: a
 table is one '%' format, and each list of numbers in a JSON document is one
-call of json's encoder.
+call of json's encoder.  A large CSV is read in two parts of rows, on two
+CPUs where allowed, each part preprocessed and summarized where it was read
+(`load_csv_summarized`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+
+from . import forking
 
 __all__ = [
     "DataError",
@@ -24,6 +30,7 @@ __all__ = [
     "format_float",
     "json_text",
     "load_csv",
+    "load_csv_summarized",
     "preprocess_columns",
     "read_table",
     "write_table",
@@ -197,12 +204,9 @@ def preprocess_columns(
 
 def _preprocess_in_place(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> Preprocessing:
     """`preprocess_columns` on float arrays that it overwrites."""
-    mean = float(np.mean(y))
-    if abs(mean) > 1e-12 * (float(np.max(np.abs(y), initial=0.0)) + 1.0):
-        y -= mean
-        center = mean
-    else:
-        center = 0.0
+    center = _center(float(np.mean(y)), float(np.max(np.abs(y), initial=0.0)))
+    if center:
+        y -= center
     scales = []
     nudged = 0
     for name, x in (("x1", x1), ("x2", x2)):
@@ -211,20 +215,40 @@ def _preprocess_in_place(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> Prepr
         top = float(x.max())
         if top <= 0:
             raise DataError(f"{name}: covariate maximum must be positive")
-        x /= top
-        zeros = x == 0.0
-        if np.any(zeros):
-            nudged += int(zeros.sum())
-            x[zeros] = np.nextafter(0.0, 1.0)
+        nudged += _scale_in_place(x, top)
         scales.append(top)
-    if nudged:
-        warnings.warn(
-            f"{nudged} zero covariate values nudged to the smallest positive double",
-            stacklevel=3,
-        )
+    _warn_nudged(nudged)
     return Preprocessing(
         y_center=center, x1_scale=scales[0], x2_scale=scales[1], zeros_nudged=nudged
     )
+
+
+def _center(mean: float, top: float) -> float:
+    """The centre subtracted from y of mean `mean` and largest magnitude `top`:
+    the mean, or 0.0 where it is within rounding of zero."""
+    return mean if abs(mean) > 1e-12 * (top + 1.0) else 0.0
+
+
+def _scale_in_place(x: np.ndarray, top: float) -> int:
+    """Divide x by `top` and nudge exact zeros to the smallest positive double;
+    the count nudged."""
+    x /= top
+    zeros = x == 0.0
+    if not np.any(zeros):
+        return 0
+    x[zeros] = np.nextafter(0.0, 1.0)
+    return int(zeros.sum())
+
+
+def _warn_nudged(nudged: int) -> None:
+    if nudged:
+        warnings.warn(
+            f"{nudged} zero covariate values nudged to the smallest positive double",
+            stacklevel=4,
+        )
+
+
+_MIN_ROWS = 10  # the fewest rows `load_csv` reads by default
 
 
 def load_csv(
@@ -233,7 +257,7 @@ def load_csv(
     x1_col: str,
     x2_col: str,
     preprocess: bool = True,
-    min_rows: int = 10,
+    min_rows: int = _MIN_ROWS,
 ) -> Dataset:
     """Load the three model columns from a CSV file.
 
@@ -270,6 +294,246 @@ def load_csv(
     )
 
 
+def load_csv_summarized(
+    path, y_col: str, x1_col: str, x2_col: str, summarize
+) -> tuple[Dataset, object, int]:
+    """`load_csv` with preprocessing, and `summarize` of its rows: the dataset,
+    the summary, and the number of processes that read and summarized them.
+
+    A file of at least `_SPLIT_BYTES` is read in two parts of rows, each
+    parsed, preprocessed and summarized by its own process
+    (`forking.Worker`), or both by this one, one after the other, where
+    `forking.workers` allows one process.  `summarize(y, x1, x2, n)` takes
+    one part's preprocessed columns and the row count n of the whole file,
+    and its results must add up (`+`) to the summary of both parts; the
+    summary is that sum, the first part's first.  So the summary does not
+    depend on the number of processes, and neither does the dataset, whose
+    preprocessing is `load_csv`'s: y centred on its mean over all rows, each
+    covariate scaled by its maximum, zeros nudged.
+
+    Any other input returns `load_csv(...)`, None and 1.  That includes a
+    smaller file, a blank line, a cell the vectorized parse rejects (see
+    `read_table`), a negative or constant covariate, fewer than `load_csv`'s
+    10 rows and one column in two roles; `load_csv` then gives its result
+    or its error.
+    """
+    path = Path(path)
+    cols = (y_col, x1_col, x2_col)
+    plan = _split_plan(path) if len(set(cols)) == 3 and path.exists() else None
+    if plan is not None and all(c in plan[0] for c in cols):
+        result = _read_in_parts(path, plan, [plan[0].index(c) for c in cols], summarize)
+        if result is not None:
+            y, x1, x2, record, summary, workers = result
+            _warn_nudged(record.zeros_nudged)
+            dataset = Dataset(tuple(plan[0]), y_col, x1_col, x2_col, y, x1, x2, record)
+            return dataset, summary, workers
+    return load_csv(path, y_col, x1_col, x2_col), None, 1
+
+
+# Files of at least this many bytes are read in two parts of rows
+# (`load_csv_summarized`).  Measured on a 2-vCPU Linux host, in a process that
+# had run one fit, on CSVs of three 17-digit columns: the median over 30
+# alternating runs of `load_csv` plus one pass of the statistics, against the
+# two parts in two processes, was 27.0 against 31.6 ms at 0.6 MB (10000
+# rows), 54.0 against 47.5 ms at 1.2 MB, 79.5 against 67.9 ms at 1.8 MB and
+# 100.5 against 64.6 ms at 2.4 MB.  Two processes break even near 1 MB; from
+# 2 MiB they save a sixth or more.  Both parts in one process cost what one
+# pass costs (78.4 against 79.5 ms at 1.8 MB).
+_SPLIT_BYTES = 2 << 20
+
+
+def _split_plan(path: Path) -> tuple[list[str], int] | None:
+    """The header and the number m of body lines of the first part, about half
+    of them, for a file of at least `_SPLIT_BYTES`; None for a smaller file, a
+    header whose quotes span lines, or a body of fewer than two lines in its
+    first 64 KiB."""
+    size = path.stat().st_size
+    if size < _SPLIT_BYTES:
+        return None
+    with path.open() as fh:  # universal newlines, as `np.loadtxt` opens a path
+        line = fh.readline()
+        sample = fh.read(1 << 16)
+    lines = sample.count("\n")
+    if line.count('"') % 2 or lines < 2:
+        return None
+    header = [name.strip() for name in next(csv.reader([line]))]
+    return header, max(1, size * lines // (2 * len(sample)))
+
+
+def _read_part(path: Path, plan: tuple[list[str], int], part: int) -> np.ndarray | None:
+    """Body lines 1..m (part 0) or m + 1.. (part 1) of the plan as a table, or
+    None where the vectorized parse fails, reads a row that is not finite or
+    not as wide as the header, or (part 0) reads fewer than m rows.
+
+    Part 0 is the first m rows that are not blank: a blank line among body
+    lines 1..m takes it past line m, into part 1 (see `_overlap`)."""
+    header, m = plan
+    skip, rows = (1, m) if part == 0 else (1 + m, None)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=skip, max_rows=rows, comments=None, ndmin=2
+            )
+    except ValueError:
+        return None
+    if table.shape[1] != len(header) or not table.size or not np.isfinite(table).all():
+        return None
+    if part == 0 and table.shape[0] != m:
+        return None
+    return table
+
+
+def _overlap(table: np.ndarray, first_row: list[float], path: Path) -> bool:
+    """Whether part 0's `table` reaches into part 1, whose first row is
+    `first_row`.  It does when a blank line lies among body lines 1..m; its
+    last k rows are then part 1's first k, so part 1's first row is one of
+    its rows.  Only then is the file searched for a blank line."""
+    repeated = (table == np.asarray(first_row)).all(axis=1).any()
+    return bool(repeated) and _has_blank_line(path)
+
+
+def _has_blank_line(path: Path) -> bool:
+    """Whether a line of the file is empty, with any of the line ends '\\n',
+    '\\r\\n' and '\\r' of `np.loadtxt`'s universal newlines: whether two
+    line-end bytes meet anywhere but in '\\r\\n' (or one starts the file)."""
+    prev = b"\n"
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            window = prev + chunk
+            a = np.frombuffer(window, np.uint8)
+            if b"\r" not in window:  # the usual line ends, found faster
+                if (np.diff(np.flatnonzero(a == 10)) == 1).any():
+                    return True
+            else:
+                ends = np.flatnonzero((a == 10) | (a == 13))
+                second = ends[1:][np.diff(ends) == 1]
+                if ((a[second - 1] != 13) | (a[second] != 10)).any():
+                    return True
+            prev = chunk[-1:]
+    return False
+
+
+class _Reductions(NamedTuple):
+    """What the parts of a file exchange of their rows (`_reductions`)."""
+
+    rows: int
+    y_sum: float
+    y_top: float  # largest |y|
+    ranges: list[tuple[float, float]]  # (min, max) of x1 and of x2
+    first_row: list[float]
+
+
+def _reductions(table: np.ndarray | None, idx: list[int]) -> _Reductions | None:
+    """The `_Reductions` of a part's table, with the model columns y, x1, x2
+    at `idx`; None for no table."""
+    if table is None:
+        return None
+    y, x1, x2 = (table[:, j] for j in idx)
+    return _Reductions(
+        rows=table.shape[0],
+        y_sum=float(np.sum(y)),
+        y_top=max(float(y.max()), -float(y.min())),
+        ranges=[(float(x.min()), float(x.max())) for x in (x1, x2)],
+        first_row=table[0].tolist(),
+    )
+
+
+def _combine(parts: list) -> tuple[int, Preprocessing] | None:
+    """The row count and the preprocessing of all parts from their
+    `_reductions`, as `_preprocess_in_place` takes them from all rows; None
+    for an unread part, fewer rows than `load_csv` needs, or a covariate that
+    `load_csv` or the fit rejects (negative, all zero, or one value)."""
+    if any(r is None for r in parts):
+        return None
+    n = sum(r.rows for r in parts)
+    if n < _MIN_ROWS:
+        return None
+    scales = []
+    for j in range(2):
+        lo = min(r.ranges[j][0] for r in parts)
+        top = max(r.ranges[j][1] for r in parts)
+        if lo < 0 or top <= 0 or lo / top == 1.0:
+            return None
+        scales.append(top)
+    center = _center(sum(r.y_sum for r in parts) / n, max(r.y_top for r in parts))
+    return n, Preprocessing(y_center=center, x1_scale=scales[0], x2_scale=scales[1])
+
+
+def _summarize_part(columns: list[np.ndarray], form, summarize) -> tuple[int, object]:
+    """Preprocess one part's columns (y, x1, x2) in place by `form` = (n,
+    Preprocessing) and summarize them: (zeros nudged, summary)."""
+    (n, record), (y, x1, x2) = form, columns
+    if record.y_center:
+        y -= record.y_center
+    nudged = _scale_in_place(x1, record.x1_scale) + _scale_in_place(x2, record.x2_scale)
+    return nudged, summarize(y, x1, x2, n)
+
+
+def _read_in_parts(path: Path, plan, idx: list[int], summarize):
+    """(y, x1, x2, preprocessing, summary, processes) of `load_csv_summarized`
+    from the two parts of `plan`, or None where `load_csv` must read the file.
+
+    This process reads part 0 and, where `forking.workers` allows two
+    processes, a forked worker reads part 1 (`_serve_part`).  They exchange
+    one message each way: the worker's `_reductions`, then the row count and
+    preprocessing of all rows (`_combine`).  Each then preprocesses and
+    summarizes its own rows; the worker sends its summary and then its rows,
+    which are read straight into this process's columns.  The worker is
+    killed and reaped before this returns or raises.
+    """
+    with contextlib.ExitStack() as stack:
+        worker = None
+        if forking.workers() > 1:
+            worker = stack.enter_context(
+                forking.Worker(_serve_part, path, plan, idx, summarize)
+            )
+        table = _read_part(path, plan, 0)
+        first = _reductions(table, idx)
+        if worker is not None:
+            second = worker.recv()
+        else:
+            other = _read_part(path, plan, 1)
+            second = _reductions(other, idx)
+        form = _combine([first, second])
+        if form is None or _overlap(table, second.first_row, path):
+            return None
+        if worker is not None:
+            worker.send(form)
+        n0 = first.rows
+        columns = [np.empty(form[0]) for _ in idx]
+        for c, j in zip(columns, idx):
+            c[:n0] = table[:, j]
+        del table
+        nudged, summary = _summarize_part([c[:n0] for c in columns], form, summarize)
+        if worker is not None:
+            more, rest = worker.recv()
+            for c in columns:
+                worker.recv_into(c[n0:])
+        else:
+            part = [np.ascontiguousarray(other[:, j]) for j in idx]
+            del other
+            more, rest = _summarize_part(part, form, summarize)
+            for c, p in zip(columns, part):
+                c[n0:] = p
+    record = replace(form[1], zeros_nudged=nudged + more)
+    return (*columns, record, summary + rest, 1 if worker is None else 2)
+
+
+def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
+    """In a forked worker of `_read_in_parts`: read part 1, send its
+    reductions, then, given the row count and preprocessing of all rows,
+    send its zeros nudged and summary, then its columns y, x1, x2."""
+    table = _read_part(path, plan, 1)
+    channel.send(_reductions(table, idx))
+    form = channel.recv()
+    part = [np.ascontiguousarray(table[:, j]) for j in idx]
+    del table
+    channel.send(_summarize_part(part, form, summarize))
+    for c in part:
+        channel.send_array(c)
+
+
 @dataclass
 class RunReport:
     """Everything a fit run produced, serializable to JSON and back losslessly."""
@@ -292,8 +556,10 @@ class RunReport:
     pinned_columns: dict = field(default_factory=dict)
     # the identification diagnostics: "constant_shift_residual" and
     # "constant_shift_floor" (NormalEquations.constant_shift) and "f2_sum",
-    # sum_i f2_hat(x_i2) = (X_2'1)'b_2; reports written before this field
-    # existed load with {}
+    # sum_i f2_hat(x_i2) = (X_2'1)'b_2, and "read_workers", the processes
+    # that read the CSV and added up its statistics (`load_csv_summarized`);
+    # reports written before this field existed load with {}, and those
+    # written before "read_workers" without that key
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

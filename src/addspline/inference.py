@@ -108,23 +108,24 @@ class StageSmoother:
         shift = (ones @ A[:, :q] - ones @ A[:, q:]) / (2 * q)
         A[:, :q] -= shift
         A[:, q:] += shift
-        A1, A2 = A[:, :q], A[:, q:]
-        GA = np.empty_like(A)
-        G = _block_matmul(eq.G1, A1)
-        G += eq.cross(A2)
-        GA[:, :q] = G
-        G = eq.cross(A1, transpose=True)
-        G += _block_matmul(eq.G2, A2)
-        GA[:, q:] = G
         # per block and row i: P[a, b] = a_a' G a_b over the 2q coefficients,
-        # a_0 and a_1 the weights of f_hat_1 and f_hat_2 at row i
-        A, GA = A.reshape(blocks, 2 * q, 2, m), GA.reshape(blocks, 2 * q, 2, m)
+        # a_0 and a_1 the weights of f_hat_1 and f_hat_2 at row i.  G a is
+        # formed for one estimate's m columns at a time and reduced to its
+        # entries of P before the next: no 2q x 2m product lives beside A
+        A = A.reshape(blocks, 2 * q, 2, m)
         P = np.empty((blocks, m, 2, 2))
+        cross = []
         for a in range(2):
-            P[:, :, a, a] = (A[:, :, a] * GA[:, :, a]).sum(axis=1)
-        P[:, :, 0, 1] = P[:, :, 1, 0] = (
-            (A[:, :, 0] * GA[:, :, 1]).sum(axis=1) + (A[:, :, 1] * GA[:, :, 0]).sum(axis=1)
-        ) / 2
+            Aa = A[:, :, a]
+            GA = np.empty_like(Aa)
+            np.matmul(eq.G1, Aa[:, :q], out=GA[:, :q])
+            GA[:, :q] += eq.C_blocks @ Aa[:, q:]
+            np.matmul(eq.C_blocks.swapaxes(1, 2), Aa[:, :q], out=GA[:, q:])
+            GA[:, q:] += eq.G2 @ Aa[:, q:]
+            P[:, :, a, a] = (Aa * GA).sum(axis=1)
+            cross.append((A[:, :, 1 - a] * GA).sum(axis=1))
+            del GA
+        P[:, :, 0, 1] = P[:, :, 1, 0] = (cross[1] + cross[0]) / 2
         return estimates, P.reshape(-1, 2, 2)
 
     def weight_products(self, x1, x2) -> np.ndarray:

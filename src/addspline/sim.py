@@ -24,20 +24,21 @@ The blocks of a study run on up to two CPUs, the second share in a forked
 worker (`_replicate_all`).  The blocks and their arithmetic do not depend on
 the worker count, so the rows are bit for bit those of the serial loop.
 Studies below `_FORK_ROWS` data rows, of a single block, on one CPU or on a
-platform other than Linux run serially in the calling process.
+platform other than Linux run serially in the calling process
+(`forking.workers`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import forking
 from .backfit import (
     AdditiveDesign,
     backfit_stages,
@@ -292,22 +293,16 @@ def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.
 # counted (two workers against one at 16000-48000 rows, n = 200 and 1000).
 # A study's blocks cost 1.0-1.6 us per data row, so a second worker breaks
 # even near 20000 rows; from 32768 rows it saves a fifth of the study or more.
-# Two processes is the only count measured, so no study runs on more; the
-# affinity mask does not see a cgroup CPU quota, and the cap bounds what a
-# one-CPU quota costs to that one forked worker.
 _FORK_ROWS = 32_768
-_MAX_WORKERS = 2
 
 
 def _worker_count(rows: int, blocks: int) -> int:
-    """Processes to run a study of `rows` data rows in `blocks` blocks: two
-    when the study has two blocks or more and at least `_FORK_ROWS` rows and
-    this process may use two CPUs or more; one otherwise, and one on any
-    platform without `os.sched_getaffinity`, that is other than Linux, where
-    forking a process whose BLAS threads have started was not measured."""
-    if blocks < 2 or rows < _FORK_ROWS or not hasattr(os, "sched_getaffinity"):
+    """Processes to run a study of `rows` data rows in `blocks` blocks: those
+    `forking.workers` allows when the study has two blocks or more and at
+    least `_FORK_ROWS` rows; one otherwise."""
+    if blocks < 2 or rows < _FORK_ROWS:
         return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    return forking.workers()
 
 
 def _run_blocks(cfg: ScenarioConfig, starts: range, R: int) -> list:
@@ -330,73 +325,31 @@ def _replicate_all(
 
     The blocks are cut into one contiguous share per worker
     (`_worker_count`).  This process runs the first, largest share; a forked
-    worker runs each other one (`_serve`).  The shares come back in order,
-    so the rows are those of the serial loop.  A worker's exception is
-    raised again here.  Every worker is reaped before this returns or
-    raises, and killed first if its result was not read.
+    worker (`forking.Worker`) runs each other one and sends its blocks back.
+    The shares come back in order, so the rows are those of the serial loop.
+    A worker's exception is raised again here, and every worker is killed
+    and reaped before this returns or raises.
     """
     M, R = cfg.replications, _block_size(cfg.n)
     starts = range(0, M, R)
     workers = _worker_count(cfg.n * M, len(starts))
     cuts = [-(-len(starts) * w // workers) for w in range(workers + 1)]
     shares = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = []  # (pid, read end of its pipe), in share order
-    try:
+    with contextlib.ExitStack() as stack:
+        children: list[forking.Worker] = []
         for share in shares[1:]:
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _serve(cfg, share, R, write_end, [read_end, *(fd for _, fd in children)])
-            os.close(write_end)
-            children.append((pid, read_end))
+            child = forking.Worker(_send_blocks, cfg, share, R, siblings=children)
+            children.append(stack.enter_context(child))
         blocks = _run_blocks(cfg, shares[0], R)
-        while children:
-            pid, read_end = children[0]
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            os.close(read_end)
-            try:
-                sent = pickle.loads(data)  # written by `_serve` in our own fork
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(
-                    f"replication worker {pid} exited with status {status} after "
-                    f"sending {len(data)} bytes"
-                ) from None
-            if isinstance(sent, BaseException):
-                raise sent
-            blocks += sent
-    finally:
-        if children:
-            import signal  # needed on failure only
-
-            for pid, read_end in children:
-                os.close(read_end)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for child in children:
+            blocks += child.recv()
     devs, Vs, seconds = zip(*blocks)
     return np.concatenate(devs), np.concatenate(Vs), workers, seconds
 
 
-def _serve(cfg: ScenarioConfig, share: range, R: int, write_end: int, readers) -> None:
-    """In a forked worker: run the blocks of `share`, pickle the result, or
-    the exception raised, into the pipe `write_end` and exit; never return
-    into the caller's code.  `readers` are the read ends of the pipes this
-    worker inherited, closed so that only the parent reads them."""
-    status = 1
-    try:
-        for fd in readers:
-            os.close(fd)
-        try:
-            result = _run_blocks(cfg, share, R)
-        except BaseException as exc:  # sent to the parent, which raises it again
-            result = exc
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(result))
-        status = int(isinstance(result, BaseException))
-    finally:
-        os._exit(status)
+def _send_blocks(channel: forking.Channel, cfg: ScenarioConfig, share: range, R: int) -> None:
+    """In a forked worker: run the blocks of `share` and send them."""
+    channel.send(_run_blocks(cfg, share, R))
 
 
 def _standardize(dev: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,13 @@ from addspline import (
     predict,
     univariate_penalized,
 )
-from addspline.backfit import NormalEquations, _PinnedCholesky, center_component, one_stage_pair
+from addspline.backfit import (
+    NormalEquations,
+    NormalStatistics,
+    _PinnedCholesky,
+    center_component,
+    one_stage_pair,
+)
 from addspline.bandmat import NotPositiveDefiniteError
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
@@ -323,6 +329,24 @@ class TestChunkedStatistics:
             for name in ("u1", "u2"):
                 gap = np.abs(whole[name][cols] - alone[name]).max()
                 assert gap <= 1e-13 * np.abs(alone[name]).max(), name
+
+    def test_statistics_of_parts_add_up_to_the_design_given_them(self):
+        # rows cut anywhere: the parts' statistics sum to one pass's, and a
+        # design given that sum builds the normal equations from it alone
+        y, x1, x2 = sim_xy(3000, seed=4)
+        d = build_design(y, x1, x2, num_intervals=12)
+        cfg, cut = d.X1.config, 1234
+        parts = [
+            NormalStatistics.of(y[rows], design_matrix(cfg, x1[rows]), design_matrix(cfg, x2[rows]))
+            for rows in (slice(0, cut), slice(cut, None))
+        ]
+        given = build_design(y, x1, x2, num_intervals=12, statistics=parts[0] + parts[1])
+        for name, want in _statistics(d).items():
+            gap = np.abs(_statistics(given)[name] - want).max()
+            assert gap <= 1e-13 * np.abs(want).max(), name
+        assert given.normal_equations.u1 is given.statistics.u1
+        with pytest.raises(ValueError, match="statistics of 15 columns for a basis of 18"):
+            build_design(y, x1, x2, num_intervals=15, statistics=parts[0])
 
     def test_fit_reads_no_full_row_view(self):
         d = build_design(*sim_xy(3 * self.CHUNK, seed=1), num_intervals=12)

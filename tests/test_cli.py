@@ -19,9 +19,9 @@ from conftest import OZONE_CSV
 import addspline
 from addspline.backfit import NormalEquations
 from addspline.bandmat import NotPositiveDefiniteError
-from addspline import sim
+from addspline import dataio, forking, sim
 from addspline.cli import _write_json, main
-from addspline.dataio import RunReport, read_table
+from addspline.dataio import RunReport, read_table, write_table
 
 
 def run_main(capsys, *argv):
@@ -398,6 +398,7 @@ class TestDegenerateInput:
             raise AssertionError("no data may be read or drawn with a bad basis flag")
 
         monkeypatch.setattr("addspline.cli.load_csv", forbidden)
+        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)
         monkeypatch.setattr("addspline.cli.run_sim1", forbidden)
         out = tmp_path / "out"
         argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
@@ -416,10 +417,61 @@ class TestDegenerateInput:
             raise AssertionError("no data may be read with a non-finite flag")
 
         monkeypatch.setattr("addspline.cli.load_csv", forbidden)
+        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)
         out = tmp_path / "out"
         code, stdout, err = run_main(capsys, *ozone_args, flag, value, "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {flag} must be finite, got {value}\n")
         assert not out.exists()
+
+
+class TestFitReadInParts:
+    """A CSV of at least `dataio._SPLIT_BYTES` bytes is read and summarized in
+    two parts of rows; one process or two give the same fit."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 4000
+        x1, x2 = 1.0 - rng.random(n), 1.0 - rng.random(n)
+        y = np.sin(2 * np.pi * x1) + 0.5 * np.cos(np.pi * x2) + rng.uniform(-0.5, 0.5, n)
+        path = tmp_path / "data.csv"
+        write_table(path, ["y", "x1", "x2"], [y, x1, x2])
+        return path
+
+    def fit(self, capsys, monkeypatch, data, out, workers, split=True):
+        monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1 if split else 1 << 62)
+        monkeypatch.setattr(forking, "workers", lambda: workers)
+        argv = ["fit", "--data", str(data), "--y", "y", "--x1", "x1", "--x2", "x2"]
+        assert run_main(capsys, *argv, "--out", str(out))[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["diagnostics"].pop("read_workers") == (workers if split else 1)
+        report.pop("runtime_seconds")
+        return report
+
+    def test_one_and_two_processes_write_the_same_fit(self, tmp_path, capsys, monkeypatch, data):
+        one = self.fit(capsys, monkeypatch, data, tmp_path / "one", 1)
+        two = self.fit(capsys, monkeypatch, data, tmp_path / "two", 2)
+        assert one == two
+        for j in (1, 2):
+            name = f"fit_component{j}.csv"
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_parts_fit_as_one_pass_does(self, tmp_path, capsys, monkeypatch, data):
+        # the statistics of the parts add up in another order than one pass
+        parts = self.fit(capsys, monkeypatch, data, tmp_path / "parts", 2)
+        whole = self.fit(capsys, monkeypatch, data, tmp_path / "whole", 2, split=False)
+        got, want = parts["config"].pop("preprocessing"), whole["config"].pop("preprocessing")
+        assert parts["config"] == whole["config"]
+        # y's mean is the parts' sums over n: within rounding of one pass's
+        assert abs(got.pop("y_center") - want["y_center"]) <= 4 * np.spacing(abs(want.pop("y_center")))
+        assert got == want
+        for comp in ("component1", "component2"):
+            for col in ("estimate", "lower", "upper"):
+                got = np.array(parts["grids"][comp][col])
+                want = np.array(whole["grids"][comp][col])
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 class TestFitDiagnostics:
@@ -427,14 +479,19 @@ class TestFitDiagnostics:
         assert run_main(capsys, *ozone_args)[0] == 0
         report = RunReport.load(tmp_path / "fit_report.json")
         diag = report.diagnostics
-        assert set(diag) == {"constant_shift_residual", "constant_shift_floor", "f2_sum"}
+        assert set(diag) == {
+            "constant_shift_residual", "constant_shift_floor", "f2_sum", "read_workers"
+        }
+        assert diag["read_workers"] == 1  # a 4.7 KB file is read in one process
         assert 0.0 <= diag["constant_shift_residual"] <= diag["constant_shift_floor"]
         assert report.joint_system_singular
         # f2_sum is (X_2'1)'b_2, zero for the zero-start backfit up to rounding
         b2 = np.array(report.coefficients["b2"])
         assert abs(diag["f2_sum"]) <= 1e-9 * np.abs(b2).sum() * report.n
-        # a report written before the field existed still loads
+        # a report written before the field, or before read_workers, still loads
         old = json.loads((tmp_path / "fit_report.json").read_text())
+        del old["diagnostics"]["read_workers"]
+        assert set(RunReport.from_json(json.dumps(old)).diagnostics) == set(diag) - {"read_workers"}
         del old["diagnostics"]
         assert RunReport.from_json(json.dumps(old)).diagnostics == {}
 

@@ -1,10 +1,13 @@
 """CSV round trips, preprocessing invariants, run reports."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +17,9 @@ from conftest import OZONE_CSV
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addspline import dataio
+from addspline import dataio, forking
+from addspline.backfit import NormalStatistics
+from addspline.basis import design_matrix, make_knots
 from addspline.dataio import (
     DataError,
     RunReport,
@@ -22,6 +27,7 @@ from addspline.dataio import (
     format_float,
     json_text,
     load_csv,
+    load_csv_summarized,
     preprocess_columns,
     read_table,
     write_table,
@@ -309,6 +315,263 @@ class TestLoadCsv:
             load_csv(p, "y", "a", "b")
         ds = load_csv(p, "y", "a", "b", min_rows=3)
         assert ds.n == 5
+
+
+ROWS = 400  # rows of the files read in parts below, the threshold lowered
+
+
+def _csv_text(rows, ends=None, final="\n"):
+    """CSV text of `rows` (lists of cells) under the header y,x1,x2; row i ends
+    with ends[i] ("\n" by default), the last with `final`."""
+    lines = ["y,x1,x2\n"]
+    for i, row in enumerate(rows):
+        end = final if i == len(rows) - 1 else (ends[i] if ends else "\n")
+        lines.append(",".join(row) + end)
+    return "".join(lines)
+
+
+def _rows(seed=5, n=ROWS):
+    rng = np.random.default_rng(seed)
+    cols = [rng.normal(size=n) + 3.0, rng.uniform(1.0, 5.0, n), rng.uniform(0.0, 2.0, n)]
+    return [["%.17g" % c[i] for c in cols] for i in range(n)]
+
+
+def _sums(y, x1, x2, n):
+    """A summary that adds up over parts: column sums and the row count given."""
+    return np.array([y.sum(), x1.sum(), x2.sum(), float(n)])
+
+
+def _split(monkeypatch, workers):
+    """Read every file in parts, with `workers` processes."""
+    monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(forking, "workers", lambda: workers)
+
+
+def _result(read, path):
+    """What `read(path)` returns, or the message of the DataError it raises."""
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestReadInParts:
+    """`load_csv_summarized` against `load_csv`, with a file read in two parts."""
+
+    @staticmethod
+    def edge_text(case, part):
+        rows, ends, final = _rows(), None, "\n"
+        i = 10 if part == 0 else ROWS - 10  # a row of the first or of the second part
+        if case == "blank line":
+            rows[i][-1] += "\n"
+        elif case == "crlf":
+            ends = ["\r\n" if (k < ROWS // 2) == (part == 0) else "\n" for k in range(ROWS)]
+        elif case == "no final newline":
+            final = ""
+        elif case == "non-numeric":
+            rows[i][1] = "abc"
+        elif case == "non-finite":
+            rows[i][2] = "inf"
+        elif case == "negative covariate":
+            rows[i][1] = "-1.5"
+        return _csv_text(rows, ends, final)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("part", [0, 1])
+    @pytest.mark.parametrize("case", ["blank line", "crlf", "no final newline", "non-numeric",
+                                      "non-finite", "negative covariate"])
+    def test_edge_inputs_give_load_csvs_outcome(self, tmp_path, monkeypatch, case, part, workers):
+        p = tmp_path / "edge.csv"
+        p.write_bytes(self.edge_text(case, part).encode())
+        want = _result(lambda path: load_csv(path, "y", "x1", "x2"), p)
+        _split(monkeypatch, workers)
+        got = _result(lambda path: load_csv_summarized(path, "y", "x1", "x2", _sums), p)
+        _assert_no_child_remains()
+        if isinstance(want, str):  # the error names the line and column as before
+            assert got == want
+            if case != "negative covariate":
+                assert f"at line {(10 if part == 0 else ROWS - 10) + 2}, column" in got
+            return
+        ds, summary, used = got
+        # a blank line among the first part's lines takes load_csv's path: the
+        # first part's rows would run on into the second's
+        assert (summary is None) == (case == "blank line" and part == 0)
+        assert used == (1 if summary is None else workers)
+        assert ds.n == want.n == ROWS and ds.column_names == want.column_names
+        assert np.array_equal(ds.x1, want.x1) and np.array_equal(ds.x2, want.x2)
+        # y is centred on the mean of the parts' sums: within rounding of it
+        rec, ref = ds.preprocessing, want.preprocessing
+        assert (rec.x1_scale, rec.x2_scale, rec.zeros_nudged) == (
+            ref.x1_scale, ref.x2_scale, ref.zeros_nudged)
+        assert abs(rec.y_center - ref.y_center) <= 4 * np.spacing(abs(ref.y_center))
+        assert np.abs(ds.y - want.y).max() <= 4 * np.spacing(abs(ref.y_center))
+        if summary is not None:
+            assert np.allclose(summary, _sums(ds.y, ds.x1, ds.x2, 2 * ROWS), rtol=1e-13)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_row_repeated_across_the_parts_is_read_in_parts(self, tmp_path, monkeypatch, workers):
+        # the second part's first row also in the first part, as a blank line
+        # among the first part's lines would make it; here there is none
+        p = tmp_path / "repeated.csv"
+        p.write_text(_csv_text(_rows()))
+        _split(monkeypatch, workers)
+        m = dataio._split_plan(p)[1]
+        rows = _rows()
+        rows[10] = list(rows[m])
+        p.write_text(_csv_text(rows))
+        assert dataio._split_plan(p)[1] == m
+        scans = []
+        scan = dataio._has_blank_line
+        monkeypatch.setattr(dataio, "_has_blank_line", lambda path: scans.append(1) or scan(path))
+        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
+        assert summary is not None and used == workers and scans == [1]
+        want = load_csv(p, "y", "x1", "x2")
+        assert ds.n == want.n and np.array_equal(ds.x1, want.x1) and np.array_equal(ds.x2, want.x2)
+        _assert_no_child_remains()
+
+    @pytest.mark.parametrize("case", ["constant covariate", "too few rows", "one column twice",
+                                      "missing column", "zero covariate"])
+    def test_other_inputs_take_load_csvs_path(self, tmp_path, monkeypatch, case):
+        rows, cols = _rows(), ("y", "x1", "x2")
+        if case == "constant covariate":
+            for row in rows:
+                row[2] = "0.25"
+        elif case == "too few rows":
+            rows = rows[:9]
+        elif case == "one column twice":
+            cols = ("y", "x1", "x1")
+        elif case == "missing column":
+            cols = ("y", "x1", "x3")
+        elif case == "zero covariate":
+            rows[3][1] = "0"  # nudged, with the warning, as load_csv does
+        p = tmp_path / "other.csv"
+        p.write_text(_csv_text(rows))
+
+        def read(path, reader):
+            return _result(lambda q: reader(q, *cols), path)
+
+        _split(monkeypatch, 2)
+        with warnings_checked(case == "zero covariate"):
+            want = read(p, load_csv)
+            got = read(p, lambda *args: load_csv_summarized(*args, _sums))
+        _assert_no_child_remains()
+        if isinstance(want, str):
+            assert got == want
+        elif case == "zero covariate":  # read in parts: the nudge counts add up
+            assert got[2] == 2 and got[0].preprocessing.zeros_nudged == 1
+            assert np.array_equal(got[0].x1, want.x1)
+        else:
+            assert got[1:] == (None, 1)
+            for name in ("y", "x1", "x2"):
+                assert np.array_equal(getattr(got[0], name), getattr(want, name))
+
+    def test_clean_file_is_read_in_parts_without_the_serial_readers(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("fell back to a serial reader")
+
+        p = tmp_path / "clean.csv"
+        p.write_text(_csv_text(_rows()))
+        _split(monkeypatch, 2)
+        # nor is the file searched for blank lines: no row repeats across the parts
+        for name in ("_read_table_cells", "read_table", "load_csv", "_has_blank_line"):
+            monkeypatch.setattr(dataio, name, fail)
+        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
+        assert used == 2 and summary[3] == 2 * ROWS and ds.n == ROWS
+        _assert_no_child_remains()
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_threshold(self, tmp_path, monkeypatch, above):
+        # a file of exactly _SPLIT_BYTES bytes is read in parts, one byte less is not
+        monkeypatch.setattr(forking, "workers", lambda: 2)
+        size = dataio._SPLIT_BYTES - (0 if above else 1)
+        header, first, row = "y,x1,x2\n", "1.5,0.5,0.25\n", "0.123456789,0.25,0.75\n"
+        rows = (size - len(header) - len(first)) // len(row)
+        pad = size - len(header) - len(first) - rows * len(row)
+        p = tmp_path / "edge_of_threshold.csv"
+        p.write_text(header + "0" * pad + first + row * rows)  # leading zeros fill it up
+        assert p.stat().st_size == size
+        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
+        assert ds.n == rows + 1 and used == (2 if above else 1)
+        assert summary[3] == 2 * (rows + 1) if above else summary is None
+        _assert_no_child_remains()
+
+    def test_one_and_two_workers_are_bitwise_alike(self, tmp_path, monkeypatch):
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows(n=5000)))
+
+        def read(workers):
+            _split(monkeypatch, workers)
+            ds, stats, used = load_csv_summarized(p, "y", "x1", "x2", _statistics)
+            assert used == workers
+            return ds, stats
+
+        (a, sa), (b, sb) = read(1), read(2)
+        assert a.preprocessing == b.preprocessing
+        for name in ("y", "x1", "x2"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy"):
+            assert np.asarray(getattr(sa, name)).tobytes() == np.asarray(getattr(sb, name)).tobytes()
+
+    def test_statistics_of_two_parts_match_one_pass(self, tmp_path, monkeypatch):
+        # the parts add up each sum in another order: the sums agree to 1e-13 of
+        # each statistic's largest magnitude, far inside what the fit resolves
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows(n=20_000)))
+        _split(monkeypatch, 2)
+        ds, stats, _ = load_csv_summarized(p, "y", "x1", "x2", _statistics)
+        whole = _statistics(ds.y, ds.x1, ds.x2, ds.n)
+        for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy"):
+            got, want = np.asarray(getattr(stats, name)), np.asarray(getattr(whole, name))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("step", ["_combine", "_summarize_part"])
+    def test_parent_raising_mid_exchange_leaves_no_child(self, tmp_path, monkeypatch, step):
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows()))
+        _split(monkeypatch, 2)
+
+        def fail(*args, **kwargs):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent failed")
+            return original(*args, **kwargs)
+
+        parent, original = os.getpid(), getattr(dataio, step)
+        monkeypatch.setattr(dataio, step, fail)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="the parent failed"):
+            load_csv_summarized(p, "y", "x1", "x2", _sums)
+        assert time.perf_counter() - start < 5.0
+        _assert_no_child_remains()
+
+    def test_worker_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows()))
+        _split(monkeypatch, 2)
+        parent = os.getpid()
+
+        def summarize(y, x1, x2, n):
+            if os.getpid() != parent:
+                raise ValueError("the worker failed")
+            return _sums(y, x1, x2, n)
+
+        with pytest.raises(ValueError, match="the worker failed"):
+            load_csv_summarized(p, "y", "x1", "x2", summarize)
+        _assert_no_child_remains()
+
+
+def _statistics(y, x1, x2, n):
+    cfg = make_knots(3, 20)
+    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
+
+
+def warnings_checked(expected: bool):
+    """pytest.warns of the nudge warning where it is expected, else nothing."""
+    return pytest.warns(UserWarning, match="nudged") if expected else contextlib.nullcontext()
 
 
 class TestRunReport:
