@@ -53,28 +53,20 @@ np.savetxt(path, np.column_stack([y, x1, x2]), fmt="%.17g", delimiter=",",
 """
 
 # one `addspline fit`, timed in the process that runs it; read_s is its
-# read-and-statistics phase: `load_csv_summarized` (the CSV read, the
-# preprocessing and, for a file read in parts, the normal-equation statistics)
-# plus any `NormalStatistics.of` pass outside it (a file read in one part)
+# read-and-statistics phase, `load_csv_summarized`: the CSV read, the
+# preprocessing and the normal-equation statistics of every fit
 RUN_FIT = """
 import json, sys, time
 import addspline.cli as cli
-from addspline.backfit import NormalStatistics
-phase, inside = [], []
-def timed(fn):
-    def wrapper(*args, **kwargs):
-        if inside:  # a pass nested in the phase already timed
-            return fn(*args, **kwargs)
-        inside.append(True)
-        start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            phase.append(time.perf_counter() - start)
-            inside.pop()
-    return wrapper
-cli.load_csv_summarized = timed(cli.load_csv_summarized)
-NormalStatistics.of = classmethod(timed(NormalStatistics.of.__func__))
+phase = []
+read = cli.load_csv_summarized
+def timed(*args, **kwargs):
+    start = time.perf_counter()
+    try:
+        return read(*args, **kwargs)
+    finally:
+        phase.append(time.perf_counter() - start)
+cli.load_csv_summarized = timed
 start = time.perf_counter()
 code = cli.main(["fit", "--data", sys.argv[1], "--y", "y", "--x1", "x1", "--x2", "x2",
                  "--out", sys.argv[2]])

@@ -22,7 +22,6 @@ from .dataio import (
     DataError,
     RunReport,
     json_text,
-    load_csv,
     load_csv_summarized,
     write_table,
 )
@@ -182,8 +181,8 @@ def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -
 
 
 def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int) -> NormalStatistics:
-    """The normal-equation statistics of some preprocessed rows of a dataset of
-    n rows, in the basis `build_design` gives that dataset."""
+    """The normal-equation statistics of some rows of a dataset of n rows, as
+    the reader gives them, in the basis `build_design` gives that dataset."""
     cfg = make_knots(degree, kn_rule(n) if kn is None else kn)
     return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
 
@@ -201,15 +200,13 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    stats, read_workers = None, 1
-    if args.no_preprocess:
-        dataset = load_csv(args.data, args.y, args.x1, args.x2, preprocess=False)
-    else:
-        # a large file is read and summarized in parts, on two CPUs where allowed
-        dataset, stats, read_workers = load_csv_summarized(
-            args.data, args.y, args.x1, args.x2,
-            functools.partial(_normal_statistics, args.degree, kn),
-        )
+    # the one read: rows parsed, preprocessed and summarized, a large file in
+    # parts, on two CPUs where allowed
+    dataset, stats, read_workers = load_csv_summarized(
+        args.data, args.y, args.x1, args.x2,
+        functools.partial(_normal_statistics, args.degree, kn),
+        preprocess=not args.no_preprocess,
+    )
     n = dataset.n
     for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
         # a spline in one value is not identified at any penalty

@@ -4,15 +4,17 @@ Floats are written with 17 significant digits ('%.17g'), which reproduces the
 double exactly on re-parse; JSON relies on Python's shortest-repr floats, which
 round-trip as well.  Both writers hand whole arrays to C-level formatting: a
 table is one '%' format, and each list of numbers in a JSON document is one
-call of json's encoder.  A large CSV is read in two parts of rows, on two
-CPUs where allowed, each part preprocessed and summarized where it was read
-(`load_csv_summarized`).
+call of json's encoder.  Every CSV is read on one path (`_read`): one
+vectorized parse per part of rows, the cell reader only where that parse
+fails, then one preprocessing and, for a fit, one summary per part.  A large
+file is two parts, read on two CPUs where allowed (`load_csv_summarized`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -78,40 +80,24 @@ class Dataset:
 def read_table(path) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV with a header row; errors name the line and column.
 
-    The body is parsed in one vectorized pass.  Any input that pass rejects or
-    reads differently from the header (a ragged row, a quoted or non-numeric
-    cell, a non-finite value) is read again cell by cell, which either returns
-    the table or raises the error naming the offending line and column.
+    The body is parsed in one vectorized pass (`_read_part`).  Any input that
+    pass rejects or reads differently from the header (a ragged row, a quoted
+    or non-numeric cell, a non-finite value) is read again cell by cell, which
+    either returns the table or raises the error naming the offending line and
+    column.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"no such file: {path}")
-    with path.open(newline="") as fh:
-        header = _read_header(csv.reader(fh), path)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # "input contained no data"
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            table = None
-    if table is not None and table.shape[1] == len(header) and np.isfinite(table).all():
-        return header, table
-    return _read_table_cells(path)
-
-
-def _read_header(reader, path: Path) -> list[str]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    return [name.strip() for name in header]
+    return _read_whole(path, _plan(path, split=False)[0])
 
 
 def _read_table_cells(path: Path) -> tuple[list[str], np.ndarray]:
     """`read_table` one cell at a time with Python's csv and float."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = _read_header(reader, path)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
         rows: list[list[float]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):
@@ -196,37 +182,15 @@ def preprocess_columns(
     a warning) so they enter the basis domain.  Negative covariate values are
     rejected.  The transform is idempotent: re-running it on its own output
     returns bit-identical arrays.  It works on copies; the inputs are left
-    as they are.
+    as they are.  It is the reader's preprocessing of one part
+    (`_reductions`, `_combine`, `_summarize_part`).
     """
-    y, x1, x2 = (np.array(a, dtype=float) for a in (y, x1, x2))
-    return y, x1, x2, _preprocess_in_place(y, x1, x2)
-
-
-def _preprocess_in_place(y: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> Preprocessing:
-    """`preprocess_columns` on float arrays that it overwrites."""
-    center = _center(float(np.mean(y)), float(np.max(np.abs(y), initial=0.0)))
-    if center:
-        y -= center
-    scales = []
-    nudged = 0
-    for name, x in (("x1", x1), ("x2", x2)):
-        if np.any(x < 0):
-            raise DataError(f"{name}: negative covariate values are unsupported")
-        top = float(x.max())
-        if top <= 0:
-            raise DataError(f"{name}: covariate maximum must be positive")
-        nudged += _scale_in_place(x, top)
-        scales.append(top)
-    _warn_nudged(nudged)
-    return Preprocessing(
-        y_center=center, x1_scale=scales[0], x2_scale=scales[1], zeros_nudged=nudged
-    )
-
-
-def _center(mean: float, top: float) -> float:
-    """The centre subtracted from y of mean `mean` and largest magnitude `top`:
-    the mean, or 0.0 where it is within rounding of zero."""
-    return mean if abs(mean) > 1e-12 * (top + 1.0) else 0.0
+    columns = [np.array(a, dtype=float) for a in (y, x1, x2)]
+    form = _combine([_reductions(np.column_stack(columns), range(3))])
+    nudged, _ = _summarize_part(columns, form, None)
+    record = replace(form[1], zeros_nudged=nudged)
+    _warn_nudged(record)
+    return (*columns, record)
 
 
 def _scale_in_place(x: np.ndarray, top: float) -> int:
@@ -240,11 +204,14 @@ def _scale_in_place(x: np.ndarray, top: float) -> int:
     return int(zeros.sum())
 
 
-def _warn_nudged(nudged: int) -> None:
-    if nudged:
+def _warn_nudged(record: Preprocessing | None) -> None:
+    """Warn of the zeros `record` nudged, at the line that called the public
+    function that calls this."""
+    if record is not None and record.zeros_nudged:
         warnings.warn(
-            f"{nudged} zero covariate values nudged to the smallest positive double",
-            stacklevel=4,
+            f"{record.zeros_nudged} zero covariate values nudged to the smallest "
+            "positive double",
+            stacklevel=3,
         )
 
 
@@ -262,72 +229,74 @@ def load_csv(
     """Load the three model columns from a CSV file.
 
     Raises DataError for a missing file, missing column, non-numeric cell
-    (named by line and column), or fewer than `min_rows` rows.
+    (named by line and column), or fewer than `min_rows` rows.  The file is
+    read as one part (`load_csv_summarized`): the columns are views of its
+    one table, preprocessed in place.
     """
-    header, table = read_table(path)
-    for col in (y_col, x1_col, x2_col):
-        if col not in header:
-            raise DataError(
-                f"{path}: no column {col!r}; available: {', '.join(header)}"
-            )
-    if table.shape[0] < min_rows:
-        raise DataError(
-            f"{path}: {table.shape[0]} rows is fewer than the required {min_rows}"
-        )
-    # the columns stay views of the table, which no one else holds, and are
-    # preprocessed where they are: the data exist once
-    y = table[:, header.index(y_col)]
-    x1 = table[:, header.index(x1_col)]
-    x2 = table[:, header.index(x2_col)]
-    if len({y_col, x1_col, x2_col}) < 3:  # one column in two roles: one copy each
-        y, x1, x2 = y.copy(), x1.copy(), x2.copy()
-    record = _preprocess_in_place(y, x1, x2) if preprocess else None
-    return Dataset(
-        column_names=tuple(header),
-        y_name=y_col,
-        x1_name=x1_col,
-        x2_name=x2_col,
-        y=y,
-        x1=x1,
-        x2=x2,
-        preprocessing=record,
-    )
+    dataset, _, _ = _read(path, (y_col, x1_col, x2_col), None, preprocess, min_rows)
+    _warn_nudged(dataset.preprocessing)
+    return dataset
 
 
 def load_csv_summarized(
-    path, y_col: str, x1_col: str, x2_col: str, summarize
+    path, y_col: str, x1_col: str, x2_col: str, summarize, preprocess: bool = True
 ) -> tuple[Dataset, object, int]:
-    """`load_csv` with preprocessing, and `summarize` of its rows: the dataset,
-    the summary, and the number of processes that read and summarized them.
+    """`load_csv` of `path`, and `summarize` of its rows: the dataset, the
+    summary, and the number of processes that read and summarized them.
 
-    A file of at least `_SPLIT_BYTES` is read in two parts of rows, each
-    parsed, preprocessed and summarized by its own process
-    (`forking.Worker`), or both by this one, one after the other, where
-    `forking.workers` allows one process.  `summarize(y, x1, x2, n)` takes
-    one part's preprocessed columns and the row count n of the whole file,
-    and its results must add up (`+`) to the summary of both parts; the
-    summary is that sum, the first part's first.  So the summary does not
-    depend on the number of processes, and neither does the dataset, whose
-    preprocessing is `load_csv`'s: y centred on its mean over all rows, each
-    covariate scaled by its maximum, zeros nudged.
+    The body is parsed by `np.loadtxt` as one part, or, for a file of at
+    least `_SPLIT_BYTES`, as two parts of rows: each is parsed, preprocessed
+    and summarized by its own process (`forking.Worker`), or by this one, one
+    after the other, where `forking.workers` allows one process.  `_combine`
+    takes the row count and the preprocessing of all rows from the parts'
+    `_reductions` and raises `load_csv`'s errors.  `summarize(y, x1, x2, n)`
+    then takes each part's columns, preprocessed unless `preprocess` is
+    false, and the row count n of the whole file.  Its results must add up
+    (`+`) to the summary of both parts, the first part's first, so neither
+    the summary nor the dataset depends on the number of processes.
 
-    Any other input returns `load_csv(...)`, None and 1.  That includes a
-    smaller file, a blank line, a cell the vectorized parse rejects (see
-    `read_table`), a negative or constant covariate, fewer than `load_csv`'s
-    10 rows and one column in two roles; `load_csv` then gives its result
-    or its error.
+    Once a part fails to parse (see `read_table`), the cell reader reads the
+    file: it names the line and column of the error, or gives the table,
+    read as one part.  A blank line among the first part's lines makes the
+    parts overlap; then one vectorized pass reads the file as one part.
     """
     path = Path(path)
-    cols = (y_col, x1_col, x2_col)
-    plan = _split_plan(path) if len(set(cols)) == 3 and path.exists() else None
-    if plan is not None and all(c in plan[0] for c in cols):
-        result = _read_in_parts(path, plan, [plan[0].index(c) for c in cols], summarize)
-        if result is not None:
-            y, x1, x2, record, summary, workers = result
-            _warn_nudged(record.zeros_nudged)
-            dataset = Dataset(tuple(plan[0]), y_col, x1_col, x2_col, y, x1, x2, record)
-            return dataset, summary, workers
-    return load_csv(path, y_col, x1_col, x2_col), None, 1
+    dataset, summary, workers = _read(path, (y_col, x1_col, x2_col), summarize, preprocess)
+    _warn_nudged(dataset.preprocessing)
+    return dataset, summary, workers
+
+
+def _read(path, cols, summarize, preprocess: bool, min_rows: int = _MIN_ROWS):
+    """(Dataset, summary, processes) of `load_csv_summarized`; one part where
+    `summarize` is None, as `load_csv` reads, with summary None."""
+    file = Path(path)  # `path` as given names it in the errors of `_combine`
+    header, m = _plan(file, split=summarize is not None)
+    combine = functools.partial(_combine, path=path, min_rows=min_rows, preprocess=preprocess)
+    if m is not None and all(c in header for c in cols):
+        return _read_in_parts(file, (header, m), cols, combine, summarize)
+    return _read_one(path, *_read_whole(file, header), cols, combine, summarize)
+
+
+def _read_one(path, header: list[str], table: np.ndarray, cols, combine, summarize):
+    """`_read` of one part, `table`."""
+    for col in cols:
+        if col not in header:
+            raise DataError(f"{path}: no column {col!r}; available: {', '.join(header)}")
+    # the columns stay views of the table, which no one else holds, and are
+    # preprocessed where they are: the data exist once
+    idx = [header.index(c) for c in cols]
+    columns = [table[:, j] for j in idx]
+    if len(set(idx)) < 3:  # one column in two roles: one copy each
+        columns = [c.copy() for c in columns]
+    form = combine([_reductions(table, idx)])
+    nudged, summary = _summarize_part(columns, form, summarize)
+    return _dataset(header, cols, columns, form[1], nudged), summary, 1
+
+
+def _dataset(header, cols, columns, record: Preprocessing | None, nudged: int) -> Dataset:
+    if record is not None:
+        record = replace(record, zeros_nudged=nudged)
+    return Dataset(tuple(header), *cols, *columns, record)
 
 
 # Files of at least this many bytes are read in two parts of rows
@@ -342,28 +311,41 @@ def load_csv_summarized(
 _SPLIT_BYTES = 2 << 20
 
 
-def _split_plan(path: Path) -> tuple[list[str], int] | None:
-    """The header and the number m of body lines of the first part, about half
-    of them, for a file of at least `_SPLIT_BYTES`; None for a smaller file, a
-    header whose quotes span lines, or a body of fewer than two lines in its
-    first 64 KiB."""
+def _plan(path: Path, split: bool) -> tuple[list[str] | None, int | None]:
+    """The header and the number m of body lines of the first of two parts,
+    about half of them, or None for one part.
+
+    The header is the first line as csv reads it, or None for an empty file
+    or a header whose quotes span lines, which only the cell reader reads.
+    The file is read in two parts where `split` and it has at least
+    `_SPLIT_BYTES` bytes, with at least two body lines in its first 64 KiB.
+    """
+    if not path.exists():
+        raise DataError(f"no such file: {path}")
     size = path.stat().st_size
-    if size < _SPLIT_BYTES:
-        return None
     with path.open() as fh:  # universal newlines, as `np.loadtxt` opens a path
-        line = fh.readline()
-        sample = fh.read(1 << 16)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        sample = fh.read(1 << 16) if split and size >= _SPLIT_BYTES else ""
+    if reader.line_num != 1:
+        return None, None
     lines = sample.count("\n")
-    if line.count('"') % 2 or lines < 2:
-        return None
-    header = [name.strip() for name in next(csv.reader([line]))]
-    return header, max(1, size * lines // (2 * len(sample)))
+    m = max(1, size * lines // (2 * len(sample))) if lines >= 2 else None
+    return [name.strip() for name in header], m
 
 
-def _read_part(path: Path, plan: tuple[list[str], int], part: int) -> np.ndarray | None:
-    """Body lines 1..m (part 0) or m + 1.. (part 1) of the plan as a table, or
-    None where the vectorized parse fails, reads a row that is not finite or
-    not as wide as the header, or (part 0) reads fewer than m rows.
+def _read_whole(path: Path, header: list[str] | None) -> tuple[list[str], np.ndarray]:
+    """The header and table of the whole file: one vectorized pass, or the
+    cell reader's where that pass fails or there is no header."""
+    table = None if header is None else _read_part(path, (header, None), 0)
+    return (header, table) if table is not None else _read_table_cells(path)
+
+
+def _read_part(path: Path, plan: tuple[list[str], int | None], part: int) -> np.ndarray | None:
+    """Body lines 1..m (part 0) or m + 1.. (part 1) of the plan (header, m),
+    every body line for m None, as a table, or None where the vectorized
+    parse fails, reads no row or one that is not finite or not as wide as the
+    header, or (part 0 of two) reads fewer than m rows.
 
     Part 0 is the first m rows that are not blank: a blank line among body
     lines 1..m takes it past line m, into part 1 (see `_overlap`)."""
@@ -377,14 +359,13 @@ def _read_part(path: Path, plan: tuple[list[str], int], part: int) -> np.ndarray
             )
     except ValueError:
         return None
-    if table.shape[1] != len(header) or not table.size or not np.isfinite(table).all():
-        return None
-    if part == 0 and table.shape[0] != m:
+    short = rows is not None and table.shape[0] != rows  # part 0 ran out of lines
+    if short or table.shape[1] != len(header) or not table.size or not np.isfinite(table).all():
         return None
     return table
 
 
-def _overlap(table: np.ndarray, first_row: list[float], path: Path) -> bool:
+def _overlap(table: np.ndarray, first_row: list, path: Path) -> bool:
     """Whether part 0's `table` reaches into part 1, whose first row is
     `first_row`.  It does when a blank line lies among body lines 1..m; its
     last k rows are then part 1's first k, so part 1's first row is one of
@@ -421,10 +402,10 @@ class _Reductions(NamedTuple):
     y_sum: float
     y_top: float  # largest |y|
     ranges: list[tuple[float, float]]  # (min, max) of x1 and of x2
-    first_row: list[float]
+    first_row: list[list[float]]  # the part's first row, if any, for `_overlap`
 
 
-def _reductions(table: np.ndarray | None, idx: list[int]) -> _Reductions | None:
+def _reductions(table: np.ndarray | None, idx) -> _Reductions | None:
     """The `_Reductions` of a part's table, with the model columns y, x1, x2
     at `idx`; None for no table."""
     if table is None:
@@ -433,91 +414,108 @@ def _reductions(table: np.ndarray | None, idx: list[int]) -> _Reductions | None:
     return _Reductions(
         rows=table.shape[0],
         y_sum=float(np.sum(y)),
-        y_top=max(float(y.max()), -float(y.min())),
-        ranges=[(float(x.min()), float(x.max())) for x in (x1, x2)],
-        first_row=table[0].tolist(),
+        y_top=max(float(np.max(y, initial=0.0)), -float(np.min(y, initial=0.0))),
+        ranges=[(float(np.min(x, initial=np.inf)), float(np.max(x, initial=-np.inf)))
+                for x in (x1, x2)],
+        first_row=table[:1].tolist(),
     )
 
 
-def _combine(parts: list) -> tuple[int, Preprocessing] | None:
-    """The row count and the preprocessing of all parts from their
-    `_reductions`, as `_preprocess_in_place` takes them from all rows; None
-    for an unread part, fewer rows than `load_csv` needs, or a covariate that
-    `load_csv` or the fit rejects (negative, all zero, or one value)."""
-    if any(r is None for r in parts):
-        return None
+def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True):
+    """The row count n of all parts and their preprocessing, None where not
+    `preprocess`, from their `_reductions`: (n, Preprocessing | None).
+
+    Raises `load_csv`'s DataError for fewer than `min_rows` rows, a negative
+    covariate or one whose maximum is not positive.  y is centred on its mean,
+    each covariate scaled by its maximum, as over all rows at once."""
     n = sum(r.rows for r in parts)
-    if n < _MIN_ROWS:
-        return None
+    if n < min_rows:
+        raise DataError(f"{path}: {n} rows is fewer than the required {min_rows}")
+    if not preprocess:
+        return n, None
     scales = []
-    for j in range(2):
-        lo = min(r.ranges[j][0] for r in parts)
+    for j, name in enumerate(("x1", "x2")):
+        if min(r.ranges[j][0] for r in parts) < 0:
+            raise DataError(f"{name}: negative covariate values are unsupported")
         top = max(r.ranges[j][1] for r in parts)
-        if lo < 0 or top <= 0 or lo / top == 1.0:
-            return None
+        if top <= 0:
+            raise DataError(f"{name}: covariate maximum must be positive")
         scales.append(top)
-    center = _center(sum(r.y_sum for r in parts) / n, max(r.y_top for r in parts))
+    mean = sum(r.y_sum for r in parts) / n
+    # no centre where the mean is within rounding of zero
+    center = mean if abs(mean) > 1e-12 * (max(r.y_top for r in parts) + 1.0) else 0.0
     return n, Preprocessing(y_center=center, x1_scale=scales[0], x2_scale=scales[1])
 
 
 def _summarize_part(columns: list[np.ndarray], form, summarize) -> tuple[int, object]:
     """Preprocess one part's columns (y, x1, x2) in place by `form` = (n,
-    Preprocessing) and summarize them: (zeros nudged, summary)."""
+    Preprocessing or None) and summarize them: (zeros nudged, summary), the
+    summary None without `summarize`."""
     (n, record), (y, x1, x2) = form, columns
-    if record.y_center:
-        y -= record.y_center
-    nudged = _scale_in_place(x1, record.x1_scale) + _scale_in_place(x2, record.x2_scale)
-    return nudged, summarize(y, x1, x2, n)
+    nudged = 0
+    if record is not None:
+        if record.y_center:
+            y -= record.y_center
+        nudged = _scale_in_place(x1, record.x1_scale) + _scale_in_place(x2, record.x2_scale)
+    return nudged, None if summarize is None else summarize(y, x1, x2, n)
 
 
-def _read_in_parts(path: Path, plan, idx: list[int], summarize):
-    """(y, x1, x2, preprocessing, summary, processes) of `load_csv_summarized`
-    from the two parts of `plan`, or None where `load_csv` must read the file.
+def _read_in_parts(path: Path, plan, cols, combine, summarize):
+    """`_read` of the two parts of `plan`.
 
     This process reads part 0 and, where `forking.workers` allows two
     processes, a forked worker reads part 1 (`_serve_part`).  They exchange
     one message each way: the worker's `_reductions`, then the row count and
-    preprocessing of all rows (`_combine`).  Each then preprocesses and
+    preprocessing of all rows (`combine`).  Each then preprocesses and
     summarizes its own rows; the worker sends its summary and then its rows,
     which are read straight into this process's columns.  The worker is
-    killed and reaped before this returns or raises.
+    killed and reaped before this returns or raises.  Once a part fails to
+    parse, the cell reader reads the file; where the parts overlap, one
+    vectorized pass does; either table is then read as one part.
     """
+    header, idx = plan[0], [plan[0].index(c) for c in cols]
     with contextlib.ExitStack() as stack:
         worker = None
         if forking.workers() > 1:
             worker = stack.enter_context(
                 forking.Worker(_serve_part, path, plan, idx, summarize)
             )
-        table = _read_part(path, plan, 0)
-        first = _reductions(table, idx)
-        if worker is not None:
-            second = worker.recv()
-        else:
-            other = _read_part(path, plan, 1)
-            second = _reductions(other, idx)
-        form = _combine([first, second])
-        if form is None or _overlap(table, second.first_row, path):
-            return None
-        if worker is not None:
-            worker.send(form)
-        n0 = first.rows
-        columns = [np.empty(form[0]) for _ in idx]
-        for c, j in zip(columns, idx):
-            c[:n0] = table[:, j]
-        del table
-        nudged, summary = _summarize_part([c[:n0] for c in columns], form, summarize)
-        if worker is not None:
-            more, rest = worker.recv()
-            for c in columns:
-                worker.recv_into(c[n0:])
-        else:
-            part = [np.ascontiguousarray(other[:, j]) for j in idx]
-            del other
-            more, rest = _summarize_part(part, form, summarize)
-            for c, p in zip(columns, part):
-                c[n0:] = p
-    record = replace(form[1], zeros_nudged=nudged + more)
-    return (*columns, record, summary + rest, 1 if worker is None else 2)
+        table, second = _read_part(path, plan, 0), None
+        if table is not None:
+            if worker is not None:
+                second = worker.recv()
+            else:
+                other = _read_part(path, plan, 1)
+                second = _reductions(other, idx)
+        if second is not None and not _overlap(table, second.first_row, path):
+            first = _reductions(table, idx)
+            n, record = form = combine([first, second])
+            if worker is not None:
+                worker.send(form)
+            n0 = first.rows
+            columns = [np.empty(n) for _ in idx]
+            for c, j in zip(columns, idx):
+                c[:n0] = table[:, j]
+            del table
+            nudged, summary = _summarize_part([c[:n0] for c in columns], form, summarize)
+            if worker is not None:
+                more, rest = worker.recv()
+                for c in columns:
+                    worker.recv_into(c[n0:])
+            else:
+                part = [other[:, j].copy() for j in idx]
+                del other
+                more, rest = _summarize_part(part, form, summarize)
+                for c, p in zip(columns, part):
+                    c[n0:] = p
+            dataset = _dataset(header, cols, columns, record, nudged + more)
+            return dataset, summary + rest, 1 if worker is None else 2
+    table = other = None  # the parts are not read again
+    if second is None:
+        header, table = _read_table_cells(path)
+    else:
+        header, table = _read_whole(path, header)
+    return _read_one(path, header, table, cols, combine, summarize)
 
 
 def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
@@ -527,7 +525,7 @@ def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
     table = _read_part(path, plan, 1)
     channel.send(_reductions(table, idx))
     form = channel.recv()
-    part = [np.ascontiguousarray(table[:, j]) for j in idx]
+    part = [table[:, j].copy() for j in idx]
     del table
     channel.send(_summarize_part(part, form, summarize))
     for c in part:
@@ -557,7 +555,8 @@ class RunReport:
     # the identification diagnostics: "constant_shift_residual" and
     # "constant_shift_floor" (NormalEquations.constant_shift) and "f2_sum",
     # sum_i f2_hat(x_i2) = (X_2'1)'b_2, and "read_workers", the processes
-    # that read the CSV and added up its statistics (`load_csv_summarized`);
+    # that read the CSV and added up its statistics in every fit, 1 for one
+    # part and 2 for two parts in two processes (`load_csv_summarized`);
     # reports written before this field existed load with {}, and those
     # written before "read_workers" without that key
     diagnostics: dict = field(default_factory=dict)

@@ -17,9 +17,10 @@ import pytest
 from conftest import OZONE_CSV
 
 import addspline
-from addspline.backfit import NormalEquations
+from addspline.backfit import NormalEquations, NormalStatistics
+from addspline.basis import design_matrix, make_knots
 from addspline.bandmat import NotPositiveDefiniteError
-from addspline import dataio, forking, sim
+from addspline import cli, dataio, forking, sim
 from addspline.cli import _write_json, main
 from addspline.dataio import RunReport, read_table, write_table
 
@@ -28,6 +29,19 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def recorded_reads(monkeypatch) -> list:
+    """The (dataset, statistics, processes) of each `load_csv_summarized` call
+    that `cmd_fit` makes from now on."""
+    reads, read = [], cli.load_csv_summarized
+
+    def recording(*args, **kwargs):
+        reads.append(read(*args, **kwargs))
+        return reads[-1]
+
+    monkeypatch.setattr(cli, "load_csv_summarized", recording)
+    return reads
 
 
 @pytest.fixture
@@ -227,7 +241,8 @@ class TestFit:
         assert len(built) == 1
 
     def test_grid_basis_evaluated_once_per_fit(self, tmp_path, capsys, ozone_args, monkeypatch):
-        # two designs and one grid: the estimates and the band share the rows
+        # the reader's statistics and the fit each build the two designs, and
+        # one grid: the estimates and the band share the rows
         calls = []
         for name, module in list(sys.modules.items()):
             if name.startswith("addspline.") and hasattr(module, "design_matrix"):
@@ -240,7 +255,7 @@ class TestFit:
                 monkeypatch.setattr(module, "design_matrix", counting)
         code, _, _ = run_main(capsys, *ozone_args)
         assert code == 0
-        assert calls == [111, 111, 201]
+        assert calls == [111, 111, 111, 111, 201]
 
     @pytest.mark.parametrize("flag,value", [("--level", "1.5"), ("--grid", "0")])
     def test_bad_level_or_grid_exit_1_before_fitting(
@@ -397,8 +412,7 @@ class TestDegenerateInput:
         def forbidden(*args, **kwargs):
             raise AssertionError("no data may be read or drawn with a bad basis flag")
 
-        monkeypatch.setattr("addspline.cli.load_csv", forbidden)
-        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)
+        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)  # the one reader
         monkeypatch.setattr("addspline.cli.run_sim1", forbidden)
         out = tmp_path / "out"
         argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
@@ -416,8 +430,7 @@ class TestDegenerateInput:
         def forbidden(*args, **kwargs):
             raise AssertionError("no data may be read with a non-finite flag")
 
-        monkeypatch.setattr("addspline.cli.load_csv", forbidden)
-        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)
+        monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)  # the one reader
         out = tmp_path / "out"
         code, stdout, err = run_main(capsys, *ozone_args, flag, value, "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {flag} must be finite, got {value}\n")
@@ -441,12 +454,16 @@ class TestFitReadInParts:
     def fit(self, capsys, monkeypatch, data, out, workers, split=True):
         monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1 if split else 1 << 62)
         monkeypatch.setattr(forking, "workers", lambda: workers)
+        reads = recorded_reads(monkeypatch)
         argv = ["fit", "--data", str(data), "--y", "y", "--x1", "x1", "--x2", "x2"]
         assert run_main(capsys, *argv, "--out", str(out))[0] == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # one part or two, the reader adds up the statistics
+        ((_, stats, used),) = reads
+        assert isinstance(stats, NormalStatistics)
         report = json.loads((out / "fit_report.json").read_text())
-        assert report["diagnostics"].pop("read_workers") == (workers if split else 1)
+        assert report["diagnostics"].pop("read_workers") == used == (workers if split else 1)
         report.pop("runtime_seconds")
         return report
 
@@ -472,6 +489,39 @@ class TestFitReadInParts:
                 got = np.array(parts["grids"][comp][col])
                 want = np.array(whole["grids"][comp][col])
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+class TestFitOneReader:
+    """Every fit reads, preprocesses and summarizes its rows in one call."""
+
+    def test_ozone_fit_reads_the_statistics_of_its_rows(
+        self, tmp_path, capsys, monkeypatch, ozone_args
+    ):
+        reads = recorded_reads(monkeypatch)
+        assert run_main(capsys, *ozone_args, "--out", str(tmp_path / "default"))[0] == 0
+        pre = tmp_path / "ozone_preprocessed.csv"
+        ((ds, stats, used),) = reads
+        write_table(pre, ["ozone", "temperature", "wind"], [ds.y, ds.x1, ds.x2])
+        argv = ["fit", "--data", str(pre), "--y", "ozone", "--x1", "temperature",
+                "--x2", "wind", "--no-preprocess", "--out", str(tmp_path / "raw")]
+        assert run_main(capsys, *argv)[0] == 0
+        assert len(reads) == 2 and reads[1][0].preprocessing is None
+        cfg = make_knots(3, 13)
+        for name in ("default", "raw"):
+            report = RunReport.load(tmp_path / name / "fit_report.json")
+            assert report.diagnostics["read_workers"] == 1
+            assert report.config["num_intervals"] == 13
+        for ds, stats, used in reads:
+            assert used == 1
+            want = NormalStatistics.of(ds.y, design_matrix(cfg, ds.x1), design_matrix(cfg, ds.x2))
+            for f in dataclasses.fields(want):
+                got, expect = np.asarray(getattr(stats, f.name)), np.asarray(getattr(want, f.name))
+                assert got.tobytes() == expect.tobytes(), f.name
+        # the preprocessed rows, read raw, give the same fit
+        for j in (1, 2):
+            a, b = (read_table(tmp_path / name / f"fit_component{j}.csv")[1]
+                    for name in ("default", "raw"))
+            assert a[:, 1:].tobytes() == b[:, 1:].tobytes()
 
 
 class TestFitDiagnostics:

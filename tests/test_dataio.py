@@ -9,6 +9,7 @@ import os
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,8 +361,32 @@ def _assert_no_child_remains():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _reference(path, cols=("y", "x1", "x2")):
+    """(y, x1, x2, preprocessing) of the reference readers, `_read_table_cells`
+    and `preprocess_columns`, or the message of the DataError they raise."""
+    try:
+        header, table = _read_table_cells(path)
+        return preprocess_columns(*(table[:, header.index(c)] for c in cols))
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_matches_reference(ds, want, n):
+    """The dataset `ds` of n rows as the reference readers give it (`want`):
+    y is centred on the mean of the parts' sums, within rounding of it."""
+    y, x1, x2, ref = want
+    rec = ds.preprocessing
+    assert ds.n == n and ds.column_names == ("y", "x1", "x2")
+    assert np.array_equal(ds.x1, x1) and np.array_equal(ds.x2, x2)
+    assert (rec.x1_scale, rec.x2_scale, rec.zeros_nudged) == (
+        ref.x1_scale, ref.x2_scale, ref.zeros_nudged)
+    assert abs(rec.y_center - ref.y_center) <= 4 * np.spacing(abs(ref.y_center))
+    assert np.abs(ds.y - y).max() <= 4 * np.spacing(abs(ref.y_center))
+
+
 class TestReadInParts:
-    """`load_csv_summarized` against `load_csv`, with a file read in two parts."""
+    """`load_csv_summarized` against the reference readers, with a file read
+    in two parts."""
 
     @staticmethod
     def edge_text(case, part):
@@ -388,7 +413,7 @@ class TestReadInParts:
     def test_edge_inputs_give_load_csvs_outcome(self, tmp_path, monkeypatch, case, part, workers):
         p = tmp_path / "edge.csv"
         p.write_bytes(self.edge_text(case, part).encode())
-        want = _result(lambda path: load_csv(path, "y", "x1", "x2"), p)
+        want = _reference(p)
         _split(monkeypatch, workers)
         got = _result(lambda path: load_csv_summarized(path, "y", "x1", "x2", _sums), p)
         _assert_no_child_remains()
@@ -398,20 +423,42 @@ class TestReadInParts:
                 assert f"at line {(10 if part == 0 else ROWS - 10) + 2}, column" in got
             return
         ds, summary, used = got
-        # a blank line among the first part's lines takes load_csv's path: the
-        # first part's rows would run on into the second's
-        assert (summary is None) == (case == "blank line" and part == 0)
-        assert used == (1 if summary is None else workers)
-        assert ds.n == want.n == ROWS and ds.column_names == want.column_names
-        assert np.array_equal(ds.x1, want.x1) and np.array_equal(ds.x2, want.x2)
-        # y is centred on the mean of the parts' sums: within rounding of it
-        rec, ref = ds.preprocessing, want.preprocessing
-        assert (rec.x1_scale, rec.x2_scale, rec.zeros_nudged) == (
-            ref.x1_scale, ref.x2_scale, ref.zeros_nudged)
-        assert abs(rec.y_center - ref.y_center) <= 4 * np.spacing(abs(ref.y_center))
-        assert np.abs(ds.y - want.y).max() <= 4 * np.spacing(abs(ref.y_center))
-        if summary is not None:
-            assert np.allclose(summary, _sums(ds.y, ds.x1, ds.x2, 2 * ROWS), rtol=1e-13)
+        # a blank line among the first part's lines makes the parts overlap:
+        # the first part's rows would run on into the second's, so the file
+        # is read as one part
+        one_part = case == "blank line" and part == 0
+        assert used == (1 if one_part else workers)
+        _assert_matches_reference(ds, want, ROWS)
+        parts = 1 if one_part else 2
+        assert np.allclose(summary, _sums(ds.y, ds.x1, ds.x2, parts * ROWS), rtol=1e-13)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_a_malformed_file_is_parsed_once_then_read_cell_by_cell_once(
+        self, tmp_path, monkeypatch, part, workers
+    ):
+        p = tmp_path / "malformed.csv"
+        p.write_bytes(self.edge_text("non-numeric", part).encode())
+        want = _reference(p)
+        _split(monkeypatch, workers)
+        m = dataio._plan(p, split=True)[1]
+        parses, cells = [], []
+        loadtxt, read_cells = np.loadtxt, dataio._read_table_cells
+
+        def counting_loadtxt(path, **kwargs):
+            parses.append((kwargs["skiprows"], kwargs["max_rows"]))
+            return loadtxt(path, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr(dataio, "_read_table_cells",
+                            lambda q: cells.append(1) or read_cells(q))
+        got = _result(lambda q: load_csv_summarized(q, "y", "x1", "x2", _sums), p)
+        _assert_no_child_remains()
+        assert got == want and f"at line {(10 if part == 0 else ROWS - 10) + 2}, column" in got
+        # this process parses part 0, and part 1 only where no worker does and
+        # part 0 parsed; no pass parses the whole file
+        assert parses == [(1, m)] + ([(1 + m, None)] if workers == 1 and part == 1 else [])
+        assert cells == [1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_row_repeated_across_the_parts_is_read_in_parts(self, tmp_path, monkeypatch, workers):
@@ -420,23 +467,24 @@ class TestReadInParts:
         p = tmp_path / "repeated.csv"
         p.write_text(_csv_text(_rows()))
         _split(monkeypatch, workers)
-        m = dataio._split_plan(p)[1]
+        m = dataio._plan(p, split=True)[1]
         rows = _rows()
         rows[10] = list(rows[m])
         p.write_text(_csv_text(rows))
-        assert dataio._split_plan(p)[1] == m
+        assert dataio._plan(p, split=True)[1] == m
         scans = []
         scan = dataio._has_blank_line
         monkeypatch.setattr(dataio, "_has_blank_line", lambda path: scans.append(1) or scan(path))
         ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
         assert summary is not None and used == workers and scans == [1]
-        want = load_csv(p, "y", "x1", "x2")
-        assert ds.n == want.n and np.array_equal(ds.x1, want.x1) and np.array_equal(ds.x2, want.x2)
+        _assert_matches_reference(ds, _reference(p), ROWS)
         _assert_no_child_remains()
 
     @pytest.mark.parametrize("case", ["constant covariate", "too few rows", "one column twice",
                                       "missing column", "zero covariate"])
     def test_other_inputs_take_load_csvs_path(self, tmp_path, monkeypatch, case):
+        # each gives load_csv's outcome on the one path: an error, or the two
+        # parts read as the reference readers read the file
         rows, cols = _rows(), ("y", "x1", "x2")
         if case == "constant covariate":
             for row in rows:
@@ -451,24 +499,23 @@ class TestReadInParts:
             rows[3][1] = "0"  # nudged, with the warning, as load_csv does
         p = tmp_path / "other.csv"
         p.write_text(_csv_text(rows))
-
-        def read(path, reader):
-            return _result(lambda q: reader(q, *cols), path)
-
         _split(monkeypatch, 2)
         with warnings_checked(case == "zero covariate"):
-            want = read(p, load_csv)
-            got = read(p, lambda *args: load_csv_summarized(*args, _sums))
+            got = _result(lambda q: load_csv_summarized(q, *cols, _sums), p)
         _assert_no_child_remains()
-        if isinstance(want, str):
-            assert got == want
-        elif case == "zero covariate":  # read in parts: the nudge counts add up
-            assert got[2] == 2 and got[0].preprocessing.zeros_nudged == 1
-            assert np.array_equal(got[0].x1, want.x1)
-        else:
-            assert got[1:] == (None, 1)
-            for name in ("y", "x1", "x2"):
-                assert np.array_equal(getattr(got[0], name), getattr(want, name))
+        if case == "too few rows":
+            assert got == f"{p}: 9 rows is fewer than the required 10"
+        elif case == "missing column":
+            assert got == f"{p}: no column 'x3'; available: y, x1, x2"
+        else:  # read in parts: the nudge counts add up
+            ds, summary, used = got
+            assert used == 2 and summary[3] == 2 * ROWS
+            with warnings_checked(case == "zero covariate"):
+                want = _reference(p, cols)
+            assert ds.preprocessing.zeros_nudged == (case == "zero covariate")
+            _assert_matches_reference(ds, want, ROWS)
+            # a constant covariate reaches the fit's own check, one value
+            assert (ds.x2.min() == ds.x2.max()) == (case == "constant covariate")
 
     def test_clean_file_is_read_in_parts_without_the_serial_readers(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):
@@ -478,7 +525,8 @@ class TestReadInParts:
         p.write_text(_csv_text(_rows()))
         _split(monkeypatch, 2)
         # nor is the file searched for blank lines: no row repeats across the parts
-        for name in ("_read_table_cells", "read_table", "load_csv", "_has_blank_line"):
+        for name in ("_read_table_cells", "_read_whole", "read_table", "load_csv",
+                     "_has_blank_line"):
             monkeypatch.setattr(dataio, name, fail)
         ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
         assert used == 2 and summary[3] == 2 * ROWS and ds.n == ROWS
@@ -486,7 +534,8 @@ class TestReadInParts:
 
     @pytest.mark.parametrize("above", [True, False])
     def test_threshold(self, tmp_path, monkeypatch, above):
-        # a file of exactly _SPLIT_BYTES bytes is read in parts, one byte less is not
+        # a file of exactly _SPLIT_BYTES bytes is read in parts, one byte less
+        # is one part, read and summarized in this process
         monkeypatch.setattr(forking, "workers", lambda: 2)
         size = dataio._SPLIT_BYTES - (0 if above else 1)
         header, first, row = "y,x1,x2\n", "1.5,0.5,0.25\n", "0.123456789,0.25,0.75\n"
@@ -497,7 +546,7 @@ class TestReadInParts:
         assert p.stat().st_size == size
         ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
         assert ds.n == rows + 1 and used == (2 if above else 1)
-        assert summary[3] == 2 * (rows + 1) if above else summary is None
+        assert summary[3] == used * (rows + 1)  # each part's summary takes n
         _assert_no_child_remains()
 
     def test_one_and_two_workers_are_bitwise_alike(self, tmp_path, monkeypatch):
@@ -562,6 +611,30 @@ class TestReadInParts:
         with pytest.raises(ValueError, match="the worker failed"):
             load_csv_summarized(p, "y", "x1", "x2", summarize)
         _assert_no_child_remains()
+
+
+@pytest.mark.parametrize("reader", ["load_csv", "preprocess_columns", "one part",
+                                    "two parts, one process", "two parts, two processes"])
+def test_nudge_warning_names_the_callers_line(tmp_path, monkeypatch, reader):
+    rows = _rows(n=50)
+    rows[3][1] = "0"
+    p = tmp_path / "zero.csv"
+    p.write_text(_csv_text(rows))
+    if reader.startswith("two parts"):
+        _split(monkeypatch, 2 if reader.endswith("two processes") else 1)
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        if reader == "load_csv":
+            load_csv(p, "y", "x1", "x2")
+        elif reader == "preprocess_columns":
+            preprocess_columns(*read_table(p)[1].T)
+        else:
+            used = load_csv_summarized(p, "y", "x1", "x2", _sums)[2]
+            assert used == (2 if reader.endswith("two processes") else 1)
+    _assert_no_child_remains()
+    assert [str(x.message) for x in w] == [
+        "1 zero covariate values nudged to the smallest positive double"]
+    assert w[0].filename == __file__
 
 
 def _statistics(y, x1, x2, n):
