@@ -14,8 +14,10 @@ seeded CSVs of each size in `--sizes` (default n = 1e3 and 1e6), one child
 process to write each CSV and one to run `addspline fit` on it.  The fit child
 reports the fit's wall time, the part of it spent reading the CSV and adding
 up the normal-equation statistics (`read_s`), the processes that did so
-(`read_workers`), and its peak resident memory, the `VmHWM` line of its own
-/proc/self/status; a forked reader's memory is its own and is not counted.
+(`read_workers`), its resident memory when that read returns
+(`rss_after_read_mb`, the `VmRSS` line of its own /proc/self/status) and its
+peak resident memory (`peak_mb`, the `VmHWM` line); a forked reader's memory
+is its own and is not counted.
 `ru_maxrss` would not do: Linux carries the peak of the process that ran
 exec into the new process's `ru_maxrss`, so a fit started from a large
 parent would read that parent's peak.
@@ -54,11 +56,15 @@ np.savetxt(path, np.column_stack([y, x1, x2]), fmt="%.17g", delimiter=",",
 
 # one `addspline fit`, timed in the process that runs it; read_s is its
 # read-and-statistics phase, `load_csv_summarized`: the CSV read, the
-# preprocessing and the normal-equation statistics of every fit
+# preprocessing and the normal-equation statistics of every fit, and
+# rss_after_read_mb this process's resident memory when that phase returns
 RUN_FIT = """
 import json, sys, time
 import addspline.cli as cli
-phase = []
+def status_mb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key)) / 1024.0
+phase, after_read = [], []
 read = cli.load_csv_summarized
 def timed(*args, **kwargs):
     start = time.perf_counter()
@@ -66,17 +72,16 @@ def timed(*args, **kwargs):
         return read(*args, **kwargs)
     finally:
         phase.append(time.perf_counter() - start)
+        after_read.append(status_mb("VmRSS:"))
 cli.load_csv_summarized = timed
 start = time.perf_counter()
 code = cli.main(["fit", "--data", sys.argv[1], "--y", "y", "--x1", "x1", "--x2", "x2",
                  "--out", sys.argv[2]])
 wall = time.perf_counter() - start
-with open("/proc/self/status") as fh:
-    hwm = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 report = json.load(open(sys.argv[2] + "/fit_report.json"))
 print(json.dumps({"exit_code": code, "wall_s": wall, "read_s": sum(phase),
                   "read_workers": report["diagnostics"]["read_workers"],
-                  "peak_mb": hwm / 1024.0}))
+                  "rss_after_read_mb": after_read[0], "peak_mb": status_mb("VmHWM:")}))
 """
 
 
@@ -183,7 +188,7 @@ def main(argv=None) -> int:
     for n, fit in report["fits"].items():
         print(f"fit n={n}: wall {fit['wall_s']:.3f} s (read and statistics "
               f"{fit['read_s']:.3f} s in {fit['read_workers']} processes), "
-              f"peak {fit['peak_mb']:.1f} MB")
+              f"{fit['rss_after_read_mb']:.1f} MB after the read, peak {fit['peak_mb']:.1f} MB")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")

@@ -51,9 +51,7 @@ __all__ = [
     "backfit_stages",
     "joint_solve",
     "univariate_penalized",
-    "one_stage_pair",
     "predict",
-    "center_component",
     "hessian_check",
 ]
 
@@ -80,7 +78,9 @@ class AdditiveDesign:
 
     `statistics`, when given, are the design's `NormalStatistics`, added up
     elsewhere (say, over parts of the rows in several processes); otherwise
-    the normal equations add them up from y, X1 and X2.
+    the normal equations add them up from y, X1 and X2.  A design given its
+    statistics may hold no rows (y, X1 and X2 empty): it then reads its `n`
+    rows only through them, and has no residual pass of its own.
     """
 
     y: np.ndarray
@@ -120,14 +120,16 @@ class AdditiveDesign:
     def num_coef(self) -> int:
         return self.X1.cols
 
+    @property
+    def n(self) -> int:
+        """The rows of the data: the statistics' count where given, else y's."""
+        return self.y.shape[0] if self.statistics is None else self.statistics.n
+
     def residual_sum_of_squares(self, b1: np.ndarray, b2: np.ndarray) -> float:
-        """||y - X_1 b_1 - X_2 b_2||^2, added up over chunks of rows."""
-        b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
-        total = 0.0
-        for (rows, R1), (_, R2) in zip(self.X1.chunks(), self.X2.chunks()):
-            resid = self.y[rows] - R1.matvec(b1) - R2.matvec(b2)
-            total += float(np.sum(resid**2))
-        return total
+        """||y - X_1 b_1 - X_2 b_2||^2; a ValueError where the design lacks its rows."""
+        if self.y.shape[0] != self.n:
+            raise ValueError(f"the design holds {self.y.shape[0]} of its {self.n} rows")
+        return _residual_sum_of_squares(self.y, self.X1, self.X2, b1, b2)
 
     @functools.cached_property
     def normal_equations(self) -> "NormalEquations":
@@ -166,16 +168,19 @@ def build_design(
     statistics: "NormalStatistics | None" = None,
 ) -> AdditiveDesign:
     """Assemble an AdditiveDesign from raw samples using the default rules;
-    `statistics` as `AdditiveDesign` takes them."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    n = y.shape[0]
+    `statistics` as `AdditiveDesign` takes them.  Samples of None, with
+    statistics, give the design without rows, whose n is the statistics'."""
+    rows = y is not None
+    y = np.asarray(y if rows else (), dtype=float).reshape(-1)
+    n = y.shape[0] if statistics is None else statistics.n
     K = kn_rule(n) if num_intervals is None else int(num_intervals)
     cfg = make_knots(degree, K)
     lam_default = lambda_rule(n, K)
+    X1, X2 = (design_matrix(cfg, x) if rows else DesignMatrix(y, cfg) for x in (x1, x2))
     return AdditiveDesign(
         y=y,
-        X1=design_matrix(cfg, x1),
-        X2=design_matrix(cfg, x2),
+        X1=X1,
+        X2=X2,
         lambda1=lam_default if lambda1 is None else float(lambda1),
         lambda2=lam_default if lambda2 is None else float(lambda2),
         penalty=penalty_matrix(diff_order, cfg.num_basis),
@@ -189,10 +194,10 @@ class NormalStatistics:
 
     The p + 1 lower bands of each Gram matrix X_j'X_j (`bands1`, `bands2`,
     see `DesignChunk.gram_bands`), the diagonal blocks of C = X_1'X_2
-    (`C_blocks`, shape (blocks, q, q)), u_j = X_j'y and y'y.  Being sums over
-    rows, the statistics of two sets of rows add up (`+`) to those of both:
-    a design's rows can be summed in parts, in any processes, as long as
-    every part uses the same basis.
+    (`C_blocks`, shape (blocks, q, q)), u_j = X_j'y, y'y and the row count n.
+    Being sums over rows, the statistics of two sets of rows add up (`+`) to
+    those of both: a design's rows can be summed in parts, in any processes,
+    as long as every part uses the same basis.
     """
 
     bands1: np.ndarray
@@ -201,6 +206,7 @@ class NormalStatistics:
     u1: np.ndarray
     u2: np.ndarray
     yy: float
+    n: int
 
     @classmethod
     def of(cls, y: np.ndarray, X1: DesignMatrix, X2: DesignMatrix) -> "NormalStatistics":
@@ -220,7 +226,7 @@ class NormalStatistics:
             R1.block_cross(R2, C_blocks)
             R1.rmatvec(yr, u1)
             R2.rmatvec(yr, u2)
-        return cls(bands1, bands2, C_blocks, u1, u2, yy)
+        return cls(bands1, bands2, C_blocks, u1, u2, yy, y.shape[0])
 
     def __add__(self, other: "NormalStatistics") -> "NormalStatistics":
         return NormalStatistics(
@@ -445,6 +451,16 @@ _RSS_ROUNDING = 16.0
 _PIVOT_RTOL = 5e-11
 
 
+def _residual_sum_of_squares(y, X1: DesignMatrix, X2: DesignMatrix, b1, b2) -> float:
+    """||y - X_1 b_1 - X_2 b_2||^2 of the rows y, X1, X2, added up over chunks of rows."""
+    b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
+    total = 0.0
+    for (rows, R1), (_, R2) in zip(X1.chunks(), X2.chunks()):
+        resid = y[rows] - R1.matvec(b1) - R2.matvec(b2)
+        total += float(np.sum(resid**2))
+    return total
+
+
 def criterion(design: AdditiveDesign, b1: np.ndarray, b2: np.ndarray) -> float:
     """Penalized least-squares objective at the given coefficients."""
     return float(
@@ -558,18 +574,6 @@ def univariate_penalized(
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def one_stage_pair(design: AdditiveDesign, x1: float, x2: float) -> tuple[float, float]:
-    """The two one-stage estimators evaluated at (x1, x2).
-
-    First component: the univariate penalized fit of y on X1.  Second: the
-    penalized fit of the first component's residual y - X1 (Lam_1^{-1} X1'y),
-    i.e. the projector complement applied without materializing it.  Together
-    they are the first sweep of the zero-start backfit.
-    """
-    f1, f2, _ = predict(backfit_stages(design, 1), design.X1.config, float(x1), float(x2))
-    return f1, f2
-
-
 def predict(result: BackfitResult, cfg: SplineConfig, x1, x2):
     """Evaluate the two fitted components and their sum at new points."""
     f1 = design_matrix(cfg, x1).matvec(result.b1)
@@ -577,23 +581,6 @@ def predict(result: BackfitResult, cfg: SplineConfig, x1, x2):
     if np.ndim(x1) == 0 and np.ndim(x2) == 0:
         return float(f1[0]), float(f2[0]), float(f1[0] + f2[0])
     return f1, f2, f1 + f2
-
-
-def center_component(
-    result: BackfitResult, design: AdditiveDesign, j: int, x
-):
-    """Fitted component minus its average over the observed covariate values.
-
-    The display convention: f_j(x) - mean_i f_j(x_ij).  Centering removes the
-    arbitrary constant split between the two components.
-    """
-    if j not in (1, 2):
-        raise ValueError(f"component index must be 1 or 2, got {j}")
-    b = result.b1 if j == 1 else result.b2
-    # mean_i B(x_ij)'b is (X_j'1)'b / n
-    offset = float(design.normal_equations.column_sums[j - 1] @ b) / design.y.shape[0]
-    vals = design_matrix(design.X1.config, x).matvec(b) - offset
-    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 @dataclass(frozen=True)

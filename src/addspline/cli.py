@@ -8,6 +8,7 @@ key=value lines supplies defaults; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backfit import AdditiveDesign, NormalStatistics, backfit, build_design, kn_rule
+from .backfit import _residual_sum_of_squares
 from .bandmat import NotPositiveDefiniteError
 from .basis import design_matrix, eval_grid, make_knots
 from .dataio import (
@@ -180,11 +182,13 @@ def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -
     return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
 
 
-def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int) -> NormalStatistics:
+def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int):
     """The normal-equation statistics of some rows of a dataset of n rows, as
-    the reader gives them, in the basis `build_design` gives that dataset."""
+    the reader gives them, in the basis `build_design` gives that dataset,
+    and the residual sum of squares of those rows, a function of (b1, b2)."""
     cfg = make_knots(degree, kn_rule(n) if kn is None else kn)
-    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
+    X1, X2 = design_matrix(cfg, x1), design_matrix(cfg, x2)
+    return NormalStatistics.of(y, X1, X2), functools.partial(_residual_sum_of_squares, y, X1, X2)
 
 
 def cmd_fit(args) -> int:
@@ -201,46 +205,41 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # the one read: rows parsed, preprocessed and summarized, a large file in
-    # parts, on two CPUs where allowed
-    dataset, stats, read_workers = load_csv_summarized(
+    # parts, on two CPUs where allowed; each part's rows stay in the process
+    # that read them until sigma2_hat is known
+    with load_csv_summarized(
         args.data, args.y, args.x1, args.x2,
         functools.partial(_normal_statistics, args.degree, kn),
         preprocess=not args.no_preprocess,
-    )
-    n = dataset.n
-    for role, name, x in (("x1", args.x1, dataset.x1), ("x2", args.x2, dataset.x2)):
-        # a spline in one value is not identified at any penalty
-        if x.min() == x.max():
-            raise DataError(
-                f"{args.data}: covariate column {name!r} ({role}) has a single "
-                "distinct value; a spline in it needs at least two"
-            )
-    grid = eval_grid(args.grid)
-    design = build_design(
-        dataset.y,
-        dataset.x1,
-        dataset.x2,
-        degree=args.degree,
-        diff_order=args.diff_order,
-        num_intervals=kn,
-        lambda1=lam1,
-        lambda2=lam2,
-        statistics=stats,
-    )
-    try:
-        eq = design.normal_equations
-    except NotPositiveDefiniteError as exc:
-        raise _singular_component(exc, design) from None
-    for j, cols in enumerate(eq.pinned, start=1):
-        if cols.size:
-            print(
-                f"warning: component {j} basis columns {cols.tolist()} hold no "
-                "data at zero penalty; their coefficients are pinned to 0.",
-                file=sys.stderr,
-            )
-    result = backfit(design, tol=args.tol, max_stages=args.max_stages)
-    sigma2 = sigma2_hat(design, result)
+    ) as data:
+        for role, name, (low, high) in zip(("x1", "x2"), (args.x1, args.x2), data.ranges):
+            # a spline in one value is not identified at any penalty
+            if low == high:
+                raise DataError(
+                    f"{args.data}: covariate column {name!r} ({role}) has a single "
+                    "distinct value; a spline in it needs at least two"
+                )
+        # no rows: the design reads the data only through the statistics
+        design = build_design(
+            None, None, None, degree=args.degree, diff_order=args.diff_order,
+            num_intervals=kn, lambda1=lam1, lambda2=lam2, statistics=data.summary,
+        )
+        try:
+            eq = design.normal_equations
+        except NotPositiveDefiniteError as exc:
+            raise _singular_component(exc, design) from None
+        for j, cols in enumerate(eq.pinned, start=1):
+            if cols.size:
+                print(
+                    f"warning: component {j} basis columns {cols.tolist()} hold no "
+                    "data at zero penalty; their coefficients are pinned to 0.",
+                    file=sys.stderr,
+                )
+        result = backfit(design, tol=args.tol, max_stages=args.max_stages)
+        sigma2 = sigma2_hat(design, result, data.add_up)
 
+    n = data.n
+    grid = eval_grid(args.grid)
     rows = design_matrix(design.X1.config, grid)
     _, products = StageSmoother(design, stages=result.stages).evaluate_rows(
         rows.values, rows.values
@@ -248,10 +247,9 @@ def cmd_fit(args) -> int:
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     grids = {}
     curves = []
-    scales = (1.0, 1.0)
-    if dataset.preprocessing is not None:
-        scales = (dataset.preprocessing.x1_scale, dataset.preprocessing.x2_scale)
-    for j, b, x in ((1, result.b1, dataset.x1), (2, result.b2, dataset.x2)):
+    record = data.preprocessing
+    scales = (1.0, 1.0) if record is None else (record.x1_scale, record.x2_scale)
+    for j, b, support in ((1, result.b1, data.ranges[0]), (2, result.b2, data.ranges[1])):
         # the fitted component centred on its mean over the data, (X_j'1)'b / n
         column_sums = eq.column_sums[j - 1]
         estimate = grid_rows.matvec(b) - float(column_sums @ b) / n
@@ -260,7 +258,6 @@ def cmd_fit(args) -> int:
         x_original = grid * scales[j - 1]
         # grid points outside the data's range are extrapolated: there the
         # band can collapse to zero width or blow up
-        support = (float(x.min()), float(x.max()))
         in_support = (grid >= support[0]) & (grid <= support[1])
         outside = int(grid.size - in_support.sum())
         if outside:
@@ -304,14 +301,7 @@ def cmd_fit(args) -> int:
             "max_stages": args.max_stages,
             "level": args.level,
             "grid": args.grid,
-            "preprocessing": None
-            if dataset.preprocessing is None
-            else {
-                "y_center": dataset.preprocessing.y_center,
-                "x1_scale": dataset.preprocessing.x1_scale,
-                "x2_scale": dataset.preprocessing.x2_scale,
-                "zeros_nudged": dataset.preprocessing.zeros_nudged,
-            },
+            "preprocessing": None if record is None else dataclasses.asdict(record),
         },
         n=n,
         converged=result.converged,
@@ -327,7 +317,7 @@ def cmd_fit(args) -> int:
             "constant_shift_residual": eq.constant_shift[0],
             "constant_shift_floor": eq.constant_shift[1],
             "f2_sum": float(eq.column_sums[1] @ result.b2),
-            "read_workers": read_workers,
+            "read_workers": data.workers,
         },
         grids=grids,
         runtime_seconds=time.perf_counter() - start,

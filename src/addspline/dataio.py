@@ -5,9 +5,10 @@ double exactly on re-parse; JSON relies on Python's shortest-repr floats, which
 round-trip as well.  Both writers hand whole arrays to C-level formatting: a
 table is one '%' format, and each list of numbers in a JSON document is one
 call of json's encoder.  Every CSV is read on one path (`_read`): one
-vectorized parse per part of rows, the cell reader only where that parse
-fails, then one preprocessing and, for a fit, one summary per part.  A large
-file is two parts, read on two CPUs where allowed (`load_csv_summarized`).
+vectorized parse per part of rows, the cell reader only from the part where
+that parse fails, then one preprocessing and, for a fit, one summary per
+part.  A large file is two parts, read on two CPUs where allowed; each
+part's rows stay in the process that parsed them (`load_csv_summarized`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -90,16 +93,25 @@ def read_table(path) -> tuple[list[str], np.ndarray]:
     return _read_whole(path, _plan(path, split=False)[0])
 
 
-def _read_table_cells(path: Path) -> tuple[list[str], np.ndarray]:
-    """`read_table` one cell at a time with Python's csv and float."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+def _read_table_cells(path: Path, plan=None) -> tuple[list[str], np.ndarray]:
+    """`read_table` one cell at a time with Python's csv and float; given the
+    plan (header, m) of two parts, only body lines m + 1.. (part 1), which
+    keep their line numbers in the whole file."""
+    with path.open(newline="") as fh:  # universal newlines, lines untranslated
+        if plan is None:
+            reader = csv.reader(fh)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            first = 2
+        else:  # part 0 parsed: no quote is open at its end
+            header, m = plan
+            for _ in itertools.islice(fh, 1 + m):
+                pass
+            reader, first = csv.reader(fh), m + 2
         rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in enumerate(reader, start=first):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue  # ignore blank lines
             if len(row) != len(header):
@@ -233,16 +245,16 @@ def load_csv(
     read as one part (`load_csv_summarized`): the columns are views of its
     one table, preprocessed in place.
     """
-    dataset, _, _ = _read(path, (y_col, x1_col, x2_col), None, preprocess, min_rows)
+    dataset = _read(path, (y_col, x1_col, x2_col), None, preprocess, min_rows)
     _warn_nudged(dataset.preprocessing)
     return dataset
 
 
 def load_csv_summarized(
     path, y_col: str, x1_col: str, x2_col: str, summarize, preprocess: bool = True
-) -> tuple[Dataset, object, int]:
-    """`load_csv` of `path`, and `summarize` of its rows: the dataset, the
-    summary, and the number of processes that read and summarized them.
+) -> "_Summarized":
+    """`load_csv` of `path` that gives, not the rows, but what a fit asks of
+    them (`_Summarized`).
 
     The body is parsed by `np.loadtxt` as one part, or, for a file of at
     least `_SPLIT_BYTES`, as two parts of rows: each is parsed, preprocessed
@@ -251,24 +263,61 @@ def load_csv_summarized(
     takes the row count and the preprocessing of all rows from the parts'
     `_reductions` and raises `load_csv`'s errors.  `summarize(y, x1, x2, n)`
     then takes each part's columns, preprocessed unless `preprocess` is
-    false, and the row count n of the whole file.  Its results must add up
-    (`+`) to the summary of both parts, the first part's first, so neither
-    the summary nor the dataset depends on the number of processes.
+    false, and the row count n of the whole file, and returns (summary,
+    measure).  The summaries must add up (`+`) to the summary of both parts,
+    the first part's first, so that nothing depends on the number of
+    processes.  `measure` stays in the process that read the part, with the
+    rows it keeps (`_Summarized.add_up`); close the result to let it go.
 
     Once a part fails to parse (see `read_table`), the cell reader reads the
-    file: it names the line and column of the error, or gives the table,
-    read as one part.  A blank line among the first part's lines makes the
-    parts overlap; then one vectorized pass reads the file as one part.
+    file from that part's first line: it names the line and column of the
+    error, or gives the rest of the table, read with the rows before it as
+    one part.  A blank line among the first part's lines makes the parts
+    overlap; then one vectorized pass reads the file as one part.
     """
-    path = Path(path)
-    dataset, summary, workers = _read(path, (y_col, x1_col, x2_col), summarize, preprocess)
-    _warn_nudged(dataset.preprocessing)
-    return dataset, summary, workers
+    data = _read(path, (y_col, x1_col, x2_col), summarize, preprocess)
+    _warn_nudged(data.preprocessing)
+    return data
+
+
+class _Summarized:
+    """A CSV as `load_csv_summarized` reads it, without its rows: the row
+    count `n`, the `preprocessing` (None where not asked for), the `ranges`
+    (min, max) of x1 and of x2 as preprocessed, the `summary` of all rows and
+    the processes (`workers`) that read them.  `add_up(*args)` sums each
+    part's measure of `args` over the parts, the first part's first, a forked
+    worker's taken there.  `close`, or the end of a `with` block, ends it.
+    """
+
+    def __init__(self, form, nudged: int, summary, measures, worker: forking.Worker | None = None):
+        self.n, record, self.ranges = form
+        self.preprocessing = None if record is None else replace(record, zeros_nudged=nudged)
+        self.summary = summary
+        self.workers = 1 if worker is None else 2
+        self._measures, self._worker = measures, worker
+
+    def add_up(self, *args):
+        if self._worker is not None:
+            self._worker.send(args)
+        parts = [measure(*args) for measure in self._measures]
+        if self._worker is not None:
+            parts.append(self._worker.recv())
+        return functools.reduce(operator.add, parts)
+
+    def close(self) -> None:
+        if self._worker is not None:
+            self._worker.close()
+
+    def __enter__(self) -> "_Summarized":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _read(path, cols, summarize, preprocess: bool, min_rows: int = _MIN_ROWS):
-    """(Dataset, summary, processes) of `load_csv_summarized`; one part where
-    `summarize` is None, as `load_csv` reads, with summary None."""
+    """The Dataset of `load_csv`, one part, where `summarize` is None, else
+    the `_Summarized` of `load_csv_summarized`."""
     file = Path(path)  # `path` as given names it in the errors of `_combine`
     header, m = _plan(file, split=summarize is not None)
     combine = functools.partial(_combine, path=path, min_rows=min_rows, preprocess=preprocess)
@@ -290,12 +339,9 @@ def _read_one(path, header: list[str], table: np.ndarray, cols, combine, summari
         columns = [c.copy() for c in columns]
     form = combine([_reductions(table, idx)])
     nudged, summary = _summarize_part(columns, form, summarize)
-    return _dataset(header, cols, columns, form[1], nudged), summary, 1
-
-
-def _dataset(header, cols, columns, record: Preprocessing | None, nudged: int) -> Dataset:
-    if record is not None:
-        record = replace(record, zeros_nudged=nudged)
+    if summarize is not None:
+        return _Summarized(form, nudged, summary[0], [summary[1]])
+    record = None if form[1] is None else replace(form[1], zeros_nudged=nudged)
     return Dataset(tuple(header), *cols, *columns, record)
 
 
@@ -422,8 +468,9 @@ def _reductions(table: np.ndarray | None, idx) -> _Reductions | None:
 
 
 def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True):
-    """The row count n of all parts and their preprocessing, None where not
-    `preprocess`, from their `_reductions`: (n, Preprocessing | None).
+    """From the parts' `_reductions`: the row count n of all parts, their
+    preprocessing, None where not `preprocess`, and the (min, max) of x1 and
+    of x2 as preprocessed, an exact zero nudged as `_scale_in_place` does.
 
     Raises `load_csv`'s DataError for fewer than `min_rows` rows, a negative
     covariate or one whose maximum is not positive.  y is centred on its mean,
@@ -431,27 +478,28 @@ def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True)
     n = sum(r.rows for r in parts)
     if n < min_rows:
         raise DataError(f"{path}: {n} rows is fewer than the required {min_rows}")
+    ranges = [(min(r.ranges[j][0] for r in parts), max(r.ranges[j][1] for r in parts))
+              for j in range(2)]
     if not preprocess:
-        return n, None
-    scales = []
-    for j, name in enumerate(("x1", "x2")):
-        if min(r.ranges[j][0] for r in parts) < 0:
+        return n, None, ranges
+    for name, (low, top) in zip(("x1", "x2"), ranges):
+        if low < 0:
             raise DataError(f"{name}: negative covariate values are unsupported")
-        top = max(r.ranges[j][1] for r in parts)
         if top <= 0:
             raise DataError(f"{name}: covariate maximum must be positive")
-        scales.append(top)
     mean = sum(r.y_sum for r in parts) / n
     # no centre where the mean is within rounding of zero
     center = mean if abs(mean) > 1e-12 * (max(r.y_top for r in parts) + 1.0) else 0.0
-    return n, Preprocessing(y_center=center, x1_scale=scales[0], x2_scale=scales[1])
+    record = Preprocessing(y_center=center, x1_scale=ranges[0][1], x2_scale=ranges[1][1])
+    tiny = float(np.nextafter(0.0, 1.0))
+    return n, record, [(low / top or tiny, top / top) for low, top in ranges]
 
 
 def _summarize_part(columns: list[np.ndarray], form, summarize) -> tuple[int, object]:
     """Preprocess one part's columns (y, x1, x2) in place by `form` = (n,
-    Preprocessing or None) and summarize them: (zeros nudged, summary), the
-    summary None without `summarize`."""
-    (n, record), (y, x1, x2) = form, columns
+    Preprocessing or None, ranges) and summarize them: (zeros nudged,
+    summary), the summary None without `summarize`."""
+    (n, record, _), (y, x1, x2) = form, columns
     nudged = 0
     if record is not None:
         if record.y_center:
@@ -460,18 +508,19 @@ def _summarize_part(columns: list[np.ndarray], form, summarize) -> tuple[int, ob
     return nudged, None if summarize is None else summarize(y, x1, x2, n)
 
 
-def _read_in_parts(path: Path, plan, cols, combine, summarize):
+def _read_in_parts(path: Path, plan, cols, combine, summarize) -> _Summarized:
     """`_read` of the two parts of `plan`.
 
     This process reads part 0 and, where `forking.workers` allows two
     processes, a forked worker reads part 1 (`_serve_part`).  They exchange
     one message each way: the worker's `_reductions`, then the row count and
     preprocessing of all rows (`combine`).  Each then preprocesses and
-    summarizes its own rows; the worker sends its summary and then its rows,
-    which are read straight into this process's columns.  The worker is
-    killed and reaped before this returns or raises.  Once a part fails to
-    parse, the cell reader reads the file; where the parts overlap, one
-    vectorized pass does; either table is then read as one part.
+    summarizes a contiguous copy of its own rows and keeps it; the worker
+    sends its summary and stays, to measure its rows.  It is killed and
+    reaped before this raises.  Once part 0 fails to parse, the cell reader
+    reads the file; once part 1 does, part 1 after part 0's rows; where the
+    parts overlap, one vectorized pass reads the file.  That table is then
+    read as one part.
     """
     header, idx = plan[0], [plan[0].index(c) for c in cols]
     with contextlib.ExitStack() as stack:
@@ -480,56 +529,63 @@ def _read_in_parts(path: Path, plan, cols, combine, summarize):
             worker = stack.enter_context(
                 forking.Worker(_serve_part, path, plan, idx, summarize)
             )
-        table, second = _read_part(path, plan, 0), None
-        if table is not None:
+        tables, second = [_read_part(path, plan, 0)], None
+        if tables[0] is not None:
             if worker is not None:
                 second = worker.recv()
             else:
-                other = _read_part(path, plan, 1)
-                second = _reductions(other, idx)
-        if second is not None and not _overlap(table, second.first_row, path):
-            first = _reductions(table, idx)
-            n, record = form = combine([first, second])
+                tables.append(_read_part(path, plan, 1))
+                second = _reductions(tables[1], idx)
+        if second is not None and not _overlap(tables[0], second.first_row, path):
+            form = combine([_reductions(tables[0], idx), second])
             if worker is not None:
                 worker.send(form)
-            n0 = first.rows
-            columns = [np.empty(n) for _ in idx]
-            for c, j in zip(columns, idx):
-                c[:n0] = table[:, j]
-            del table
-            nudged, summary = _summarize_part([c[:n0] for c in columns], form, summarize)
+            part = [tables[0][:, j].copy() for j in idx]
+            del tables[0]  # each table goes once its columns are copied
+            nudged, (summary, measure) = _summarize_part(part, form, summarize)
+            measures = [measure]
             if worker is not None:
                 more, rest = worker.recv()
-                for c in columns:
-                    worker.recv_into(c[n0:])
             else:
-                part = [other[:, j].copy() for j in idx]
-                del other
-                more, rest = _summarize_part(part, form, summarize)
-                for c, p in zip(columns, part):
-                    c[n0:] = p
-            dataset = _dataset(header, cols, columns, record, nudged + more)
-            return dataset, summary + rest, 1 if worker is None else 2
-    table = other = None  # the parts are not read again
-    if second is None:
+                part = [tables[0][:, j].copy() for j in idx]
+                del tables[0]
+                more, (rest, measure) = _summarize_part(part, form, summarize)
+                measures.append(measure)
+            stack.pop_all()  # the worker stays, to measure its part
+            return _Summarized(form, nudged + more, summary + rest, measures, worker)
+    first = tables[0]
+    if first is None:
         header, table = _read_table_cells(path)
-    else:
+    elif second is not None:  # the parts overlap
         header, table = _read_whole(path, header)
+    else:  # part 1 failed: the rows before it are kept
+        rest = _read_table_cells(path, plan)[1]
+        if len(rest) and _overlap(first, rest[:1], path):
+            header, table = _read_table_cells(path)
+        else:
+            table = np.concatenate([first, rest])
+    del tables, first  # the parts are not read again
     return _read_one(path, header, table, cols, combine, summarize)
 
 
 def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
-    """In a forked worker of `_read_in_parts`: read part 1, send its
-    reductions, then, given the row count and preprocessing of all rows,
-    send its zeros nudged and summary, then its columns y, x1, x2."""
+    """In a forked worker of `_read_in_parts`: read part 1 and send its
+    reductions; given the row count and preprocessing of all rows, send its
+    zeros nudged and summary; then answer each message `args` with the
+    part's measure of `args` until the parent closes its pipe."""
     table = _read_part(path, plan, 1)
     channel.send(_reductions(table, idx))
     form = channel.recv()
     part = [table[:, j].copy() for j in idx]
     del table
-    channel.send(_summarize_part(part, form, summarize))
-    for c in part:
-        channel.send_array(c)
+    nudged, (summary, measure) = _summarize_part(part, form, summarize)
+    channel.send((nudged, summary))
+    while True:
+        try:
+            args = channel.recv()
+        except EOFError:
+            return
+        channel.send(measure(*args))
 
 
 @dataclass

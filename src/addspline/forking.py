@@ -1,14 +1,14 @@
 """Forked worker processes and the messages between them and their parent.
 
 `Worker` forks a child that runs `fn(channel, *args)`; parent and child then
-talk over one pair of pipes (`Channel`).  A message is a pickle, or the raw
-bytes of an array, which the receiver reads straight into an array of its
-own; each is framed by its length.  An exception that `fn` raises reaches
-the parent as a message, and `Worker.recv` raises it again.  A child that
-exits or dies before it has sent a whole message gives `ChildProcessError`
-naming its pid and exit status.  `Worker.close` closes the parent's pipe
-ends, then kills and reaps the child, so no exit path of the parent waits on
-a child that waits on it.
+talk over one pair of pipes (`Channel`).  Every message is one pickle,
+framed by its length: the raw bytes of an array never cross on their own,
+and a CSV read sends sums over its rows, not the rows.  An exception that
+`fn` raises reaches the parent as a message, and `Worker.recv` raises it
+again.  A child that exits or dies before it has sent a whole message gives
+`ChildProcessError` naming its pid and exit status.  `Worker.close` closes
+the parent's pipe ends, then kills and reaps the child, so no exit path of
+the parent waits on a child that waits on it.
 
 Forking is used only where `os.sched_getaffinity` exists, that is on Linux,
 and by at most `_MAX_WORKERS` processes in all (`workers`).
@@ -20,8 +20,6 @@ import os
 import pickle
 import signal
 import struct
-
-import numpy as np
 
 __all__ = ["Channel", "Worker", "workers"]
 
@@ -51,14 +49,8 @@ class Channel:
 
     def send(self, obj) -> None:
         """Send `obj` as one pickle."""
-        self._send(memoryview(pickle.dumps(obj)))
-
-    def send_array(self, a: np.ndarray) -> None:
-        """Send the bytes of the contiguous array `a`, for `Worker.recv_into`."""
-        self._send(memoryview(a).cast("B"))
-
-    def _send(self, data: memoryview) -> None:
-        for view in (memoryview(_LENGTH.pack(data.nbytes)), data):
+        data = pickle.dumps(obj)
+        for view in (memoryview(_LENGTH.pack(len(data))), memoryview(data)):
             while view:
                 view = view[os.write(self.write_fd, view) :]
 
@@ -69,19 +61,16 @@ class Channel:
             raise EOFError(f"the sender closed its pipe after {got} bytes of a message")
         return pickle.loads(data)  # written by `send` in our own fork
 
-    def recv_frame(self, out: memoryview | None = None) -> tuple[memoryview, int, int | None]:
-        """The next message, read into `out` when given: its bytes, the count
-        read, and the count its frame announced (None if the frame itself was
-        cut short).  The count read falls short only at end of file."""
+    def recv_frame(self) -> tuple[memoryview, int, int | None]:
+        """The next message: its bytes, the count read, and the count its frame
+        announced (None if the frame itself was cut short).  The count read
+        falls short only at end of file."""
         head = memoryview(bytearray(_LENGTH.size))
         got = self._read_into(head)
         if got < _LENGTH.size:
             return head, got, None
         (size,) = _LENGTH.unpack(head)
-        if out is None:
-            out = memoryview(bytearray(size))
-        elif out.nbytes != size:
-            raise ValueError(f"a message of {size} bytes sent for {out.nbytes} bytes")
+        out = memoryview(bytearray(size))
         return out, self._read_into(out), size
 
     def _read_into(self, view: memoryview) -> int:
@@ -147,12 +136,6 @@ class Worker:
         if isinstance(obj, BaseException):
             raise obj
         return obj
-
-    def recv_into(self, out: np.ndarray) -> None:
-        """Read the child's next message, an array's bytes, into `out`."""
-        _, got, size = self.channel.recv_frame(memoryview(out).cast("B"))
-        if size is None or got < size:
-            raise self._lost(got, size)
 
     def _lost(self, got: int, size: int | None) -> ChildProcessError:
         """The error of a child that stopped short of a whole message.  It is

@@ -128,16 +128,6 @@ class StageSmoother:
         P[:, :, 0, 1] = P[:, :, 1, 0] = (cross[1] + cross[0]) / 2
         return estimates, P.reshape(-1, 2, 2)
 
-    def weight_products(self, x1, x2) -> np.ndarray:
-        """Inner products w_j . w_k of the weights of f_hat_1(x1) and f_hat_2(x2).
-
-        A 2 x 2 matrix for scalar points, shape (m, 2, 2) for m point pairs;
-        see `evaluate_rows`.
-        """
-        cfg = self.design.X1.config
-        _, P = self.evaluate_rows(*(design_matrix(cfg, x).values for x in (x1, x2)))
-        return P[0] if np.ndim(x1) == 0 and np.ndim(x2) == 0 else P
-
     def component_weights(self, j: int, x: float) -> np.ndarray:
         """Observation weights w with f_hat_j(x) = w . y."""
         if j not in (1, 2):
@@ -265,18 +255,21 @@ def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
 _RSS_RTOL = 1e-12
 
 
-def sigma2_hat(design: AdditiveDesign, result: BackfitResult) -> float:
+def sigma2_hat(design: AdditiveDesign, result: BackfitResult,
+               residual_sum_of_squares: Callable | None = None) -> float:
     """Mean squared residual of the fitted additive model.
 
     The residual sum of squares is read off the statistics of the normal
     equations (`NormalEquations.rss_estimate`) when its rounding bound is
-    below 1e-12, and added up over the rows again otherwise
-    (`AdditiveDesign.residual_sum_of_squares`), as for a near noise-free fit.
+    below 1e-12, and added up over the rows again otherwise, as for a near
+    noise-free fit: by `residual_sum_of_squares(b1, b2)` where given (say,
+    over rows kept elsewhere, for a design without rows), else by
+    `AdditiveDesign.residual_sum_of_squares`.
     """
     rss, bound = design.normal_equations.rss_estimate(result.b1, result.b2)
     if not bound < _RSS_RTOL:
-        rss = design.residual_sum_of_squares(result.b1, result.b2)
-    return rss / design.y.shape[0]
+        rss = (residual_sum_of_squares or design.residual_sum_of_squares)(result.b1, result.b2)
+    return rss / design.n
 
 
 def confidence_interval(

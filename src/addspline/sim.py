@@ -70,7 +70,6 @@ __all__ = [
     "run_sim3",
     "coverage_experiment",
     "kde2d",
-    "std_normal_density2d",
 ]
 
 
@@ -508,12 +507,3 @@ def kde2d(
     B = norm2 * np.exp(-0.5 * ((axes[1][:, None] - pts[None, :, 1]) / h[1]) ** 2)
     density = (A @ B.T) / M
     return Kde2dResult(x=axes[0], y=axes[1], density=density, bandwidth=h)
-
-
-def std_normal_density2d(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Standard bivariate normal density tabulated on the grid x cross y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (
-        np.exp(-0.5 * (x[:, None] ** 2 + y[None, :] ** 2)) / (2.0 * np.pi)
-    )

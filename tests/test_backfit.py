@@ -25,8 +25,6 @@ from addspline.backfit import (
     NormalEquations,
     NormalStatistics,
     _PinnedCholesky,
-    center_component,
-    one_stage_pair,
 )
 from addspline.bandmat import NotPositiveDefiniteError
 from addspline.basis import design_matrix, make_knots
@@ -348,10 +346,29 @@ class TestChunkedStatistics:
         with pytest.raises(ValueError, match="statistics of 15 columns for a basis of 18"):
             build_design(y, x1, x2, num_intervals=15, statistics=parts[0])
 
+    def test_design_without_rows_reads_only_its_statistics(self):
+        # the fit's design: n, the default rules and the normal equations come
+        # from the statistics, and there is no row pass to take
+        y, x1, x2 = sim_xy(3000, seed=4)
+        stats = build_design(y, x1, x2).normal_equations
+        d = build_design(y, x1, x2)
+        cfg = d.X1.config
+        given = NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
+        rowless = build_design(None, None, None, statistics=given)
+        assert given.n == rowless.n == d.n == 3000 and rowless.y.size == 0
+        assert rowless.X1.config == cfg and rowless.lambda1 == d.lambda1
+        for name in ("G1", "G2", "C_blocks", "u1", "u2", "yy"):
+            got, want = getattr(rowless.normal_equations, name), getattr(stats, name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        res = backfit(rowless)
+        assert np.array_equal(res.b1, backfit(d).b1)
+        with pytest.raises(ValueError, match="the design holds 0 of its 3000 rows"):
+            rowless.residual_sum_of_squares(res.b1, res.b2)
+
     def test_fit_reads_no_full_row_view(self):
         d = build_design(*sim_xy(3 * self.CHUNK, seed=1), num_intervals=12)
         res = backfit(d)
-        center_component(res, d, 1, 0.5)
+        d.normal_equations.column_sums  # the display centring's sums
         criterion(d, res.b1, res.b2)
         for X in (d.X1, d.X2):
             assert not {"first", "vals", "values"} & set(X.__dict__)
@@ -636,8 +653,8 @@ class TestInitInvariance:
         _, _, sum_b = predict(rb, d.X1.config, grid, grid)
         assert np.abs(sum_a - sum_b).max() < 1e-8
         for j in (1, 2):
-            ca = center_component(ra, d, j, grid)
-            cb = center_component(rb, d, j, grid)
+            ca = _centred(ra, d, j, grid)
+            cb = _centred(rb, d, j, grid)
             assert np.abs(ca - cb).max() < 1e-8
 
     def test_projected_gap_contracts(self):
@@ -690,13 +707,15 @@ class TestPointwiseHelpers:
         assert univariate_penalized(X, y, lam, Q, 0.5) == pytest.approx(want[1], abs=1e-10)
 
     def test_one_stage_pair_closed_form(self):
+        # the first sweep of the zero-start backfit: the univariate penalized
+        # fit of y on X1, then that of its residual on X2
         y, x1, x2 = sim_xy(140, seed=14)
         d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
         X1, X2, P = d.X1.values, d.X2.values, d.penalty.values
         b1 = np.linalg.solve(X1.T @ X1 + P, X1.T @ y)
         b2 = np.linalg.solve(X2.T @ X2 + P, X2.T @ (y - X1 @ b1))
         v = design_matrix(d.X1.config, np.array([0.3])).values[0]
-        f1, f2 = one_stage_pair(d, 0.3, 0.3)
+        f1, f2, _ = predict(backfit_stages(d, 1), d.X1.config, 0.3, 0.3)
         assert f1 == pytest.approx(v @ b1, abs=1e-10)
         assert f2 == pytest.approx(v @ b2, abs=1e-10)
 
@@ -709,20 +728,35 @@ class TestPointwiseHelpers:
         assert np.allclose(total, f1 + f2, atol=1e-12)
 
     def test_center_component_mean_zero_over_design(self):
+        # the fit's display centring, (X_j'1)'b / n off the component, leaves
+        # it mean zero over the data
         y, x1, x2 = sim_xy(170, seed=15)
         d = build_design(y, x1, x2, num_intervals=9)
         r = backfit(d, tol=1e-11)
-        c1 = center_component(r, d, 1, x1)
-        c2 = center_component(r, d, 2, x2)
+        c1 = _centred(r, d, 1, x1)
+        c2 = _centred(r, d, 2, x2)
         assert abs(c1.mean()) < 1e-12 * (1 + np.abs(c1).max())
         assert abs(c2.mean()) < 1e-12 * (1 + np.abs(c2).max())
 
     def test_center_component_accepts_scalar(self):
+        # the centring needs the column sums alone: a design without rows
+        # centres as the design with them does
         d = ridged_design()
         r = backfit(d, tol=1e-12)
-        val = center_component(r, d, 1, 0.5)
-        assert np.ndim(val) == 0
-        assert np.isfinite(val)
+        none = basis.DesignMatrix(np.zeros(0), d.X1.config)
+        rowless = AdditiveDesign(np.zeros(0), none, none, d.lambda1, d.lambda2, d.penalty,
+                                 statistics=NormalStatistics.of(d.y, d.X1, d.X2))
+        val = _centred(r, rowless, 1, np.array([0.5]))
+        assert val.shape == (1,) and np.isfinite(val[0])
+        assert val[0] == _centred(r, d, 1, np.array([0.5]))[0]
+
+
+def _centred(result, design, j, x):
+    """Component j of `result` at x less its mean over the design's rows,
+    (X_j'1)'b / n: the display centring of `addspline fit`."""
+    b = (result.b1, result.b2)[j - 1]
+    offset = float(design.normal_equations.column_sums[j - 1] @ b) / design.n
+    return design_matrix(design.X1.config, x).matvec(b) - offset
 
 
 class TestHessianCheck:

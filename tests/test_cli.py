@@ -9,6 +9,7 @@ import os
 import subprocess
 import re
 import sys
+import time
 from pathlib import Path
 from statistics import NormalDist
 
@@ -32,8 +33,8 @@ def run_main(capsys, *argv):
 
 
 def recorded_reads(monkeypatch) -> list:
-    """The (dataset, statistics, processes) of each `load_csv_summarized` call
-    that `cmd_fit` makes from now on."""
+    """What each `load_csv_summarized` call that `cmd_fit` makes from now on
+    gives: the row count, preprocessing, ranges, statistics and processes."""
     reads, read = [], cli.load_csv_summarized
 
     def recording(*args, **kwargs):
@@ -241,8 +242,8 @@ class TestFit:
         assert len(built) == 1
 
     def test_grid_basis_evaluated_once_per_fit(self, tmp_path, capsys, ozone_args, monkeypatch):
-        # the reader's statistics and the fit each build the two designs, and
-        # one grid: the estimates and the band share the rows
+        # the reader's statistics build the two designs, the fit's design has
+        # no rows, and one grid: the estimates and the band share the rows
         calls = []
         for name, module in list(sys.modules.items()):
             if name.startswith("addspline.") and hasattr(module, "design_matrix"):
@@ -255,7 +256,7 @@ class TestFit:
                 monkeypatch.setattr(module, "design_matrix", counting)
         code, _, _ = run_main(capsys, *ozone_args)
         assert code == 0
-        assert calls == [111, 111, 111, 111, 201]
+        assert calls == [111, 111, 201]
 
     @pytest.mark.parametrize("flag,value", [("--level", "1.5"), ("--grid", "0")])
     def test_bad_level_or_grid_exit_1_before_fitting(
@@ -460,10 +461,11 @@ class TestFitReadInParts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         # one part or two, the reader adds up the statistics
-        ((_, stats, used),) = reads
-        assert isinstance(stats, NormalStatistics)
+        (read,) = reads
+        assert isinstance(read.summary, NormalStatistics)
         report = json.loads((out / "fit_report.json").read_text())
-        assert report["diagnostics"].pop("read_workers") == used == (workers if split else 1)
+        used = report["diagnostics"].pop("read_workers")
+        assert used == read.workers == (workers if split else 1)
         report.pop("runtime_seconds")
         return report
 
@@ -491,6 +493,64 @@ class TestFitReadInParts:
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
+class TestFitKeepsTheRowsWhereTheyWereRead:
+    """The fit reads only statistics: each part's rows stay with the process
+    that read them, which measures them for sigma2_hat when it asks."""
+
+    @pytest.fixture
+    def noise_free(self, tmp_path):
+        # no noise term: RSS is a tiny share of y'y, below what the statistics resolve
+        rng = np.random.default_rng(11)
+        n = 4000
+        x1, x2 = 1.0 - rng.random(n), 1.0 - rng.random(n)
+        y = np.sin(2 * np.pi * x1) + 0.5 * np.cos(np.pi * x2)
+        path = tmp_path / "noise_free.csv"
+        write_table(path, ["y", "x1", "x2"], [y, x1, x2])
+        return path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_near_noise_free_fit_adds_up_the_parts_residuals(
+        self, tmp_path, capsys, monkeypatch, noise_free, workers
+    ):
+        monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(forking, "workers", lambda: workers)
+        sent, send = [], forking.Worker.send
+        monkeypatch.setattr(forking.Worker, "send", lambda w, obj: sent.append(obj) or send(w, obj))
+        argv = ["fit", "--data", str(noise_free), "--y", "y", "--x1", "x1", "--x2", "x2",
+                "--out", str(tmp_path)]
+        assert run_main(capsys, *argv)[0] == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        report = RunReport.load(tmp_path / "fit_report.json")
+        assert report.diagnostics["read_workers"] == workers
+        ds = dataio.load_csv(noise_free, "y", "x1", "x2")
+        d = addspline.build_design(ds.y, ds.x1, ds.x2)
+        b1, b2 = (np.array(report.coefficients[k]) for k in ("b1", "b2"))
+        assert d.normal_equations.rss_estimate(b1, b2)[1] >= 1e-12  # the rows are needed
+        want = d.residual_sum_of_squares(b1, b2) / ds.n
+        assert abs(report.sigma2 - want) <= 1e-13 * want
+        # the worker is sent the preprocessing, then asked once for its part's RSS
+        assert len(sent) == (2 if workers == 2 else 0)
+        if workers == 2:
+            assert [np.array_equal(a, b) for a, b in zip(sent[1], (b1, b2))] == [True, True]
+
+    def test_fit_exiting_1_after_the_read_leaves_no_child(self, tmp_path, capsys, monkeypatch):
+        # two covariate values cannot fix an order-3 penalty's quadratics: the
+        # per-component system is singular once the parts are summarized
+        monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(forking, "workers", lambda: 2)
+        reads = recorded_reads(monkeypatch)
+        x2 = np.where(np.arange(200) % 2 == 0, 1.0, 2.0)
+        args = _write_fit_csv(tmp_path / "two.csv", x2)
+        start = time.perf_counter()
+        code, _, err = run_main(capsys, *args, "--diff-order", "3")
+        assert time.perf_counter() - start < 5.0
+        assert code == 1 and "singular" in err
+        assert [read.workers for read in reads] == [2]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestFitOneReader:
     """Every fit reads, preprocesses and summarizes its rows in one call."""
 
@@ -500,23 +560,25 @@ class TestFitOneReader:
         reads = recorded_reads(monkeypatch)
         assert run_main(capsys, *ozone_args, "--out", str(tmp_path / "default"))[0] == 0
         pre = tmp_path / "ozone_preprocessed.csv"
-        ((ds, stats, used),) = reads
+        ds = dataio.load_csv(OZONE_CSV, "ozone", "temperature", "wind")
         write_table(pre, ["ozone", "temperature", "wind"], [ds.y, ds.x1, ds.x2])
         argv = ["fit", "--data", str(pre), "--y", "ozone", "--x1", "temperature",
                 "--x2", "wind", "--no-preprocess", "--out", str(tmp_path / "raw")]
         assert run_main(capsys, *argv)[0] == 0
-        assert len(reads) == 2 and reads[1][0].preprocessing is None
+        assert len(reads) == 2 and reads[0].preprocessing == ds.preprocessing
+        assert reads[1].preprocessing is None
         cfg = make_knots(3, 13)
         for name in ("default", "raw"):
             report = RunReport.load(tmp_path / name / "fit_report.json")
             assert report.diagnostics["read_workers"] == 1
             assert report.config["num_intervals"] == 13
-        for ds, stats, used in reads:
-            assert used == 1
-            want = NormalStatistics.of(ds.y, design_matrix(cfg, ds.x1), design_matrix(cfg, ds.x2))
+        want = NormalStatistics.of(ds.y, design_matrix(cfg, ds.x1), design_matrix(cfg, ds.x2))
+        for read in reads:
+            assert read.workers == 1 and read.n == 111
+            assert read.ranges == [(x.min(), x.max()) for x in (ds.x1, ds.x2)]
             for f in dataclasses.fields(want):
-                got, expect = np.asarray(getattr(stats, f.name)), np.asarray(getattr(want, f.name))
-                assert got.tobytes() == expect.tobytes(), f.name
+                got = np.asarray(getattr(read.summary, f.name))
+                assert got.tobytes() == np.asarray(getattr(want, f.name)).tobytes(), f.name
         # the preprocessed rows, read raw, give the same fit
         for j in (1, 2):
             a, b = (read_table(tmp_path / name / f"fit_component{j}.csv")[1]

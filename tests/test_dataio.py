@@ -338,8 +338,23 @@ def _rows(seed=5, n=ROWS):
 
 
 def _sums(y, x1, x2, n):
-    """A summary that adds up over parts: column sums and the row count given."""
-    return np.array([y.sum(), x1.sum(), x2.sum(), float(n)])
+    """A summary that adds up over parts, column sums and the row count given,
+    and a measure of a part that gives its columns: added up (`+`) over the
+    parts, the columns of all parts, part after part."""
+    return np.array([y.sum(), x1.sum(), x2.sum(), float(n)]), lambda: [y, x1, x2]
+
+
+def _statistics(y, x1, x2, n):
+    cfg = make_knots(3, 20)
+    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2)), _sums(
+        y, x1, x2, n)[1]
+
+
+def _columns(data):
+    """The columns y, x1, x2 of all rows, as the parts of `data` keep them,
+    read through the parts' measures (`_sums`)."""
+    cols = data.add_up()
+    return [np.concatenate(cols[j::3]) for j in range(3)]
 
 
 def _split(monkeypatch, workers):
@@ -348,10 +363,12 @@ def _split(monkeypatch, workers):
     monkeypatch.setattr(forking, "workers", lambda: workers)
 
 
-def _result(read, path):
-    """What `read(path)` returns, or the message of the DataError it raises."""
+def _summarized(path, cols=("y", "x1", "x2"), summarize=_sums):
+    """`load_csv_summarized` of `path`, closed: the result and the columns its
+    parts keep, or the message of the DataError it raises."""
     try:
-        return read(path)
+        with load_csv_summarized(path, *cols, summarize) as data:
+            return data, _columns(data)
     except DataError as exc:
         return str(exc)
 
@@ -371,17 +388,19 @@ def _reference(path, cols=("y", "x1", "x2")):
         return str(exc)
 
 
-def _assert_matches_reference(ds, want, n):
-    """The dataset `ds` of n rows as the reference readers give it (`want`):
-    y is centred on the mean of the parts' sums, within rounding of it."""
+def _assert_matches_reference(data, columns, want, n):
+    """The read `data` of n rows, and the `columns` its parts keep, as the
+    reference readers give them (`want`): y is centred on the mean of the
+    parts' sums, within rounding of it."""
     y, x1, x2, ref = want
-    rec = ds.preprocessing
-    assert ds.n == n and ds.column_names == ("y", "x1", "x2")
-    assert np.array_equal(ds.x1, x1) and np.array_equal(ds.x2, x2)
+    rec = data.preprocessing
+    assert data.n == n
+    assert np.array_equal(columns[1], x1) and np.array_equal(columns[2], x2)
+    assert data.ranges == [(x.min(), x.max()) for x in (x1, x2)]
     assert (rec.x1_scale, rec.x2_scale, rec.zeros_nudged) == (
         ref.x1_scale, ref.x2_scale, ref.zeros_nudged)
     assert abs(rec.y_center - ref.y_center) <= 4 * np.spacing(abs(ref.y_center))
-    assert np.abs(ds.y - y).max() <= 4 * np.spacing(abs(ref.y_center))
+    assert np.abs(columns[0] - y).max() <= 4 * np.spacing(abs(ref.y_center))
 
 
 class TestReadInParts:
@@ -404,33 +423,35 @@ class TestReadInParts:
             rows[i][2] = "inf"
         elif case == "negative covariate":
             rows[i][1] = "-1.5"
+        elif case == "quoted":  # read by the cell reader alone
+            rows[i][0] = f'"{rows[i][0]}"'
         return _csv_text(rows, ends, final)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("part", [0, 1])
     @pytest.mark.parametrize("case", ["blank line", "crlf", "no final newline", "non-numeric",
-                                      "non-finite", "negative covariate"])
+                                      "non-finite", "negative covariate", "quoted"])
     def test_edge_inputs_give_load_csvs_outcome(self, tmp_path, monkeypatch, case, part, workers):
         p = tmp_path / "edge.csv"
         p.write_bytes(self.edge_text(case, part).encode())
         want = _reference(p)
         _split(monkeypatch, workers)
-        got = _result(lambda path: load_csv_summarized(path, "y", "x1", "x2", _sums), p)
+        got = _summarized(p)
         _assert_no_child_remains()
         if isinstance(want, str):  # the error names the line and column as before
             assert got == want
             if case != "negative covariate":
                 assert f"at line {(10 if part == 0 else ROWS - 10) + 2}, column" in got
             return
-        ds, summary, used = got
+        data, columns = got
         # a blank line among the first part's lines makes the parts overlap:
         # the first part's rows would run on into the second's, so the file
-        # is read as one part
-        one_part = case == "blank line" and part == 0
-        assert used == (1 if one_part else workers)
-        _assert_matches_reference(ds, want, ROWS)
+        # is read as one part; so is a file that the cell reader reads
+        one_part = (case == "blank line" and part == 0) or case == "quoted"
+        assert data.workers == (1 if one_part else workers)
+        _assert_matches_reference(data, columns, want, ROWS)
         parts = 1 if one_part else 2
-        assert np.allclose(summary, _sums(ds.y, ds.x1, ds.x2, parts * ROWS), rtol=1e-13)
+        assert np.allclose(data.summary, _sums(*columns, parts * ROWS)[0], rtol=1e-13)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("part", [0, 1])
@@ -441,7 +462,7 @@ class TestReadInParts:
         p.write_bytes(self.edge_text("non-numeric", part).encode())
         want = _reference(p)
         _split(monkeypatch, workers)
-        m = dataio._plan(p, split=True)[1]
+        plan = dataio._plan(p, split=True)
         parses, cells = [], []
         loadtxt, read_cells = np.loadtxt, dataio._read_table_cells
 
@@ -451,14 +472,53 @@ class TestReadInParts:
 
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         monkeypatch.setattr(dataio, "_read_table_cells",
-                            lambda q: cells.append(1) or read_cells(q))
-        got = _result(lambda q: load_csv_summarized(q, "y", "x1", "x2", _sums), p)
+                            lambda q, *rest: cells.append(rest) or read_cells(q, *rest))
+        got = _summarized(p)
         _assert_no_child_remains()
         assert got == want and f"at line {(10 if part == 0 else ROWS - 10) + 2}, column" in got
         # this process parses part 0, and part 1 only where no worker does and
         # part 0 parsed; no pass parses the whole file
+        m = plan[1]
         assert parses == [(1, m)] + ([(1 + m, None)] if workers == 1 and part == 1 else [])
-        assert cells == [1]
+        # the cell reader starts at the part that failed
+        assert cells == [()] if part == 0 else cells == [(plan,)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_bad_cell_in_part_1_sends_only_part_1_to_the_cell_reader(
+        self, tmp_path, monkeypatch, workers
+    ):
+        rows = _rows()
+        bad = ROWS - 10
+        rows[bad][1] = "abc"
+        p = tmp_path / "bad.csv"
+        p.write_text(_csv_text(rows))
+        want = _reference(p)
+        _split(monkeypatch, workers)
+        m = dataio._plan(p, split=True)[1]
+        seen, reader = [], csv.reader
+
+        class Recording:
+            """csv.reader, recording each row it gives."""
+
+            def __init__(self, fh):
+                self.rows = reader(fh)
+                self.line_num = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.rows)
+                self.line_num = self.rows.line_num
+                seen.append(row)
+                return row
+
+        monkeypatch.setattr(csv, "reader", Recording)
+        got = _summarized(p)
+        _assert_no_child_remains()
+        assert got == want == f"{p}: non-numeric value 'abc' at line {bad + 2}, column 'x1'"
+        # the plan reads the header; the cell reader, part 1's lines up to the bad one
+        assert seen == [["y", "x1", "x2"]] + rows[m : bad + 1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_row_repeated_across_the_parts_is_read_in_parts(self, tmp_path, monkeypatch, workers):
@@ -475,9 +535,9 @@ class TestReadInParts:
         scans = []
         scan = dataio._has_blank_line
         monkeypatch.setattr(dataio, "_has_blank_line", lambda path: scans.append(1) or scan(path))
-        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
-        assert summary is not None and used == workers and scans == [1]
-        _assert_matches_reference(ds, _reference(p), ROWS)
+        data, columns = _summarized(p)
+        assert data.summary is not None and data.workers == workers and scans == [1]
+        _assert_matches_reference(data, columns, _reference(p), ROWS)
         _assert_no_child_remains()
 
     @pytest.mark.parametrize("case", ["constant covariate", "too few rows", "one column twice",
@@ -501,21 +561,22 @@ class TestReadInParts:
         p.write_text(_csv_text(rows))
         _split(monkeypatch, 2)
         with warnings_checked(case == "zero covariate"):
-            got = _result(lambda q: load_csv_summarized(q, *cols, _sums), p)
+            got = _summarized(p, cols)
         _assert_no_child_remains()
         if case == "too few rows":
             assert got == f"{p}: 9 rows is fewer than the required 10"
         elif case == "missing column":
             assert got == f"{p}: no column 'x3'; available: y, x1, x2"
         else:  # read in parts: the nudge counts add up
-            ds, summary, used = got
-            assert used == 2 and summary[3] == 2 * ROWS
+            data, columns = got
+            assert data.workers == 2 and data.summary[3] == 2 * ROWS
             with warnings_checked(case == "zero covariate"):
                 want = _reference(p, cols)
-            assert ds.preprocessing.zeros_nudged == (case == "zero covariate")
-            _assert_matches_reference(ds, want, ROWS)
+            assert data.preprocessing.zeros_nudged == (case == "zero covariate")
+            _assert_matches_reference(data, columns, want, ROWS)
             # a constant covariate reaches the fit's own check, one value
-            assert (ds.x2.min() == ds.x2.max()) == (case == "constant covariate")
+            lo, hi = data.ranges[1]
+            assert (lo == hi) == (case == "constant covariate")
 
     def test_clean_file_is_read_in_parts_without_the_serial_readers(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):
@@ -528,8 +589,8 @@ class TestReadInParts:
         for name in ("_read_table_cells", "_read_whole", "read_table", "load_csv",
                      "_has_blank_line"):
             monkeypatch.setattr(dataio, name, fail)
-        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
-        assert used == 2 and summary[3] == 2 * ROWS and ds.n == ROWS
+        data, _ = _summarized(p)
+        assert data.workers == 2 and data.summary[3] == 2 * ROWS and data.n == ROWS
         _assert_no_child_remains()
 
     @pytest.mark.parametrize("above", [True, False])
@@ -544,9 +605,9 @@ class TestReadInParts:
         p = tmp_path / "edge_of_threshold.csv"
         p.write_text(header + "0" * pad + first + row * rows)  # leading zeros fill it up
         assert p.stat().st_size == size
-        ds, summary, used = load_csv_summarized(p, "y", "x1", "x2", _sums)
-        assert ds.n == rows + 1 and used == (2 if above else 1)
-        assert summary[3] == used * (rows + 1)  # each part's summary takes n
+        with load_csv_summarized(p, "y", "x1", "x2", lambda *cols: (_sums(*cols)[0], None)) as data:
+            assert data.n == rows + 1 and data.workers == (2 if above else 1)
+            assert data.summary[3] == data.workers * (rows + 1)  # each part's summary takes n
         _assert_no_child_remains()
 
     def test_one_and_two_workers_are_bitwise_alike(self, tmp_path, monkeypatch):
@@ -555,16 +616,17 @@ class TestReadInParts:
 
         def read(workers):
             _split(monkeypatch, workers)
-            ds, stats, used = load_csv_summarized(p, "y", "x1", "x2", _statistics)
-            assert used == workers
-            return ds, stats
+            data, columns = _summarized(p, summarize=_statistics)
+            assert data.workers == workers
+            return data, columns
 
-        (a, sa), (b, sb) = read(1), read(2)
-        assert a.preprocessing == b.preprocessing
-        for name in ("y", "x1", "x2"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy"):
-            assert np.asarray(getattr(sa, name)).tobytes() == np.asarray(getattr(sb, name)).tobytes()
+        (a, ca), (b, cb) = read(1), read(2)
+        assert a.preprocessing == b.preprocessing and a.ranges == b.ranges
+        for got, want in zip(ca, cb):
+            assert got.tobytes() == want.tobytes()
+        for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy", "n"):
+            got, want = getattr(a.summary, name), getattr(b.summary, name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_statistics_of_two_parts_match_one_pass(self, tmp_path, monkeypatch):
         # the parts add up each sum in another order: the sums agree to 1e-13 of
@@ -572,11 +634,53 @@ class TestReadInParts:
         p = tmp_path / "data.csv"
         p.write_text(_csv_text(_rows(n=20_000)))
         _split(monkeypatch, 2)
-        ds, stats, _ = load_csv_summarized(p, "y", "x1", "x2", _statistics)
-        whole = _statistics(ds.y, ds.x1, ds.x2, ds.n)
+        data, columns = _summarized(p, summarize=_statistics)
+        whole = _statistics(*columns, data.n)[0]
+        assert data.summary.n == whole.n == 20_000
         for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy"):
-            got, want = np.asarray(getattr(stats, name)), np.asarray(getattr(whole, name))
+            got, want = np.asarray(getattr(data.summary, name)), np.asarray(getattr(whole, name))
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_parent_keeps_no_row_of_the_worker_and_no_array_of_n_rows(
+        self, tmp_path, monkeypatch, workers
+    ):
+        n = 20_000
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows(n=n)))
+        _split(monkeypatch, workers)
+        received, recv_frame = [], forking.Channel.recv_frame
+
+        def counting(self):
+            frame = recv_frame(self)
+            received.append(forking._LENGTH.size + frame[1])
+            return frame
+
+        monkeypatch.setattr(forking.Channel, "recv_frame", counting)
+        rss = lambda b1, b2: 0.0  # noqa: E731, a measure that keeps its part's rows
+        summarize = lambda y, x1, x2, n: (_statistics(y, x1, x2, n)[0], rss)  # noqa: E731
+        load_csv_summarized(p, "y", "x1", "x2", summarize).close()  # warm lazy imports
+        received.clear()
+        tracemalloc.start()
+        try:
+            with load_csv_summarized(p, "y", "x1", "x2", summarize) as data:
+                largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+                assert data.add_up(np.zeros(23), np.zeros(23)) == 0.0
+        finally:
+            tracemalloc.stop()
+        _assert_no_child_remains()
+        # no column of all n rows lives here, nor the table of a part
+        assert largest < 8 * n
+        stats = data.summary
+        size = sum(np.asarray(getattr(stats, f)).nbytes for f in ("bands1", "bands2", "C_blocks",
+                                                                   "u1", "u2"))
+        if workers == 1:
+            assert received == []
+        else:
+            # the reductions, the summary and one measure: no part of a column
+            # (part 1's x1 alone is 80 kB)
+            assert len(received) == 3
+            assert sum(received) < size + 1024
 
     @pytest.mark.parametrize("step", ["_combine", "_summarize_part"])
     def test_parent_raising_mid_exchange_leaves_no_child(self, tmp_path, monkeypatch, step):
@@ -612,6 +716,23 @@ class TestReadInParts:
             load_csv_summarized(p, "y", "x1", "x2", summarize)
         _assert_no_child_remains()
 
+    def test_worker_error_in_its_measure_reaches_the_caller(self, tmp_path, monkeypatch):
+        p = tmp_path / "data.csv"
+        p.write_text(_csv_text(_rows()))
+        _split(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fail():
+            raise ValueError("the worker's measure failed")
+
+        def summarize(y, x1, x2, n):
+            return _sums(y, x1, x2, n)[0], (fail if os.getpid() != parent else lambda: 0)
+
+        with pytest.raises(ValueError, match="the worker's measure failed"):
+            with load_csv_summarized(p, "y", "x1", "x2", summarize) as data:
+                data.add_up()
+        _assert_no_child_remains()
+
 
 @pytest.mark.parametrize("reader", ["load_csv", "preprocess_columns", "one part",
                                     "two parts, one process", "two parts, two processes"])
@@ -629,17 +750,12 @@ def test_nudge_warning_names_the_callers_line(tmp_path, monkeypatch, reader):
         elif reader == "preprocess_columns":
             preprocess_columns(*read_table(p)[1].T)
         else:
-            used = load_csv_summarized(p, "y", "x1", "x2", _sums)[2]
-            assert used == (2 if reader.endswith("two processes") else 1)
+            with load_csv_summarized(p, "y", "x1", "x2", _sums) as data:
+                assert data.workers == (2 if reader.endswith("two processes") else 1)
     _assert_no_child_remains()
     assert [str(x.message) for x in w] == [
         "1 zero covariate values nudged to the smallest positive double"]
     assert w[0].filename == __file__
-
-
-def _statistics(y, x1, x2, n):
-    cfg = make_knots(3, 20)
-    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
 
 
 def warnings_checked(expected: bool):

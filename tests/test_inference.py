@@ -29,7 +29,7 @@ from addspline import (
     uniform_population,
     univariate_penalized,
 )
-from addspline.backfit import center_component
+from addspline.backfit import NormalStatistics
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
 from addspline.dataio import load_csv
@@ -78,12 +78,17 @@ class TestStageWeights:
             d = ridged_design()
         sm = StageSmoother(d, stages=6)
         pts = np.array([0.05, 0.37, 0.81, 1.0])
-        grid = sm.weight_products(pts, pts[::-1])
+
+        def products(x1, x2):
+            cfg = d.X1.config
+            return sm.evaluate_rows(design_matrix(cfg, x1).values, design_matrix(cfg, x2).values)[1]
+
+        grid = products(pts, pts[::-1])
         assert grid.shape == (4, 2, 2)
         for k, (a, b) in enumerate(zip(pts, pts[::-1])):
             w1, w2 = sm.component_weights(1, a), sm.component_weights(2, b)
             want = np.array([[w1 @ w1, w1 @ w2], [w1 @ w2, w2 @ w2]])
-            for got in (grid[k], sm.weight_products(a, b)):
+            for got in (grid[k], products(a, b)[0]):
                 assert got.shape == (2, 2)
                 assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -381,6 +386,29 @@ class TestSigmaHatFromStatistics:
         resid = y - d.X1.values @ r.b1 - d.X2.values @ r.b2
         assert s2 == pytest.approx(np.mean(resid**2), rel=1e-12, abs=0)
 
+    def test_design_without_rows_takes_the_given_residual_pass(self, monkeypatch):
+        # the fit's design holds no rows: the pass it is given measures them
+        _, x1, x2 = sim_xy(2000, seed=26)
+        y = np.sin(2.0 * np.pi * x1) + 0.5 * np.cos(np.pi * x2)
+        d = build_design(y, x1, x2, num_intervals=9)
+        rowless = build_design(None, None, None, num_intervals=9,
+                               statistics=NormalStatistics.of(y, d.X1, d.X2))
+        r = backfit(rowless, tol=1e-12)
+        given = []
+
+        def measure(b1, b2):
+            given.append(1)
+            return d.residual_sum_of_squares(b1, b2)
+
+        assert sigma2_hat(rowless, r, measure) == sigma2_hat(d, r)
+        assert given == [1]
+        with pytest.raises(ValueError, match="holds 0 of its 2000 rows"):
+            sigma2_hat(rowless, r)
+        # where the statistics suffice, the pass is not taken
+        noisy = build_design(*sim_xy(5000, seed=25))
+        assert sigma2_hat(noisy, backfit(noisy), measure) == sigma2_hat(noisy, backfit(noisy))
+        assert given == [1]
+
     @pytest.mark.parametrize("lam", [None, 0.0])
     def test_bound_covers_the_gap_to_the_residual_pass(self, lam):
         data = load_csv(OZONE_CSV, "ozone", "temperature", "wind")
@@ -588,9 +616,10 @@ class TestCompactHotPath:
             d = build_design(y, x1, x2, num_intervals=200)
             res = backfit(d)
             sm = StageSmoother(d, res.stages)
-            products = sm.weight_products(grid, grid)
+            rows = design_matrix(d.X1.config, grid)
+            products = sm.evaluate_rows(rows.values, rows.values)[1]
             s2 = sigma2_hat(d, res)
-            f1 = center_component(res, d, 1, grid)
+            f1 = rows.matvec(res.b1) - d.normal_equations.column_sums[0] @ res.b1 / d.n
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

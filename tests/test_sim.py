@@ -10,6 +10,7 @@ import pytest
 
 from addspline import sim
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
+from addspline.basis import design_matrix
 from addspline.inference import StageSmoother
 from addspline.sim import (
     ScenarioConfig,
@@ -21,7 +22,6 @@ from addspline.sim import (
     run_sim3,
     scenario_design,
     sim3_replication,
-    std_normal_density2d,
     truth_f1,
     truth_f2,
     uniform_errors,
@@ -232,9 +232,16 @@ class TestReplicationKernel:
         _, (V,) = sim._replicate_block(cfg, [0])
         assert calls == [1000, 1000, 2]
         monkeypatch.undo()
-        sm = StageSmoother(scenario_design(cfg, generate_dataset(cfg, 0)), cfg.stages)
-        want = cfg.error_variance * sm.weight_products(*cfg.eval_point)
+        d = scenario_design(cfg, generate_dataset(cfg, 0))
+        want = cfg.error_variance * _weight_products(d, cfg.stages, *cfg.eval_point)
         assert V == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _weight_products(design, stages, x1, x2):
+    """The 2 x 2 inner products of the weights of f_hat_1(x1) and f_hat_2(x2)
+    after `stages` sweeps (`StageSmoother.evaluate_rows`)."""
+    r1, r2 = (design_matrix(design.X1.config, float(x)).values for x in (x1, x2))
+    return StageSmoother(design, stages).evaluate_rows(r1, r2)[1][0]
 
 
 def _zero_penalty(n, K):
@@ -308,7 +315,7 @@ class TestReplicationBlocks:
             f1, f2, _ = backfit.predict(res, d.X1.config, x1e, x2e)
             want = np.array([f1 - truth_f1(x1e), f2 - truth_f2(x2e)])
             assert np.abs(dev[i] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-            P = StageSmoother(d, cfg.stages).weight_products(x1e, x2e)
+            P = _weight_products(d, cfg.stages, x1e, x2e)
             want_V = cfg.error_variance * P
             assert np.abs(V[i] - want_V).max() <= 1e-10 * np.abs(want_V).max()
 
@@ -548,11 +555,3 @@ class TestKde:
             kde2d(np.zeros((40, 2)))
         with pytest.raises(ValueError):
             kde2d(rng.normal(size=(40, 3)))
-
-    def test_reference_density_value(self):
-        Z = std_normal_density2d(np.array([0.0, 3.0]), np.array([0.0]))
-        assert Z.shape == (2, 1)
-        assert Z[0, 0] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-12)
-        assert Z[1, 0] == pytest.approx(np.exp(-4.5) / (2.0 * np.pi), rel=1e-12)
-        grid = np.linspace(-1, 1, 5)
-        assert std_normal_density2d(grid, grid).shape == (5, 5)
