@@ -237,13 +237,12 @@ def cmd_fit(args) -> int:
                 )
         result = backfit(design, tol=args.tol, max_stages=args.max_stages)
         sigma2 = sigma2_hat(design, result, data.add_up)
-
+        data.release()  # the worker exits while the band is computed
+        grid = eval_grid(args.grid)
+        rows = design_matrix(design.X1.config, grid)
+        smoother = StageSmoother(design, stages=result.stages)
+        _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
-    grid = eval_grid(args.grid)
-    rows = design_matrix(design.X1.config, grid)
-    _, products = StageSmoother(design, stages=result.stages).evaluate_rows(
-        rows.values, rows.values
-    )
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     grids = {}
     curves = []

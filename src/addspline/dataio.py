@@ -64,7 +64,7 @@ class Preprocessing:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Numeric columns selected for a fit, plus the preprocessing record."""
+    """Numeric columns selected from a CSV (`load_csv`), plus the preprocessing record."""
 
     column_names: tuple[str, ...]
     y_name: str
@@ -252,7 +252,7 @@ def load_csv(
 
 def load_csv_summarized(
     path, y_col: str, x1_col: str, x2_col: str, summarize, preprocess: bool = True
-) -> "_Summarized":
+) -> _Summarized:
     """`load_csv` of `path` that gives, not the rows, but what a fit asks of
     them (`_Summarized`).
 
@@ -286,7 +286,8 @@ class _Summarized:
     (min, max) of x1 and of x2 as preprocessed, the `summary` of all rows and
     the processes (`workers`) that read them.  `add_up(*args)` sums each
     part's measure of `args` over the parts, the first part's first, a forked
-    worker's taken there.  `close`, or the end of a `with` block, ends it.
+    worker's taken there.  `release` lets the worker exit on its own, while
+    this process goes on; `close`, or the end of a `with` block, reaps it.
     """
 
     def __init__(self, form, nudged: int, summary, measures, worker: forking.Worker | None = None):
@@ -304,11 +305,15 @@ class _Summarized:
             parts.append(self._worker.recv())
         return functools.reduce(operator.add, parts)
 
+    def release(self) -> None:
+        if self._worker is not None:
+            self._worker.send(None)
+
     def close(self) -> None:
         if self._worker is not None:
             self._worker.close()
 
-    def __enter__(self) -> "_Summarized":
+    def __enter__(self) -> _Summarized:
         return self
 
     def __exit__(self, *exc) -> None:
@@ -572,7 +577,7 @@ def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
     """In a forked worker of `_read_in_parts`: read part 1 and send its
     reductions; given the row count and preprocessing of all rows, send its
     zeros nudged and summary; then answer each message `args` with the
-    part's measure of `args` until the parent closes its pipe."""
+    part's measure of `args`, until None or the end of the pipe."""
     table = _read_part(path, plan, 1)
     channel.send(_reductions(table, idx))
     form = channel.recv()
@@ -580,11 +585,7 @@ def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
     del table
     nudged, (summary, measure) = _summarize_part(part, form, summarize)
     channel.send((nudged, summary))
-    while True:
-        try:
-            args = channel.recv()
-        except EOFError:
-            return
+    while (args := channel.recv()) is not None:
         channel.send(measure(*args))
 
 

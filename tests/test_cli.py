@@ -529,10 +529,12 @@ class TestFitKeepsTheRowsWhereTheyWereRead:
         assert d.normal_equations.rss_estimate(b1, b2)[1] >= 1e-12  # the rows are needed
         want = d.residual_sum_of_squares(b1, b2) / ds.n
         assert abs(report.sigma2 - want) <= 1e-13 * want
-        # the worker is sent the preprocessing, then asked once for its part's RSS
-        assert len(sent) == (2 if workers == 2 else 0)
+        # the worker is sent the preprocessing, asked once for its part's RSS,
+        # then let go
+        assert len(sent) == (3 if workers == 2 else 0)
         if workers == 2:
             assert [np.array_equal(a, b) for a, b in zip(sent[1], (b1, b2))] == [True, True]
+            assert sent[2] is None
 
     def test_fit_exiting_1_after_the_read_leaves_no_child(self, tmp_path, capsys, monkeypatch):
         # two covariate values cannot fix an order-3 penalty's quadratics: the
