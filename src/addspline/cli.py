@@ -104,11 +104,16 @@ def _at_least(flag: str, value: float, low: float) -> float:
 
 def _check_basis_flags(args) -> None:
     """Raise what the knots and the penalty would raise later on a bad
-    --degree or --diff-order, before any work."""
+    --degree or --diff-order, before any work: a difference order the basis
+    cannot carry too, where K is known (`simulate`, and `fit` with a --kn)."""
     if args.degree < 0:
         raise ValueError(f"degree must be >= 0, got {args.degree}")
     if args.diff_order < 1:
         raise ValueError(f"difference order must be >= 1, got {args.diff_order}")
+    K = kn_rule(args.n) if args.command == "simulate" else _auto(args.kn, "--kn")
+    if K is not None and args.diff_order >= K + args.degree:
+        size = K + args.degree  # the message of penalty.difference_matrix
+        raise ValueError(f"need size > order, got size={size}, order={args.diff_order}")
 
 
 def _auto(text: str, flag: str, kind: type = int) -> float | None:

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .backfit import AdditiveDesign, BackfitResult
-from .bandmat import _block_matmul, gram_banded
+from .bandmat import gram_banded
 from .basis import SplineConfig, design_matrix, eval_grid
 
 __all__ = [

@@ -11,12 +11,16 @@ Three studies plus a coverage experiment:
 Replication r of a scenario draws its own generator from (seed, r), so results
 are independent of execution order and safe to parallelize.
 
-The replications of a study run in blocks.  A block of R replications is one
-block diagonal system (`AdditiveDesign.blocks`): one basis evaluation of the
-R n covariate values per component, one banded factorization per component,
-and one run of the weight kernel, 2 * stages banded solves, for all R.  The
-blocks do not interact, so each replication's row is bit for bit the row a
-block of one computes: any row is recomputable alone (`sim3_replication`).
+Every design comes from `backfit.build_design` with the scenario's K and
+lambda; study 2's univariate fits B(x)'Lam_j^{-1} X_j'y solve with the
+factors of Lam_j = X_j'X_j + lam_j Q_m the backfit sweeps with.
+
+The replications of a study run in blocks.  A block of R replications is the
+block diagonal design (`AdditiveDesign.blocks`) of their R n rows: one basis
+evaluation per component, one factorization per component of the stack of
+R q x q blocks, and one run of the weight kernel for all R.  The blocks do
+not interact, so each replication's row is bit for bit the row a block of
+one computes: any row is recomputable alone (`sim3_replication`).
 R is the largest count whose R n rows of temporaries fit in a fixed byte
 budget, so memory stays bounded at any n.
 
@@ -33,23 +37,15 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import forking
-from .backfit import (
-    AdditiveDesign,
-    backfit_stages,
-    kn_rule,
-    lambda_rule,
-    predict,
-    univariate_penalized,
-)
-from .basis import _BLOCK_BYTES, _ROW_BYTES, design_matrix, eval_grid, make_knots
+from .backfit import AdditiveDesign, backfit_stages, build_design, kn_rule, lambda_rule
+from .basis import _BLOCK_BYTES, _ROW_BYTES, design_matrix, eval_grid
 from .inference import StageSmoother, confidence_interval
-from .penalty import penalty_matrix
 
 __all__ = [
     "ScenarioConfig",
@@ -139,22 +135,23 @@ def _stacked_design(cfg: ScenarioConfig, datasets: list[SimDataset]) -> Additive
     """The designs of several datasets as the blocks of one design, each
     component's basis evaluated in one call on all datasets' values."""
     K = cfg.k_rule(cfg.n)
-    lam = cfg.lam_rule(cfg.n, K)
-    basis, blocks = make_knots(cfg.degree, K), len(datasets)
-    X1, X2 = (
-        design_matrix(basis, np.concatenate([getattr(d, x) for d in datasets]))
-        .block_diagonal(blocks)
-        for x in ("x1", "x2")
+    lam, R = cfg.lam_rule(cfg.n, K), len(datasets)
+    design = build_design(
+        *(np.concatenate([getattr(d, v) for d in datasets]) for v in ("y", "x1", "x2")),
+        degree=cfg.degree, diff_order=cfg.diff_order, num_intervals=K, lambda1=lam, lambda2=lam,
     )
-    return AdditiveDesign(
-        y=np.concatenate([d.y for d in datasets]),
-        X1=X1,
-        X2=X2,
-        lambda1=lam,
-        lambda2=lam,
-        penalty=penalty_matrix(cfg.diff_order, basis.num_basis),
-        blocks=blocks,
-    )
+    X1, X2 = design.X1.block_diagonal(R), design.X2.block_diagonal(R)
+    return replace(design, X1=X1, X2=X2, blocks=R)
+
+
+def _fit_on_grid(cfg: ScenarioConfig):
+    """Dataset 0's design, the evaluation grid, the grid's basis rows (one
+    `DesignChunk`, evaluated once) and the fixed-stage fit's two curves."""
+    design = scenario_design(cfg, generate_dataset(cfg, 0))
+    res = backfit_stages(design, cfg.stages)
+    grid = eval_grid(cfg.grid_points)
+    rows = design_matrix(design.X1.config, grid).chunk(0, grid.size)
+    return design, grid, rows, rows.matvec(res.b1), rows.matvec(res.b2)
 
 
 @dataclass(frozen=True)
@@ -172,11 +169,7 @@ class Sim1Result:
 
 def run_sim1(cfg: ScenarioConfig) -> Sim1Result:
     """One dataset, one fixed-stage fit, fit-vs-truth table plus RMSE."""
-    data = generate_dataset(cfg, 0)
-    design = scenario_design(cfg, data)
-    res = backfit_stages(design, cfg.stages)
-    grid = eval_grid(cfg.grid_points)
-    fit1, fit2, _ = predict(res, design.X1.config, grid, grid)
+    _, grid, _, fit1, fit2 = _fit_on_grid(cfg)
     true1 = np.asarray(cfg.f1(grid), dtype=float)
     true2 = np.asarray(cfg.f2(grid), dtype=float)
     rmse = np.array(
@@ -212,14 +205,11 @@ class Sim2Result:
 
 
 def run_sim2(cfg: ScenarioConfig) -> Sim2Result:
-    """Backfit components against the univariate penalized fits, shared grid."""
-    data = generate_dataset(cfg, 0)
-    design = scenario_design(cfg, data)
-    res = backfit_stages(design, cfg.stages)
-    grid = eval_grid(cfg.grid_points)
-    fit1, fit2, _ = predict(res, design.X1.config, grid, grid)
-    pen1 = univariate_penalized(design.X1, design.y, design.lambda1, design.penalty, grid)
-    pen2 = univariate_penalized(design.X2, design.y, design.lambda2, design.penalty, grid)
+    """Backfit components against the univariate penalized fits, shared grid:
+    B(x)'Lam_j^{-1} X_j'y, solved with the backfit's own factors of Lam_j."""
+    design, grid, rows, fit1, fit2 = _fit_on_grid(cfg)
+    eq = design.normal_equations
+    pen1, pen2 = rows.matvec(eq.L1.solve(eq.u1)), rows.matvec(eq.L2.solve(eq.u2))
     sup_diff = np.array(
         [float(np.abs(fit1 - pen1).max()), float(np.abs(fit2 - pen2).max())]
     )

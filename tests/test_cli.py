@@ -400,15 +400,22 @@ class TestDegenerateInput:
         assert (code, stdout, err) == (1, "", "error: --grid must be >= 1, got 0\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["fit", "sim1"])
     @pytest.mark.parametrize(
-        "flag, value, message",
-        [("--degree", "-1", "degree must be >= 0, got -1"),
-         ("--diff-order", "0", "difference order must be >= 1, got 0")],
-        ids=["degree", "diff_order"],
+        "command, flags, message",
+        [("fit", ["--degree", "-1"], "degree must be >= 0, got -1"),
+         ("sim1", ["--degree", "-1"], "degree must be >= 0, got -1"),
+         ("fit", ["--diff-order", "0"], "difference order must be >= 1, got 0"),
+         ("sim1", ["--diff-order", "0"], "difference order must be >= 1, got 0"),
+         # an order of at least q = K + p, where K is known before the read:
+         # an explicit --kn, and kn_rule(n) = 7 at n = 20
+         ("fit", ["--kn", "2", "--diff-order", "5"], "need size > order, got size=5, order=5"),
+         ("sim1", ["--n", "20", "--diff-order", "12"],
+          "need size > order, got size=10, order=12")],
+        ids=["degree-fit", "degree-sim1", "diff_order-fit", "diff_order-sim1",
+             "diff_order_above_basis-fit", "diff_order_above_basis-sim1"],
     )
     def test_bad_basis_flag_exit_1_before_any_work(
-        self, tmp_path, capsys, monkeypatch, ozone_args, command, flag, value, message
+        self, tmp_path, capsys, monkeypatch, ozone_args, command, flags, message
     ):
         def forbidden(*args, **kwargs):
             raise AssertionError("no data may be read or drawn with a bad basis flag")
@@ -417,7 +424,7 @@ class TestDegenerateInput:
         monkeypatch.setattr("addspline.cli.run_sim1", forbidden)
         out = tmp_path / "out"
         argv = ozone_args if command == "fit" else ["simulate", command, "--n", "50"]
-        code, stdout, err = run_main(capsys, *argv, flag, value, "--out", str(out))
+        code, stdout, err = run_main(capsys, *argv, *flags, "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from addspline import sim
+from addspline.backfit import univariate_penalized
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import design_matrix
 from addspline.inference import StageSmoother
@@ -113,6 +114,15 @@ class TestSim2:
         assert r.sup_diff[0] == pytest.approx(np.abs(r.fit1 - r.pen1).max(), rel=1e-12)
         assert r.sup_diff[1] == pytest.approx(np.abs(r.fit2 - r.pen2).max(), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_penalized_curves_are_the_univariate_estimator_bitwise(self, n):
+        # the design's own factors give univariate_penalized's numbers exactly
+        cfg = ScenarioConfig(n=n)
+        r = run_sim2(cfg)
+        d = scenario_design(cfg, generate_dataset(cfg, 0))
+        for X, lam, pen in ((d.X1, d.lambda1, r.pen1), (d.X2, d.lambda2, r.pen2)):
+            assert np.array_equal(pen, univariate_penalized(X, d.y, lam, d.penalty, r.grid))
+
     def test_interior_one_stage_agreement_shrinks(self):
         # companion of the acceptance sup-norm claim: compare the backfit to
         # the one-stage pair (marginal fit for component 1, residual fit for
@@ -144,6 +154,32 @@ class TestSim2:
         assert s2_1000 <= bound_1000
         assert s1_1000 <= sups[100][0] + 1e-12
         assert s2_1000 <= sups[100][1] + 1e-12
+
+
+class TestOneFitOnTheGrid:
+    @pytest.mark.parametrize("run", [run_sim1, run_sim2], ids=["sim1", "sim2"])
+    def test_one_factorization_per_component_and_one_grid_evaluation(self, monkeypatch, run):
+        # the two designs' rows and the grid are evaluated once each, and the
+        # univariate fits solve with the backfit's own two factors
+        basis = importlib.import_module("addspline.basis")
+        init, basis_rows = BandedCholesky.__init__, basis._basis_rows
+        stacks, sizes = [], []
+
+        def counting_init(self, stack):
+            stacks.append(stack.shape)
+            init(self, stack)
+
+        def counting_rows(cfg, x):
+            sizes.append(x.size)
+            return basis_rows(cfg, x)
+
+        monkeypatch.setattr(BandedCholesky, "__init__", counting_init)
+        monkeypatch.setattr(basis, "_basis_rows", counting_rows)
+        cfg = ScenarioConfig(n=1000)
+        run(cfg)
+        q = cfg.k_rule(cfg.n) + cfg.degree
+        assert stacks == [(1, q, q)] * 2
+        assert sizes == [1000, 1000, cfg.grid_points]
 
 
 class TestSim3:
