@@ -536,16 +536,12 @@ def backfit(
     return _run(design.normal_equations, b2_init, tol, max_stages, keep_history)
 
 
-def backfit_stages(
-    design: AdditiveDesign,
-    stages: int,
-    b2_init: np.ndarray | None = None,
-    keep_history: bool = False,
-) -> BackfitResult:
-    """Run exactly `stages` sweeps (the fixed-stage estimator)."""
+def backfit_stages(design: AdditiveDesign, stages: int) -> BackfitResult:
+    """Run exactly `stages` sweeps from zero: the fixed-stage estimator whose
+    weights `inference.StageSmoother` computes."""
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    return _run(design.normal_equations, b2_init, None, stages, keep_history)
+    return _run(design.normal_equations, None, None, stages, False)
 
 
 def joint_solve(design: AdditiveDesign) -> tuple[np.ndarray, np.ndarray]:

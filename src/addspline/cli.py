@@ -28,6 +28,7 @@ from .dataio import (
     write_table,
 )
 from .inference import StageSmoother, confidence_interval, sigma2_hat
+from .penalty import difference_matrix
 from .sim import (
     ScenarioConfig,
     kde2d,
@@ -103,17 +104,13 @@ def _at_least(flag: str, value: float, low: float) -> float:
 
 
 def _check_basis_flags(args) -> None:
-    """Raise what the knots and the penalty would raise later on a bad
-    --degree or --diff-order, before any work: a difference order the basis
-    cannot carry too, where K is known (`simulate`, and `fit` with a --kn)."""
-    if args.degree < 0:
-        raise ValueError(f"degree must be >= 0, got {args.degree}")
-    if args.diff_order < 1:
-        raise ValueError(f"difference order must be >= 1, got {args.diff_order}")
+    """Build the knots and the difference matrix before any work, so that a
+    bad --degree or --diff-order raises their error: an order the basis cannot
+    carry too, where K is known (`simulate`, and `fit` with a --kn)."""
     K = kn_rule(args.n) if args.command == "simulate" else _auto(args.kn, "--kn")
-    if K is not None and args.diff_order >= K + args.degree:
-        size = K + args.degree  # the message of penalty.difference_matrix
-        raise ValueError(f"need size > order, got size={size}, order={args.diff_order}")
+    q = make_knots(args.degree, K or 1).num_basis
+    if K or args.diff_order < 1:  # else q comes with n, after the read
+        difference_matrix(args.diff_order, q)
 
 
 def _auto(text: str, flag: str, kind: type = int) -> float | None:
@@ -206,8 +203,6 @@ def cmd_fit(args) -> int:
     _at_least("--grid", args.grid, 1)
     _check_basis_flags(args)
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # the one read: rows parsed, preprocessed and summarized, a large file in
     # parts, on two CPUs where allowed; each part's rows stay in the process
@@ -248,6 +243,8 @@ def cmd_fit(args) -> int:
         smoother = StageSmoother(design, stages=result.stages)
         _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
+    out_dir = Path(args.out)  # made only now: an exit 1 leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     grids = {}
     curves = []
@@ -360,6 +357,7 @@ def _summary_fields(summary, level: float) -> dict:
 
 def cmd_simulate(args) -> int:
     _at_least("--n", args.n, 20)
+    _at_least("--seed", args.seed, 0)
     _at_least("--grid", args.grid, 1)
     _check_basis_flags(args)
     if args.scenario in ("sim1", "sim2"):
@@ -375,8 +373,6 @@ def cmd_simulate(args) -> int:
         # sim3 and coverage summarize a sample covariance, which needs two rows
         if reps < 2:
             raise DataError(f"--reps must be >= 2 for {args.scenario}, got {reps}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = ScenarioConfig(
         n=args.n,
         seed=args.seed,
@@ -446,6 +442,8 @@ def cmd_simulate(args) -> int:
             f"coverage1={summary.coverage[0]:.3f} coverage2={summary.coverage[1]:.3f}"
         )
 
+    out_dir = Path(args.out)  # made only now: an exit 1 leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     if table is not None:
         write_table(out_dir / f"{tag}.csv", *table)
     # the payloads of sim3 and coverage replace this runtime with their study's

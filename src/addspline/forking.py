@@ -11,7 +11,7 @@ the parent's pipe ends, then kills and reaps the child, so no exit path of
 the parent waits on a child that waits on it.
 
 Forking is used only where `os.sched_getaffinity` exists, that is on Linux,
-and by at most `_MAX_WORKERS` processes in all (`workers`).
+and by at most two processes in all, one parent and one `Worker` (`workers`).
 """
 
 from __future__ import annotations
@@ -23,22 +23,19 @@ import struct
 
 __all__ = ["Channel", "Worker", "workers"]
 
-# Two processes is the only count measured (on a 2-vCPU host); the affinity
-# mask does not see a cgroup CPU quota, and the cap bounds what a one-CPU
-# quota costs to one forked worker.
-_MAX_WORKERS = 2
-
 _LENGTH = struct.Struct("<Q")  # the frame of every message: its length in bytes
 
 
 def workers() -> int:
     """Processes a task split over CPUs may use: the CPUs this process may run
-    on, at most `_MAX_WORKERS`; one on a platform without
+    on, at most two, the only count measured (on a 2-vCPU host).  The affinity
+    mask does not see a cgroup CPU quota; the cap bounds what a one-CPU quota
+    costs to one forked worker.  One on a platform without
     `os.sched_getaffinity`, that is other than Linux, where forking a process
     whose BLAS threads have started was not measured."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+    return min(len(os.sched_getaffinity(0)), 2)
 
 
 class Channel:
@@ -92,12 +89,12 @@ class Worker:
 
     The child sends what it computes through its channel; whatever `fn`
     raises is sent as its last message.  It never returns into the caller's
-    code.  `siblings` are other workers of this process, whose pipe ends the
-    child closes so that only the parent holds them.  Use as a context
-    manager, or call `close`.
+    code.  The package forks at most one worker at a time (`workers`), so the
+    child has no sibling whose pipe ends it would need to close.  Use as a
+    context manager, or call `close`.
     """
 
-    def __init__(self, fn, *args, siblings=()):
+    def __init__(self, fn, *args):
         down_r, down_w = os.pipe()  # parent -> child
         up_r, up_w = os.pipe()  # child -> parent
         try:
@@ -107,10 +104,7 @@ class Worker:
                 os.close(fd)
             raise
         if pid == 0:
-            fds = [down_w, up_r]
-            for w in siblings:
-                fds += [w.channel.read_fd, w.channel.write_fd]
-            _child(fn, args, Channel(down_r, up_w), fds)
+            _child(fn, args, Channel(down_r, up_w), [down_w, up_r])
         os.close(down_r)
         os.close(up_w)
         self.pid = pid

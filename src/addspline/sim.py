@@ -34,11 +34,10 @@ platform other than Linux run serially in the calling process
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -70,38 +69,40 @@ __all__ = [
 
 
 def truth_f1(x):
-    """Default first component sin(2 pi x)."""
+    """The first component sin(2 pi x)."""
     return np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
 
 
 def truth_f2(x):
-    """Default second component cos(pi x) / 2."""
+    """The second component cos(pi x) / 2."""
     return 0.5 * np.cos(np.pi * np.asarray(x, dtype=float))
 
 
 def uniform_errors(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Default error law: uniform on (-1/2, 1/2), variance 1/12."""
+    """The error law: uniform on (-1/2, 1/2), variance 1/12."""
     return rng.uniform(-0.5, 0.5, size)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one simulation scenario needs to be reproduced exactly."""
+    """Everything one simulation scenario needs to be reproduced exactly.
+
+    The law is fixed: y = `truth_f1`(x1) + `truth_f2`(x2) + `uniform_errors`,
+    so the noise variance is 1/12; every fit runs 10 stages from zero, and
+    study 3 and the coverage evaluate at (0.5, 0.5).
+    """
 
     n: int
     seed: int = 42
-    f1: Callable = truth_f1
-    f2: Callable = truth_f2
-    error_law: Callable[[np.random.Generator, int], np.ndarray] = uniform_errors
-    error_variance: float = 1.0 / 12.0
     degree: int = 3
     diff_order: int = 2
     k_rule: Callable[[int], int] = kn_rule
     lam_rule: Callable[[int, int], float] = lambda_rule
-    stages: int = 10
-    eval_point: tuple[float, float] = (0.5, 0.5)
     replications: int = 1000
     grid_points: int = 201
+    error_variance: ClassVar[float] = 1.0 / 12.0
+    stages: ClassVar[int] = 10
+    eval_point: ClassVar[tuple[float, float]] = (0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ def generate_dataset(cfg: ScenarioConfig, replication: int) -> SimDataset:
     rng = np.random.default_rng([cfg.seed, replication])
     x1 = 1.0 - rng.random(cfg.n)
     x2 = 1.0 - rng.random(cfg.n)
-    eps = cfg.error_law(rng, cfg.n)
-    y = np.asarray(cfg.f1(x1), dtype=float) + np.asarray(cfg.f2(x2), dtype=float) + eps
+    y = truth_f1(x1) + truth_f2(x2) + uniform_errors(rng, cfg.n)
     return SimDataset(y=y, x1=x1, x2=x2, replication=replication)
 
 
@@ -170,8 +170,7 @@ class Sim1Result:
 def run_sim1(cfg: ScenarioConfig) -> Sim1Result:
     """One dataset, one fixed-stage fit, fit-vs-truth table plus RMSE."""
     _, grid, _, fit1, fit2 = _fit_on_grid(cfg)
-    true1 = np.asarray(cfg.f1(grid), dtype=float)
-    true2 = np.asarray(cfg.f2(grid), dtype=float)
+    true1, true2 = truth_f1(grid), truth_f2(grid)
     rmse = np.array(
         [
             float(np.sqrt(np.mean((fit1 - true1) ** 2))),
@@ -272,7 +271,7 @@ def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.
     x1e, x2e = cfg.eval_point
     rows = design_matrix(design.X1.config, [x1e, x2e]).values
     est, P = StageSmoother(design, cfg.stages).evaluate_rows(rows[:1], rows[1:])
-    truth = [float(np.asarray(cfg.f1(x1e))), float(np.asarray(cfg.f2(x2e)))]
+    truth = [float(truth_f1(x1e)), float(truth_f2(x2e))]
     return est - truth, cfg.error_variance * P
 
 
@@ -312,26 +311,22 @@ def _replicate_all(
     blocks of `_block_size`, the number of processes that ran them, and the
     wall time of each block.
 
-    The blocks are cut into one contiguous share per worker
-    (`_worker_count`).  This process runs the first, largest share; a forked
-    worker (`forking.Worker`) runs each other one and sends its blocks back.
-    The shares come back in order, so the rows are those of the serial loop.
-    A worker's exception is raised again here, and every worker is killed
-    and reaped before this returns or raises.
+    With two processes (`_worker_count`) the blocks are cut into two
+    contiguous shares: this process runs the first, of ceil(blocks / 2), and
+    one forked worker (`forking.Worker`) runs the second and sends its blocks
+    back, so the rows are those of the serial loop.  The worker's exception is
+    raised again here, and the worker is killed and reaped before this
+    returns or raises.
     """
     M, R = cfg.replications, _block_size(cfg.n)
     starts = range(0, M, R)
     workers = _worker_count(cfg.n * M, len(starts))
-    cuts = [-(-len(starts) * w // workers) for w in range(workers + 1)]
-    shares = [starts[a:b] for a, b in zip(cuts, cuts[1:])]
-    with contextlib.ExitStack() as stack:
-        children: list[forking.Worker] = []
-        for share in shares[1:]:
-            child = forking.Worker(_send_blocks, cfg, share, R, siblings=children)
-            children.append(stack.enter_context(child))
-        blocks = _run_blocks(cfg, shares[0], R)
-        for child in children:
-            blocks += child.recv()
+    if workers == 1:
+        blocks = _run_blocks(cfg, starts, R)
+    else:
+        cut = -(-len(starts) // 2)
+        with forking.Worker(_send_blocks, cfg, starts[cut:], R) as child:
+            blocks = _run_blocks(cfg, starts[:cut], R) + child.recv()
     devs, Vs, seconds = zip(*blocks)
     return np.concatenate(devs), np.concatenate(Vs), workers, seconds
 
@@ -459,12 +454,11 @@ def kde2d(
     sample: np.ndarray,
     grid_size: int = 101,
     bandwidth: tuple[float, float] | None = None,
-    pad: float = 4.0,
 ) -> Kde2dResult:
     """Product-Gaussian kernel density of a bivariate sample on a grid.
 
     Bandwidth defaults to the per-coordinate normal reference for two
-    dimensions, h_j = sigma_hat_j * M^{-1/6}.  The grid extends `pad`
+    dimensions, h_j = sigma_hat_j * M^{-1/6}.  The grid extends four
     bandwidths past the sample range so the density mass is captured.
     """
     pts = np.asarray(sample, dtype=float)
@@ -488,8 +482,8 @@ def kde2d(
             raise ValueError("bandwidth must be positive (a scalar or one per coordinate)")
     axes = []
     for j in range(2):
-        lo = pts[:, j].min() - pad * h[j]
-        hi = pts[:, j].max() + pad * h[j]
+        lo = pts[:, j].min() - 4.0 * h[j]
+        hi = pts[:, j].max() + 4.0 * h[j]
         axes.append(np.linspace(lo, hi, grid_size))
     norm1 = 1.0 / (h[0] * np.sqrt(2.0 * np.pi))
     norm2 = 1.0 / (h[1] * np.sqrt(2.0 * np.pi))

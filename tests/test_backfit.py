@@ -229,6 +229,14 @@ class TestSweeps:
         d = ridged_design()
         assert backfit(d).history is None
 
+    @pytest.mark.parametrize("keyword", ["b2_init", "keep_history"])
+    def test_fixed_stage_estimator_starts_from_zero_only(self, keyword):
+        # the estimator whose weights StageSmoother computes: no start, no history
+        d = ridged_design()
+        with pytest.raises(TypeError, match=keyword):
+            backfit_stages(d, 3, **{keyword: np.ones(d.num_coef)})
+        assert backfit_stages(d, 3).history is None
+
     def test_argument_validation(self):
         d = ridged_design()
         with pytest.raises(ValueError):

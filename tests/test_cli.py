@@ -382,7 +382,22 @@ class TestDegenerateInput:
         assert code == 1
         assert stdout == ""
         assert "singular" in err and "at zero penalty" in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [16, 1100])  # 1100: its binomials overflow a float
+    def test_diff_order_above_the_auto_basis_exit_1_after_the_read_leaving_no_out(
+        self, tmp_path, capsys, monkeypatch, ozone_args, order
+    ):
+        # K = kn_rule(111) = 13 is known only after the read: q = 16 <= order
+        reads = recorded_reads(monkeypatch)
+        out = tmp_path / "out"
+        code, stdout, err = run_main(
+            capsys, *ozone_args, "--diff-order", str(order), "--out", str(out)
+        )
+        message = f"error: need size > order, got size=16, order={order}\n"
+        assert (code, stdout, err) == (1, "", message)
+        assert [read.n for read in reads] == [111]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "sim1", "sim3"])
     def test_empty_grid_exit_1_naming_the_flag_before_any_work(
@@ -410,15 +425,16 @@ class TestDegenerateInput:
          # an explicit --kn, and kn_rule(n) = 7 at n = 20
          ("fit", ["--kn", "2", "--diff-order", "5"], "need size > order, got size=5, order=5"),
          ("sim1", ["--n", "20", "--diff-order", "12"],
-          "need size > order, got size=10, order=12")],
+          "need size > order, got size=10, order=12"),
+         ("sim1", ["--seed", "-1"], "--seed must be >= 0, got -1")],
         ids=["degree-fit", "degree-sim1", "diff_order-fit", "diff_order-sim1",
-             "diff_order_above_basis-fit", "diff_order_above_basis-sim1"],
+             "diff_order_above_basis-fit", "diff_order_above_basis-sim1", "negative_seed-sim1"],
     )
     def test_bad_basis_flag_exit_1_before_any_work(
         self, tmp_path, capsys, monkeypatch, ozone_args, command, flags, message
     ):
         def forbidden(*args, **kwargs):
-            raise AssertionError("no data may be read or drawn with a bad basis flag")
+            raise AssertionError("no data may be read or drawn with a bad flag")
 
         monkeypatch.setattr("addspline.cli.load_csv_summarized", forbidden)  # the one reader
         monkeypatch.setattr("addspline.cli.run_sim1", forbidden)

@@ -111,3 +111,12 @@ def test_worker_count(monkeypatch):
     assert forking.workers() == 1
     monkeypatch.delattr(os, "sched_getaffinity")  # a platform other than Linux
     assert forking.workers() == 1
+
+
+def test_worker_takes_no_siblings():
+    # the package forks at most one worker at a time: the child has no sibling
+    # whose pipe ends it would close, and nothing is forked on a bad call
+    with pytest.raises(TypeError, match="siblings"):
+        forking.Worker(_echo, siblings=())
+    assert not hasattr(forking, "_MAX_WORKERS")
+    _assert_no_child_remains()

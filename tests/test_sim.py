@@ -1,5 +1,6 @@
 """Simulation harness: data generation, the three studies, KDE utilities."""
 
+import dataclasses
 import importlib
 import os
 import pickle
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from addspline import sim
+from addspline import forking, sim
 from addspline.backfit import univariate_penalized
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import design_matrix
@@ -64,6 +65,31 @@ class TestDataGeneration:
         d = generate_dataset(cfg, 2)
         resid = d.y - truth_f1(d.x1) - truth_f2(d.x2)
         assert np.abs(resid).max() < 0.5
+
+    def test_the_scenario_sets_only_its_size_seed_basis_and_counts(self):
+        names = [f.name for f in dataclasses.fields(ScenarioConfig)]
+        assert names == ["n", "seed", "degree", "diff_order", "k_rule", "lam_rule",
+                         "replications", "grid_points"]
+        cfg = ScenarioConfig(n=100)
+        assert (cfg.stages, cfg.error_variance, cfg.eval_point) == (10, 1.0 / 12.0, (0.5, 0.5))
+        assert cfg.k_rule(100) == 13
+
+    @pytest.mark.parametrize("field, value", [
+        ("stages", 5), ("error_law", uniform_errors), ("error_variance", 1.0),
+        ("eval_point", (0.3, 0.3)), ("f1", truth_f1), ("f2", truth_f2),
+    ])
+    def test_the_law_stages_and_point_are_fixed(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            ScenarioConfig(n=100, **{field: value})
+
+    @pytest.mark.parametrize("seed, replication", [(42, 0), (3, 7)])
+    def test_dataset_is_the_fixed_law_bitwise(self, seed, replication):
+        d = generate_dataset(ScenarioConfig(n=300, seed=seed), replication)
+        rng = np.random.default_rng([seed, replication])
+        x1, x2 = 1.0 - rng.random(300), 1.0 - rng.random(300)
+        y = truth_f1(x1) + truth_f2(x2) + uniform_errors(rng, 300)
+        assert np.array_equal(d.x1, x1) and np.array_equal(d.x2, x2)
+        assert np.array_equal(d.y, y)
 
     def test_seed_changes_stream(self):
         a = generate_dataset(ScenarioConfig(n=40, seed=1), 0)
@@ -430,7 +456,7 @@ class TestForkedStudies:
         monkeypatch.delattr(os, "sched_getaffinity")  # a platform other than Linux
         assert sim._worker_count(rows, 9) == 1
 
-    @pytest.mark.parametrize("workers", [None, 2, 3])
+    @pytest.mark.parametrize("workers", [None, 2])
     def test_forked_study_is_bitwise_the_serial_one(self, monkeypatch, workers):
         assert FORKED.n * FORKED.replications >= sim._FORK_ROWS
         _force_workers(monkeypatch, 1)
@@ -455,6 +481,21 @@ class TestForkedStudies:
         for s in (serial_summary, serial_cov, forked_summary, forked_cov):
             assert len(s.block_seconds) == 5
             assert all(t > 0 for t in s.block_seconds)
+
+    def test_two_processes_fork_one_worker_for_the_second_share(self, monkeypatch):
+        _force_workers(monkeypatch, 2)
+        shares, Worker = [], forking.Worker
+
+        def counting(fn, cfg, share, R):
+            shares.append(share)
+            return Worker(fn, cfg, share, R)
+
+        monkeypatch.setattr(forking, "Worker", counting)
+        _, summary = run_sim3(FORKED)
+        _assert_no_child_remains()
+        # 5 blocks of 40: this process runs ceil(5 / 2) = 3, the one worker 2
+        assert shares == [range(120, 200, 40)]
+        assert summary.workers == 2 and len(summary.block_seconds) == 5
 
     @pytest.mark.parametrize("replication", [190, 10])  # a worker's share, then ours
     def test_block_error_reaches_the_caller(self, monkeypatch, replication):
@@ -575,6 +616,14 @@ class TestKde:
         ix = np.argmin(np.abs(k.x))
         iy = np.argmin(np.abs(k.y))
         assert k.density[ix, iy] == pytest.approx(1.0 / (2 * np.pi), rel=0.15)
+
+    def test_grid_extends_four_bandwidths_past_the_sample(self):
+        sample = np.random.default_rng(12).normal(size=(50, 2))
+        k = kde2d(sample, grid_size=11)
+        lo, hi = sample.min(axis=0) - 4.0 * k.bandwidth, sample.max(axis=0) + 4.0 * k.bandwidth
+        assert (k.x[0], k.y[0], k.x[-1], k.y[-1]) == (lo[0], lo[1], hi[0], hi[1])
+        with pytest.raises(TypeError, match="pad"):
+            kde2d(sample, pad=2.0)
 
     def test_bandwidth_override_and_validation(self):
         rng = np.random.default_rng(11)
