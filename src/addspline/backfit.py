@@ -309,8 +309,14 @@ class NormalEquations:
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
         self.column_sums = (self.G1.sum(axis=2).ravel(), self.G2.sum(axis=2).ravel())
-        self.Lam1 = self.G1 + design.lambda1 * Q.values
-        self.Lam2 = self.G2 + design.lambda2 * Q.values
+        with np.errstate(over="ignore"):  # an overflow is named below
+            self.Lam1 = self.G1 + design.lambda1 * Q.values
+            self.Lam2 = self.G2 + design.lambda2 * Q.values
+        for j, Lam in enumerate((self.Lam1, self.Lam2), start=1):
+            if not np.isfinite(Lam).all():
+                lam = getattr(design, f"lambda{j}")
+                raise ValueError(f"penalty weight lambda{j} = {lam:g} is too large: "
+                                 f"Lam_{j} = G_{j} + lambda{j} Q exceeds the float range")
         self.L1 = _PinnedCholesky(self.Lam1)
         self.L2 = _PinnedCholesky(self.Lam2)
         self.pinned = (self.L1.pinned, self.L2.pinned)

@@ -163,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json_text(payload) + "\n")  # strict, as json_text is
+    text = json_text(payload) + "\n"  # strict, and first: NaN makes no directory
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -> DataError:
@@ -243,18 +245,19 @@ def cmd_fit(args) -> int:
         smoother = StageSmoother(design, stages=result.stages)
         _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
-    out_dir = Path(args.out)  # made only now: an exit 1 leaves no directory
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     grids = {}
     curves = []
+    tables = []
     record = data.preprocessing
     scales = (1.0, 1.0) if record is None else (record.x1_scale, record.x2_scale)
     for j, b, support in ((1, result.b1, data.ranges[0]), (2, result.b2, data.ranges[1])):
         # the fitted component centred on its mean over the data, (X_j'1)'b / n
         column_sums = eq.column_sums[j - 1]
         estimate = grid_rows.matvec(b) - float(column_sums @ b) / n
-        half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1])
+        # a'Ga >= 0: a weight that is a constant shift, zero in the data
+        # (x2 = x1), can round to -eps
+        half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1].clip(min=0.0))
         lower, upper = estimate - half, estimate + half
         x_original = grid * scales[j - 1]
         # grid points outside the data's range are extrapolated: there the
@@ -277,11 +280,7 @@ def cmd_fit(args) -> int:
             "in_support": in_support.tolist(),
             "support": list(support),
         }
-        write_table(
-            out_dir / f"fit_component{j}.csv",
-            ["x", "x_scaled", "estimate", "lower", "upper"],
-            [x_original, grid, estimate, lower, upper],
-        )
+        tables.append((f"fit_component{j}.csv", [x_original, grid, estimate, lower, upper]))
         curves.extend(
             [(x_original, estimate), (x_original, lower), (x_original, upper)]
         )
@@ -323,7 +322,11 @@ def cmd_fit(args) -> int:
         grids=grids,
         runtime_seconds=time.perf_counter() - start,
     )
+    # the report first, which makes --out: an exit 1 leaves no directory
+    out_dir = Path(args.out)
     report.save(out_dir / "fit_report.json")
+    for name, columns in tables:
+        write_table(out_dir / name, ["x", "x_scaled", "estimate", "lower", "upper"], columns)
     if args.svg:
         write_svg(
             args.svg,
@@ -442,14 +445,14 @@ def cmd_simulate(args) -> int:
             f"coverage1={summary.coverage[0]:.3f} coverage2={summary.coverage[1]:.3f}"
         )
 
-    out_dir = Path(args.out)  # made only now: an exit 1 leaves no directory
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if table is not None:
-        write_table(out_dir / f"{tag}.csv", *table)
     # the payloads of sim3 and coverage replace this runtime with their study's
     fields = {"scenario": args.scenario, "n": args.n, "seed": args.seed}
     fields["runtime_seconds"] = time.perf_counter() - start
+    # the JSON first, which makes --out: an exit 1 leaves no directory
+    out_dir = Path(args.out)
     _write_json(out_dir / f"{tag}.json", {**fields, **payload})
+    if table is not None:
+        write_table(out_dir / f"{tag}.csv", *table)
     if args.svg and figure is None:
         print(f"note: no figure defined for the {args.scenario} scenario", file=sys.stderr)
     elif args.svg:

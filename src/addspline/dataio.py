@@ -627,7 +627,9 @@ class RunReport:
         return cls(**json.loads(text))
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        text = self.to_json()  # first: a value JSON cannot hold makes no directory
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
 
     @classmethod
     def load(cls, path) -> "RunReport":

@@ -2,14 +2,15 @@
 
 The estimator is linear in y and touches y only through u = (X_1'y, X_2'y):
 an estimate r'b of the coefficients b = (b1, b2) is a'u for one weight a in
-coefficient space.  Stage mode gets a by running the backfit sweep backwards
-from the seed r (`_coef_weights`, the one kernel behind every stage-mode
-estimate, weight and variance); limit mode maps r by the symmetric joint
-solve.  The observation weights of a are X_1 a_1 + X_2 a_2, so two of them
-have the inner product a'G c, G the stacked Gram matrix of (X_1, X_2):
-interval variances need no n-vector per point.  The n-vector weights
-(`component_weights`, `smoother_weights`, `exact_covariance`) serve
-heteroskedastic noise and test oracles.  No n x n matrix is ever formed.
+coefficient space.  `StageSmoother._weights` is the one map from seeds r to
+weights a: a fixed stage count runs the backfit sweep backwards from r
+(`_coef_weights`), and stages=None, the backfitting solution the stages
+converge to, maps r by the symmetric joint solve.  The observation weights of
+a are X_1 a_1 + X_2 a_2, so two of them have the inner product a'G c, G the
+stacked Gram matrix of (X_1, X_2): interval variances need no n-vector per
+point.  The n-vector weights (`component_weights`, `smoother_weights`,
+`exact_covariance`) serve heteroskedastic noise and test oracles.  No n x n
+matrix is ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
 linear smoother (weights times the noise variance); the asymptotic bias and
@@ -52,7 +53,6 @@ class SmootherWeights:
     w2: np.ndarray
     x1: float
     x2: float
-    mode: str
     stages: int | None = None
 
 
@@ -66,8 +66,10 @@ class IntervalEstimate:
 
 
 class StageSmoother:
-    """The weights of the fixed-stage estimator: `stages` backfit sweeps
-    (`NormalEquations.sweep`) started from b2 = 0, at any evaluation points.
+    """The weights of the backfit estimator at any evaluation points: with an
+    int `stages`, the fixed-stage estimator, that many sweeps
+    (`NormalEquations.sweep`) started from b2 = 0; with stages=None, their
+    limit, the gauged solution of the normal equations (`NormalEquations.solve`).
 
     `evaluate_rows` gives estimates and weight inner products of basis rows,
     `component_weights` the observation weights of one estimate.  On a design
@@ -75,20 +77,24 @@ class StageSmoother:
     evaluation points, and one run of the kernel serves all blocks.
     """
 
-    def __init__(self, design: AdditiveDesign, stages: int):
-        if stages < 1:
+    def __init__(self, design: AdditiveDesign, stages: int | None):
+        if stages is not None and stages < 1:
             raise ValueError("stages must be >= 1")
         self.design = design
         self.stages = stages
 
     def _weights(self, seeds: list[np.ndarray]) -> np.ndarray:
         """Coefficient weights of the seed columns `seeds` = [S1, S2] (q x k
-        each) in every block, shape (blocks, 2q, k).  The kernel takes the
-        seeds out of the list (`_coef_weights`)."""
+        each) in every block, shape (blocks, 2q, k).  The stage kernel takes
+        the seeds out of the list (`_coef_weights`); the solution map is
+        symmetric, so it maps the seeds themselves."""
         eq = self.design.normal_equations
         if eq.blocks > 1:
             seeds[:] = [np.tile(S, (eq.blocks, 1)) for S in seeds]
-        return _coef_weights(eq, self.stages, seeds)
+        if self.stages is not None:
+            return _coef_weights(eq, self.stages, seeds)
+        k = seeds[0].shape[1]
+        return np.concatenate([b.reshape(eq.blocks, -1, k) for b in eq.solve(*seeds)], axis=1)
 
     def evaluate_rows(self, r1: np.ndarray, r2: np.ndarray):
         """Estimates of f_hat_1 at basis rows r1 = B(x1)' and f_hat_2 at r2
@@ -132,9 +138,8 @@ class StageSmoother:
         """Observation weights w with f_hat_j(x) = w . y."""
         if j not in (1, 2):
             raise ValueError(f"component index must be 1 or 2, got {j}")
-        r = design_matrix(self.design.X1.config, float(x)).values
-        seeds = [S[:, j - 1 : j] for S in _seeds(r, r)]
-        return _map_weights(self.design, self._weights(seeds)[:, :, 0])
+        w = smoother_weights(self.design, x, x, self.stages)
+        return w.w1 if j == 1 else w.w2
 
 
 def _seeds(r1: np.ndarray, r2: np.ndarray) -> list[np.ndarray]:
@@ -192,43 +197,20 @@ def _coef_weights(eq, stages: int, seeds: list[np.ndarray]) -> np.ndarray:
     return A
 
 
-def _map_weights(design: AdditiveDesign, a: np.ndarray) -> np.ndarray:
-    """Observation weights X_1 a_1 + X_2 a_2 of the coefficient weights a,
-    shape (blocks, 2q): the weights of every block's rows, block after block."""
-    q = a.shape[1] // 2
-    return design.X1.matvec(a[:, :q].ravel()) + design.X2.matvec(a[:, q:].ravel())
-
-
 def smoother_weights(
-    design: AdditiveDesign,
-    x1: float,
-    x2: float,
-    mode: str = "stage",
-    stages: int = 10,
+    design: AdditiveDesign, x1: float, x2: float, stages: int | None = 10
 ) -> SmootherWeights:
-    """Observation weights of the estimator at the evaluation point (x1, x2).
-
-    mode="stage" reproduces the fixed-`stages` backfit started from zero;
-    mode="limit" reproduces the stacked normal-equation solution
-    (`NormalEquations.solve`), which with two full bases is the one in the
-    gauge l'b2 = 0, the limit of the zero-start backfit.
-    """
+    """Observation weights of the estimator at the evaluation point (x1, x2):
+    the backfit of `stages` sweeps from zero, or with stages=None their limit,
+    which with two full bases is the solution in the gauge l'b2 = 0
+    (`StageSmoother`)."""
     seeds = _seeds(*(design_matrix(design.X1.config, float(x)).values for x in (x1, x2)))
-    if mode == "stage":
-        A = StageSmoother(design, stages)._weights(seeds)
-    elif mode == "limit":  # the solution map is symmetric: it maps the seeds
-        A = np.concatenate(design.normal_equations.solve(*seeds))[None]
-        stages = None
-    else:
-        raise ValueError(f"mode must be 'stage' or 'limit', got {mode!r}")
-    return SmootherWeights(
-        w1=_map_weights(design, A[:, :, 0]),
-        w2=_map_weights(design, A[:, :, 1]),
-        x1=float(x1),
-        x2=float(x2),
-        mode=mode,
-        stages=stages,
-    )
+    A = StageSmoother(design, stages)._weights(seeds)
+    q = A.shape[1] // 2
+    # the observation weights X_1 a_1 + X_2 a_2 of every block's rows, block after block
+    w1, w2 = (design.X1.matvec(a[:, :q].ravel()) + design.X2.matvec(a[:, q:].ravel())
+              for a in (A[:, :, 0], A[:, :, 1]))
+    return SmootherWeights(w1=w1, w2=w2, x1=float(x1), x2=float(x2), stages=stages)
 
 
 def exact_covariance(weights: SmootherWeights, noise) -> np.ndarray:
@@ -291,30 +273,31 @@ def confidence_interval(
     )
 
 
-def _component_design(design: AdditiveDesign, j: int):
-    """Component j's design matrix, for a design of one block."""
+def _plug_in(design: AdditiveDesign, j: int, x: float):
+    """Component j's design matrix and t = G_n^{-1} B(x), with G_n = X_j'X_j / n
+    read off the normal equations, for a design of one block."""
     if j not in (1, 2):
         raise ValueError(f"component index must be 1 or 2, got {j}")
     if design.blocks != 1:
         raise ValueError(
             f"the plug-in formulas take a design of one block, not {design.blocks} blocks"
         )
-    return design.X1 if j == 1 else design.X2
+    eq = design.normal_equations
+    X = design.X1 if j == 1 else design.X2
+    Gn = (eq.G1 if j == 1 else eq.G2)[0] / design.n
+    return X, np.linalg.solve(Gn, design_matrix(X.config, float(x)).values[0])
 
 
 def asymptotic_variance(design: AdditiveDesign, j: int, x: float, noise) -> float:
     """Plug-in variance (1/n) B(x)' G_n^{-1} S_n G_n^{-1} B(x).
 
     G_n = X'X/n and S_n = X' diag(sigma^2) X / n are the empirical moment
-    matrices of component j.
+    matrices of component j; only S_n reads the rows.
     """
-    X = _component_design(design, j)
-    n = X.rows
-    Gn = gram_banded(X)[0] / n
+    X, t = _plug_in(design, j, x)
+    n = design.n
     s2 = np.broadcast_to(np.asarray(noise, dtype=float), (n,))
     Sn = gram_banded(X, s2)[0] / n
-    v = design_matrix(X.config, float(x)).values[0]
-    t = np.linalg.solve(Gn, v)
     return float(t @ Sn @ t) / n
 
 
@@ -330,15 +313,11 @@ def asymptotic_bias(
     b* is the best spline approximation of `true_fn`, computed as a dense-grid
     least-squares projection on 2000 points of (0, 1].
     """
-    X = _component_design(design, j)
-    n = X.rows
+    X, t = _plug_in(design, j, x)
     grid = eval_grid(2000)
     Xg = design_matrix(X.config, grid).values
     b_star, *_ = np.linalg.lstsq(Xg, np.asarray(true_fn(grid), dtype=float), rcond=None)
-    Gn = gram_banded(X)[0] / n
-    v = design_matrix(X.config, float(x)).values[0]
-    t = np.linalg.solve(Gn, v)
-    return float(-(lam / n) * (t @ (design.penalty.values @ b_star)))
+    return float(-(lam / design.n) * (t @ (design.penalty.values @ b_star)))
 
 
 @dataclass(frozen=True)

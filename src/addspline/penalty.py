@@ -8,6 +8,7 @@ degree-(m-1) polynomial sequences, so constants (m >= 1) are never penalized.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 
@@ -39,6 +40,10 @@ def difference_matrix(order: int, size: int) -> np.ndarray:
         raise ValueError(f"difference order must be >= 1, got {order}")
     if size <= order:
         raise ValueError(f"need size > order, got size={size}, order={order}")
+    # exact integers, checked before any cast: no entry of Q_m = D'D exceeds
+    # sum_j C(order, j)^2 = C(2 order, order), a float up to order 514
+    if comb(2 * order, order) > sys.float_info.max:
+        raise ValueError(f"difference order {order} is too large: its penalty overflows a float")
     D = np.zeros((size - order, size))
     coeffs = [(-1) ** (order - j) * comb(order, j) for j in range(order + 1)]
     for i in range(size - order):

@@ -233,7 +233,7 @@ def test_criterion_09_variance_formulas():
     for n in (100, 1000):
         cfg = ScenarioConfig(n=n)
         d = scenario_design(cfg, generate_dataset(cfg, 0))
-        w = smoother_weights(d, 0.5, 0.5, mode="stage", stages=cfg.stages)
+        w = smoother_weights(d, 0.5, 0.5, stages=cfg.stages)
         C = exact_covariance(w, cfg.error_variance)
         corr[n] = C[0, 1] / np.sqrt(C[0, 0] * C[1, 1])
         designs[n] = (d, C)

@@ -426,9 +426,13 @@ class TestDegenerateInput:
          ("fit", ["--kn", "2", "--diff-order", "5"], "need size > order, got size=5, order=5"),
          ("sim1", ["--n", "20", "--diff-order", "12"],
           "need size > order, got size=10, order=12"),
-         ("sim1", ["--seed", "-1"], "--seed must be >= 0, got -1")],
+         ("sim1", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+         # q = 2003 carries the order, but C(2200, 1100) is beyond a float
+         ("fit", ["--kn", "2000", "--diff-order", "1100"],
+          "difference order 1100 is too large: its penalty overflows a float")],
         ids=["degree-fit", "degree-sim1", "diff_order-fit", "diff_order-sim1",
-             "diff_order_above_basis-fit", "diff_order_above_basis-sim1", "negative_seed-sim1"],
+             "diff_order_above_basis-fit", "diff_order_above_basis-sim1", "negative_seed-sim1",
+             "diff_order_beyond_float-fit"],
     )
     def test_bad_basis_flag_exit_1_before_any_work(
         self, tmp_path, capsys, monkeypatch, ozone_args, command, flags, message
@@ -458,6 +462,32 @@ class TestDegenerateInput:
         out = tmp_path / "out"
         code, stdout, err = run_main(capsys, *ozone_args, flag, value, "--out", str(out))
         assert (code, stdout, err) == (1, "", f"error: {flag} must be finite, got {value}\n")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_penalty_weight_beyond_the_float_range_exit_1_leaving_no_out(
+        self, tmp_path, capsys, ozone_args, j
+    ):
+        # lambda_j Q overflows: Lam_j = G_j + lambda_j Q is not finite
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, *ozone_args, f"--lambda{j}", "1e308", "--out", str(out))
+        message = (
+            f"error: penalty weight lambda{j} = 1e+308 is too large: "
+            f"Lam_{j} = G_{j} + lambda{j} Q exceeds the float range\n"
+        )
+        assert (code, stdout, err) == (1, "", message)
+        assert not out.exists()
+
+    def test_report_value_json_cannot_hold_exit_1_leaving_no_out(
+        self, tmp_path, capsys, monkeypatch, ozone_args
+    ):
+        # the report's text is built before --out is made, so no CSV is left
+        monkeypatch.setattr(cli, "sigma2_hat", lambda *args: float("nan"))
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, *ozone_args, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "Out of range float values are not JSON compliant" in err
         assert not out.exists()
 
 
@@ -920,7 +950,8 @@ class TestSimulate:
 
     def test_json_writer_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
-            _write_json(tmp_path / "x.json", {"covariance": [[float("nan")]]})
+            _write_json(tmp_path / "out" / "x.json", {"covariance": [[float("nan")]]})
+        assert not (tmp_path / "out").exists()  # the text is built first
 
     def test_unknown_scenario_usage_error(self):
         with pytest.raises(SystemExit) as exc:

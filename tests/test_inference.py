@@ -11,6 +11,7 @@ from conftest import OZONE_CSV, ridged_design, sim_xy, stacked_dense
 from addspline import (
     AdditiveDesign,
     PopulationSpec,
+    ScenarioConfig,
     StageSmoother,
     asymptotic_bias,
     asymptotic_variance,
@@ -19,6 +20,7 @@ from addspline import (
     build_design,
     confidence_interval,
     exact_covariance,
+    generate_dataset,
     joint_solve,
     kn_rule,
     lambda_rule,
@@ -29,6 +31,7 @@ from addspline import (
     uniform_population,
     univariate_penalized,
 )
+from addspline import sim
 from addspline.backfit import NormalStatistics
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import basis_integral, design_matrix, eval_grid, make_knots
@@ -45,7 +48,7 @@ class TestStageWeights:
         for stages in (1, 4, 10):
             r = backfit_stages(d, stages)
             for pt in (0.2, 0.55, 0.9):
-                w = smoother_weights(d, pt, pt, mode="stage", stages=stages)
+                w = smoother_weights(d, pt, pt, stages=stages)
                 v = design_matrix(d.X1.config, np.array([pt])).values[0]
                 assert w.w1 @ y == pytest.approx(v @ r.b1, abs=1e-10)
                 assert w.w2 @ y == pytest.approx(v @ r.b2, abs=1e-10)
@@ -53,7 +56,7 @@ class TestStageWeights:
     def test_stage_smoother_object_matches_helper(self):
         d = ridged_design()
         sm = StageSmoother(d, stages=5)
-        w = smoother_weights(d, 0.3, 0.7, mode="stage", stages=5)
+        w = smoother_weights(d, 0.3, 0.7, stages=5)
         assert np.allclose(sm.component_weights(1, 0.3), w.w1, atol=1e-14)
         assert np.allclose(sm.component_weights(2, 0.7), w.w2, atol=1e-14)
 
@@ -61,7 +64,7 @@ class TestStageWeights:
         # the same weights apply to any response on the same design
         y, x1, x2 = sim_xy(120, seed=21)
         d = build_design(y, x1, x2, num_intervals=8, lambda1=0.5, lambda2=0.5)
-        w = smoother_weights(d, 0.4, 0.4, mode="stage", stages=7)
+        w = smoother_weights(d, 0.4, 0.4, stages=7)
         y2 = np.random.default_rng(3).normal(size=120)
         d2 = build_design(y2, x1, x2, num_intervals=8, lambda1=0.5, lambda2=0.5)
         r2 = backfit_stages(d2, 7)
@@ -129,8 +132,8 @@ class TestStageWeights:
         sm = StageSmoother(d, stages=3)
         with pytest.raises(ValueError):
             sm.component_weights(3, 0.5)
-        with pytest.raises(ValueError):
-            smoother_weights(d, 0.5, 0.5, mode="nonsense")
+        with pytest.raises(ValueError, match="stages must be >= 1"):
+            smoother_weights(d, 0.5, 0.5, stages=0)
 
 
 def _ozone_zero_penalty():
@@ -227,7 +230,7 @@ class TestLimitWeights:
         y, x1, _ = sim_xy(100, seed=22)
         d = build_design(y, x1, x1.copy(), num_intervals=8, lambda1=1.0, lambda2=1.0)
         with pytest.raises(NotPositiveDefiniteError, match="beyond the constant shift"):
-            smoother_weights(d, 0.5, 0.5, mode="limit")
+            smoother_weights(d, 0.5, 0.5, stages=None)
 
     def test_stage_weights_converge_to_limit_weights_on_full_design(self):
         # the zero-start stages keep the gauge l'b2 = 0 of the limit mode, so
@@ -235,10 +238,10 @@ class TestLimitWeights:
         y, x1, x2 = sim_xy(100, seed=22)
         d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
         assert d.normal_equations.joint_system_singular
-        wlim = smoother_weights(d, 0.5, 0.5, mode="limit")
+        wlim = smoother_weights(d, 0.5, 0.5, stages=None)
         gaps = []
         for stages in (2, 5, 10, 40):
-            ws = smoother_weights(d, 0.5, 0.5, mode="stage", stages=stages)
+            ws = smoother_weights(d, 0.5, 0.5, stages=stages)
             gaps.append(max(np.abs(ws.w1 - wlim.w1).max(), np.abs(ws.w2 - wlim.w2).max()))
         assert all(a > b for a, b in zip(gaps[:-1], gaps[1:-1]))
         assert gaps[-1] <= 1e-14
@@ -249,7 +252,7 @@ class TestLimitWeights:
         y, x1, x2 = sim_xy(100, seed=22)
         d = build_design(y, x1, x2, num_intervals=8, lambda1=1.0, lambda2=1.0)
         b1, b2 = joint_solve(d)
-        w = smoother_weights(d, 0.37, 0.81, mode="limit")
+        w = smoother_weights(d, 0.37, 0.81, stages=None)
         v1 = design_matrix(d.X1.config, 0.37).values[0]
         v2 = design_matrix(d.X2.config, 0.81).values[0]
         assert w.w1 @ d.y == pytest.approx(v1 @ b1, rel=1e-12, abs=1e-14)
@@ -262,26 +265,68 @@ class TestLimitWeights:
         W = np.linalg.solve(A, np.vstack([d.X1.values.T, d.X2.values.T]))
         v1 = design_matrix(d.X1.config, np.array([0.37])).values[0]
         v2 = design_matrix(d.X2.config, np.array([0.81])).values[0]
-        w = smoother_weights(d, 0.37, 0.81, mode="limit")
+        w = smoother_weights(d, 0.37, 0.81, stages=None)
         assert np.abs(w.w1 - v1 @ W[:q]).max() < 1e-12
         assert np.abs(w.w2 - v2 @ W[q:]).max() < 1e-12
 
     def test_stage_weights_converge_to_limit_weights(self):
         d = ridged_design()
-        wlim = smoother_weights(d, 0.37, 0.81, mode="limit")
+        wlim = smoother_weights(d, 0.37, 0.81, stages=None)
         gaps = []
         for stages in (2, 5, 10, 20, 40):
-            ws = smoother_weights(d, 0.37, 0.81, mode="stage", stages=stages)
+            ws = smoother_weights(d, 0.37, 0.81, stages=stages)
             gaps.append(np.abs(ws.w1 - wlim.w1).max())
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-8
+
+
+class TestLimitMap:
+    """StageSmoother(design, None) on three replications as the blocks of one
+    design: the backfitting solution of every block at once."""
+
+    POINTS = np.array([0.05, 0.37, 0.5, 0.81, 1.0])
+
+    @staticmethod
+    def _designs():
+        cfg = ScenarioConfig(n=200, seed=11)
+        data = [generate_dataset(cfg, r) for r in range(3)]
+        return sim._stacked_design(cfg, data), [sim._stacked_design(cfg, [x]) for x in data]
+
+    def _evaluate(self, design):
+        rows = design_matrix(design.X1.config, self.POINTS).values
+        return rows, StageSmoother(design, None).evaluate_rows(rows, rows[::-1])
+
+    def test_block_rows_bitwise_equal_blocks_of_one(self):
+        d, alone = self._designs()
+        _, (est, P) = self._evaluate(d)
+        m = self.POINTS.size
+        for b, d1 in enumerate(alone):
+            _, (est1, P1) = self._evaluate(d1)
+            assert np.array_equal(est[b * m : (b + 1) * m], est1)
+            assert np.array_equal(P[b * m : (b + 1) * m], P1)
+
+    def test_estimates_are_the_joint_solve(self):
+        d, _ = self._designs()
+        rows, (est, _) = self._evaluate(d)
+        b1, b2 = (b.reshape(3, -1) for b in joint_solve(d))
+        want = np.concatenate([np.column_stack([rows @ c1, rows[::-1] @ c2]) for c1, c2 in zip(b1, b2)])
+        assert np.abs(est - want).max() <= 1e-14
+
+    def test_products_are_the_exact_covariance_of_the_limit_weights(self):
+        d, alone = self._designs()
+        _, (_, P) = self._evaluate(d)
+        m = self.POINTS.size
+        for b, d1 in enumerate(alone):
+            for i, (x1, x2) in enumerate(zip(self.POINTS, self.POINTS[::-1])):
+                want = exact_covariance(smoother_weights(d1, x1, x2, None), 1.0)
+                assert np.abs(P[b * m + i] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestExactCovariance:
     def test_symmetric_psd_and_scaling(self):
         y, x1, x2 = sim_xy(140, seed=23)
         d = build_design(y, x1, x2, num_intervals=9)
-        w = smoother_weights(d, 0.5, 0.5, mode="stage", stages=10)
+        w = smoother_weights(d, 0.5, 0.5, stages=10)
         C = exact_covariance(w, 1.0 / 12.0)
         assert C.shape == (2, 2)
         assert C[0, 1] == C[1, 0]
@@ -292,7 +337,7 @@ class TestExactCovariance:
 
     def test_heteroskedastic_vector_noise(self):
         d = ridged_design(n=90, K=6)
-        w = smoother_weights(d, 0.5, 0.5, mode="stage", stages=5)
+        w = smoother_weights(d, 0.5, 0.5, stages=5)
         s2 = np.linspace(0.5, 2.0, 90)
         C = exact_covariance(w, s2)
         assert C[0, 0] == pytest.approx(np.sum(s2 * w.w1**2), rel=1e-12)
@@ -300,7 +345,7 @@ class TestExactCovariance:
 
     def test_negative_noise_rejected(self):
         d = ridged_design(n=90, K=6)
-        w = smoother_weights(d, 0.5, 0.5, mode="stage", stages=5)
+        w = smoother_weights(d, 0.5, 0.5, stages=5)
         with pytest.raises(ValueError):
             exact_covariance(w, -1.0)
 
@@ -466,7 +511,7 @@ class TestAsymptoticVariance:
         ratios = []
         for lam in (0.1, 1.0, lambda_rule(1000, K)):
             d = build_design(y, x1, x2, num_intervals=K, lambda1=lam, lambda2=lam)
-            w = smoother_weights(d, 0.5, 0.5, mode="stage", stages=10)
+            w = smoother_weights(d, 0.5, 0.5, stages=10)
             exact = exact_covariance(w, 1.0 / 12.0)
             plug = asymptotic_variance(d, 1, 0.5, 1.0 / 12.0)
             ratios.append(plug / exact[0, 0])
