@@ -218,7 +218,10 @@ class NormalStatistics:
         C_blocks = np.zeros((blocks, q // blocks, q // blocks))
         u1, u2 = np.zeros(q), np.zeros(q)
         yy = 0.0
-        for (rows, R1), (_, R2) in zip(X1.chunks(), X2.chunks()):
+        for rows in X1.cuts():
+            # one chunk pair at a time: the last pair is dropped before the
+            # next is evaluated
+            R1, R2 = X1.chunk(rows.start, rows.stop), X2.chunk(rows.start, rows.stop)
             yr = y[rows]
             yy += float(yr @ yr)
             R1.gram_bands(bands1)
@@ -226,6 +229,7 @@ class NormalStatistics:
             R1.block_cross(R2, C_blocks)
             R1.rmatvec(yr, u1)
             R2.rmatvec(yr, u2)
+            del R1, R2
         return cls(bands1, bands2, C_blocks, u1, u2, yy, y.shape[0])
 
     def __add__(self, other: "NormalStatistics") -> "NormalStatistics":
@@ -276,13 +280,14 @@ class NormalEquations:
 
     Every q x q matrix here is block diagonal over the design's blocks and
     stored as the dense stack of its diagonal blocks, shape (blocks, q, q):
-    the Gram matrices G_j = X_j'X_j (`G1`, `G2`), the systems
-    Lam_j = G_j + lam_j Q_m (`Lam1`, `Lam2`), the cross-product C = X_1'X_2
+    the Gram matrices G_j = X_j'X_j (`G1`, `G2`), the cross-product C = X_1'X_2
     (`C_blocks`) and the inverses in the factors `L1`, `L2` (with data-free
-    columns pinned, see _PinnedCholesky).  Every product with them is one
-    batched matrix product, and none of them keeps a bandwidth, so Q_m may be
-    any symmetric matrix.  Beside them: the right-hand sides u_j = X_j'y,
-    the response's sum of squares `yy` and the column sums X_j'1
+    columns pinned, see _PinnedCholesky) of the systems Lam_j = G_j + lam_j Q_m
+    (`Lam1`, `Lam2`: formed again where read, as by the residual and the shift
+    check, and not kept beside the factors otherwise).  Every product with
+    them is one batched matrix product, and none of them keeps a bandwidth,
+    so Q_m may be any symmetric matrix.  Beside them: the right-hand sides
+    u_j = X_j'y, the response's sum of squares `yy` and the column sums X_j'1
     (`column_sums`, read off the Gram matrices).  `pinned` holds the pinned
     column indices of each component; `stacked_matrix`, the residual and the
     shift check use the unpinned Lam_j.
@@ -309,17 +314,30 @@ class NormalEquations:
         # every row of a design sums to one, so X_j'1 = X_j'X_j 1: no third
         # product per chunk, for sums that only the display centring reads
         self.column_sums = (self.G1.sum(axis=2).ravel(), self.G2.sum(axis=2).ravel())
-        with np.errstate(over="ignore"):  # an overflow is named below
-            self.Lam1 = self.G1 + design.lambda1 * Q.values
-            self.Lam2 = self.G2 + design.lambda2 * Q.values
-        for j, Lam in enumerate((self.Lam1, self.Lam2), start=1):
+        self._weights, self._Q = (design.lambda1, design.lambda2), Q.values
+        factors = []
+        for j in (1, 2):
+            Lam = self._system(j)  # dropped once factored: `Lam1` forms it anew
             if not np.isfinite(Lam).all():
-                lam = getattr(design, f"lambda{j}")
-                raise ValueError(f"penalty weight lambda{j} = {lam:g} is too large: "
-                                 f"Lam_{j} = G_{j} + lambda{j} Q exceeds the float range")
-        self.L1 = _PinnedCholesky(self.Lam1)
-        self.L2 = _PinnedCholesky(self.Lam2)
+                raise ValueError(f"penalty weight lambda{j} = {self._weights[j - 1]:g} is too "
+                                 f"large: Lam_{j} = G_{j} + lambda{j} Q exceeds the float range")
+            factors.append(_PinnedCholesky(Lam))
+            del Lam
+        self.L1, self.L2 = factors
         self.pinned = (self.L1.pinned, self.L2.pinned)
+
+    def _system(self, j: int) -> np.ndarray:
+        """Lam_j = G_j + lam_j Q_m, formed from the Gram stack and the penalty."""
+        with np.errstate(over="ignore"):  # an overflow is named in __init__
+            return (self.G1, self.G2)[j - 1] + self._weights[j - 1] * self._Q
+
+    @functools.cached_property
+    def Lam1(self) -> np.ndarray:
+        return self._system(1)
+
+    @functools.cached_property
+    def Lam2(self) -> np.ndarray:
+        return self._system(2)
 
     @property
     def C(self) -> np.ndarray:
@@ -461,8 +479,9 @@ def _residual_sum_of_squares(y, X1: DesignMatrix, X2: DesignMatrix, b1, b2) -> f
     """||y - X_1 b_1 - X_2 b_2||^2 of the rows y, X1, X2, added up over chunks of rows."""
     b1, b2 = np.asarray(b1, dtype=float), np.asarray(b2, dtype=float)
     total = 0.0
-    for (rows, R1), (_, R2) in zip(X1.chunks(), X2.chunks()):
-        resid = y[rows] - R1.matvec(b1) - R2.matvec(b2)
+    for rows in X1.cuts():
+        resid = y[rows] - X1.chunk(rows.start, rows.stop).matvec(b1)
+        resid -= X2.chunk(rows.start, rows.stop).matvec(b2)
         total += float(np.sum(resid**2))
     return total
 

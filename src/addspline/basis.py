@@ -30,14 +30,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Byte budget of the temporaries of one pass over a run of rows, and the
-# allowance per row for the basis values, indices and products (tracemalloc
-# measures about 250 bytes at n = 1000).  Products run over chunks of
-# _BLOCK_BYTES // _ROW_BYTES = 8192 rows, and the Monte Carlo harness sizes
-# its blocks of replications from the same budget.
+# Byte budget of a block of work, and the allowance per row of a pass over
+# rows for the basis values, indices and products of its chunk (tracemalloc
+# measures 178 bytes at degree 3, the peak of the normal-equation statistics
+# of 8192 rows).  A chunk takes half the budget: products run over chunks of
+# _BLOCK_BYTES // 2 // _ROW_BYTES = 8192 rows.  The Monte Carlo harness gives
+# the other half to what the replications of one block hold beside the chunk.
 _BLOCK_BYTES = 4 << 20
-_ROW_BYTES = 512
-_CHUNK_ROWS = _BLOCK_BYTES // _ROW_BYTES
+_ROW_BYTES = 256
+_CHUNK_ROWS = _BLOCK_BYTES // 2 // _ROW_BYTES
 
 __all__ = [
     "SplineConfig",
@@ -138,13 +139,21 @@ class DesignChunk:
     def block_cross(self, other: "DesignChunk", out: np.ndarray) -> None:
         """Add the diagonal blocks of X'Z, for Z the same rows of another block
         diagonal design, to `out` (shape (blocks, q, q'))."""
-        q2, size = out.shape[2], out.size
-        flat = out.reshape(-1)
+        if not self.first.size:
+            return
+        q, q2 = out.shape[1:]
+        # the rows run block after block: they touch blocks lo..hi - 1 alone,
+        # and only those blocks' entries get bins
+        lo, hi = self.first[0] // q, self.first[-1] // q + 1
+        flat = out.reshape(-1)[lo * q * q2 : hi * q * q2]
+        size = flat.size
         # entry (c, c2) of block b, at c = b q + i and c2 = b q2 + k, is entry
-        # b q q2 + i q2 + k of the flat stack, that is c q2 + k
-        idx = (self.first * q2 + other.first % q2 + np.arange(other.vals.shape[0])[:, None]).ravel()
+        # (b - lo) q q2 + i q2 + k of the blocks' flat stack, (c - lo q) q2 + k
+        idx = ((self.first - lo * q) * q2 + other.first % q2
+               + np.arange(other.vals.shape[0])[:, None]).ravel()
+        w = np.empty_like(other.vals)  # one product buffer for every offset
         for r in range(self.vals.shape[0]):  # column offset r of X moves c by r
-            w = self.vals[r] * other.vals
+            np.multiply(self.vals[r], other.vals, out=w)
             flat[r * q2 :] += np.bincount(idx, w.ravel(), minlength=size)[: size - r * q2]
 
 
@@ -153,13 +162,14 @@ class DesignMatrix:
     """Basis evaluations of one covariate sample, evaluated a chunk of rows at a time.
 
     The design holds its covariate values and nothing of size n besides them.
-    Every product evaluates the basis on `_CHUNK_ROWS` rows at a time
-    (`chunks`) and adds up the chunks' products, so it takes O(chunk p) memory
-    at any n.  With `blocks` > 1 the rows are that many independent designs
-    of rows / blocks consecutive rows each, and block b's rows use columns
-    b q .. b q + q - 1 (see `block_diagonal`).  `first` and the dense n x q
-    `values` are views of all rows at once, built on first access and cached,
-    for tests, oracles and small grids; the products never build them.
+    Every product evaluates the basis on at most `_CHUNK_ROWS` rows at a time
+    (`cuts`, `chunks`) and adds up the chunks' products, so it takes
+    O(chunk p) memory at any n.  With `blocks` > 1 the rows are that many
+    independent designs of rows / blocks consecutive rows each, and block b's
+    rows use columns b q .. b q + q - 1 (see `block_diagonal`).  `first` and
+    the dense n x q `values` are views of all rows at once, built on first
+    access and cached, for tests, oracles and small grids; the products never
+    build them.
     """
 
     covariate: np.ndarray
@@ -185,12 +195,27 @@ class DesignMatrix:
             first += np.arange(start, stop) // block_rows * self.config.num_basis
         return DesignChunk(first=first, vals=vals, cols=self.cols)
 
+    def cuts(self) -> list[slice]:
+        """The slices of rows of the chunks that cover the design, each of at
+        most `_CHUNK_ROWS` rows.
+
+        A block diagonal design is cut only between its blocks, as many
+        whole blocks to a chunk as fit, or, for blocks of more than
+        `_CHUNK_ROWS` rows, within each block where a design of that block
+        alone is cut.  Either way each block's rows are summed in the chunks
+        of its own design, so its sums are bit for bit that design's."""
+        size = self.rows // self.blocks
+        if 0 < size <= _CHUNK_ROWS:
+            step = _CHUNK_ROWS // size * size
+            return [slice(s, min(s + step, self.rows)) for s in range(0, self.rows, step)]
+        return [slice(b * size + s, b * size + min(s + _CHUNK_ROWS, size))  # 0 rows: 1 empty
+                for b in range(self.blocks) for s in range(0, max(size, 1), _CHUNK_ROWS)]
+
     def chunks(self):
-        """(rows, chunk) pairs that cover the design: the slice of rows and
-        those rows evaluated, `_CHUNK_ROWS` rows at a time."""
-        for start in range(0, max(self.rows, 1), _CHUNK_ROWS):  # 0 rows: 1 empty chunk
-            stop = min(start + _CHUNK_ROWS, self.rows)
-            yield slice(start, stop), self.chunk(start, stop)
+        """(rows, chunk) pairs that cover the design: the slice of rows of
+        each of its `cuts` and those rows evaluated."""
+        for rows in self.cuts():
+            yield rows, self.chunk(rows.start, rows.stop)
 
     @functools.cached_property
     def first(self) -> np.ndarray:

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .backfit import AdditiveDesign, NormalStatistics, backfit, build_design, kn_rule
-from .backfit import _residual_sum_of_squares
-from .bandmat import NotPositiveDefiniteError
+from .backfit import _PinnedCholesky, _residual_sum_of_squares
+from .bandmat import NotPositiveDefiniteError, _stack_from_bands
 from .basis import design_matrix, eval_grid, make_knots
 from .dataio import (
     DataError,
@@ -37,7 +37,7 @@ from .sim import (
     run_sim3,
     coverage_experiment,
 )
-from .svg import write_svg
+from .svg import svg_document
 
 __all__ = ["main", "build_parser", "cmd_fit", "cmd_simulate"]
 
@@ -168,22 +168,71 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text)
 
 
+def _figure_document(args, figure: dict | None) -> str | None:
+    """The SVG text of `figure` (`svg_document` keywords) for --svg, or None
+    without one, built before any output is written.  An --svg path that is a
+    directory, or whose directory neither exists nor is made with --out, is
+    an input error, so that this exit 1, like every other, leaves no --out."""
+    if not args.svg or figure is None:
+        return None
+    path, out = Path(args.svg), Path(args.out).resolve()
+    if path.is_dir():
+        raise DataError(f"--svg {args.svg} is a directory")
+    if not path.resolve().parent.is_dir() and path.resolve().parent not in (out, *out.parents):
+        raise DataError(f"--svg {args.svg}: directory {path.parent} does not exist")
+    return svg_document(**figure)
+
+
 def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -> DataError:
     """The input error of a per-component system that does not factor."""
+    m = design.penalty.order
     if design.lambda1 == 0 or design.lambda2 == 0:
         why = (
             "at zero penalty the basis columns that hold data do not determine "
             "their coefficients (too few distinct covariate values per knot "
             "interval). Increase --lambda1/--lambda2 or reduce --kn."
         )
+    elif swamped := _swamping_weight(design):
+        lam = getattr(design, f"lambda{swamped}")
+        why = (
+            f"the penalty weight lambda{swamped} = {lam:g} swamps the data: to rounding, "
+            f"Lam_{swamped} = G_{swamped} + lambda{swamped} Q is lambda{swamped} Q, whose "
+            f"order-{m} difference penalty leaves polynomials of degree {m - 1} "
+            f"undetermined. Reduce --lambda{swamped}."
+        )
     else:
-        m = design.penalty.order
         why = (
             f"the order-{m} difference penalty leaves polynomials of degree "
             f"{m - 1} unpenalized, and the covariate has too few distinct "
             "values to determine them. Reduce --diff-order."
         )
     return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
+
+
+def _swamping_weight(design: AdditiveDesign) -> int | None:
+    """The component j whose system Lam_j = G_j + lambda_j Q fails to factor at
+    its weight but factors at the weight max diag(G_j) / max diag(Q), which
+    puts data and penalty on one scale, below lambda_j; None if neither does.
+    Where the data cannot fix the polynomials Q leaves free, no weight helps."""
+    s = design.statistics
+    if s is None:
+        s = NormalStatistics.of(design.y, design.X1, design.X2)
+    Q = design.penalty.values
+    for j, bands in ((1, s.bands1), (2, s.bands2)):
+        G, lam = _stack_from_bands(bands, design.blocks), getattr(design, f"lambda{j}")
+        balanced = G.diagonal(axis1=1, axis2=2).max() / Q.diagonal().max()
+        if lam > balanced and not _factorizes(G + lam * Q) and _factorizes(G + balanced * Q):
+            return j
+    return None
+
+
+def _factorizes(Lam: np.ndarray) -> bool:
+    """Whether the stack Lam factors as the normal equations factor it."""
+    try:
+        _PinnedCholesky(Lam)
+    except NotPositiveDefiniteError:
+        return False
+    return True
 
 
 def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int):
@@ -322,18 +371,18 @@ def cmd_fit(args) -> int:
         grids=grids,
         runtime_seconds=time.perf_counter() - start,
     )
+    document = _figure_document(args, {
+        "curves": curves,
+        "labels": ["f1", "f1 lo", "f1 hi", "f2", "f2 lo", "f2 hi"],
+        "title": f"penalized additive fit (n={n}, K={design.X1.config.num_intervals})",
+    })
     # the report first, which makes --out: an exit 1 leaves no directory
     out_dir = Path(args.out)
     report.save(out_dir / "fit_report.json")
     for name, columns in tables:
         write_table(out_dir / name, ["x", "x_scaled", "estimate", "lower", "upper"], columns)
-    if args.svg:
-        write_svg(
-            args.svg,
-            curves=curves,
-            labels=["f1", "f1 lo", "f1 hi", "f2", "f2 lo", "f2 hi"],
-            title=f"penalized additive fit (n={n}, K={design.X1.config.num_intervals})",
-        )
+    if document is not None:
+        Path(args.svg).write_text(document)
     print(
         f"fit: n={n} K={design.X1.config.num_intervals} "
         f"lambda=({design.lambda1:.6g}, {design.lambda2:.6g}) "
@@ -355,6 +404,7 @@ def _summary_fields(summary, level: float) -> dict:
         "runtime_seconds": summary.runtime_seconds,
         "workers": summary.workers,
         "block_seconds": list(summary.block_seconds),
+        "block_workers": list(summary.block_workers),
     }
 
 
@@ -388,7 +438,7 @@ def cmd_simulate(args) -> int:
     start = time.perf_counter()
 
     # each scenario names its table (header, columns), JSON payload, figure
-    # (write_svg keywords) and summary line; one tail writes them all
+    # (svg_document keywords) and summary line; one tail writes them all
     table = figure = None
     if args.scenario == "sim1":
         res = run_sim1(cfg)
@@ -448,6 +498,7 @@ def cmd_simulate(args) -> int:
     # the payloads of sim3 and coverage replace this runtime with their study's
     fields = {"scenario": args.scenario, "n": args.n, "seed": args.seed}
     fields["runtime_seconds"] = time.perf_counter() - start
+    document = _figure_document(args, figure)
     # the JSON first, which makes --out: an exit 1 leaves no directory
     out_dir = Path(args.out)
     _write_json(out_dir / f"{tag}.json", {**fields, **payload})
@@ -455,8 +506,8 @@ def cmd_simulate(args) -> int:
         write_table(out_dir / f"{tag}.csv", *table)
     if args.svg and figure is None:
         print(f"note: no figure defined for the {args.scenario} scenario", file=sys.stderr)
-    elif args.svg:
-        write_svg(args.svg, **figure)
+    elif document is not None:
+        Path(args.svg).write_text(document)
     print(line)
     return 0
 

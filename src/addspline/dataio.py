@@ -18,7 +18,9 @@ import csv
 import functools
 import itertools
 import json
+import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -325,7 +327,8 @@ def _read(path, cols, summarize, preprocess: bool, min_rows: int = _MIN_ROWS):
     the `_Summarized` of `load_csv_summarized`."""
     file = Path(path)  # `path` as given names it in the errors of `_combine`
     header, m = _plan(file, split=summarize is not None)
-    combine = functools.partial(_combine, path=path, min_rows=min_rows, preprocess=preprocess)
+    combine = functools.partial(_combine, path=path, min_rows=min_rows, preprocess=preprocess,
+                                response=cols[0])
     if m is not None and all(c in header for c in cols):
         return _read_in_parts(file, (header, m), cols, combine, summarize)
     return _read_one(path, *_read_whole(file, header), cols, combine, summarize)
@@ -472,17 +475,29 @@ def _reductions(table: np.ndarray | None, idx) -> _Reductions | None:
     )
 
 
-def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True):
+def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True,
+             response: str = "y"):
     """From the parts' `_reductions`: the row count n of all parts, their
     preprocessing, None where not `preprocess`, and the (min, max) of x1 and
     of x2 as preprocessed, an exact zero nudged as `_scale_in_place` does.
 
-    Raises `load_csv`'s DataError for fewer than `min_rows` rows, a negative
+    Raises `load_csv`'s DataError for fewer than `min_rows` rows, a response
+    column (named `response`) whose squares' sums overflow, a negative
     covariate or one whose maximum is not positive.  y is centred on its mean,
     each covariate scaled by its maximum, as over all rows at once."""
     n = sum(r.rows for r in parts)
     if n < min_rows:
         raise DataError(f"{path}: {n} rows is fewer than the required {min_rows}")
+    # a fit adds up n squares of y and a few sums of that size (y'y and the
+    # fit's terms in `NormalEquations.rss_estimate`), and centring can double
+    # |y|: n (16 max|y|)^2 must be a float
+    y_top = max((r.y_top for r in parts), default=0.0)
+    if y_top > math.sqrt(sys.float_info.max / max(n, 1)) / 16:
+        raise DataError(
+            f"{path}: response column {response!r} holds values up to {y_top:.3g} in size, "
+            f"too large for the sums of squares a fit of {n} rows forms to stay in the "
+            "float range. Rescale the column."
+        )
     ranges = [(min(r.ranges[j][0] for r in parts), max(r.ranges[j][1] for r in parts))
               for j in range(2)]
     if not preprocess:

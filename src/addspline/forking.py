@@ -10,6 +10,10 @@ again.  A child that exits or dies before it has sent a whole message gives
 the parent's pipe ends, then kills and reaps the child, so no exit path of
 the parent waits on a child that waits on it.
 
+A `Queue` of task indices lets the parent and its worker share out work
+as they go: whichever process is free takes the next index, so the faster
+process runs more tasks.
+
 Forking is used only where `os.sched_getaffinity` exists, that is on Linux,
 and by at most two processes in all, one parent and one `Worker` (`workers`).
 """
@@ -18,12 +22,14 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import struct
 
-__all__ = ["Channel", "Worker", "workers"]
+__all__ = ["Channel", "Queue", "Worker", "workers"]
 
 _LENGTH = struct.Struct("<Q")  # the frame of every message: its length in bytes
+_ENTRY = struct.Struct("<I")  # one entry of a `Queue`: the first index of its run
 
 
 def workers() -> int:
@@ -82,6 +88,52 @@ class Channel:
     def close(self) -> None:
         os.close(self.read_fd)
         os.close(self.write_fd)
+
+
+class Queue:
+    """The indices 0..count - 1, in order, for a process and the one `Worker`
+    it forks after making the queue: each index goes to one process, the
+    first to ask for it.  Iterate over the queue to take indices until none
+    is left; use as a context manager, or call `close`.
+
+    The queue is a pipe, filled before the fork and then closed for
+    writing: a read takes the next entry, and an empty pipe reads as its
+    end, so neither process ever waits on the other.  An entry is 4 bytes
+    and stands for a run of `run` consecutive indices: one index while the
+    count fits in `select.PIPE_BUF` bytes (1024 entries of the 4096 bytes
+    any Linux pipe holds; POSIX writes that many atomically, so an empty
+    pipe holds them), so that filling the pipe never blocks.
+    """
+
+    def __init__(self, count: int):
+        self.fd, write_fd = os.pipe()
+        try:
+            slots = select.PIPE_BUF // _ENTRY.size
+            self.count, self.run = count, max(1, -(-count // slots))
+            starts = range(0, count, self.run)
+            view = memoryview(struct.pack(f"<{len(starts)}I", *starts))
+            while view:
+                view = view[os.write(write_fd, view) :]
+        except BaseException:
+            os.close(self.fd)
+            raise
+        finally:
+            os.close(write_fd)
+
+    def __iter__(self):
+        # a read of one entry is atomic: the pipe holds whole entries alone
+        while entry := os.read(self.fd, _ENTRY.size):
+            (start,) = _ENTRY.unpack(entry)
+            yield from range(start, min(start + self.run, self.count))
+
+    def close(self) -> None:
+        os.close(self.fd)
+
+    def __enter__(self) -> "Queue":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class Worker:

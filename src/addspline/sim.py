@@ -19,17 +19,20 @@ The replications of a study run in blocks.  A block of R replications is the
 block diagonal design (`AdditiveDesign.blocks`) of their R n rows: one basis
 evaluation per component, one factorization per component of the stack of
 R q x q blocks, and one run of the weight kernel for all R.  The blocks do
-not interact, so each replication's row is bit for bit the row a block of
-one computes: any row is recomputable alone (`sim3_replication`).
-R is the largest count whose R n rows of temporaries fit in a fixed byte
-budget, so memory stays bounded at any n.
+not interact, and the pass over a block's rows is cut only between
+replications (`DesignMatrix.cuts`), so each replication's row is bit for
+bit the row a block of one computes: any row is recomputable alone
+(`sim3_replication`).  R is the largest count whose data and q x q stacks
+fit in half of a fixed byte budget, the pass's chunk taking the other half
+(`_block_size`), so memory stays bounded at any n.
 
-The blocks of a study run on up to two CPUs, the second share in a forked
-worker (`_replicate_all`).  The blocks and their arithmetic do not depend on
-the worker count, so the rows are bit for bit those of the serial loop.
-Studies below `_FORK_ROWS` data rows, of a single block, on one CPU or on a
-platform other than Linux run serially in the calling process
-(`forking.workers`).
+The blocks of a study run on up to two CPUs: the calling process and a
+forked worker take blocks from one queue until it is empty
+(`_replicate_all`).  The blocks and their arithmetic do not depend on the
+worker count or on which process runs a block, so the rows are bit for bit
+those of the serial loop.  Studies below `_FORK_ROWS` data rows, of a
+single block, on one CPU or on a platform other than Linux run serially in
+the calling process (`forking.workers`).
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from . import forking
-from .backfit import AdditiveDesign, backfit_stages, build_design, kn_rule, lambda_rule
-from .basis import _BLOCK_BYTES, _ROW_BYTES, design_matrix, eval_grid
+from .backfit import (
+    AdditiveDesign, NormalStatistics, backfit_stages, build_design, kn_rule, lambda_rule,
+)
+from .basis import _BLOCK_BYTES, design_matrix, eval_grid
 from .inference import StageSmoother, confidence_interval
 
 __all__ = [
@@ -119,29 +124,51 @@ def generate_dataset(cfg: ScenarioConfig, replication: int) -> SimDataset:
     Covariates are uniform on (0, 1]: computed as 1 - U with U in [0, 1) so
     that the domain's open-at-zero convention holds exactly.
     """
-    rng = np.random.default_rng([cfg.seed, replication])
-    x1 = 1.0 - rng.random(cfg.n)
-    x2 = 1.0 - rng.random(cfg.n)
-    y = truth_f1(x1) + truth_f2(x2) + uniform_errors(rng, cfg.n)
+    y, x1, x2 = _draw(cfg, [replication])
     return SimDataset(y=y, x1=x1, x2=x2, replication=replication)
+
+
+def _draw(cfg: ScenarioConfig, replications) -> np.ndarray:
+    """The rows (y, x1, x2), shape (3, R n), of R replications' data
+    (`generate_dataset`), one replication after another: the draws of each
+    stream go straight into its rows, and f1(x1) + f2(x2) is added to the
+    errors of all rows at once."""
+    n = cfg.n
+    y, x1, x2 = data = np.empty((3, len(replications) * n))
+    for i, r in enumerate(replications):
+        rows = slice(i * n, (i + 1) * n)
+        rng = np.random.default_rng([cfg.seed, r])
+        for x in (x1[rows], x2[rows]):
+            rng.random(out=x)
+            np.subtract(1.0, x, out=x)
+        y[rows] = uniform_errors(rng, n)
+    y += truth_f1(x1) + truth_f2(x2)
+    return data
 
 
 def scenario_design(cfg: ScenarioConfig, data: SimDataset) -> AdditiveDesign:
     """Assemble the design with the scenario's K and lambda rules."""
-    return _stacked_design(cfg, [data])
+    return _design(cfg, data.y, data.x1, data.x2, 1)
 
 
-def _stacked_design(cfg: ScenarioConfig, datasets: list[SimDataset]) -> AdditiveDesign:
-    """The designs of several datasets as the blocks of one design, each
-    component's basis evaluated in one call on all datasets' values."""
+def _block_design(cfg: ScenarioConfig, replications) -> AdditiveDesign:
+    """The designs of the given replications as the blocks of one design, on
+    the data `_draw` gives them (`generate_dataset`'s values, bit for bit)."""
+    return _design(cfg, *_draw(cfg, replications), len(replications))
+
+
+def _design(cfg: ScenarioConfig, y, x1, x2, blocks: int) -> AdditiveDesign:
+    """The design of `blocks` datasets of n rows each, one after another in
+    y, x1 and x2, as the blocks of one design: each component's basis is
+    evaluated on all their values in one pass."""
     K = cfg.k_rule(cfg.n)
-    lam, R = cfg.lam_rule(cfg.n, K), len(datasets)
+    lam = cfg.lam_rule(cfg.n, K)
     design = build_design(
-        *(np.concatenate([getattr(d, v) for d in datasets]) for v in ("y", "x1", "x2")),
+        y, x1, x2,
         degree=cfg.degree, diff_order=cfg.diff_order, num_intervals=K, lambda1=lam, lambda2=lam,
     )
-    X1, X2 = design.X1.block_diagonal(R), design.X2.block_diagonal(R)
-    return replace(design, X1=X1, X2=X2, blocks=R)
+    X1, X2 = design.X1.block_diagonal(blocks), design.X2.block_diagonal(blocks)
+    return replace(design, X1=X1, X2=X2, blocks=blocks)
 
 
 def _fit_on_grid(cfg: ScenarioConfig):
@@ -249,25 +276,40 @@ class MonteCarloSummary:
     rejected: int
     workers: int  # processes that ran the replication blocks
     block_seconds: tuple[float, ...]  # wall time of each block, in block order
+    block_workers: tuple[int, ...]  # the process that ran each block: 0 the caller, 1 the worker
 
 
 _EIG_FLOOR = 1e-14
 _SQRT2 = math.sqrt(2.0)
-# A block holds as many replications as fit in the byte budget of one pass
-# over rows (`basis._BLOCK_BYTES`, at `basis._ROW_BYTES` per data row), at
-# least one; a block of R n <= 8192 rows is then one chunk of that pass.
+# The q x q stacks a replication holds at once in a block, at their most:
+# G1, G2 and C, the kept inverse of Lam_1, and, while Lam_2 is factored,
+# Lam_2, its factor, the factor's inverse and the inverse being formed.
+_HELD_STACKS = 8
 
 
-def _block_size(n: int) -> int:
-    """Replications per block at n observations each."""
-    return max(1, _BLOCK_BYTES // (_ROW_BYTES * n))
+def _block_size(cfg: ScenarioConfig) -> int:
+    """Replications per block: as many as fit in half of the byte budget
+    `basis._BLOCK_BYTES`, at least one.  The other half is the budget of the
+    pass over the block's rows, which is cut into chunks of whole
+    replications (`DesignMatrix.cuts`) whatever R is.  A replication holds
+    its 3 n data values and `_HELD_STACKS` q x q stacks, 8 bytes an entry:
+    R = 20 at n = 1000 (q = 35) and 111 at n = 100 (q = 16)."""
+    q = cfg.k_rule(cfg.n) + cfg.degree
+    return max(1, _BLOCK_BYTES // 2 // (8 * (3 * cfg.n + _HELD_STACKS * q * q)))
 
 
 def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.ndarray]:
     """The deviations f_hat - f_true at the evaluation point, shape (R, 2), and
     their exact covariances V, shape (R, 2, 2), of R replications' fixed-stage
-    fits, computed as the blocks of one system."""
-    design = _stacked_design(cfg, [generate_dataset(cfg, r) for r in replications])
+    fits, computed as the blocks of one system (`_block_design`).  The weights
+    read the rows only through their sums, so the block's data go once those
+    are added up, before the factors and the weights are formed."""
+    design, empty = _block_design(cfg, replications), np.empty(0)
+    design = replace(
+        design, y=empty, X1=replace(design.X1, covariate=empty),
+        X2=replace(design.X2, covariate=empty),
+        statistics=NormalStatistics.of(design.y, design.X1, design.X2),
+    )
     x1e, x2e = cfg.eval_point
     rows = design_matrix(design.X1.config, [x1e, x2e]).values
     est, P = StageSmoother(design, cfg.stages).evaluate_rows(rows[:1], rows[1:])
@@ -293,47 +335,51 @@ def _worker_count(rows: int, blocks: int) -> int:
     return forking.workers()
 
 
-def _run_blocks(cfg: ScenarioConfig, starts: range, R: int) -> list:
-    """(deviations, covariances, wall seconds) of each block of R replications
-    that begins at `starts`."""
-    blocks = []
-    for s in starts:
+def _run_blocks(cfg: ScenarioConfig, R: int, blocks, worker: int) -> list:
+    """(index, deviations, covariances, wall seconds, `worker`) of each block
+    of R replications whose index `blocks` yields, block b holding
+    replications b R .. b R + R - 1."""
+    done = []
+    for b in blocks:
         t = time.perf_counter()
-        dev, V = _replicate_block(cfg, range(s, min(s + R, cfg.replications)))
-        blocks.append((dev, V, time.perf_counter() - t))
-    return blocks
+        dev, V = _replicate_block(cfg, range(b * R, min(b * R + R, cfg.replications)))
+        done.append((b, dev, V, time.perf_counter() - t, worker))
+    return done
 
 
-def _replicate_all(
-    cfg: ScenarioConfig,
-) -> tuple[np.ndarray, np.ndarray, int, tuple[float, ...]]:
+def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     """Deviations (M, 2) and covariances (M, 2, 2) of all M replications, in
-    blocks of `_block_size`, the number of processes that ran them, and the
-    wall time of each block.
+    blocks of `_block_size`, and how they ran, as `MonteCarloSummary` fields:
+    the number of processes (`workers`), and the wall time of each block and
+    the process that ran it (0 this one, 1 the worker), in block order.
 
-    With two processes (`_worker_count`) the blocks are cut into two
-    contiguous shares: this process runs the first, of ceil(blocks / 2), and
-    one forked worker (`forking.Worker`) runs the second and sends its blocks
-    back, so the rows are those of the serial loop.  The worker's exception is
-    raised again here, and the worker is killed and reaped before this
-    returns or raises.
+    With two processes (`_worker_count`) this process and one forked worker
+    (`forking.Worker`) take blocks from one `forking.Queue` until it is
+    empty, so the process that runs faster runs more blocks: the fork,
+    the first block's copy-on-write faults and a busy host slow the two
+    unequally.  The worker sends back its (index, rows) pairs, and the
+    blocks are put back in block order, so the rows are those of the serial
+    loop.  The worker's exception is raised again here, and the worker is
+    killed and reaped before this returns or raises.
     """
-    M, R = cfg.replications, _block_size(cfg.n)
-    starts = range(0, M, R)
-    workers = _worker_count(cfg.n * M, len(starts))
+    M, R = cfg.replications, _block_size(cfg)
+    count = -(-M // R)
+    workers = _worker_count(cfg.n * M, count)
     if workers == 1:
-        blocks = _run_blocks(cfg, starts, R)
+        done = _run_blocks(cfg, R, range(count), 0)
     else:
-        cut = -(-len(starts) // 2)
-        with forking.Worker(_send_blocks, cfg, starts[cut:], R) as child:
-            blocks = _run_blocks(cfg, starts[:cut], R) + child.recv()
-    devs, Vs, seconds = zip(*blocks)
-    return np.concatenate(devs), np.concatenate(Vs), workers, seconds
+        with forking.Queue(count) as queue, forking.Worker(_send_blocks, cfg, R, queue) as child:
+            done = _run_blocks(cfg, R, queue, 0) + child.recv()
+        done.sort(key=lambda block: block[0])
+    _, devs, Vs, seconds, ran_by = zip(*done)
+    runs = {"workers": workers, "block_seconds": seconds, "block_workers": ran_by}
+    return np.concatenate(devs), np.concatenate(Vs), runs
 
 
-def _send_blocks(channel: forking.Channel, cfg: ScenarioConfig, share: range, R: int) -> None:
-    """In a forked worker: run the blocks of `share` and send them."""
-    channel.send(_run_blocks(cfg, share, R))
+def _send_blocks(channel: forking.Channel, cfg: ScenarioConfig, R: int,
+                 queue: forking.Queue) -> None:
+    """In a forked worker: run the blocks it takes from `queue`, then send them."""
+    channel.send(_run_blocks(cfg, R, queue, 1))
 
 
 def _standardize(dev: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +420,8 @@ def _ks_normal(sample) -> float:
 
 
 def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: int,
-               level: float = 0.95, *, workers: int = 1,
-               block_seconds: tuple[float, ...] = ()) -> MonteCarloSummary:
+               level: float = 0.95, *, workers: int = 1, block_seconds: tuple[float, ...] = (),
+               block_workers: tuple[int, ...] = ()) -> MonteCarloSummary:
     if len(values) < 2:
         raise ValueError(
             f"the summary needs at least two replications, got {len(values)} of "
@@ -397,6 +443,7 @@ def _summarize(values: np.ndarray, runtime: float, replications: int, rejected: 
         rejected=rejected,
         workers=workers,
         block_seconds=block_seconds,
+        block_workers=block_workers,
     )
 
 
@@ -408,17 +455,14 @@ def run_sim3(
     confidence_interval(0.0, 1.0, level)  # reject a bad level before replicating
     start = time.perf_counter()
     M = cfg.replications
-    dev, V, workers, block_seconds = _replicate_all(cfg)
+    dev, V, runs = _replicate_all(cfg)
     values, kept = _standardize(dev, V)
     ids = np.flatnonzero(kept)
     rejected = int(M - kept.sum())
     sample = StandardizedSample(
         values=values, replication_ids=ids, seed=cfg.seed, rejected=rejected
     )
-    summary = _summarize(
-        values, time.perf_counter() - start, M, rejected, level,
-        workers=workers, block_seconds=block_seconds,
-    )
+    summary = _summarize(values, time.perf_counter() - start, M, rejected, level, **runs)
     return sample, summary
 
 
@@ -434,12 +478,9 @@ def coverage_experiment(
     """
     confidence_interval(0.0, 1.0, level)  # reject a bad level before replicating
     start = time.perf_counter()
-    dev, V, workers, block_seconds = _replicate_all(cfg)
+    dev, V, runs = _replicate_all(cfg)
     devs = dev / np.sqrt(np.diagonal(V, axis1=1, axis2=2))
-    return _summarize(
-        devs, time.perf_counter() - start, cfg.replications, 0, level,
-        workers=workers, block_seconds=block_seconds,
-    )
+    return _summarize(devs, time.perf_counter() - start, cfg.replications, 0, level, **runs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_svg", "contour_loops"]
+__all__ = ["svg_document", "write_svg", "contour_loops"]
 
 _WIDTH, _HEIGHT, _MARGIN = 640, 480, 50
 
@@ -220,7 +220,18 @@ def write_svg(
     labels=None,
     title: str | None = None,
 ) -> None:
-    """Write curves or contour loops as a standalone SVG file.
+    """Write `svg_document` of the other arguments to `path`."""
+    Path(path).write_text(svg_document(curves, contour, levels, labels, title))
+
+
+def svg_document(
+    curves=None,
+    contour=None,
+    levels=None,
+    labels=None,
+    title: str | None = None,
+) -> str:
+    """Curves or contour loops as the text of a standalone SVG file.
 
     curves: sequence of (x, y) arrays, each drawn as one <path>.
     contour: (x_axis, y_axis, Z) grid, drawn as one <path> per loop of each
@@ -276,10 +287,9 @@ def write_svg(
             f'<text x="{_WIDTH / 2:.2f}" y="20" font-size="13" '
             f'text-anchor="middle">{title}</text>'
         )
-    doc = (
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">\n'
         + "\n".join(body)
         + "\n</svg>\n"
     )
-    Path(path).write_text(doc)

@@ -302,7 +302,8 @@ class TestChunkedStatistics:
             assert gap <= 1e-13 * np.abs(want).max(), name
 
     def test_blocks_straddling_a_chunk_boundary(self, monkeypatch):
-        # three blocks of 5000 rows: the boundary at row 8192 cuts block 1
+        # three blocks of 5000 rows: an 8192-row chunk holds one block, so
+        # the chunks are cut between the blocks, not at row 8192 in block 1
         blocks, n = 3, 5000
         y, x1, x2 = sim_xy(blocks * n, seed=8)
         cfg = make_knots(3, 9)
@@ -315,7 +316,7 @@ class TestChunkedStatistics:
             penalty=penalty_matrix(2, cfg.num_basis),
             blocks=blocks,
         )
-        assert sum(1 for _ in d.X1.chunks()) == 2
+        assert d.X1.cuts() == [slice(0, 5000), slice(5000, 10000), slice(10000, 15000)]
         chunked = _statistics(d)
         monkeypatch.setattr(basis, "_CHUNK_ROWS", blocks * n)
         whole = _statistics(d)
@@ -332,9 +333,12 @@ class TestChunkedStatistics:
             for name in ("G1", "G2", "C_blocks"):
                 gap = np.abs(whole[name][b] - alone[name][0]).max()
                 assert gap <= 1e-13 * np.abs(alone[name]).max(), name
+                # in the design's own chunks, bit for bit
+                assert np.array_equal(chunked[name][b], alone[name][0]), name
             for name in ("u1", "u2"):
                 gap = np.abs(whole[name][cols] - alone[name]).max()
                 assert gap <= 1e-13 * np.abs(alone[name]).max(), name
+                assert np.array_equal(chunked[name][cols], alone[name]), name
 
     def test_statistics_of_parts_add_up_to_the_design_given_them(self):
         # rows cut anywhere: the parts' statistics sum to one pass's, and a

@@ -304,6 +304,46 @@ class TestCompactProducts:
         with pytest.raises(ValueError, match="row mismatch"):
             _cross_blocks(design_matrix(cfg, [0.5]), design_matrix(cfg, [0.5, 1.0]))
 
+    @pytest.mark.parametrize("chunk_rows, cuts", [
+        (14, [(0, 14), (14, 28), (28, 35)]),  # two whole blocks of 7 rows a chunk
+        (5, [(0, 5), (5, 7), (7, 12), (12, 14), (14, 19), (19, 21), (21, 26), (26, 28),
+             (28, 33), (33, 35)]),  # blocks of 7 rows cut as a design of 7 rows is
+    ])
+    def test_chunks_are_cut_between_blocks(self, monkeypatch, chunk_rows, cuts):
+        monkeypatch.setattr(basis, "_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(4)
+        cfg = make_knots(3, 5)
+        X = design_matrix(cfg, 1.0 - rng.random(35)).block_diagonal(5)
+        assert [(c.start, c.stop) for c in X.cuts()] == cuts
+        assert [rows for rows, _ in X.chunks()] == X.cuts()
+        if chunk_rows < 7:  # block 1 is cut where a design of its rows alone is
+            one = design_matrix(cfg, X.covariate[7:14])
+            assert [(c.start + 7, c.stop + 7) for c in one.cuts()] == cuts[2:4]
+
+    @pytest.mark.parametrize("blocks_per_chunk", [1, 2, 3])
+    def test_block_cross_bins_only_the_blocks_of_its_rows(self, monkeypatch, blocks_per_chunk):
+        # 6 blocks of 9 rows, chunks of 1, 2 or 3 whole blocks: each chunk's
+        # block_cross equals the sum over the bins of all blocks, bit for bit
+        monkeypatch.setattr(basis, "_CHUNK_ROWS", 9 * blocks_per_chunk)
+        rng = np.random.default_rng(blocks_per_chunk)
+        cfg = make_knots(2, 6)
+        q = cfg.num_basis
+        X, Z = (design_matrix(cfg, 1.0 - rng.random(54)).block_diagonal(6) for _ in "XZ")
+        out, full = np.zeros((6, q, q)), np.zeros((6, q, q))
+        for (rows, R1), (_, R2) in zip(X.chunks(), Z.chunks()):
+            R1.block_cross(R2, out)
+            # every block's bins, as the whole stack's flat index c q + k
+            flat = full.reshape(-1)
+            idx = (R1.first * q + R2.first % q + np.arange(3)[:, None]).ravel()
+            for r in range(3):
+                w = R1.vals[r] * R2.vals
+                flat[r * q :] += np.bincount(idx, w.ravel(), minlength=full.size)[: full.size - r * q]
+        assert np.array_equal(out, full)
+        D, E = X.values, Z.values
+        for b in range(6):
+            rows, cols = slice(9 * b, 9 * b + 9), slice(q * b, q * b + q)
+            assert np.abs(out[b] - D[rows, cols].T @ E[rows, cols]).max() <= 1e-12
+
     @settings(max_examples=100, deadline=None)
     @given(_designs(), st.integers(1, 4))
     def test_block_diagonal_products(self, designs, blocks):

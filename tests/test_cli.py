@@ -10,6 +10,7 @@ import subprocess
 import re
 import sys
 import time
+import warnings
 from pathlib import Path
 from statistics import NormalDist
 
@@ -366,6 +367,80 @@ class TestDegenerateInput:
         assert code == 1
         assert "at zero penalty" in err
 
+    @pytest.mark.parametrize("flags, blame", [
+        (["--diff-order", "3"],
+         "the order-3 difference penalty leaves polynomials of degree 2 unpenalized, and "
+         "the covariate has too few distinct values to determine them. Reduce --diff-order."),
+        (["--lambda1", "0", "--lambda2", "0"],
+         "at zero penalty the basis columns that hold data do not determine their "
+         "coefficients"),
+        (["--lambda1", "1e200"],
+         "the penalty weight lambda1 = 1e+200 swamps the data: to rounding, Lam_1 = G_1 + "
+         "lambda1 Q is lambda1 Q, whose order-2 difference penalty leaves polynomials of "
+         "degree 1 undetermined. Reduce --lambda1."),
+        (["--lambda2", "1e200", "--diff-order", "1"],
+         "the penalty weight lambda2 = 1e+200 swamps the data: to rounding, Lam_2 = G_2 + "
+         "lambda2 Q is lambda2 Q, whose order-1 difference penalty leaves polynomials of "
+         "degree 0 undetermined. Reduce --lambda2."),
+    ], ids=["order", "zero-penalty", "weight-1", "weight-2"])
+    def test_a_singular_system_names_its_cause(self, tmp_path, capsys, flags, blame):
+        # b takes two values: enough for lines, too few for quadratics; the
+        # default order fits at the default weights
+        x2 = np.where(np.arange(200) % 2 == 0, 1.0, 2.0)
+        args = _write_fit_csv(tmp_path / "two.csv", x2)
+        out = tmp_path / "out"
+        assert run_main(capsys, *args, "--out", str(out / "default"))[0] in (0, 2)
+        code, stdout, err = run_main(capsys, *args, *flags, "--out", str(out / "failed"))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: a per-component normal-equation system is singular (")
+        assert blame in err
+        assert sum(cause in err for cause in ("Reduce --diff-order", "at zero penalty",
+                                              "swamps the data")) == 1
+        assert not (out / "failed").exists()
+
+    def test_ozone_at_a_swamping_weight_names_the_weight(self, tmp_path, capsys, ozone_args):
+        out = tmp_path / "out"
+        code, _, err = run_main(capsys, *ozone_args, "--lambda1", "1e200", "--out", str(out))
+        assert code == 1
+        assert "the penalty weight lambda1 = 1e+200 swamps the data" in err
+        assert "Reduce --lambda1." in err and "--diff-order" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sim3", "sim1"])
+    def test_svg_into_a_missing_directory_exit_1_leaving_no_out(
+        self, tmp_path, capsys, ozone_args, command
+    ):
+        args = ozone_args if command == "fit" else ["simulate", command, "--n", "50",
+                                                    "--reps", "4" if command == "sim3" else "1"]
+        out, svg = tmp_path / "out", tmp_path / "missing" / "figure.svg"
+        code, stdout, err = run_main(capsys, *args, "--out", str(out), "--svg", str(svg))
+        assert (code, stdout) == (1, "")
+        assert err.endswith(f"error: --svg {svg}: directory {svg.parent} does not exist\n")
+        assert not out.exists() and not svg.parent.exists()
+        code, _, err = run_main(capsys, *args, "--out", str(out), "--svg", str(tmp_path))
+        assert code == 1 and err.endswith(f"error: --svg {tmp_path} is a directory\n")
+        assert not out.exists()
+        # a figure in the directory that --out makes is written after it
+        svg = out / "sub" / "figure.svg"
+        code, _, _ = run_main(capsys, *args, "--out", str(out / "sub"), "--svg", str(svg))
+        assert code in (0, 2) and svg.read_text().startswith("<svg")
+
+    def test_response_whose_squares_overflow_exit_1_naming_it(self, tmp_path, capsys):
+        # 40 rows of y near 1e200: y^2 overflows a float
+        rng = np.random.default_rng(5)
+        path = tmp_path / "huge.csv"
+        write_table(path, ["ozone", "a", "b"],
+                    [rng.normal(size=40) * 1e200, 1.0 - rng.random(40), 1.0 - rng.random(40)])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning on the way
+            code, stdout, err = run_main(capsys, "fit", "--data", str(path), "--y", "ozone",
+                                         "--x1", "a", "--x2", "b", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {path}: response column 'ozone' holds values up to ")
+        assert "too large for the sums of squares a fit of 40 rows forms" in err
+        assert not out.exists()
+
     def test_more_intervals_than_rows(self, tmp_path, capsys):
         # n = 30 rows and K = 40 knot intervals: the default penalty fixes
         # the coefficients of the intervals without data, zero penalty does not
@@ -688,8 +763,8 @@ class TestFitDiagnostics:
 
 
 _SUMMARY_KEYS = [
-    "block_seconds", "covariance", "coverage", "ks_stat", "level", "mean", "n",
-    "replications", "runtime_seconds", "scenario", "seed", "workers",
+    "block_seconds", "block_workers", "covariance", "coverage", "ks_stat", "level",
+    "mean", "n", "replications", "runtime_seconds", "scenario", "seed", "workers",
 ]
 _FIT = ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature", "--x2", "wind"]
 
@@ -858,7 +933,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
     def test_forked_study_reports_workers_and_block_times(self, tmp_path, capsys, scenario):
-        # 40000 rows in 5 blocks of 40: above the fork floor
+        # 40000 rows in 3 blocks of 68, 68 and 64: above the fork floor
         code, _, _ = run_main(
             capsys, "simulate", scenario, "--n", "200", "--reps", "200", "--out", str(tmp_path)
         )
@@ -867,9 +942,10 @@ class TestSimulate:
             os.waitpid(-1, os.WNOHANG)
         text = (tmp_path / f"{scenario}_n200_seed42.json").read_text()
         payload = json.loads(text, parse_constant=pytest.fail)  # strict JSON
-        assert payload["workers"] == sim._worker_count(200 * 200, 5)
-        assert len(payload["block_seconds"]) == 5
+        assert payload["workers"] == sim._worker_count(200 * 200, 3)
+        assert len(payload["block_seconds"]) == len(payload["block_workers"]) == 3
         assert all(t > 0 for t in payload["block_seconds"])
+        assert set(payload["block_workers"]) <= set(range(payload["workers"]))
 
     @pytest.mark.parametrize("scenario", ["sim3", "coverage"])
     def test_worker_error_exits_1_as_the_serial_run_does(
@@ -878,7 +954,7 @@ class TestSimulate:
         block = sim._replicate_block
 
         def failing(cfg, replications):
-            if 190 in replications:  # in the second share of 2
+            if 190 in replications:  # in the last block
                 raise NotPositiveDefiniteError("3-th leading minor not positive definite")
             return block(cfg, replications)
 

@@ -120,3 +120,25 @@ def test_worker_takes_no_siblings():
         forking.Worker(_echo, siblings=())
     assert not hasattr(forking, "_MAX_WORKERS")
     _assert_no_child_remains()
+
+
+def _take_all(channel, queue):
+    channel.send(list(queue))
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000, 40_000])
+def test_queue_gives_each_index_to_one_process(count):
+    # 40000 indices: more four-byte entries than the 16384 a 64 KiB pipe holds
+    with forking.Queue(count) as queue, forking.Worker(_take_all, queue) as worker:
+        ours = list(queue)
+        theirs = worker.recv()
+    _assert_no_child_remains()
+    assert sorted(ours + theirs) == list(range(count))
+    assert ours == sorted(ours) and theirs == sorted(theirs)
+
+
+def test_queue_past_a_pipes_capacity_takes_runs_of_indices():
+    with forking.Queue(40_000) as queue:  # made without blocking on a full pipe
+        assert queue.run > 1
+        assert list(queue) == list(range(40_000))
+        assert list(queue) == []

@@ -20,7 +20,6 @@ from addspline import (
     build_design,
     confidence_interval,
     exact_covariance,
-    generate_dataset,
     joint_solve,
     kn_rule,
     lambda_rule,
@@ -289,8 +288,7 @@ class TestLimitMap:
     @staticmethod
     def _designs():
         cfg = ScenarioConfig(n=200, seed=11)
-        data = [generate_dataset(cfg, r) for r in range(3)]
-        return sim._stacked_design(cfg, data), [sim._stacked_design(cfg, [x]) for x in data]
+        return sim._block_design(cfg, range(3)), [sim._block_design(cfg, [r]) for r in range(3)]
 
     def _evaluate(self, design):
         rows = design_matrix(design.X1.config, self.POINTS).values

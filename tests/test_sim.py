@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import os
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -328,8 +329,10 @@ class TestReplicationBlocks:
         cfg = ScenarioConfig(n=120, replications=12)
         whole, _ = run_sim3(cfg)
         cov = coverage_experiment(cfg)
-        monkeypatch.setattr(sim, "_BLOCK_BYTES", 5 * sim._ROW_BYTES * cfg.n)
-        assert sim._block_size(cfg.n) == 5
+        # half the budget holds 5 replications' data and q x q stacks
+        q = cfg.k_rule(cfg.n) + cfg.degree
+        monkeypatch.setattr(sim, "_BLOCK_BYTES", 2 * 5 * 8 * (3 * cfg.n + sim._HELD_STACKS * q * q))
+        assert sim._block_size(cfg) == 5
         sizes = []
         block = sim._replicate_block
 
@@ -362,7 +365,7 @@ class TestReplicationBlocks:
         ids = sorted(own)[:30]
         pins = [any(cols.size for cols in own[r]) for r in ids]
         assert any(pins) and not all(pins)
-        design = sim._stacked_design(cfg, [generate_dataset(cfg, r) for r in ids])
+        design = sim._block_design(cfg, ids)
         got = design.normal_equations.pinned
         for j in (0, 1):
             want = np.concatenate([own[r][j] + i * q for i, r in enumerate(ids)])
@@ -404,7 +407,7 @@ class TestReplicationBlocks:
     @pytest.mark.parametrize("n", [100, 1000])
     def test_block_peak_memory_within_budget(self, n):
         cfg = ScenarioConfig(n=n)
-        R = sim._block_size(n)
+        R = sim._block_size(cfg)
         assert R > 1
         sim._replicate_block(cfg, range(2))  # warm caches and lazy imports
         tracemalloc.start()
@@ -416,8 +419,10 @@ class TestReplicationBlocks:
         assert peak <= sim._BLOCK_BYTES
 
 
-# 200 replications of n = 200: 40000 rows in 5 blocks of 40, above the fork floor
+# 200 replications of n = 200: 40000 rows in 3 blocks of 68, 68 and 64, above
+# the fork floor
 FORKED = ScenarioConfig(n=200, replications=200, seed=3)
+FORKED_BLOCKS = 3
 SINGULAR = "3-th leading minor not positive definite"
 
 
@@ -459,12 +464,13 @@ class TestForkedStudies:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_forked_study_is_bitwise_the_serial_one(self, monkeypatch, workers):
         assert FORKED.n * FORKED.replications >= sim._FORK_ROWS
+        assert -(-FORKED.replications // sim._block_size(FORKED)) == FORKED_BLOCKS
         _force_workers(monkeypatch, 1)
         serial, serial_summary = run_sim3(FORKED)
         serial_cov = coverage_experiment(FORKED)
         monkeypatch.undo()
         if workers is None:  # as many as this process may use
-            workers = sim._worker_count(FORKED.n * FORKED.replications, 5)
+            workers = sim._worker_count(FORKED.n * FORKED.replications, FORKED_BLOCKS)
         else:
             _force_workers(monkeypatch, workers)
         forked, forked_summary = run_sim3(FORKED)
@@ -475,29 +481,85 @@ class TestForkedStudies:
         assert forked.rejected == serial.rejected
         for name in ("mean", "covariance", "ks_stat", "coverage"):
             assert np.array_equal(getattr(forked_cov, name), getattr(serial_cov, name))
-        # the same partition: one time per block of 40, in block order
+        # the same partition: one time per block, and the process that ran it
         assert (serial_summary.workers, serial_cov.workers) == (1, 1)
         assert (forked_summary.workers, forked_cov.workers) == (workers, workers)
         for s in (serial_summary, serial_cov, forked_summary, forked_cov):
-            assert len(s.block_seconds) == 5
+            assert len(s.block_seconds) == len(s.block_workers) == FORKED_BLOCKS
             assert all(t > 0 for t in s.block_seconds)
+            assert set(s.block_workers) <= set(range(s.workers))
+        assert serial_summary.block_workers == (0,) * FORKED_BLOCKS
 
-    def test_two_processes_fork_one_worker_for_the_second_share(self, monkeypatch):
+    def test_every_block_runs_once_across_the_two_processes(self, monkeypatch, tmp_path):
+        # blocks of 10: 20 blocks.  Each run of a block appends a line to one
+        # file; this process runs its blocks slowly, so the worker takes some
         _force_workers(monkeypatch, 2)
-        shares, Worker = [], forking.Worker
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 10)
+        log, parent, block = tmp_path / "runs", os.getpid(), sim._replicate_block
 
-        def counting(fn, cfg, share, R):
-            shares.append(share)
-            return Worker(fn, cfg, share, R)
+        def logged(cfg, replications):
+            with open(log, "a") as fh:  # appends of whole lines, from both processes
+                fh.write(f"{replications[0]} {os.getpid()}\n")
+            if os.getpid() == parent:
+                time.sleep(0.05)
+            return block(cfg, replications)
+
+        monkeypatch.setattr(sim, "_replicate_block", logged)
+        sample, summary = run_sim3(FORKED)
+        _assert_no_child_remains()
+        runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(first for first, _ in runs) == list(range(0, 200, 10))
+        ran_by = dict(runs)
+        assert summary.block_workers == tuple(
+            0 if ran_by[first] == parent else 1 for first in range(0, 200, 10)
+        )
+        assert 1 in summary.block_workers  # the faster process ran blocks too
+        monkeypatch.undo()
+        serial, _ = run_sim3(FORKED)
+        assert np.array_equal(sample.values, serial.values)
+
+    def test_replications_across_the_former_chunk_boundary_bitwise(self, monkeypatch):
+        # 16 replications of 1000 rows a block: replication 8 holds rows
+        # 8000-8999, across row 8192, where the first 8192-row chunk ended
+        # before chunks were cut between replications only
+        cfg = ScenarioConfig(n=1000, replications=48, seed=7)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 16)
+        design = sim._block_design(cfg, range(16))
+        assert design.X1.cuts() == [slice(0, 8000), slice(8000, 16000)]
+        _force_workers(monkeypatch, 1)
+        serial = sim._replicate_all(cfg)
+        _force_workers(monkeypatch, 2)
+        forked = sim._replicate_all(cfg)
+        _assert_no_child_remains()
+        assert forked[2]["workers"] == 2
+        assert np.array_equal(forked[0], serial[0]) and np.array_equal(forked[1], serial[1])
+        for r in (7, 8, 9, 24, 47):
+            (d1,), (V1,) = sim._replicate_block(cfg, [r])
+            assert np.array_equal(serial[0][r], d1) and np.array_equal(serial[1][r], V1)
+
+    def test_a_queue_longer_than_a_pipe_holds_completes_with_one_fork(self, monkeypatch):
+        # 20000 blocks of one replication, more indices than the 16384 that a
+        # 64 KiB pipe holds; the stub kernel's row is its replication's index
+        M = 20_000
+        cfg = ScenarioConfig(n=2, replications=M)
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 1)
+        monkeypatch.setattr(sim, "_replicate_block", lambda cfg, replications: (
+            np.array([[replications[0], 0.0]]), np.eye(2)[None]))
+        forks, Worker = [], forking.Worker
+
+        def counting(*args):
+            forks.append(args[0])
+            return Worker(*args)
 
         monkeypatch.setattr(forking, "Worker", counting)
-        _, summary = run_sim3(FORKED)
+        dev, V, runs = sim._replicate_all(cfg)
         _assert_no_child_remains()
-        # 5 blocks of 40: this process runs ceil(5 / 2) = 3, the one worker 2
-        assert shares == [range(120, 200, 40)]
-        assert summary.workers == 2 and len(summary.block_seconds) == 5
+        assert forks == [sim._send_blocks] and runs["workers"] == 2
+        assert np.array_equal(dev[:, 0], np.arange(M))
+        assert len(runs["block_seconds"]) == len(runs["block_workers"]) == M
 
-    @pytest.mark.parametrize("replication", [190, 10])  # a worker's share, then ours
+    @pytest.mark.parametrize("replication", [190, 10])  # the last block, then the first
     def test_block_error_reaches_the_caller(self, monkeypatch, replication):
         _force_workers(monkeypatch, 2)
         _fail_at(monkeypatch, replication)
@@ -505,6 +567,27 @@ class TestForkedStudies:
             run_sim3(FORKED)
         assert str(exc.value) == SINGULAR
         _assert_no_child_remains()
+
+    def test_worker_error_mid_queue_reaches_the_caller(self, monkeypatch):
+        # the worker fails on the first block it takes, while blocks remain:
+        # this process runs the rest, then raises the worker's error
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 10)
+        parent, block, ours = os.getpid(), sim._replicate_block, []
+
+        def failing(cfg, replications):
+            if os.getpid() != parent:
+                raise NotPositiveDefiniteError(SINGULAR)
+            ours.append(replications[0])
+            time.sleep(0.05)
+            return block(cfg, replications)
+
+        monkeypatch.setattr(sim, "_replicate_block", failing)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            coverage_experiment(FORKED)
+        assert str(exc.value) == SINGULAR
+        _assert_no_child_remains()
+        assert 0 < len(ours) < 20 and len(set(ours)) == len(ours)
 
     @pytest.mark.parametrize("sent", [0, 40])
     def test_short_read_names_the_exit_status(self, monkeypatch, sent):
