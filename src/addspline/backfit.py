@@ -22,11 +22,13 @@ a given start onto it, and `NormalEquations.solve` imposes it.
 
 At zero penalty a basis column that holds no data leaves its half-step system
 singular; such columns are pinned (`NormalEquations.pinned`): their
-coefficients are fixed at exactly 0.0, the minimum-norm solution.
+coefficients are fixed at exactly 0.0, the minimum-norm solution.  Any other
+system singular to rounding raises, naming its component and cause (`_singular`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field, fields
 
@@ -211,7 +213,7 @@ class NormalStatistics:
     @classmethod
     def of(cls, y: np.ndarray, X1: DesignMatrix, X2: DesignMatrix) -> "NormalStatistics":
         """The statistics of the rows of y, X1 and X2, added up in one pass over
-        chunks of rows (`DesignMatrix.chunks`), which evaluates each
+        chunks of rows (`DesignMatrix.cuts`), which evaluates each
         component's basis once per chunk, in O(q^2 + chunk) memory at any n."""
         q, blocks, p = X1.cols, X1.blocks, X1.config.degree
         bands1, bands2 = np.zeros((p + 1, q)), np.zeros((p + 1, q))
@@ -246,15 +248,15 @@ class _PinnedCholesky(BandedCholesky):
     happens only at lam_j = 0 in practice.  Its row and column are factored as
     a unit diagonal, and then zeroed in the inverse, so its coefficient solves
     to exactly 0.0: the minimum-norm solution on that block.  `pinned` lists
-    those columns.  A block that is rank-deficient for any other reason still
-    raises NotPositiveDefiniteError.  A stack of several blocks takes each
-    block's floor from that block's diagonal.
+    those columns.  A smallest pivot (1 / max diag of the kept inverse) at or
+    below the floor raises NotPositiveDefiniteError, even where numpy's Cholesky
+    passes; `pivot_ratio` is the smallest over its floor.  Blocks have own floors.
     """
 
     def __init__(self, stack: np.ndarray):
         diag = np.diagonal(stack, axis1=1, axis2=2)
-        floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
-        block, col = np.nonzero(diag <= floor)
+        floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1)
+        block, col = np.nonzero(diag <= floor[:, None])
         self.pinned = block * diag.shape[1] + col
         if self.pinned.size:
             stack = stack.copy()
@@ -264,6 +266,12 @@ class _PinnedCholesky(BandedCholesky):
         super().__init__(stack)
         self.inverse[block, col, :] = 0.0
         self.inverse[block, :, col] = 0.0
+        with np.errstate(divide="ignore"):  # x / 0: a block of pinned columns alone
+            ratio = 1.0 / np.diagonal(self.inverse, axis1=1, axis2=2).max(axis=1) / floor
+        self.pivot_ratio, b = float(ratio.min()), ratio.argmin()
+        if not self.pivot_ratio > 1.0:
+            raise NotPositiveDefiniteError(f"smallest pivot {ratio[b] * floor[b]:.3e} at or "
+                                           f"below the rounding floor {floor[b]:.3e}")
 
 
 def _check_penalty(Q: PenaltyMatrix) -> None:
@@ -282,9 +290,10 @@ class NormalEquations:
     stored as the dense stack of its diagonal blocks, shape (blocks, q, q):
     the Gram matrices G_j = X_j'X_j (`G1`, `G2`), the cross-product C = X_1'X_2
     (`C_blocks`) and the inverses in the factors `L1`, `L2` (with data-free
-    columns pinned, see _PinnedCholesky) of the systems Lam_j = G_j + lam_j Q_m
-    (`Lam1`, `Lam2`: formed again where read, as by the residual and the shift
-    check, and not kept beside the factors otherwise).  Every product with
+    columns pinned, see _PinnedCholesky; the first that fails raises, see
+    `_singular`) of the systems Lam_j = G_j + lam_j Q_m (`Lam1`, `Lam2`:
+    formed again where read, as by the residual and the shift check, and not
+    kept beside the factors otherwise).  Every product with
     them is one batched matrix product, and none of them keeps a bandwidth,
     so Q_m may be any symmetric matrix.  Beside them: the right-hand sides
     u_j = X_j'y, the response's sum of squares `yy` and the column sums X_j'1
@@ -321,7 +330,10 @@ class NormalEquations:
             if not np.isfinite(Lam).all():
                 raise ValueError(f"penalty weight lambda{j} = {self._weights[j - 1]:g} is too "
                                  f"large: Lam_{j} = G_{j} + lambda{j} Q exceeds the float range")
-            factors.append(_PinnedCholesky(Lam))
+            try:
+                factors.append(_PinnedCholesky(Lam))
+            except NotPositiveDefiniteError as exc:
+                raise self._singular(j, exc) from None
             del Lam
         self.L1, self.L2 = factors
         self.pinned = (self.L1.pinned, self.L2.pinned)
@@ -330,6 +342,20 @@ class NormalEquations:
         """Lam_j = G_j + lam_j Q_m, formed from the Gram stack and the penalty."""
         with np.errstate(over="ignore"):  # an overflow is named in __init__
             return (self.G1, self.G2)[j - 1] + self._weights[j - 1] * self._Q
+
+    def _singular(self, j: int, exc: NotPositiveDefiniteError) -> NotPositiveDefiniteError:
+        """The error of Lam_j naming component j and the cause: "zero penalty"
+        at lam_j = 0; "weight" where G_j + w Q_m, w = max diag G_j / max diag Q_m
+        < lam_j, factors; else "order": no w > 0 fixes what Q_m leaves free."""
+        G, lam = (self.G1, self.G2)[j - 1], self._weights[j - 1]
+        w = np.diagonal(G, axis1=1, axis2=2).max() / self._Q.diagonal().max()
+        error = NotPositiveDefiniteError(f"Lam_{j}: {exc}")
+        error.component, error.cause = j, "zero penalty" if lam == 0 else "order"
+        if lam > w:
+            with contextlib.suppress(NotPositiveDefiniteError):
+                _PinnedCholesky(G + w * self._Q)
+                error.cause = "weight"
+        return error
 
     @functools.cached_property
     def Lam1(self) -> np.ndarray:

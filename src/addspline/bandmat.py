@@ -27,7 +27,10 @@ __all__ = [
 
 
 class NotPositiveDefiniteError(Exception):
-    """A Cholesky factorization met a nonpositive pivot."""
+    """A Cholesky factorization met a pivot at or below its floor.  Raised by
+    `backfit.NormalEquations`, it names the `component` and its `cause`."""
+
+    component = cause = None
 
 
 def _stack_from_bands(bands: np.ndarray, blocks: int = 1) -> np.ndarray:

@@ -163,7 +163,7 @@ class DesignMatrix:
 
     The design holds its covariate values and nothing of size n besides them.
     Every product evaluates the basis on at most `_CHUNK_ROWS` rows at a time
-    (`cuts`, `chunks`) and adds up the chunks' products, so it takes
+    (`cuts`, `chunk`) and adds up the chunks' products, so it takes
     O(chunk p) memory at any n.  With `blocks` > 1 the rows are that many
     independent designs of rows / blocks consecutive rows each, and block b's
     rows use columns b q .. b q + q - 1 (see `block_diagonal`).  `first` and
@@ -211,12 +211,6 @@ class DesignMatrix:
         return [slice(b * size + s, b * size + min(s + _CHUNK_ROWS, size))  # 0 rows: 1 empty
                 for b in range(self.blocks) for s in range(0, max(size, 1), _CHUNK_ROWS)]
 
-    def chunks(self):
-        """(rows, chunk) pairs that cover the design: the slice of rows of
-        each of its `cuts` and those rows evaluated."""
-        for rows in self.cuts():
-            yield rows, self.chunk(rows.start, rows.stop)
-
     @functools.cached_property
     def first(self) -> np.ndarray:
         """First non-zero column of every row, shape (rows,)."""
@@ -233,14 +227,17 @@ class DesignMatrix:
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """X b, shape (rows,)."""
         b = np.asarray(b, dtype=float)
-        return np.concatenate([chunk.matvec(b) for _, chunk in self.chunks()])
+        out = np.empty(self.rows)
+        for rows in self.cuts():
+            out[rows] = self.chunk(rows.start, rows.stop).matvec(b)
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """X'y, shape (cols,)."""
         y = np.asarray(y, dtype=float)
         out = np.zeros(self.cols)
-        for rows, chunk in self.chunks():
-            chunk.rmatvec(y[rows], out)
+        for rows in self.cuts():
+            self.chunk(rows.start, rows.stop).rmatvec(y[rows], out)
         return out
 
     def gram_bands(self, weights: np.ndarray | None = None) -> np.ndarray:
@@ -248,8 +245,8 @@ class DesignMatrix:
         `DesignChunk.gram_bands`."""
         bands = np.zeros((self.config.degree + 1, self.cols))
         w = None if weights is None else np.asarray(weights, dtype=float)
-        for rows, chunk in self.chunks():
-            chunk.gram_bands(bands, None if w is None else w[rows])
+        for rows in self.cuts():
+            self.chunk(rows.start, rows.stop).gram_bands(bands, None if w is None else w[rows])
         return bands
 
     def block_diagonal(self, blocks: int) -> "DesignMatrix":

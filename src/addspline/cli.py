@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .backfit import AdditiveDesign, NormalStatistics, backfit, build_design, kn_rule
-from .backfit import _PinnedCholesky, _residual_sum_of_squares
-from .bandmat import NotPositiveDefiniteError, _stack_from_bands
+from .backfit import _residual_sum_of_squares
+from .bandmat import NotPositiveDefiniteError
 from .basis import design_matrix, eval_grid, make_knots
 from .dataio import (
     DataError,
@@ -184,55 +184,22 @@ def _figure_document(args, figure: dict | None) -> str | None:
 
 
 def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -> DataError:
-    """The input error of a per-component system that does not factor."""
-    m = design.penalty.order
-    if design.lambda1 == 0 or design.lambda2 == 0:
-        why = (
-            "at zero penalty the basis columns that hold data do not determine "
-            "their coefficients (too few distinct covariate values per knot "
-            "interval). Increase --lambda1/--lambda2 or reduce --kn."
-        )
-    elif swamped := _swamping_weight(design):
-        lam = getattr(design, f"lambda{swamped}")
-        why = (
-            f"the penalty weight lambda{swamped} = {lam:g} swamps the data: to rounding, "
-            f"Lam_{swamped} = G_{swamped} + lambda{swamped} Q is lambda{swamped} Q, whose "
-            f"order-{m} difference penalty leaves polynomials of degree {m - 1} "
-            f"undetermined. Reduce --lambda{swamped}."
-        )
-    else:
-        why = (
-            f"the order-{m} difference penalty leaves polynomials of degree "
-            f"{m - 1} unpenalized, and the covariate has too few distinct "
-            "values to determine them. Reduce --diff-order."
-        )
+    """The input error of the per-component system that does not factor, in
+    words for the component and the cause that `NormalEquations` names."""
+    j, m = exc.component, design.penalty.order
+    why = {
+        "zero penalty": "at zero penalty the basis columns that hold data do not determine "
+        "their coefficients (too few distinct covariate values per knot interval). "
+        f"Increase --lambda{j} or reduce --kn.",
+        "weight": f"the penalty weight lambda{j} = {getattr(design, f'lambda{j}'):g} swamps "
+        f"the data: to rounding, Lam_{j} = G_{j} + lambda{j} Q is lambda{j} Q, whose order-{m} "
+        f"difference penalty leaves polynomials of degree {m - 1} undetermined. "
+        f"Reduce --lambda{j}.",
+        "order": f"the order-{m} difference penalty leaves polynomials of degree {m - 1} "
+        "unpenalized, and the covariate has too few distinct values to determine them. "
+        "Reduce --diff-order.",
+    }[exc.cause]
     return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
-
-
-def _swamping_weight(design: AdditiveDesign) -> int | None:
-    """The component j whose system Lam_j = G_j + lambda_j Q fails to factor at
-    its weight but factors at the weight max diag(G_j) / max diag(Q), which
-    puts data and penalty on one scale, below lambda_j; None if neither does.
-    Where the data cannot fix the polynomials Q leaves free, no weight helps."""
-    s = design.statistics
-    if s is None:
-        s = NormalStatistics.of(design.y, design.X1, design.X2)
-    Q = design.penalty.values
-    for j, bands in ((1, s.bands1), (2, s.bands2)):
-        G, lam = _stack_from_bands(bands, design.blocks), getattr(design, f"lambda{j}")
-        balanced = G.diagonal(axis1=1, axis2=2).max() / Q.diagonal().max()
-        if lam > balanced and not _factorizes(G + lam * Q) and _factorizes(G + balanced * Q):
-            return j
-    return None
-
-
-def _factorizes(Lam: np.ndarray) -> bool:
-    """Whether the stack Lam factors as the normal equations factor it."""
-    try:
-        _PinnedCholesky(Lam)
-    except NotPositiveDefiniteError:
-        return False
-    return True
 
 
 def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int):
@@ -366,6 +333,7 @@ def cmd_fit(args) -> int:
             "constant_shift_residual": eq.constant_shift[0],
             "constant_shift_floor": eq.constant_shift[1],
             "f2_sum": float(eq.column_sums[1] @ result.b2),
+            "factor_pivot_ratio": [eq.L1.pivot_ratio, eq.L2.pivot_ratio],
             "read_workers": data.workers,
         },
         grids=grids,

@@ -625,12 +625,11 @@ class RunReport:
     # reports written before this field existed load with {}
     pinned_columns: dict = field(default_factory=dict)
     # the identification diagnostics: "constant_shift_residual" and
-    # "constant_shift_floor" (NormalEquations.constant_shift) and "f2_sum",
-    # sum_i f2_hat(x_i2) = (X_2'1)'b_2, and "read_workers", the processes
-    # that read the CSV and added up its statistics in every fit, 1 for one
-    # part and 2 for two parts in two processes (`load_csv_summarized`);
-    # reports written before this field existed load with {}, and those
-    # written before "read_workers" without that key
+    # "constant_shift_floor" (NormalEquations.constant_shift), "f2_sum",
+    # sum_i f2_hat(x_i2) = (X_2'1)'b_2, "factor_pivot_ratio", each Lam_j's
+    # smallest pivot over its floor (> 1), and "read_workers", the processes
+    # that read the CSV and summed its statistics, 1 or 2 parts
+    # (`load_csv_summarized`); older reports lack the later keys or the field
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

@@ -38,6 +38,7 @@ the calling process (`forking.workers`).
 from __future__ import annotations
 
 import math
+import select
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar
@@ -359,8 +360,8 @@ def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     the first block's copy-on-write faults and a busy host slow the two
     unequally.  The worker sends back its (index, rows) pairs, and the
     blocks are put back in block order, so the rows are those of the serial
-    loop.  The worker's exception is raised again here, and the worker is
-    killed and reaped before this returns or raises.
+    loop.  The worker's exception is raised again here, after the running block,
+    and the worker is killed and reaped before this returns or raises.
     """
     M, R = cfg.replications, _block_size(cfg)
     count = -(-M // R)
@@ -369,7 +370,12 @@ def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, dict]:
         done = _run_blocks(cfg, R, range(count), 0)
     else:
         with forking.Queue(count) as queue, forking.Worker(_send_blocks, cfg, R, queue) as child:
-            done = _run_blocks(cfg, R, queue, 0) + child.recv()
+            done, theirs = [], None
+            for b in queue:
+                done += _run_blocks(cfg, R, [b], 0)
+                if theirs is None and select.select([child.channel.read_fd], [], [], 0)[0]:
+                    theirs = child.recv()  # it writes only when done or failed
+            done += child.recv() if theirs is None else theirs
         done.sort(key=lambda block: block[0])
     _, devs, Vs, seconds, ran_by = zip(*done)
     runs = {"workers": workers, "block_seconds": seconds, "block_workers": ran_by}

@@ -1,5 +1,7 @@
 """B-spline basis: knot layout, recursion values, design matrices, integrals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.interpolate
@@ -279,7 +281,7 @@ class TestCompactProducts:
         rng = np.random.default_rng(degree)
         cfg = make_knots(degree, 9)
         X, Z = (design_matrix(cfg, 1.0 - rng.random(99)) for _ in "XZ")
-        assert len(list(X.chunks())) == 15
+        assert len(X.cuts()) == 15
         y, b, w = rng.normal(size=99), rng.normal(size=X.cols), rng.random(99)
         D, E = X.values, Z.values
         gram = _stack_from_bands(X.gram_bands(w))[0]
@@ -296,6 +298,25 @@ class TestCompactProducts:
             assert np.abs(cross - D[rows].T @ E[rows]).max() <= 1e-12
             assert np.array_equal(Xb.values[rows, k * q : (k + 1) * q], D[rows])
         assert not {"first", "vals"} & set(X.__dict__)
+
+    @pytest.mark.parametrize("product", ["gram_bands", "rmatvec", "matvec"])
+    def test_products_hold_one_chunk_at_a_time(self, product):
+        # K = 32, degree 3: a product over three chunks of rows peaks within
+        # 10% of its peak over one chunk, plus its larger output
+        cfg, rng = make_knots(3, 32), np.random.default_rng(8)
+        peaks = []
+        for rows in (basis._CHUNK_ROWS, 3 * basis._CHUNK_ROWS):
+            X = design_matrix(cfg, 1.0 - rng.random(rows))
+            args = {"gram_bands": (), "rmatvec": (rng.normal(size=rows),),
+                    "matvec": (rng.normal(size=X.cols),)}[product]
+            tracemalloc.start()
+            try:
+                out = getattr(X, product)(*args)
+                peaks.append((tracemalloc.get_traced_memory()[1], out.nbytes))
+            finally:
+                tracemalloc.stop()
+        (one, out_one), (three, out_three) = peaks
+        assert three <= 1.1 * one + (out_three - out_one)
 
     def test_cross_rejects_row_mismatch(self):
         # the cross-product of two designs is built only for an additive
@@ -315,7 +336,9 @@ class TestCompactProducts:
         cfg = make_knots(3, 5)
         X = design_matrix(cfg, 1.0 - rng.random(35)).block_diagonal(5)
         assert [(c.start, c.stop) for c in X.cuts()] == cuts
-        assert [rows for rows, _ in X.chunks()] == X.cuts()
+        # the chunks of the cuts, one after another, are the design's rows
+        firsts = [X.chunk(c.start, c.stop).first for c in X.cuts()]
+        assert np.array_equal(np.concatenate(firsts), X.first)
         if chunk_rows < 7:  # block 1 is cut where a design of its rows alone is
             one = design_matrix(cfg, X.covariate[7:14])
             assert [(c.start + 7, c.stop + 7) for c in one.cuts()] == cuts[2:4]
@@ -330,7 +353,8 @@ class TestCompactProducts:
         q = cfg.num_basis
         X, Z = (design_matrix(cfg, 1.0 - rng.random(54)).block_diagonal(6) for _ in "XZ")
         out, full = np.zeros((6, q, q)), np.zeros((6, q, q))
-        for (rows, R1), (_, R2) in zip(X.chunks(), Z.chunks()):
+        for rows in X.cuts():
+            R1, R2 = X.chunk(rows.start, rows.stop), Z.chunk(rows.start, rows.stop)
             R1.block_cross(R2, out)
             # every block's bins, as the whole stack's flat index c q + k
             flat = full.reshape(-1)

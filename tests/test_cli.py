@@ -342,6 +342,13 @@ def _write_fit_csv(path, x2):
             "--out", str(path.parent)]
 
 
+def _order_blame(m: int) -> str:
+    """The cause named for a system that no weight mends at penalty order m."""
+    return (f"the order-{m} difference penalty leaves polynomials of degree {m - 1} "
+            "unpenalized, and the covariate has too few distinct values to determine "
+            "them. Reduce --diff-order.")
+
+
 class TestDegenerateInput:
     def test_constant_covariate_names_its_column(self, tmp_path, capsys):
         args = _write_fit_csv(tmp_path / "const.csv", np.full(200, 3.0))
@@ -367,26 +374,41 @@ class TestDegenerateInput:
         assert code == 1
         assert "at zero penalty" in err
 
-    @pytest.mark.parametrize("flags, blame", [
-        (["--diff-order", "3"],
-         "the order-3 difference penalty leaves polynomials of degree 2 unpenalized, and "
-         "the covariate has too few distinct values to determine them. Reduce --diff-order."),
+    @pytest.mark.parametrize("flags, blame, values", [
+        (["--diff-order", "3"], _order_blame(3), (1.0, 2.0)),
         (["--lambda1", "0", "--lambda2", "0"],
          "at zero penalty the basis columns that hold data do not determine their "
-         "coefficients"),
+         "coefficients", (1.0, 2.0)),
         (["--lambda1", "1e200"],
          "the penalty weight lambda1 = 1e+200 swamps the data: to rounding, Lam_1 = G_1 + "
          "lambda1 Q is lambda1 Q, whose order-2 difference penalty leaves polynomials of "
-         "degree 1 undetermined. Reduce --lambda1."),
+         "degree 1 undetermined. Reduce --lambda1.", (1.0, 2.0)),
         (["--lambda2", "1e200", "--diff-order", "1"],
          "the penalty weight lambda2 = 1e+200 swamps the data: to rounding, Lam_2 = G_2 + "
          "lambda2 Q is lambda2 Q, whose order-1 difference penalty leaves polynomials of "
-         "degree 0 undetermined. Reduce --lambda2."),
-    ], ids=["order", "zero-penalty", "weight-1", "weight-2"])
-    def test_a_singular_system_names_its_cause(self, tmp_path, capsys, flags, blame):
+         "degree 0 undetermined. Reduce --lambda2.", (1.0, 2.0)),
+        # systems singular in exact arithmetic, some of which numpy's Cholesky
+        # let through: two values never fix quadratics, whatever K and lambda
+        *[(["--diff-order", "3", "--kn", kn], _order_blame(3), (1.0, 2.0))
+          for kn in ("4", "6", "8", "10", "12")],
+        *[(["--diff-order", "3", "--lambda1", "1", "--lambda2", "1", "--kn", kn],
+           _order_blame(3), (1.0, 2.0)) for kn in ("4", "6", "8", "10", "12", "auto")],
+        *[(["--diff-order", "4", "--lambda1", "1", "--lambda2", "1", "--kn", kn],
+           _order_blame(4), (1.0, 2.0)) for kn in ("6", "8", "10")],
+        (["--kn", "8", "--diff-order", "4", "--lambda1", "1", "--lambda2", "1"],
+         _order_blame(4), (0.3, 0.8)),
+        # component 1 factors at zero penalty; component 2 fails at its weight
+        (["--diff-order", "3", "--lambda1", "0"], _order_blame(3), (1.0, 2.0)),
+    ], ids=["order", "zero-penalty", "weight-1", "weight-2",
+            "order-kn4", "order-kn6", "order-kn8", "order-kn10", "order-kn12",
+            "order-unit-weights-kn4", "order-unit-weights-kn6", "order-unit-weights-kn8",
+            "order-unit-weights-kn10", "order-unit-weights-kn12", "order-unit-weights",
+            "order-4-unit-weights-kn6", "order-4-unit-weights-kn8",
+            "order-4-unit-weights-kn10", "order-4-other-values-kn8", "order-zero-lambda1"])
+    def test_a_singular_system_names_its_cause(self, tmp_path, capsys, flags, blame, values):
         # b takes two values: enough for lines, too few for quadratics; the
         # default order fits at the default weights
-        x2 = np.where(np.arange(200) % 2 == 0, 1.0, 2.0)
+        x2 = np.where(np.arange(200) % 2 == 0, *values)
         args = _write_fit_csv(tmp_path / "two.csv", x2)
         out = tmp_path / "out"
         assert run_main(capsys, *args, "--out", str(out / "default"))[0] in (0, 2)
@@ -722,9 +744,14 @@ class TestFitDiagnostics:
         report = RunReport.load(tmp_path / "fit_report.json")
         diag = report.diagnostics
         assert set(diag) == {
-            "constant_shift_residual", "constant_shift_floor", "f2_sum", "read_workers"
+            "constant_shift_residual", "constant_shift_floor", "f2_sum", "read_workers",
+            "factor_pivot_ratio",
         }
         assert diag["read_workers"] == 1  # a 4.7 KB file is read in one process
+        # each Lam_j's smallest pivot over its rounding floor: above 1 by
+        # construction, and far above it on ozone
+        assert len(diag["factor_pivot_ratio"]) == 2
+        assert min(diag["factor_pivot_ratio"]) > 1e3
         assert 0.0 <= diag["constant_shift_residual"] <= diag["constant_shift_floor"]
         assert report.joint_system_singular
         # f2_sum is (X_2'1)'b_2, zero for the zero-start backfit up to rounding

@@ -1,6 +1,7 @@
 """A bounded property-based sweep of the command line: whatever the input and
 the flags, `main` returns 0, 1 or 2, an exit 1 leaves no --out, and an exit 0
-or 2 writes strict JSON.  Derandomized, so every run draws the same examples;
+or 2 writes strict JSON, and a fit's sigma2 is at most the mean square of the
+centred response.  Derandomized, so every run draws the same examples;
 --kn and --grid stay small enough that no example allocates more than a few MB.
 """
 
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from addspline.cli import main
+from addspline.dataio import read_table, write_table
 
 SWEEP = settings(
     max_examples=30,
@@ -63,8 +65,16 @@ def _check(argv: list[str], out: Path, report: str) -> None:
     assert code in (0, 1, 2)
     if code == 1:
         assert not out.exists()
-    else:
-        _strict((out / report).read_text())
+        return
+    payload = _strict((out / report).read_text())
+    if argv[0] == "fit":
+        # backfitting is block coordinate descent on a convex criterion
+        # started at b = 0: RSS <= criterion <= y'y at every stage, converged
+        # or not, so sigma2 = RSS / n is at most the centred y's mean square
+        header, table = read_table(argv[argv.index("--data") + 1])
+        y = table[:, header.index(argv[argv.index("--y") + 1])]
+        center = payload["config"]["preprocessing"]["y_center"]
+        assert payload["sigma2"] <= (1 + 1e-9) * np.mean((y - center) ** 2)
 
 
 @SWEEP
@@ -115,3 +125,36 @@ def test_simulate_never_raises(scenario, n, reps, degree, diff_order, grid, seed
         if scenario in ("sim3", "coverage"):
             argv += ["--reps", str(reps)]
         _check(argv, out, f"{scenario}_n{n}_seed{seed}.json")
+
+
+@settings(SWEEP, max_examples=200)  # enough to meet systems singular only to rounding
+@given(
+    n=st.integers(10, 60),
+    seed=st.integers(0, 2**16),
+    values=st.sampled_from([None, (0.3, 0.8), (1.0, 2.0), (0.1, 0.5, 2.0)]),
+    diff_order=st.integers(1, 4),
+    kn=st.one_of(st.just("auto"), st.integers(1, 14).map(str)),
+    lambdas=st.tuples(*[st.sampled_from(["auto", "0", "1e-3", "1"])] * 2),
+    max_stages=st.integers(1, 100),
+)
+def test_fit_of_few_covariate_values_never_raises(
+    n, seed, values, diff_order, kn, lambdas, max_stages
+):
+    # data that always reads and often fits (none of the 30 examples of
+    # test_fit_never_raises does), so that the bound on sigma2 in _check meets
+    # fits that converge, fits stopped at --max-stages, and covariates with too
+    # few values for the order
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.1, 3.0, n)
+    b = rng.uniform(0.1, 3.0, n) if values is None else np.resize(values, n)
+    y = np.sin(a) + b + rng.uniform(-0.5, 0.5, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "data.csv", Path(tmp) / "out"
+        write_table(path, ["y", "a", "b"], [y, a, b])
+        argv = [
+            "fit", "--data", str(path), "--y", "y", "--x1", "a", "--x2", "b",
+            "--diff-order", str(diff_order), "--kn", kn, "--lambda1", lambdas[0],
+            "--lambda2", lambdas[1], "--max-stages", str(max_stages), "--grid", "5",
+            "--out", str(out),
+        ]
+        _check(argv, out, "fit_report.json")

@@ -570,7 +570,7 @@ class TestForkedStudies:
 
     def test_worker_error_mid_queue_reaches_the_caller(self, monkeypatch):
         # the worker fails on the first block it takes, while blocks remain:
-        # this process runs the rest, then raises the worker's error
+        # this process raises the worker's error once the block it runs ends
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(sim, "_block_size", lambda cfg: 10)
         parent, block, ours = os.getpid(), sim._replicate_block, []
@@ -587,7 +587,7 @@ class TestForkedStudies:
             coverage_experiment(FORKED)
         assert str(exc.value) == SINGULAR
         _assert_no_child_remains()
-        assert 0 < len(ours) < 20 and len(set(ours)) == len(ours)
+        assert 0 < len(ours) <= 2 and len(set(ours)) == len(ours)
 
     @pytest.mark.parametrize("sent", [0, 40])
     def test_short_read_names_the_exit_status(self, monkeypatch, sent):
