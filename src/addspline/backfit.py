@@ -481,6 +481,7 @@ class NormalEquations:
                 "the joint system is singular beyond the constant shift between "
                 f"the components (smallest pivot {pivot:.3e}, floor {floor:.3e})"
             )
+        factor.pivot_ratio = pivot / floor  # over the floor of this rule, not q eps
         return factor
 
     def solve(self, v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -103,13 +103,19 @@ def _at_least(flag: str, value: float, low: float) -> float:
     return value
 
 
-def _check_basis_flags(args) -> None:
-    """Build the knots and the difference matrix before any work, so that a
-    bad --degree or --diff-order raises their error: an order the basis cannot
-    carry too, where K is known (`simulate`, and `fit` with a --kn)."""
-    K = kn_rule(args.n) if args.command == "simulate" else _auto(args.kn, "--kn")
+def _check_basis_flags(args, n: int | None = None) -> None:
+    """Build the knots and the difference matrix, so that a bad --degree or
+    --diff-order raises their error before any work, as does an order at or above
+    K + degree where K is known (`simulate`'s --n, `fit`'s --kn), else after the read."""
+    kn = None if args.command == "simulate" else _auto(args.kn, "--kn")
+    n = args.n if args.command == "simulate" else n
+    K = kn or (n and kn_rule(n))
     q = make_knots(args.degree, K or 1).num_basis
-    if K or args.diff_order < 1:  # else q comes with n, after the read
+    if K and args.diff_order >= q:
+        given = f"--kn {kn}" if kn else f"K = {K} at n = {n}"
+        raise DataError(f"--diff-order {args.diff_order} must be below the basis size "
+                        f"K + degree = {q} ({given}, --degree {args.degree})")
+    if K or args.diff_order < 1:
         difference_matrix(args.diff_order, q)
 
 
@@ -237,6 +243,7 @@ def cmd_fit(args) -> int:
                     f"{args.data}: covariate column {name!r} ({role}) has a single "
                     "distinct value; a spline in it needs at least two"
                 )
+        _check_basis_flags(args, data.n)  # an auto K comes with n
         # no rows: the design reads the data only through the statistics
         design = build_design(
             None, None, None, degree=args.degree, diff_order=args.diff_order,
@@ -258,13 +265,17 @@ def cmd_fit(args) -> int:
         data.release()  # the worker exits while the band is computed
         grid = eval_grid(args.grid)
         rows = design_matrix(design.X1.config, grid)
-        smoother = StageSmoother(design, stages=result.stages)
+        # a converged fit's band takes the weights of the gauged solve; a fit
+        # stopped at --max-stages, or one whose split no gauge fixes, its stages'
+        try:
+            schur = eq._schur if result.converged else None
+        except NotPositiveDefiniteError:
+            schur = None
+        smoother = StageSmoother(design, result.stages if schur is None else None)
         _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
-    grids = {}
-    curves = []
-    tables = []
+    grids, curves, tables = {}, [], []
     record = data.preprocessing
     scales = (1.0, 1.0) if record is None else (record.x1_scale, record.x2_scale)
     for j, b, support in ((1, result.b1, data.ranges[0]), (2, result.b2, data.ranges[1])):
@@ -334,6 +345,8 @@ def cmd_fit(args) -> int:
             "constant_shift_floor": eq.constant_shift[1],
             "f2_sum": float(eq.column_sums[1] @ result.b2),
             "factor_pivot_ratio": [eq.L1.pivot_ratio, eq.L2.pivot_ratio],
+            "band_weights": "stages" if schur is None else "solution",
+            "schur_pivot_ratio": None if schur is None else schur.pivot_ratio,
             "read_workers": data.workers,
         },
         grids=grids,

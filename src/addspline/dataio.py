@@ -627,9 +627,11 @@ class RunReport:
     # the identification diagnostics: "constant_shift_residual" and
     # "constant_shift_floor" (NormalEquations.constant_shift), "f2_sum",
     # sum_i f2_hat(x_i2) = (X_2'1)'b_2, "factor_pivot_ratio", each Lam_j's
-    # smallest pivot over its floor (> 1), and "read_workers", the processes
-    # that read the CSV and summed its statistics, 1 or 2 parts
-    # (`load_csv_summarized`); older reports lack the later keys or the field
+    # smallest pivot over its floor (> 1), "read_workers", the processes
+    # that read the CSV (`load_csv_summarized`), "band_weights", the band's
+    # map, "solution" or "stages", and "schur_pivot_ratio", the gauged Schur
+    # factor's smallest pivot over its floor (null with "stages"); older
+    # reports lack the later keys or the field
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

@@ -3,14 +3,14 @@
 The estimator is linear in y and touches y only through u = (X_1'y, X_2'y):
 an estimate r'b of the coefficients b = (b1, b2) is a'u for one weight a in
 coefficient space.  `StageSmoother._weights` is the one map from seeds r to
-weights a: a fixed stage count runs the backfit sweep backwards from r
-(`_coef_weights`), and stages=None, the backfitting solution the stages
-converge to, maps r by the symmetric joint solve.  The observation weights of
-a are X_1 a_1 + X_2 a_2, so two of them have the inner product a'G c, G the
-stacked Gram matrix of (X_1, X_2): interval variances need no n-vector per
-point.  The n-vector weights (`component_weights`, `smoother_weights`,
-`exact_covariance`) serve heteroskedastic noise and test oracles.  No n x n
-matrix is ever formed.
+weights a: a fixed stage count (the Monte Carlo's, a fit stopped at its
+limit) runs the backfit sweep backwards from r (`_coef_weights`), and
+stages=None, the solution the stages converge to (a converged fit's band),
+maps r by the symmetric joint solve.  The observation weights of a are
+X_1 a_1 + X_2 a_2, so two of them have the inner product a'G c, G the stacked
+Gram matrix of (X_1, X_2): interval variances need no n-vector per point.  The
+n-vector weights (`component_weights`, `smoother_weights`, `exact_covariance`)
+serve heteroskedastic noise and test oracles.  No n x n matrix is ever formed.
 
 Reported confidence intervals use the exact finite-sample covariance of the
 linear smoother (weights times the noise variance); the asymptotic bias and
@@ -74,7 +74,8 @@ class StageSmoother:
     `evaluate_rows` gives estimates and weight inner products of basis rows,
     `component_weights` the observation weights of one estimate.  On a design
     of several blocks (`AdditiveDesign.blocks`) every block gets the same
-    evaluation points, and one run of the kernel serves all blocks.
+    evaluation points, and one run of the kernel serves all blocks.  For a
+    converged fit both maps agree to rounding; the solve takes one pass, not one per stage.
     """
 
     def __init__(self, design: AdditiveDesign, stages: int | None):
@@ -162,8 +163,7 @@ def _coef_weights(eq, stages: int, seeds: list[np.ndarray]) -> np.ndarray:
     column r = (r1, r2) gets the weight a = (a1, a2) with
     r1'b1 + r2'b2 = a1'u1 + a2'u2.  The sweep runs backwards: per stage one
     Lam_2 and one Lam_1 solve on k columns, with C and C' in between.  The
-    pinned solves are symmetric, so they are their own adjoints.  Beyond 2q
-    columns it is cheaper to sweep the 2q unit seeds and multiply by S.
+    pinned solves are symmetric, so they are their own adjoints.
 
     The kernel takes the seeds out of the list, so that a caller that keeps
     no other reference has them freed once the first stage has spent them.
@@ -171,12 +171,6 @@ def _coef_weights(eq, stages: int, seeds: list[np.ndarray]) -> np.ndarray:
     blocks = eq.blocks
     g1, g2 = seeds.pop(0), seeds.pop()
     q, k = g1.shape[0] // blocks, g1.shape[1]
-    if k > 2 * q:
-        unit = np.eye(2 * q)
-        T = _coef_weights(eq, stages, [np.tile(unit[:q], (blocks, 1)),
-                                       np.tile(unit[q:], (blocks, 1))])
-        S = np.concatenate([g1.reshape(blocks, q, k), g2.reshape(blocks, q, k)], axis=1)
-        return T @ S
     A = np.zeros((blocks, 2 * q, k))
     a1, a2 = A[:, :q], A[:, q:]
     for _ in range(stages):

@@ -278,6 +278,9 @@ class TestFit:
         report = RunReport.load(tmp_path / "fit_report.json")
         assert not report.converged
         assert report.stages == 1
+        # the fixed-stage estimator's band: the weights of its one stage
+        assert report.diagnostics["band_weights"] == "stages"
+        assert report.diagnostics["schur_pivot_ratio"] is None
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code, _, err = run_main(
@@ -491,7 +494,8 @@ class TestDegenerateInput:
         code, stdout, err = run_main(
             capsys, *ozone_args, "--diff-order", str(order), "--out", str(out)
         )
-        message = f"error: need size > order, got size=16, order={order}\n"
+        message = (f"error: --diff-order {order} must be below the basis size "
+                   "K + degree = 16 (K = 13 at n = 111, --degree 3)\n")
         assert (code, stdout, err) == (1, "", message)
         assert [read.n for read in reads] == [111]
         assert not out.exists()
@@ -520,15 +524,20 @@ class TestDegenerateInput:
          ("sim1", ["--diff-order", "0"], "difference order must be >= 1, got 0"),
          # an order of at least q = K + p, where K is known before the read:
          # an explicit --kn, and kn_rule(n) = 7 at n = 20
-         ("fit", ["--kn", "2", "--diff-order", "5"], "need size > order, got size=5, order=5"),
+         ("fit", ["--kn", "2", "--diff-order", "5"],
+          "--diff-order 5 must be below the basis size K + degree = 5 (--kn 2, --degree 3)"),
+         ("fit", ["--kn", "1", "--diff-order", "4"],
+          "--diff-order 4 must be below the basis size K + degree = 4 (--kn 1, --degree 3)"),
          ("sim1", ["--n", "20", "--diff-order", "12"],
-          "need size > order, got size=10, order=12"),
+          "--diff-order 12 must be below the basis size K + degree = 10 "
+          "(K = 7 at n = 20, --degree 3)"),
          ("sim1", ["--seed", "-1"], "--seed must be >= 0, got -1"),
          # q = 2003 carries the order, but C(2200, 1100) is beyond a float
          ("fit", ["--kn", "2000", "--diff-order", "1100"],
           "difference order 1100 is too large: its penalty overflows a float")],
         ids=["degree-fit", "degree-sim1", "diff_order-fit", "diff_order-sim1",
-             "diff_order_above_basis-fit", "diff_order_above_basis-sim1", "negative_seed-sim1",
+             "diff_order_above_basis-fit", "diff_order_at_basis-kn1-fit",
+             "diff_order_above_basis-sim1", "negative_seed-sim1",
              "diff_order_beyond_float-fit"],
     )
     def test_bad_basis_flag_exit_1_before_any_work(
@@ -745,8 +754,12 @@ class TestFitDiagnostics:
         diag = report.diagnostics
         assert set(diag) == {
             "constant_shift_residual", "constant_shift_floor", "f2_sum", "read_workers",
-            "factor_pivot_ratio",
+            "factor_pivot_ratio", "band_weights", "schur_pivot_ratio",
         }
+        # a converged fit's band comes from the gauged solve, whose Schur
+        # factor clears the floor that `NormalEquations.solve` asks of it
+        assert diag["band_weights"] == "solution"
+        assert diag["schur_pivot_ratio"] > 1.0
         assert diag["read_workers"] == 1  # a 4.7 KB file is read in one process
         # each Lam_j's smallest pivot over its rounding floor: above 1 by
         # construction, and far above it on ozone
@@ -787,6 +800,58 @@ class TestFitDiagnostics:
         # each covariate's rows once, for the normal equations; the grid once
         # for the band and once for both estimates
         assert rows == [111, 111, 201, 201]
+
+
+class TestFitBand:
+    """A converged fit's band takes the weights of the backfitting solution;
+    the stages that reached it give the same band."""
+
+    @staticmethod
+    def _bounds(path):
+        report = RunReport.load(path / "fit_report.json")
+        grids = [report.grids[f"component{j}"] for j in (1, 2)]
+        return report, [(np.array(g["lower"]), np.array(g["upper"]), np.array(g["in_support"]))
+                        for g in grids]
+
+    @pytest.mark.parametrize("flags, zero_widths", [
+        ([], 0), (["--lambda1", "0", "--lambda2", "0", "--max-stages", "400"], 30),
+    ], ids=["default", "zero-penalty"])
+    def test_solution_band_matches_the_stage_band_of_the_same_run(
+        self, tmp_path, capsys, monkeypatch, ozone_args, flags, zero_widths
+    ):
+        args = [*ozone_args, *flags]
+        assert run_main(capsys, *args, "--out", str(tmp_path / "solution"))[0] == 0
+
+        def no_gauge(self):
+            raise NotPositiveDefiniteError("no gauge fixes the split")
+
+        # the fallback of a fit whose split no gauge fixes: the stage weights
+        monkeypatch.setattr(NormalEquations, "_schur", property(no_gauge))
+        assert run_main(capsys, *args, "--out", str(tmp_path / "stages"))[0] == 0
+        solution, got = self._bounds(tmp_path / "solution")
+        stages, want = self._bounds(tmp_path / "stages")
+        assert solution.diagnostics["band_weights"] == "solution"
+        assert stages.diagnostics["band_weights"] == "stages"
+        assert solution.coefficients == stages.coefficients
+        widths = 0
+        for (lower, upper, inside), (lower_s, upper_s, _) in zip(got, want):
+            np.testing.assert_allclose(lower[inside], lower_s[inside], rtol=1e-9, atol=0)
+            np.testing.assert_allclose(upper[inside], upper_s[inside], rtol=1e-9, atol=0)
+            # the pinned columns' grid points: exactly zero width in both
+            assert np.array_equal(upper == lower, upper_s == lower_s)
+            widths += int(np.sum(upper == lower))
+        assert widths == zero_widths
+
+    def test_split_no_gauge_fixes_keeps_the_stage_band(self, tmp_path, capsys, ozone_args):
+        # x2 = x1: the fit converges at --tol 1, but the solve cannot split
+        # the one covariate's effect between the components
+        args = [*ozone_args, "--x2", "temperature", "--tol", "1"]
+        code, stdout, _ = run_main(capsys, *args)
+        assert (code, "converged=True" in stdout) == (0, True)
+        report, bounds = self._bounds(tmp_path)
+        assert report.diagnostics["band_weights"] == "stages"
+        assert report.diagnostics["schur_pivot_ratio"] is None
+        assert all(np.isfinite(b).all() for lower, upper, _ in bounds for b in (lower, upper))
 
 
 _SUMMARY_KEYS = [

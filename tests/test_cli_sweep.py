@@ -23,14 +23,18 @@ SWEEP = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# covariate laws: spread out, one value, few values, all zero, all negative
-KINDS = ("spread", "constant", "duplicated", "zero", "negative")
-LAMBDAS = ("auto", "0", "1e-300", "5", "1e300", "1e308", "inf", "nan")
+# covariate laws: spread out on (0, 3] and few values, which a fit takes, then
+# one value, all zero and all negative, which it rejects (a response may be any)
+KINDS = ("spread", "duplicated", "constant", "zero", "negative")
+LAMBDAS = ("auto", "5", "1e-300", "0")
+REJECTED_LAMBDAS = ("nan", "inf", "1e308", "1e300")
+# what an example may break: an input of each kind that the command rejects
+BREAKS = ("covariate", "lambda", "cell", "rows", "diff_order", "level")
 
 
 def _column(kind: str, n: int, rng: np.random.Generator) -> list[str]:
     values = {
-        "spread": lambda: rng.uniform(-3.0, 3.0, n),
+        "spread": lambda: 3.0 - rng.uniform(0.0, 3.0, n),
         "constant": lambda: np.full(n, 0.7),
         "duplicated": lambda: rng.choice([0.1, 0.5, 2.0], n),
         "zero": lambda: np.zeros(n),
@@ -40,17 +44,29 @@ def _column(kind: str, n: int, rng: np.random.Generator) -> list[str]:
 
 
 @st.composite
-def _csv_text(draw) -> tuple[str, str]:
-    """A CSV of 1-50 rows with columns y, a, b, and the x2 column's name: a
-    second column, or the first one again."""
-    n = draw(st.integers(1, 50))
+def _fit_input(draw) -> tuple[str, str, tuple[str, str], int, str]:
+    """A CSV with columns y, a, b, the x2 column's name (a second column, or
+    the first one again), --lambda1/2, --diff-order and --level.  Two
+    examples in three break nothing, so that the checks of an exit 0 or 2
+    meet fits; the third breaks one input of a kind in BREAKS."""
+    broken = draw(st.one_of(st.none(), st.none(), st.sampled_from(BREAKS)))
+    n = draw(st.integers(1, 9) if broken == "rows" else st.integers(10, 50))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    columns = [_column(draw(st.sampled_from(KINDS)), n, rng) for _ in range(3)]
-    for _ in range(draw(st.integers(0, 2))):  # blank and non-numeric cells
+    kinds = [draw(st.sampled_from(KINDS)), *(draw(st.sampled_from(KINDS[:2])) for _ in "ab")]
+    if broken == "covariate":
+        kinds[1] = draw(st.sampled_from(KINDS[2:]))
+    columns = [_column(kind, n, rng) for kind in kinds]
+    for _ in range(draw(st.integers(1, 2)) if broken == "cell" else 0):
         cell = draw(st.sampled_from(["", "abc", "1e999"]))
         columns[draw(st.integers(0, 2))][draw(st.integers(0, n - 1))] = cell
     rows = ["y,a,b"] + [",".join(cells) for cells in zip(*columns)]
-    return "\n".join(rows) + "\n", draw(st.sampled_from(["a", "b"]))
+    lambdas = [draw(st.sampled_from(LAMBDAS)) for _ in "12"]
+    if broken == "lambda":
+        lambdas[draw(st.integers(0, 1))] = draw(st.sampled_from(REJECTED_LAMBDAS))
+    diff_order = draw(st.integers(0, 6) if broken == "diff_order" else st.integers(1, 3))
+    level = draw(st.sampled_from(("0", "1") if broken == "level" else ("0.5", "0.95")))
+    return ("\n".join(rows) + "\n", draw(st.sampled_from(["a", "b"])), tuple(lambdas),
+            diff_order, level)
 
 
 def _strict(text: str):
@@ -79,18 +95,15 @@ def _check(argv: list[str], out: Path, report: str) -> None:
 
 @SWEEP
 @given(
-    data=_csv_text(),
+    data=_fit_input(),
     degree=st.integers(0, 5),
-    diff_order=st.integers(0, 6),
     kn=st.one_of(st.just("auto"), st.integers(1, 40).map(str)),
-    lambdas=st.tuples(st.sampled_from(LAMBDAS), st.sampled_from(LAMBDAS)),
     tol=st.sampled_from(["0", "1e-10", "1e-3", "1"]),
     max_stages=st.integers(1, 50),
     grid=st.integers(1, 50),
-    level=st.sampled_from(["0.5", "0.95", "0", "1"]),
 )
-def test_fit_never_raises(data, degree, diff_order, kn, lambdas, tol, max_stages, grid, level):
-    text, x2 = data
+def test_fit_never_raises(data, degree, kn, tol, max_stages, grid):
+    text, x2, lambdas, diff_order, level = data
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "data.csv", Path(tmp) / "out"
         path.write_text(text)
@@ -140,10 +153,9 @@ def test_simulate_never_raises(scenario, n, reps, degree, diff_order, grid, seed
 def test_fit_of_few_covariate_values_never_raises(
     n, seed, values, diff_order, kn, lambdas, max_stages
 ):
-    # data that always reads and often fits (none of the 30 examples of
-    # test_fit_never_raises does), so that the bound on sigma2 in _check meets
-    # fits that converge, fits stopped at --max-stages, and covariates with too
-    # few values for the order
+    # data that always reads and often fits, 200 examples of it, so that the
+    # bound on sigma2 in _check meets many fits that converge, fits stopped at
+    # --max-stages, and covariates with too few values for the order
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 3.0, n)
     b = rng.uniform(0.1, 3.0, n) if values is None else np.resize(values, n)

@@ -186,8 +186,8 @@ class TestCoefWeightsKernel:
         monkeypatch.setattr(BandedCholesky, "solve", counting)
         est, P = sm.evaluate_rows(r1, r2)
         monkeypatch.undo()
-        # more seeds than 2q: sweep the 2q unit seeds instead
-        assert set(widths) == {min(2 * m, 2 * q)}
+        # every solve takes the 2m seed columns, more than 2q of them too
+        assert set(widths) == {2 * m}
 
         W1, W2 = forward_weights(d, stages)
         w1, w2 = r1 @ W1, r2 @ W2  # m x n
