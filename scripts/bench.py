@@ -13,7 +13,9 @@ the `calls` and `self_s` of every traced layer.  It then fits
 seeded CSVs of each size in `--sizes` (default n = 1e3 and 1e6), one child
 process to write each CSV and one to run `addspline fit` on it.  The fit child
 reports the fit's wall time, the part of it spent reading the CSV and adding
-up the normal-equation statistics (`read_s`), the processes that did so
+up the normal-equation statistics (`read_s`), the part spent writing the
+report, the tables and any figure (`write_s`, from the report's save to the
+end of the run), the processes that read the CSV
 (`read_workers`), its resident memory when that read returns
 (`rss_after_read_mb`, the `VmRSS` line of its own /proc/self/status) and its
 peak resident memory (`peak_mb`, the `VmHWM` line); a forked reader's memory
@@ -56,8 +58,9 @@ np.savetxt(path, np.column_stack([y, x1, x2]), fmt="%.17g", delimiter=",",
 
 # one `addspline fit`, timed in the process that runs it; read_s is its
 # read-and-statistics phase, `load_csv_summarized`: the CSV read, the
-# preprocessing and the normal-equation statistics of every fit, and
-# rss_after_read_mb this process's resident memory when that phase returns
+# preprocessing and the normal-equation statistics of every fit, write_s the
+# time from the report's save to the end of the run, and rss_after_read_mb
+# this process's resident memory when that phase returns
 RUN_FIT = """
 import json, sys, time
 import addspline.cli as cli
@@ -74,12 +77,19 @@ def timed(*args, **kwargs):
         phase.append(time.perf_counter() - start)
         after_read.append(status_mb("VmRSS:"))
 cli.load_csv_summarized = timed
+save, saved = cli.RunReport.save, []
+def timed_save(*args):
+    saved.append(time.perf_counter())
+    return save(*args)
+cli.RunReport.save = timed_save
 start = time.perf_counter()
 code = cli.main(["fit", "--data", sys.argv[1], "--y", "y", "--x1", "x1", "--x2", "x2",
                  "--out", sys.argv[2]])
-wall = time.perf_counter() - start
+end = time.perf_counter()
+wall = end - start
 report = json.load(open(sys.argv[2] + "/fit_report.json"))
 print(json.dumps({"exit_code": code, "wall_s": wall, "read_s": sum(phase),
+                  "write_s": end - saved[0],
                   "read_workers": report["diagnostics"]["read_workers"],
                   "rss_after_read_mb": after_read[0], "peak_mb": status_mb("VmHWM:")}))
 """
@@ -187,7 +197,8 @@ def main(argv=None) -> int:
     report["fits"] = fit_sizes(args.sizes, args.seed)
     for n, fit in report["fits"].items():
         print(f"fit n={n}: wall {fit['wall_s']:.3f} s (read and statistics "
-              f"{fit['read_s']:.3f} s in {fit['read_workers']} processes), "
+              f"{fit['read_s']:.3f} s in {fit['read_workers']} processes, writing "
+              f"{fit['write_s']:.3f} s), "
               f"{fit['rss_after_read_mb']:.1f} MB after the read, peak {fit['peak_mb']:.1f} MB")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

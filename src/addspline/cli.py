@@ -20,15 +20,9 @@ from .backfit import AdditiveDesign, NormalStatistics, backfit, build_design, kn
 from .backfit import _residual_sum_of_squares
 from .bandmat import NotPositiveDefiniteError
 from .basis import design_matrix, eval_grid, make_knots
-from .dataio import (
-    DataError,
-    RunReport,
-    json_text,
-    load_csv_summarized,
-    write_table,
-)
+from .dataio import DataError, RunReport, _numbers, json_text, load_csv_summarized, write_table
 from .inference import StageSmoother, confidence_interval, sigma2_hat
-from .penalty import difference_matrix
+from .penalty import _check_order
 from .sim import (
     ScenarioConfig,
     kde2d,
@@ -104,7 +98,7 @@ def _at_least(flag: str, value: float, low: float) -> float:
 
 
 def _check_basis_flags(args, n: int | None = None) -> None:
-    """Build the knots and the difference matrix, so that a bad --degree or
+    """Build the knots and check the difference order, so that a bad --degree or
     --diff-order raises their error before any work, as does an order at or above
     K + degree where K is known (`simulate`'s --n, `fit`'s --kn), else after the read."""
     kn = None if args.command == "simulate" else _auto(args.kn, "--kn")
@@ -116,7 +110,14 @@ def _check_basis_flags(args, n: int | None = None) -> None:
         raise DataError(f"--diff-order {args.diff_order} must be below the basis size "
                         f"K + degree = {q} ({given}, --degree {args.degree})")
     if K or args.diff_order < 1:
-        difference_matrix(args.diff_order, q)
+        _check_order(args.diff_order, q)
+
+
+def _check_grid(args, draws_curves: bool) -> None:
+    """The input error of a --grid below 1, or below 2 where --svg draws curves on it."""
+    _at_least("--grid", args.grid, 1)
+    if draws_curves and args.svg and args.grid < 2:
+        raise DataError(f"--svg needs --grid >= 2 to draw its curves, got --grid {args.grid}")
 
 
 def _auto(text: str, flag: str, kind: type = int) -> float | None:
@@ -224,18 +225,20 @@ def cmd_fit(args) -> int:
     lam2 = _auto(args.lambda2, "--lambda2", float)
     _at_least("--tol", args.tol, 0)
     _at_least("--max-stages", args.max_stages, 1)
-    _at_least("--grid", args.grid, 1)
+    _check_grid(args, True)
     _check_basis_flags(args)
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
 
     # the one read: rows parsed, preprocessed and summarized, a large file in
     # parts, on two CPUs where allowed; each part's rows stay in the process
     # that read them until sigma2_hat is known
+    clock = [time.perf_counter()]  # then the ends of the read, fit, band and formatting
     with load_csv_summarized(
         args.data, args.y, args.x1, args.x2,
         functools.partial(_normal_statistics, args.degree, kn),
         preprocess=not args.no_preprocess,
     ) as data:
+        clock.append(time.perf_counter())
         for role, name, (low, high) in zip(("x1", "x2"), (args.x1, args.x2), data.ranges):
             # a spline in one value is not identified at any penalty
             if low == high:
@@ -263,6 +266,7 @@ def cmd_fit(args) -> int:
         result = backfit(design, tol=args.tol, max_stages=args.max_stages)
         sigma2 = sigma2_hat(design, result, data.add_up)
         data.release()  # the worker exits while the band is computed
+        clock.append(time.perf_counter())
         grid = eval_grid(args.grid)
         rows = design_matrix(design.X1.config, grid)
         # a converged fit's band takes the weights of the gauged solve; a fit
@@ -275,18 +279,21 @@ def cmd_fit(args) -> int:
         _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
-    grids, curves, tables = {}, [], []
     record = data.preprocessing
     scales = (1.0, 1.0) if record is None else (record.x1_scale, record.x2_scale)
-    for j, b, support in ((1, result.b1, data.ranges[0]), (2, result.b2, data.ranges[1])):
+    bands = []  # per component: x on the original scale, the estimate, lower, upper
+    for j, b in ((1, result.b1), (2, result.b2)):
         # the fitted component centred on its mean over the data, (X_j'1)'b / n
         column_sums = eq.column_sums[j - 1]
         estimate = grid_rows.matvec(b) - float(column_sums @ b) / n
         # a'Ga >= 0: a weight that is a constant shift, zero in the data
         # (x2 = x1), can round to -eps
         half = z * np.sqrt(sigma2 * products[:, j - 1, j - 1].clip(min=0.0))
-        lower, upper = estimate - half, estimate + half
-        x_original = grid * scales[j - 1]
+        bands.append((grid * scales[j - 1], estimate, estimate - half, estimate + half))
+    clock.append(time.perf_counter())
+    # each grid value is formatted once, the report's text and the CSV cell
+    grids, tables, grid_text = {}, [], _numbers(grid)
+    for j, band, support in zip((1, 2), bands, data.ranges):
         # grid points outside the data's range are extrapolated: there the
         # band can collapse to zero width or blow up
         in_support = (grid >= support[0]) & (grid <= support[1])
@@ -298,19 +305,11 @@ def cmd_fit(args) -> int:
                 "(scaled covariate); their estimates and intervals are extrapolated.",
                 file=sys.stderr,
             )
-        grids[f"component{j}"] = {
-            "x": x_original.tolist(),
-            "x_scaled": grid.tolist(),
-            "estimate": estimate.tolist(),
-            "lower": lower.tolist(),
-            "upper": upper.tolist(),
-            "in_support": in_support.tolist(),
-            "support": list(support),
-        }
-        tables.append((f"fit_component{j}.csv", [x_original, grid, estimate, lower, upper]))
-        curves.extend(
-            [(x_original, estimate), (x_original, lower), (x_original, upper)]
-        )
+        table = dict(zip(("x", "x_scaled", "estimate", "lower", "upper"),
+                         [_numbers(band[0]), grid_text, *map(_numbers, band[1:])]))
+        grids[f"component{j}"] = dict(table, in_support=in_support.tolist(), support=list(support))
+        tables.append((f"fit_component{j}.csv", table))
+    clock.append(time.perf_counter())
 
     report = RunReport(
         command="fit",
@@ -348,20 +347,21 @@ def cmd_fit(args) -> int:
             "band_weights": "stages" if schur is None else "solution",
             "schur_pivot_ratio": None if schur is None else schur.pivot_ratio,
             "read_workers": data.workers,
+            "timings": dict(zip("read_s fit_s band_s format_s".split(), np.diff(clock).tolist())),
         },
         grids=grids,
         runtime_seconds=time.perf_counter() - start,
     )
     document = _figure_document(args, {
-        "curves": curves,
+        "curves": [(x, curve) for x, *curves in bands for curve in curves],
         "labels": ["f1", "f1 lo", "f1 hi", "f2", "f2 lo", "f2 hi"],
         "title": f"penalized additive fit (n={n}, K={design.X1.config.num_intervals})",
     })
     # the report first, which makes --out: an exit 1 leaves no directory
     out_dir = Path(args.out)
     report.save(out_dir / "fit_report.json")
-    for name, columns in tables:
-        write_table(out_dir / name, ["x", "x_scaled", "estimate", "lower", "upper"], columns)
+    for name, table in tables:
+        write_table(out_dir / name, list(table), list(table.values()))
     if document is not None:
         Path(args.svg).write_text(document)
     print(
@@ -392,7 +392,7 @@ def _summary_fields(summary, level: float) -> dict:
 def cmd_simulate(args) -> int:
     _at_least("--n", args.n, 20)
     _at_least("--seed", args.seed, 0)
-    _at_least("--grid", args.grid, 1)
+    _check_grid(args, args.scenario in ("sim1", "sim2"))
     _check_basis_flags(args)
     if args.scenario in ("sim1", "sim2"):
         # one dataset, one fit: a count other than 1 would be ignored

@@ -1,14 +1,14 @@
 """CSV/JSON input and output with lossless float round-trips.
 
-Floats are written with 17 significant digits ('%.17g'), which reproduces the
-double exactly on re-parse; JSON relies on Python's shortest-repr floats, which
-round-trip as well.  Both writers hand whole arrays to C-level formatting: a
-table is one '%' format, and each list of numbers in a JSON document is one
-call of json's encoder.  Every CSV is read on one path (`_read`): one
-vectorized parse per part of rows, the cell reader only from the part where
-that parse fails, then one preprocessing and, for a fit, one summary per
-part.  A large file is two parts, read on two CPUs where allowed; each
-part's rows stay in the process that parsed them (`load_csv_summarized`).
+Every float written has one text, the shortest decimal that reads back exactly
+(`float.__repr__`, Steele & White 1990, Gay 1990), as json writes it.  A column
+of both a JSON report and a CSV table is formatted once (`_numbers`): the
+report carries the texts, which `json_text` and `write_table` write verbatim.
+Every CSV is read on one path (`_read`): one vectorized parse per part of rows,
+the cell reader only from the part where that parse fails, then one
+preprocessing and, for a fit, one summary per part.  A large file is two
+parts, read on two CPUs where allowed; each part's rows stay in the process
+that parsed them (`load_csv_summarized`).
 """
 
 from __future__ import annotations
@@ -50,8 +50,20 @@ class DataError(Exception):
 
 
 def format_float(value: float) -> str:
-    """Decimal form with 17 significant digits; parses back bit-exactly."""
-    return format(float(value), ".17g")
+    """The shortest decimal that parses back bit-exactly, as json writes it."""
+    return float.__repr__(float(value))
+
+
+class _Numbers(list):
+    """The JSON number literals of some floats, formatted once (`_numbers`)."""
+
+
+def _numbers(values) -> _Numbers:
+    """The `format_float` texts of `values`; json's ValueError for a non-finite one."""
+    values = np.asarray(values, dtype=float).ravel()
+    if not np.isfinite(values).all():
+        json.dumps(values[~np.isfinite(values)][0].item(), allow_nan=False)
+    return _Numbers(map(float.__repr__, values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -140,50 +152,59 @@ def _read_table_cells(path: Path, plan=None) -> tuple[list[str], np.ndarray]:
     return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
 
 
-def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write columns as CSV using 17-significant-digit floats."""
+def write_table(path, header: list[str], columns: list) -> None:
+    """Write columns as CSV, each cell its value's `format_float` text; a
+    column of `_numbers` texts is written as it is."""
     if len(header) != len(columns):
         raise ValueError("header/columns length mismatch")
-    arrays = [np.asarray(c, dtype=float).ravel() for c in columns]
-    n = arrays[0].shape[0]
-    if any(a.shape[0] != n for a in arrays):
+    texts = [c if type(c) is _Numbers
+             else list(map(float.__repr__, np.asarray(c, float).ravel().tolist())) for c in columns]
+    n = len(texts[0])
+    if any(len(t) != n for t in texts):
         raise ValueError("all columns must have equal length")
     # a formatted float never needs quoting, so each row is its cells joined
-    # by commas, ended as csv.writer ends a row; '%.17g' % v is format_float(v)
-    row = ",".join(["%.17g"] * len(arrays)) + "\r\n"
-    cells = tuple(np.column_stack(arrays).ravel().tolist())
+    # by commas, ended as csv.writer ends a row
     with Path(path).open("w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.write(row * n % cells)
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(*texts)]))
+
+
+_SCALAR_TEXT = {
+    float: lambda v: float.__repr__(v) if v - v == 0.0 else json.dumps(v, allow_nan=False),
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
 
 
 def json_text(obj, _level: int = 0) -> str:
     """`json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)`, strict (NaN
-    and infinity raise), each list of scalars one call of json's C encoder.
-
-    json's indenting encoder is pure Python and formats one value per call.
-    Here dicts with string keys and lists are walked in Python, in sorted key
-    order, and each list that holds no list or dict is encoded whole, its
-    items separated by the comma and the line break the indented form puts
-    between them.  json still writes every value, so the text is the same.
-    """
+    and infinity raise), a `_numbers` list written as its texts.  Scalars of the
+    exact types of `_SCALAR_TEXT`, and lists of them, are written as json writes
+    them, dicts with string keys and other lists are walked, json writes the rest."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     pad = "\n" + " " * (_level + 1)
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+    if type(obj) is _Numbers and obj:
+        items = obj
+    elif type(obj) is dict and obj and all(isinstance(k, str) for k in obj):
         items = [
-            json.dumps(k) + ": " + json_text(v, _level + 1)
+            json.encoder.encode_basestring_ascii(k) + ": " + json_text(v, _level + 1)
             for k, v in sorted(obj.items())
         ]
-    elif isinstance(obj, (list, tuple)) and obj:
-        if any(isinstance(v, (list, tuple, dict)) for v in obj):
-            items = [json_text(v, _level + 1) for v in obj]
-        else:
-            flat = json.dumps(obj, separators=("," + pad, ": "), allow_nan=False)
-            return "[" + pad + flat[1:-1] + pad[:-1] + "]"
+    elif type(obj) in (list, tuple) and obj and set(map(type, obj)) <= _SCALAR_TEXT.keys():
+        flat = json.dumps(obj, separators=("," + pad, ": "), allow_nan=False)  # one C call
+        return "[" + pad + flat[1:-1] + pad[:-1] + "]"
+    elif type(obj) in (list, tuple) and obj:
+        items = [json_text(v, _level + 1) for v in obj]
     else:
-        # a scalar, an empty container, or a dict that json must key itself
+        # an empty container, a subclass of a scalar or container type, or a
+        # dict that json must key itself
         text = json.dumps(obj, sort_keys=True, indent=1, allow_nan=False)
         return text.replace("\n", "\n" + " " * _level)
-    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    opening, closing = ("{", "}") if type(obj) is dict else ("[", "]")
     return opening + pad + ("," + pad).join(items) + pad[:-1] + closing
 
 
@@ -630,8 +651,9 @@ class RunReport:
     # smallest pivot over its floor (> 1), "read_workers", the processes
     # that read the CSV (`load_csv_summarized`), "band_weights", the band's
     # map, "solution" or "stages", and "schur_pivot_ratio", the gauged Schur
-    # factor's smallest pivot over its floor (null with "stages"); older
-    # reports lack the later keys or the field
+    # factor's smallest pivot over its floor (null with "stages"), and
+    # "timings", the seconds of the read, the fit, the band and formatting the
+    # grids; older reports lack the later keys or the field
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:

@@ -30,12 +30,8 @@ class PenaltyMatrix:
         return float(b @ self.values @ b)
 
 
-def difference_matrix(order: int, size: int) -> np.ndarray:
-    """The (size - order) x size matrix of order-th forward differences.
-
-    Row i holds the signed binomial pattern (-1)^(order-j) C(order, j) at
-    columns i..i+order; e.g. order 2 rows look like (1, -2, 1).
-    """
+def _check_order(order: int, size: int) -> None:
+    """The ValueError of a difference order below 1, not below `size`, or beyond a float."""
     if order < 1:
         raise ValueError(f"difference order must be >= 1, got {order}")
     if size <= order:
@@ -44,15 +40,33 @@ def difference_matrix(order: int, size: int) -> np.ndarray:
     # sum_j C(order, j)^2 = C(2 order, order), a float up to order 514
     if comb(2 * order, order) > sys.float_info.max:
         raise ValueError(f"difference order {order} is too large: its penalty overflows a float")
+
+
+def difference_matrix(order: int, size: int) -> np.ndarray:
+    """The (size - order) x size matrix of order-th forward differences.
+
+    Row i holds the signed binomial pattern (-1)^(order-j) C(order, j) at
+    columns i..i+order; e.g. order 2 rows look like (1, -2, 1).
+    """
+    _check_order(order, size)
+    i, j = np.arange(size - order)[:, None], np.arange(order + 1)
     D = np.zeros((size - order, size))
-    coeffs = [(-1) ** (order - j) * comb(order, j) for j in range(order + 1)]
-    for i in range(size - order):
-        D[i, i : i + order + 1] = coeffs
+    D[i, i + j] = [(-1) ** (order - k) * comb(order, k) for k in range(order + 1)]
     return D
 
 
 def penalty_matrix(order: int, size: int) -> PenaltyMatrix:
-    """Assemble Q_m = D_m' D_m for q = size coefficients."""
-    D = difference_matrix(order, size)
-    Q = D.T @ D
+    """Assemble Q_m = D_m' D_m for q = size coefficients without D: row i of D
+    is the stencil c at columns i..i+m, so Q = sum_i of c_j c_l at (i + j, i + l),
+    added along the diagonal through (j, l).  The terms are integers, so Q is
+    D'D bit for bit wherever D'D is exact."""
+    _check_order(order, size)
+    m, q = order, size
+    c = [(-1) ** (m - j) * comb(m, j) for j in range(m + 1)]
+    Q = np.zeros((q, q))
+    flat, rows = Q.reshape(-1), q - m
+    for j in range(m + 1):
+        for l in range(m + 1):
+            first = j * q + l  # the entry (i + j, i + l) at i = 0
+            flat[first : first + rows * (q + 1) : q + 1] += c[j] * c[l]
     return PenaltyMatrix(order=order, size=size, values=Q)

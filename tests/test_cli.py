@@ -89,8 +89,8 @@ class TestFit:
         assert t1[:, 0].max() > 30.0  # degrees Celsius, not (0, 1]
 
     def test_outputs_match_the_reference_writers_byte_for_byte(self, tmp_path, capsys, ozone_args):
-        # the writers against plain csv.writer rows and a json dump of
-        # dataclasses.asdict, on the files of the ozone fit
+        # the writers against plain csv.writer rows of format_float cells and
+        # a json dump of dataclasses.asdict, on the files of the ozone fit
         assert run_main(capsys, *ozone_args)[0] == 0
         for j in (1, 2):
             path = tmp_path / f"fit_component{j}.csv"
@@ -99,19 +99,32 @@ class TestFit:
             writer = csv.writer(buf)
             writer.writerow(header)
             for row in table:
-                writer.writerow([format(float(v), ".17g") for v in row])
+                writer.writerow([dataio.format_float(v) for v in row])
             assert path.read_bytes() == buf.getvalue().encode()
         text = (tmp_path / "fit_report.json").read_text()
         report = RunReport.from_json(text)
         assert text == json.dumps(dataclasses.asdict(report), sort_keys=True, indent=1)
+
+    def test_csv_cells_are_the_report_texts(self, tmp_path, capsys, ozone_args):
+        # each grid value has one text, the JSON number and the CSV cell
+        assert run_main(capsys, *ozone_args)[0] == 0
+        report = json.loads((tmp_path / "fit_report.json").read_text(), parse_float=str)
+        for j in (1, 2):
+            lines = (tmp_path / f"fit_component{j}.csv").read_text().splitlines()
+            header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+            grid = report["grids"][f"component{j}"]
+            for name, cells in zip(header, zip(*rows)):
+                assert list(cells) == grid[name]
+                assert cells == tuple(dataio.format_float(float(c)) for c in cells)
 
     def test_rerun_is_deterministic(self, tmp_path, capsys, ozone_args):
         run_main(capsys, *ozone_args)
         first = json.loads((tmp_path / "fit_report.json").read_text())
         run_main(capsys, *ozone_args)
         second = json.loads((tmp_path / "fit_report.json").read_text())
-        first.pop("runtime_seconds")
-        second.pop("runtime_seconds")
+        for report in (first, second):
+            report.pop("runtime_seconds")
+            report["diagnostics"].pop("timings")
         assert first == second
 
     def test_svg_output_has_six_paths(self, tmp_path, capsys, ozone_args):
@@ -554,6 +567,24 @@ class TestDegenerateInput:
         assert (code, stdout, err) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "sim1", "sim2"])
+    def test_grid_below_2_with_svg_exit_1_before_any_work(
+        self, tmp_path, capsys, monkeypatch, ozone_args, command
+    ):
+        # a curve figure needs two grid points; sim3's figure is a contour
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no data may be read or drawn with a bad flag")
+
+        for name in ("load_csv_summarized", "run_sim1", "run_sim2"):
+            monkeypatch.setattr(cli, name, forbidden)
+        out = tmp_path / "out"
+        argv = ozone_args if command == "fit" else ["simulate", command, "--n", "20"]
+        code, stdout, err = run_main(
+            capsys, *argv, "--grid", "1", "--svg", str(out / "f.svg"), "--out", str(out))
+        assert (code, stdout, err) == (1, "", "error: --svg needs --grid >= 2 to draw its "
+                                       "curves, got --grid 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--lambda1", "nan"), ("--lambda1", "inf"), ("--tol", "inf"), ("--tol", "nan")],
@@ -626,6 +657,7 @@ class TestFitReadInParts:
         used = report["diagnostics"].pop("read_workers")
         assert used == read.workers == (workers if split else 1)
         report.pop("runtime_seconds")
+        report["diagnostics"].pop("timings")
         return report
 
     def test_one_and_two_processes_write_the_same_fit(self, tmp_path, capsys, monkeypatch, data):
@@ -754,8 +786,13 @@ class TestFitDiagnostics:
         diag = report.diagnostics
         assert set(diag) == {
             "constant_shift_residual", "constant_shift_floor", "f2_sum", "read_workers",
-            "factor_pivot_ratio", "band_weights", "schur_pivot_ratio",
+            "factor_pivot_ratio", "band_weights", "schur_pivot_ratio", "timings",
         }
+        # the seconds of the read, the fit, the band and the grids' formatting
+        timings = diag["timings"]
+        assert list(timings) == ["band_s", "fit_s", "format_s", "read_s"]
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= report.runtime_seconds
         # a converged fit's band comes from the gauged solve, whose Schur
         # factor clears the floor that `NormalEquations.solve` asks of it
         assert diag["band_weights"] == "solution"

@@ -45,6 +45,18 @@ class TestFloatFormat:
     def test_round_trips_any_finite_double(self, v):
         assert float(format_float(v)) == v
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_is_the_shortest_text_that_reads_back(self, v):
+        # its significant digits: no '%.{k}g' with fewer of them reads back
+        text = format_float(v)
+        assert float(text) == v
+        assert text == json.dumps(v)
+        mantissa = text.lstrip("-").partition("e")[0].replace(".", "")
+        digits = max(1, len(mantissa.strip("0")))
+        for k in range(1, digits):
+            assert float(f"%.{k}g" % v) != v
+
 
 class TestTables:
     def test_write_read_round_trip_is_bit_exact(self, tmp_path):
@@ -799,6 +811,10 @@ class TestRunReport:
         assert RunReport.load(p) == r
 
 
+# the scalars of a JSON document: None, bools, ints, floats and numpy's
+# float64 (a float subclass), text
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.floats().map(np.float64) | st.text())
 # NaN, the infinities, signed zero, the extreme doubles and whole numbers
 HARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
                1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53,
@@ -849,11 +865,12 @@ class TestWholeArrayWriters:
             with pytest.raises(ValueError):
                 report.to_json()
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         st.recursive(
-            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            st.one_of(SCALARS, st.lists(SCALARS, max_size=6)),
             lambda inner: st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
             | st.dictionaries(st.text(max_size=5), inner, max_size=4),
             max_leaves=20,
         )
@@ -866,6 +883,21 @@ class TestWholeArrayWriters:
                 json_text(doc)
         else:
             assert json_text(doc) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(), max_size=8))
+    def test_numbers_are_the_texts_json_writes(self, values):
+        # a list of `_numbers` texts is written as json writes the floats;
+        # a value JSON cannot hold raises json's own error
+        try:
+            want = json.dumps({"v": values, "w": []}, sort_keys=True, indent=1, allow_nan=False)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc).partition(":")[0]):
+                dataio._numbers(values)
+        else:
+            numbers = dataio._numbers(values)
+            assert numbers == [format_float(v) for v in values]
+            assert json_text({"v": numbers, "w": dataio._numbers([])}) == want
 
     def test_json_text_keys_non_string_keys_as_json_does(self):
         doc = {"outer": {2: [1.0], 1: "a"}, "t": (1, (2, 3))}

@@ -53,6 +53,13 @@ class TestPenaltyMatrix:
             assert Q.order == m
             assert Q.size == q
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bands_are_the_difference_gram_bit_for_bit(self, m):
+        # the bands are sums of integers, as every entry of D'D is
+        for q in sorted({m + 1, m + 2, 2 * m, 2 * m + 1, 2 * m + 2, 16, 35, 203, 505}):
+            D = difference_matrix(m, q)
+            assert penalty_matrix(m, q).values.tobytes() == (D.T @ D).tobytes()
+
     def test_symmetric_psd_banded(self):
         for m in (1, 2, 3):
             for q in (6, 15, 40):
