@@ -22,7 +22,12 @@ peak resident memory (`peak_mb`, the `VmHWM` line); a forked reader's memory
 is its own and is not counted.
 `ru_maxrss` would not do: Linux carries the peak of the process that ran
 exec into the new process's `ru_maxrss`, so a fit started from a large
-parent would read that parent's peak.
+parent would read that parent's peak.  Last it runs the Monte Carlo studies
+`simulate sim3 --n 1000 --reps 1000` and `simulate coverage --n 100000
+--reps 40` (seed `--seed`), one child process each, and records the study's
+wall time, the child's `VmHWM` (`peak_mb`) and the minor page faults of the
+child and its forked study worker (`minor_faults`, `RUSAGE_CHILDREN` of this
+process around the child; the interpreter's start-up and imports included).
 
 This script imports no numpy; every measurement runs in a child process.
 """
@@ -33,6 +38,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -92,6 +98,24 @@ print(json.dumps({"exit_code": code, "wall_s": wall, "read_s": sum(phase),
                   "write_s": end - saved[0],
                   "read_workers": report["diagnostics"]["read_workers"],
                   "rss_after_read_mb": after_read[0], "peak_mb": status_mb("VmHWM:")}))
+"""
+
+
+# the Monte Carlo studies, (scenario, n, replications), at two sizes of the
+# rates study: blocks of 20 replications at n = 1e3, of one at n = 1e5
+STUDIES = (("sim3", 1000, 1000), ("coverage", 100_000, 40))
+
+# one `addspline simulate`, timed in the process that runs it
+RUN_SIMULATE = """
+import json, sys, tempfile, time
+import addspline.cli as cli
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    code = cli.main(["simulate", *sys.argv[1:], "--out", out])
+    wall = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
+print(json.dumps({"exit_code": code, "wall_s": wall, "peak_mb": peak}))
 """
 
 
@@ -157,6 +181,18 @@ def fit_sizes(sizes: list[int], seed: int) -> dict:
     return results
 
 
+def simulate_studies(seed: int) -> dict:
+    results = {}
+    for scenario, n, reps in STUDIES:
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        out = run([sys.executable, "-c", RUN_SIMULATE, scenario, "--n", str(n),
+                   "--reps", str(reps), "--seed", str(seed)])
+        result = json.loads(out.splitlines()[-1])
+        result["minor_faults"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
+        results[f"{scenario} n={n} reps={reps}"] = result
+    return results
+
+
 def git(*args: str) -> str:
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else ""
@@ -200,6 +236,10 @@ def main(argv=None) -> int:
               f"{fit['read_s']:.3f} s in {fit['read_workers']} processes, writing "
               f"{fit['write_s']:.3f} s), "
               f"{fit['rss_after_read_mb']:.1f} MB after the read, peak {fit['peak_mb']:.1f} MB")
+    report["studies"] = simulate_studies(args.seed)
+    for name, study in report["studies"].items():
+        print(f"simulate {name}: wall {study['wall_s']:.3f} s, peak {study['peak_mb']:.1f} MB, "
+              f"{study['minor_faults']} minor faults")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.name}")

@@ -538,7 +538,6 @@ def _run(
     history: list[tuple[np.ndarray, np.ndarray]] | None = [] if keep_history else None
     converged = False
     stages = 0
-    residual = np.inf
     for stage in range(1, max_stages + 1):
         b1_new, b2_new = eq.sweep(b2)
         change = max(
@@ -549,12 +548,13 @@ def _run(
         stages = stage
         if history is not None:
             history.append((b1.copy(), b2.copy()))
-        if tol is not None:
+        # the residual, four products, is tested only where the change lets a stage stop
+        if tol is not None and change <= tol:
             residual = eq.residual_norm(b1, b2)
-            if change <= tol and residual <= tol:
+            if residual <= tol:
                 converged = True
                 break
-    if tol is None:  # otherwise the last stage's residual is the final one
+    if not converged:
         residual = eq.residual_norm(b1, b2)
     return BackfitResult(
         b1=b1,

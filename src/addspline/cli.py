@@ -389,6 +389,36 @@ def _summary_fields(summary, level: float) -> dict:
     }
 
 
+# glibc malloc serves a request above M_MMAP_THRESHOLD from a fresh mapping,
+# and gives freed heap above M_TRIM_THRESHOLD back to the kernel; by default
+# both follow the largest block freed.  A Monte Carlo block allocates a few MB
+# of temporaries and frees them at its end, so the next block faulted the
+# same pages in again: after warm-up, about 900 minor faults per block at
+# n = 1e3 (R = 20) and 1100 at n = 1e5 (R = 1), about 2 us each on a 2-vCPU
+# host.  4 MiB / 64 MiB and 1 MiB / 16 MiB both left 0 faults per block at
+# either size, with equal benchmark times and VmHWM; the trim threshold alone
+# left 600, the mmap threshold alone 1327.  At n = 3e5, whose n-vectors
+# (2.4 MB) pass 1 MiB, the smaller pair left 1172 faults per block and the
+# larger 0.  (glibc's parameter number, bytes): M_MMAP_THRESHOLD, M_TRIM_THRESHOLD.
+_MALLOPT = ((-3, 4 << 20), (-1, 64 << 20))
+
+
+def _keep_freed_heap() -> None:
+    """Set `_MALLOPT` in the C library's malloc for the rest of this process
+    and the workers it forks, over any `MALLOC_*` variable of the environment.
+    A no-op where the C library has no `mallopt` (macOS) or `CDLL(None)`
+    loads no library (Windows' loader takes no None)."""
+    import ctypes  # numpy has loaded it: this import costs nothing
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def cmd_simulate(args) -> int:
     _at_least("--n", args.n, 20)
     _at_least("--seed", args.seed, 0)
@@ -416,6 +446,7 @@ def cmd_simulate(args) -> int:
         grid_points=args.grid,
     )
     tag = f"{args.scenario}_n{args.n}_seed{args.seed}"
+    _keep_freed_heap()  # the blocks reuse one another's freed heap
     start = time.perf_counter()
 
     # each scenario names its table (header, columns), JSON payload, figure

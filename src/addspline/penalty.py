@@ -64,9 +64,12 @@ def penalty_matrix(order: int, size: int) -> PenaltyMatrix:
     m, q = order, size
     c = [(-1) ** (m - j) * comb(m, j) for j in range(m + 1)]
     Q = np.zeros((q, q))
-    flat, rows = Q.reshape(-1), q - m
     for j in range(m + 1):
-        for l in range(m + 1):
-            first = j * q + l  # the entry (i + j, i + l) at i = 0
-            flat[first : first + rows * (q + 1) : q + 1] += c[j] * c[l]
+        # row l of this view is the diagonal through (j, l), entry i at
+        # (i + j, i + l): one step adds c_j c_l to all m + 1 of them, and an
+        # entry meets one l per j, so it takes its terms in j order; each
+        # product is the exact integer, rounded once
+        diagonals = np.ndarray((m + 1, q - m), buffer=Q, offset=j * q * Q.itemsize,
+                               strides=(Q.itemsize, (q + 1) * Q.itemsize))
+        diagonals += np.array([c[j] * c_l for c_l in c], dtype=float)[:, None]
     return PenaltyMatrix(order=order, size=size, values=Q)

@@ -151,7 +151,62 @@ class TestDesignValidation:
             build_design(y, x1, x2, num_intervals=6)
 
 
+def every_stage_residual_backfit(eq, b2_init, tol, max_stages):
+    """The backfit loop that tests the residual at every stage, the reference
+    `backfit` must equal bit for bit: (b1, b2, stages, converged, residual,
+    the stages whose coefficient change is <= tol)."""
+    q = eq.num_coef
+    b2 = np.zeros(q) if b2_init is None else eq.gauge(np.array(b2_init, dtype=float))
+    b1 = np.zeros(q)
+    converged, residual, stoppable = False, np.inf, 0
+    for stage in range(1, max_stages + 1):
+        b1_new, b2_new = eq.sweep(b2)
+        change = max(
+            float(np.abs(b1_new - b1).max()) if stage > 1 else np.inf,
+            float(np.abs(b2_new - b2).max()),
+        )
+        b1, b2 = b1_new, b2_new
+        stoppable += change <= tol
+        residual = eq.residual_norm(b1, b2)
+        if change <= tol and residual <= tol:
+            converged = True
+            break
+    return b1, b2, stage, converged, residual, stoppable
+
+
 class TestSweeps:
+    @pytest.mark.parametrize(
+        "lam,x2,tol,max_stages,start",
+        [
+            (None, "wind", 1e-10, 100, False),  # the default fit: 26 stages
+            (0.0, "wind", 1e-10, 400, False),  # 245 stages
+            (None, "wind", 1e-10, 3, False),  # stopped at max_stages
+            (None, "temperature", 1.0, 100, False),  # x2 = x1: 7 stages may stop
+            (1e-6, "wind", 1e-10, 100, False),  # not converged in 100 stages
+            (None, "wind", 1e-10, 100, True),
+            (0.0, "wind", 1e-10, 400, True),
+        ],
+    )
+    def test_residual_is_tested_only_where_a_stage_can_stop(
+        self, monkeypatch, lam, x2, tol, max_stages, start
+    ):
+        data = load_csv(OZONE_CSV, "ozone", "temperature", x2)
+        d = build_design(data.y, data.x1, data.x2, lambda1=lam, lambda2=lam)
+        eq = d.normal_equations
+        b2_init = np.random.default_rng(7).normal(size=d.num_coef) if start else None
+        b1, b2, stages, converged, residual, stoppable = every_stage_residual_backfit(
+            eq, b2_init, tol, max_stages
+        )
+        calls, residual_norm = [], NormalEquations.residual_norm
+        monkeypatch.setattr(
+            NormalEquations, "residual_norm",
+            lambda self, *b: calls.append(1) or residual_norm(self, *b),
+        )
+        r = backfit(d, b2_init=b2_init, tol=tol, max_stages=max_stages)
+        assert r.b1.tobytes() == b1.tobytes() and r.b2.tobytes() == b2.tobytes()
+        assert (r.stages, r.converged, r.residual_norm) == (stages, converged, residual)
+        assert len(calls) <= stoppable + 1
+
     def test_first_two_stages_match_closed_form(self):
         # stage updates alternate ridge solves against the other component's fit
         d = ridged_design(n=150, K=8)

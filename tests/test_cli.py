@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import platform
 import subprocess
 import re
 import sys
@@ -1284,6 +1285,28 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []"
 
+    def test_import_loads_only_these_modules_beyond_numpy(self):
+        # every `addspline` run pays this path's imports in its start-up; the
+        # standard library's come from argparse (gettext), csv, dataclasses
+        # (copy), json, forking's select and signal, and statistics (decimal,
+        # fractions)
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "before = {m.partition('.')[0] for m in sys.modules}\n"
+            "import addspline.cli\n"
+            "print(*sorted({m.partition('.')[0] for m in sys.modules} - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [
+            "__future__", "_csv", "_decimal", "_json", "_statistics", "addspline", "argparse",
+            "copy", "csv", "dataclasses", "decimal", "fractions", "gettext", "json", "select",
+            "signal", "statistics",
+        ]
+
     def test_no_arguments_shows_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "addspline"],
@@ -1293,3 +1316,60 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "usage" in (proc.stderr + proc.stdout).lower()
+
+
+class TestKeepFreedHeap:
+    """`simulate` keeps the heap its replication blocks free, so that each
+    block reuses the pages the one before it faulted in."""
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="the thresholds are glibc malloc's",
+    )
+    def test_blocks_after_warm_up_fault_no_pages_in(self):
+        script = (
+            "import resource\n"
+            "from addspline import cli, sim\n"
+            "cli._keep_freed_heap()\n"
+            "cfg = sim.ScenarioConfig(n=1000, seed=3, replications=160)\n"
+            "R = sim._block_size(cfg)\n"
+            "blocks = [range(b * R, b * R + R) for b in range(8)]\n"
+            "for block in blocks[:3]:\n"
+            "    sim._replicate_block(cfg, block)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for block in blocks[3:]:\n"
+            "    sim._replicate_block(cfg, block)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+        )
+        assert proc.returncode == 0, proc.stderr
+        # glibc's own thresholds give about 1000 a block, 5300 in all
+        assert int(proc.stdout) < 50
+
+    @pytest.mark.parametrize("loads", [False, True], ids=["no-library", "no-mallopt"])
+    def test_no_op_without_mallopt(self, monkeypatch, loads):
+        import ctypes
+
+        def library(name):
+            if not loads:
+                raise OSError(f"{name}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", library)
+        assert cli._keep_freed_heap() is None
+
+    @pytest.mark.parametrize("command,calls", [("fit", 0), ("sim1", 1), ("coverage", 1)])
+    def test_only_simulate_keeps_its_freed_heap(self, monkeypatch, capsys, tmp_path, command,
+                                                calls):
+        made = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: made.append(command))
+        argv = {
+            "fit": ["fit", "--data", str(OZONE_CSV), "--y", "ozone", "--x1", "temperature",
+                    "--x2", "wind"],
+            "sim1": ["simulate", "sim1", "--n", "80"],
+            "coverage": ["simulate", "coverage", "--n", "80", "--reps", "25"],
+        }[command]
+        assert run_main(capsys, *argv, "--out", str(tmp_path))[0] == 0
+        assert len(made) == calls
