@@ -17,9 +17,11 @@ up the normal-equation statistics (`read_s`), the part spent writing the
 report, the tables and any figure (`write_s`, from the report's save to the
 end of the run), the processes that read the CSV
 (`read_workers`), its resident memory when that read returns
-(`rss_after_read_mb`, the `VmRSS` line of its own /proc/self/status) and its
-peak resident memory (`peak_mb`, the `VmHWM` line); a forked reader's memory
-is its own and is not counted.
+(`rss_after_read_mb`, the `VmRSS` line of its own /proc/self/status), its
+peak resident memory (`peak_mb`, the `VmHWM` line; a forked reader's memory
+is its own and is not counted) and the minor page faults of the fit
+(`minor_faults`, `ru_minflt` of the child itself and of its reaped reader
+worker, `RUSAGE_CHILDREN`, around `main`: start-up and imports not included).
 `ru_maxrss` would not do: Linux carries the peak of the process that ran
 exec into the new process's `ru_maxrss`, so a fit started from a large
 parent would read that parent's peak.  Last it runs the Monte Carlo studies
@@ -64,12 +66,17 @@ np.savetxt(path, np.column_stack([y, x1, x2]), fmt="%.17g", delimiter=",",
 
 # one `addspline fit`, timed in the process that runs it; read_s is its
 # read-and-statistics phase, `load_csv_summarized`: the CSV read, the
-# preprocessing and the normal-equation statistics of every fit, write_s the
-# time from the report's save to the end of the run, and rss_after_read_mb
-# this process's resident memory when that phase returns
+# preprocessing and the normal-equation statistics of every fit (and the
+# residuals of a near noise-free fit, read again), write_s the time from the
+# report's save to the end of the run, rss_after_read_mb this process's
+# resident memory when the first read returns, and minor_faults those of the
+# fit and of its reaped reader worker
 RUN_FIT = """
-import json, sys, time
+import json, resource, sys, time
 import addspline.cli as cli
+def faults():
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 def status_mb(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith(key)) / 1024.0
@@ -88,16 +95,17 @@ def timed_save(*args):
     saved.append(time.perf_counter())
     return save(*args)
 cli.RunReport.save = timed_save
-start = time.perf_counter()
+faults_before, start = faults(), time.perf_counter()
 code = cli.main(["fit", "--data", sys.argv[1], "--y", "y", "--x1", "x1", "--x2", "x2",
                  "--out", sys.argv[2]])
 end = time.perf_counter()
-wall = end - start
+wall, minor_faults = end - start, faults() - faults_before
 report = json.load(open(sys.argv[2] + "/fit_report.json"))
 print(json.dumps({"exit_code": code, "wall_s": wall, "read_s": sum(phase),
                   "write_s": end - saved[0],
                   "read_workers": report["diagnostics"]["read_workers"],
-                  "rss_after_read_mb": after_read[0], "peak_mb": status_mb("VmHWM:")}))
+                  "rss_after_read_mb": after_read[0], "peak_mb": status_mb("VmHWM:"),
+                  "minor_faults": minor_faults}))
 """
 
 
@@ -235,7 +243,8 @@ def main(argv=None) -> int:
         print(f"fit n={n}: wall {fit['wall_s']:.3f} s (read and statistics "
               f"{fit['read_s']:.3f} s in {fit['read_workers']} processes, writing "
               f"{fit['write_s']:.3f} s), "
-              f"{fit['rss_after_read_mb']:.1f} MB after the read, peak {fit['peak_mb']:.1f} MB")
+              f"{fit['rss_after_read_mb']:.1f} MB after the read, peak {fit['peak_mb']:.1f} MB, "
+              f"{fit['minor_faults']} minor faults")
     report["studies"] = simulate_studies(args.seed)
     for name, study in report["studies"].items():
         print(f"simulate {name}: wall {study['wall_s']:.3f} s, peak {study['peak_mb']:.1f} MB, "

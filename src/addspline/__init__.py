@@ -74,7 +74,6 @@ from .sim import (
     truth_f1,
     truth_f2,
 )
-from .svg import write_svg
 
 __version__ = "0.1.0"
 
@@ -134,6 +133,5 @@ __all__ = [
     "truth_f2",
     "uniform_population",
     "univariate_penalized",
-    "write_svg",
     "write_table",
 ]

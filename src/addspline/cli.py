@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,8 @@ def _config_tokens(path: str) -> list[str]:
         key, _, value = line.partition("=")
         key = key.strip().lstrip("-").replace("_", "-")
         value = value.strip()
+        if key == "config":  # a file naming itself would be expanded forever
+            raise DataError(f"{path}:{lineno}: a config file cannot name a config file")
         if key in _SWITCHES:
             if value.lower() in ("1", "true", "yes", "on"):
                 tokens.append(f"--{key}")
@@ -209,13 +212,32 @@ def _singular_component(exc: NotPositiveDefiniteError, design: AdditiveDesign) -
     return DataError(f"a per-component normal-equation system is singular ({exc}); {why}")
 
 
-def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int):
-    """The normal-equation statistics of some rows of a dataset of n rows, as
-    the reader gives them, in the basis `build_design` gives that dataset,
-    and the residual sum of squares of those rows, a function of (b1, b2)."""
+def _part_designs(degree: int, kn: int | None, x1, x2, n: int):
+    """The design matrices of some rows of a dataset of n rows, as the reader
+    gives them, in the basis `build_design` gives that dataset."""
     cfg = make_knots(degree, kn_rule(n) if kn is None else kn)
-    X1, X2 = design_matrix(cfg, x1), design_matrix(cfg, x2)
-    return NormalStatistics.of(y, X1, X2), functools.partial(_residual_sum_of_squares, y, X1, X2)
+    return design_matrix(cfg, x1), design_matrix(cfg, x2)
+
+
+def _normal_statistics(degree: int, kn: int | None, y, x1, x2, n: int) -> NormalStatistics:
+    """The normal-equation statistics of some rows (`_part_designs`)."""
+    return NormalStatistics.of(y, *_part_designs(degree, kn, x1, x2, n))
+
+
+def _reread_rss(args, kn: int | None, first, b1, b2) -> float:
+    """||y - X_1 b_1 - X_2 b_2||^2 over the rows of --data, read again, part
+    by part, as the read `first` read them; a file whose rows no longer give
+    `first`'s row count, preprocessing and ranges is an input error."""
+    def residuals(y, x1, x2, n):
+        return _residual_sum_of_squares(y, *_part_designs(args.degree, kn, x1, x2, n), b1, b2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the first read warned of any zeros nudged
+        again = load_csv_summarized(args.data, args.y, args.x1, args.x2, residuals,
+                                    preprocess=not args.no_preprocess)
+    if (again.n, again.preprocessing, again.ranges) != (first.n, first.preprocessing, first.ranges):
+        raise DataError(f"{args.data}: the file changed while it was being fitted")
+    return again.summary
 
 
 def cmd_fit(args) -> int:
@@ -229,54 +251,53 @@ def cmd_fit(args) -> int:
     _check_basis_flags(args)
     z = confidence_interval(0.0, 1.0, args.level).upper  # also rejects a bad --level
 
-    # the one read: rows parsed, preprocessed and summarized, a large file in
-    # parts, on two CPUs where allowed; each part's rows stay in the process
-    # that read them until sigma2_hat is known
+    # the read: rows parsed, preprocessed and summarized, a large file in
+    # parts, on two CPUs where allowed; no row and no process outlives it
     clock = [time.perf_counter()]  # then the ends of the read, fit, band and formatting
-    with load_csv_summarized(
+    data = load_csv_summarized(
         args.data, args.y, args.x1, args.x2,
         functools.partial(_normal_statistics, args.degree, kn),
         preprocess=not args.no_preprocess,
-    ) as data:
-        clock.append(time.perf_counter())
-        for role, name, (low, high) in zip(("x1", "x2"), (args.x1, args.x2), data.ranges):
-            # a spline in one value is not identified at any penalty
-            if low == high:
-                raise DataError(
-                    f"{args.data}: covariate column {name!r} ({role}) has a single "
-                    "distinct value; a spline in it needs at least two"
-                )
-        _check_basis_flags(args, data.n)  # an auto K comes with n
-        # no rows: the design reads the data only through the statistics
-        design = build_design(
-            None, None, None, degree=args.degree, diff_order=args.diff_order,
-            num_intervals=kn, lambda1=lam1, lambda2=lam2, statistics=data.summary,
-        )
-        try:
-            eq = design.normal_equations
-        except NotPositiveDefiniteError as exc:
-            raise _singular_component(exc, design) from None
-        for j, cols in enumerate(eq.pinned, start=1):
-            if cols.size:
-                print(
-                    f"warning: component {j} basis columns {cols.tolist()} hold no "
-                    "data at zero penalty; their coefficients are pinned to 0.",
-                    file=sys.stderr,
-                )
-        result = backfit(design, tol=args.tol, max_stages=args.max_stages)
-        sigma2 = sigma2_hat(design, result, data.add_up)
-        data.release()  # the worker exits while the band is computed
-        clock.append(time.perf_counter())
-        grid = eval_grid(args.grid)
-        rows = design_matrix(design.X1.config, grid)
-        # a converged fit's band takes the weights of the gauged solve; a fit
-        # stopped at --max-stages, or one whose split no gauge fixes, its stages'
-        try:
-            schur = eq._schur if result.converged else None
-        except NotPositiveDefiniteError:
-            schur = None
-        smoother = StageSmoother(design, result.stages if schur is None else None)
-        _, products = smoother.evaluate_rows(rows.values, rows.values)
+    )
+    clock.append(time.perf_counter())
+    for role, name, (low, high) in zip(("x1", "x2"), (args.x1, args.x2), data.ranges):
+        # a spline in one value is not identified at any penalty
+        if low == high:
+            raise DataError(
+                f"{args.data}: covariate column {name!r} ({role}) has a single "
+                "distinct value; a spline in it needs at least two"
+            )
+    _check_basis_flags(args, data.n)  # an auto K comes with n
+    # no rows: the design reads the data only through the statistics
+    design = build_design(
+        None, None, None, degree=args.degree, diff_order=args.diff_order,
+        num_intervals=kn, lambda1=lam1, lambda2=lam2, statistics=data.summary,
+    )
+    try:
+        eq = design.normal_equations
+    except NotPositiveDefiniteError as exc:
+        raise _singular_component(exc, design) from None
+    for j, cols in enumerate(eq.pinned, start=1):
+        if cols.size:
+            print(
+                f"warning: component {j} basis columns {cols.tolist()} hold no "
+                "data at zero penalty; their coefficients are pinned to 0.",
+                file=sys.stderr,
+            )
+    result = backfit(design, tol=args.tol, max_stages=args.max_stages)
+    # a near noise-free fit's residuals are added up over the rows, read again
+    sigma2 = sigma2_hat(design, result, functools.partial(_reread_rss, args, kn, data))
+    clock.append(time.perf_counter())
+    grid = eval_grid(args.grid)
+    rows = design_matrix(design.X1.config, grid)
+    # a converged fit's band takes the weights of the gauged solve; a fit
+    # stopped at --max-stages, or one whose split no gauge fixes, its stages'
+    try:
+        schur = eq._schur if result.converged else None
+    except NotPositiveDefiniteError:
+        schur = None
+    smoother = StageSmoother(design, result.stages if schur is None else None)
+    _, products = smoother.evaluate_rows(rows.values, rows.values)
     n = data.n
     grid_rows = rows.chunk(0, grid.size)  # evaluated once for both estimates
     record = data.preprocessing

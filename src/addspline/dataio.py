@@ -7,8 +7,8 @@ report carries the texts, which `json_text` and `write_table` write verbatim.
 Every CSV is read on one path (`_read`): one vectorized parse per part of rows,
 the cell reader only from the part where that parse fails, then one
 preprocessing and, for a fit, one summary per part.  A large file is two
-parts, read on two CPUs where allowed; each part's rows stay in the process
-that parsed them (`load_csv_summarized`).
+parts, read on two CPUs where allowed; each part's rows are dropped once
+summarized, and no process outlives the read (`load_csv_summarized`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -223,7 +222,7 @@ def preprocess_columns(
     columns = [np.array(a, dtype=float) for a in (y, x1, x2)]
     form = _combine([_reductions(np.column_stack(columns), range(3))])
     nudged, _ = _summarize_part(columns, form, None)
-    record = replace(form[1], zeros_nudged=nudged)
+    record = _nudged(form[1], nudged)
     _warn_nudged(record)
     return (*columns, record)
 
@@ -286,11 +285,10 @@ def load_csv_summarized(
     takes the row count and the preprocessing of all rows from the parts'
     `_reductions` and raises `load_csv`'s errors.  `summarize(y, x1, x2, n)`
     then takes each part's columns, preprocessed unless `preprocess` is
-    false, and the row count n of the whole file, and returns (summary,
-    measure).  The summaries must add up (`+`) to the summary of both parts,
+    false, and the row count n of the whole file, and returns the part's
+    summary.  The summaries must add up (`+`) to the summary of both parts,
     the first part's first, so that nothing depends on the number of
-    processes.  `measure` stays in the process that read the part, with the
-    rows it keeps (`_Summarized.add_up`); close the result to let it go.
+    processes.  No row and no process outlives the call.
 
     Once a part fails to parse (see `read_table`), the cell reader reads the
     file from that part's first line: it names the line and column of the
@@ -303,44 +301,18 @@ def load_csv_summarized(
     return data
 
 
+@dataclass(frozen=True)
 class _Summarized:
     """A CSV as `load_csv_summarized` reads it, without its rows: the row
     count `n`, the `preprocessing` (None where not asked for), the `ranges`
     (min, max) of x1 and of x2 as preprocessed, the `summary` of all rows and
-    the processes (`workers`) that read them.  `add_up(*args)` sums each
-    part's measure of `args` over the parts, the first part's first, a forked
-    worker's taken there.  `release` lets the worker exit on its own, while
-    this process goes on; `close`, or the end of a `with` block, reaps it.
-    """
+    the number of processes (`workers`) that read them."""
 
-    def __init__(self, form, nudged: int, summary, measures, worker: forking.Worker | None = None):
-        self.n, record, self.ranges = form
-        self.preprocessing = None if record is None else replace(record, zeros_nudged=nudged)
-        self.summary = summary
-        self.workers = 1 if worker is None else 2
-        self._measures, self._worker = measures, worker
-
-    def add_up(self, *args):
-        if self._worker is not None:
-            self._worker.send(args)
-        parts = [measure(*args) for measure in self._measures]
-        if self._worker is not None:
-            parts.append(self._worker.recv())
-        return functools.reduce(operator.add, parts)
-
-    def release(self) -> None:
-        if self._worker is not None:
-            self._worker.send(None)
-
-    def close(self) -> None:
-        if self._worker is not None:
-            self._worker.close()
-
-    def __enter__(self) -> _Summarized:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    n: int
+    preprocessing: Preprocessing | None
+    ranges: list[tuple[float, float]]
+    summary: object
+    workers: int
 
 
 def _read(path, cols, summarize, preprocess: bool, min_rows: int = _MIN_ROWS):
@@ -368,9 +340,9 @@ def _read_one(path, header: list[str], table: np.ndarray, cols, combine, summari
         columns = [c.copy() for c in columns]
     form = combine([_reductions(table, idx)])
     nudged, summary = _summarize_part(columns, form, summarize)
+    record = _nudged(form[1], nudged)
     if summarize is not None:
-        return _Summarized(form, nudged, summary[0], [summary[1]])
-    record = None if form[1] is None else replace(form[1], zeros_nudged=nudged)
+        return _Summarized(form[0], record, form[2], summary, 1)
     return Dataset(tuple(header), *cols, *columns, record)
 
 
@@ -536,6 +508,11 @@ def _combine(parts: list, path=None, min_rows: int = 0, preprocess: bool = True,
     return n, record, [(low / top or tiny, top / top) for low, top in ranges]
 
 
+def _nudged(record: Preprocessing | None, nudged: int) -> Preprocessing | None:
+    """`record` with its count of zeros nudged."""
+    return None if record is None else replace(record, zeros_nudged=nudged)
+
+
 def _summarize_part(columns: list[np.ndarray], form, summarize) -> tuple[int, object]:
     """Preprocess one part's columns (y, x1, x2) in place by `form` = (n,
     Preprocessing or None, ranges) and summarize them: (zeros nudged,
@@ -556,20 +533,17 @@ def _read_in_parts(path: Path, plan, cols, combine, summarize) -> _Summarized:
     processes, a forked worker reads part 1 (`_serve_part`).  They exchange
     one message each way: the worker's `_reductions`, then the row count and
     preprocessing of all rows (`combine`).  Each then preprocesses and
-    summarizes a contiguous copy of its own rows and keeps it; the worker
-    sends its summary and stays, to measure its rows.  It is killed and
-    reaped before this raises.  Once part 0 fails to parse, the cell reader
-    reads the file; once part 1 does, part 1 after part 0's rows; where the
-    parts overlap, one vectorized pass reads the file.  That table is then
-    read as one part.
+    summarizes a contiguous copy of its own columns, dropped once summarized;
+    the worker sends its summary and exits.  It is reaped before this returns
+    or raises.  Once part 0 fails to parse, the cell reader reads the file;
+    once part 1 does, part 1 after part 0's rows; where the parts overlap,
+    one vectorized pass reads the file.  That table is then read as one part.
     """
     header, idx = plan[0], [plan[0].index(c) for c in cols]
-    with contextlib.ExitStack() as stack:
-        worker = None
-        if forking.workers() > 1:
-            worker = stack.enter_context(
-                forking.Worker(_serve_part, path, plan, idx, summarize)
-            )
+    worker = None
+    if forking.workers() > 1:
+        worker = forking.Worker(_serve_part, path, plan, idx, summarize)
+    with worker or contextlib.nullcontext():
         tables, second = [_read_part(path, plan, 0)], None
         if tables[0] is not None:
             if worker is not None:
@@ -581,19 +555,13 @@ def _read_in_parts(path: Path, plan, cols, combine, summarize) -> _Summarized:
             form = combine([_reductions(tables[0], idx), second])
             if worker is not None:
                 worker.send(form)
-            part = [tables[0][:, j].copy() for j in idx]
-            del tables[0]  # each table goes once its columns are copied
-            nudged, (summary, measure) = _summarize_part(part, form, summarize)
-            measures = [measure]
+            nudged, summary = _summarize_part(_take_columns(tables, idx), form, summarize)
             if worker is not None:
                 more, rest = worker.recv()
             else:
-                part = [tables[0][:, j].copy() for j in idx]
-                del tables[0]
-                more, (rest, measure) = _summarize_part(part, form, summarize)
-                measures.append(measure)
-            stack.pop_all()  # the worker stays, to measure its part
-            return _Summarized(form, nudged + more, summary + rest, measures, worker)
+                more, rest = _summarize_part(_take_columns(tables, idx), form, summarize)
+            record = _nudged(form[1], nudged + more)
+            return _Summarized(form[0], record, form[2], summary + rest, 1 if worker is None else 2)
     first = tables[0]
     if first is None:
         header, table = _read_table_cells(path)
@@ -609,20 +577,21 @@ def _read_in_parts(path: Path, plan, cols, combine, summarize) -> _Summarized:
     return _read_one(path, header, table, cols, combine, summarize)
 
 
+def _take_columns(tables: list[np.ndarray], idx) -> list[np.ndarray]:
+    """Contiguous copies of the model columns at `idx` of `tables[0]`, which
+    is dropped from `tables`."""
+    table = tables.pop(0)
+    return [table[:, j].copy() for j in idx]
+
+
 def _serve_part(channel, path: Path, plan, idx: list[int], summarize) -> None:
     """In a forked worker of `_read_in_parts`: read part 1 and send its
     reductions; given the row count and preprocessing of all rows, send its
-    zeros nudged and summary; then answer each message `args` with the
-    part's measure of `args`, until None or the end of the pipe."""
-    table = _read_part(path, plan, 1)
-    channel.send(_reductions(table, idx))
+    zeros nudged and summary."""
+    tables = [_read_part(path, plan, 1)]
+    channel.send(_reductions(tables[0], idx))
     form = channel.recv()
-    part = [table[:, j].copy() for j in idx]
-    del table
-    nudged, (summary, measure) = _summarize_part(part, form, summarize)
-    channel.send((nudged, summary))
-    while (args := channel.recv()) is not None:
-        channel.send(measure(*args))
+    channel.send(_summarize_part(_take_columns(tables, idx), form, summarize))
 
 
 @dataclass

@@ -239,7 +239,7 @@ def sigma2_hat(design: AdditiveDesign, result: BackfitResult,
     equations (`NormalEquations.rss_estimate`) when its rounding bound is
     below 1e-12, and added up over the rows again otherwise, as for a near
     noise-free fit: by `residual_sum_of_squares(b1, b2)` where given (say,
-    over rows kept elsewhere, for a design without rows), else by
+    over the rows of a file read again, for a design without rows), else by
     `AdditiveDesign.residual_sum_of_squares`.
     """
     rss, bound = design.normal_equations.rss_estimate(result.b1, result.b2)

@@ -7,11 +7,9 @@ Purely presentational.  Every curve and every contour loop becomes exactly one
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-__all__ = ["svg_document", "write_svg", "contour_loops"]
+__all__ = ["svg_document", "contour_loops"]
 
 _WIDTH, _HEIGHT, _MARGIN = 640, 480, 50
 
@@ -210,18 +208,6 @@ def _frame(mapper):
             f'font-size="11" text-anchor="end">{yv:.3g}</text>'
         )
     return parts
-
-
-def write_svg(
-    path,
-    curves=None,
-    contour=None,
-    levels=None,
-    labels=None,
-    title: str | None = None,
-) -> None:
-    """Write `svg_document` of the other arguments to `path`."""
-    Path(path).write_text(svg_document(curves, contour, levels, labels, title))
 
 
 def svg_document(

@@ -346,6 +346,20 @@ class TestFit:
         assert report.config["lambda1"] == 3.0  # explicit flag wins
         assert report.config["lambda2"] == 2.0
 
+    @pytest.mark.parametrize("named", ["itself", "another file"])
+    def test_config_file_naming_a_config_file_exits_1_at_once(self, tmp_path, ozone_args, named):
+        # run in a child, so that a cycle fails the test instead of hanging it
+        cfg, other = tmp_path / "self.cfg", tmp_path / "other.cfg"
+        other.write_text("kn = 10\n")
+        cfg.write_text(f"kn = 12\nconfig = {cfg if named == 'itself' else other}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "addspline", *ozone_args, "--config", str(cfg)],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {cfg}:2: a config file cannot name a config file\n"
+        assert not (tmp_path / "fit_report.json").exists()
+
 
 def _write_fit_csv(path, x2):
     """y on a spread covariate a and the given covariate b, 200 rows."""
@@ -686,8 +700,9 @@ class TestFitReadInParts:
 
 
 class TestFitKeepsTheRowsWhereTheyWereRead:
-    """The fit reads only statistics: each part's rows stay with the process
-    that read them, which measures them for sigma2_hat when it asks."""
+    """The fit reads only statistics, and no row and no process outlives the
+    read; a near noise-free fit reads its rows again for sigma2_hat, part by
+    part where they were read, and adds up the parts' residuals."""
 
     @pytest.fixture
     def noise_free(self, tmp_path):
@@ -700,17 +715,19 @@ class TestFitKeepsTheRowsWhereTheyWereRead:
         write_table(path, ["y", "x1", "x2"], [y, x1, x2])
         return path
 
+    @staticmethod
+    def argv(path, out):
+        return ["fit", "--data", str(path), "--y", "y", "--x1", "x1", "--x2", "x2",
+                "--out", str(out)]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_near_noise_free_fit_adds_up_the_parts_residuals(
         self, tmp_path, capsys, monkeypatch, noise_free, workers
     ):
         monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
         monkeypatch.setattr(forking, "workers", lambda: workers)
-        sent, send = [], forking.Worker.send
-        monkeypatch.setattr(forking.Worker, "send", lambda w, obj: sent.append(obj) or send(w, obj))
-        argv = ["fit", "--data", str(noise_free), "--y", "y", "--x1", "x1", "--x2", "x2",
-                "--out", str(tmp_path)]
-        assert run_main(capsys, *argv)[0] == 0
+        reads = recorded_reads(monkeypatch)
+        assert run_main(capsys, *self.argv(noise_free, tmp_path))[0] == 0
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         report = RunReport.load(tmp_path / "fit_report.json")
@@ -721,12 +738,71 @@ class TestFitKeepsTheRowsWhereTheyWereRead:
         assert d.normal_equations.rss_estimate(b1, b2)[1] >= 1e-12  # the rows are needed
         want = d.residual_sum_of_squares(b1, b2) / ds.n
         assert abs(report.sigma2 - want) <= 1e-13 * want
-        # the worker is sent the preprocessing, asked once for its part's RSS,
-        # then let go
-        assert len(sent) == (3 if workers == 2 else 0)
-        if workers == 2:
-            assert [np.array_equal(a, b) for a, b in zip(sent[1], (b1, b2))] == [True, True]
-            assert sent[2] is None
+        # the statistics, then the parts' residual sums of squares, both in parts
+        first, again = reads
+        assert isinstance(first.summary, NormalStatistics) and type(again.summary) is float
+        assert first.workers == again.workers == workers
+        assert (again.n, again.preprocessing, again.ranges) == (
+            first.n, first.preprocessing, first.ranges)
+        assert report.sigma2 == again.summary / ds.n
+
+    def test_no_child_is_left_when_the_fit_starts(self, tmp_path, capsys, monkeypatch, noise_free):
+        monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(forking, "workers", lambda: 2)
+        reads, children, fit = recorded_reads(monkeypatch), [], cli.backfit
+
+        def checking(*args, **kwargs):
+            try:
+                children.append(os.waitpid(-1, os.WNOHANG))
+            except ChildProcessError:
+                children.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "backfit", checking)
+        assert run_main(capsys, *self.argv(noise_free, tmp_path))[0] == 0
+        assert children == [None] and reads[0].workers == 2
+
+    def test_zeros_nudged_warn_once_though_read_twice(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(11)
+        x1, x2 = 1.0 - rng.random(4000), 1.0 - rng.random(4000)
+        x1[7] = 0.0
+        y = np.sin(2 * np.pi * x1) + 0.5 * np.cos(np.pi * x2)
+        path = tmp_path / "zero.csv"
+        write_table(path, ["y", "x1", "x2"], [y, x1, x2])
+        reads = recorded_reads(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_main(capsys, *self.argv(path, tmp_path))[0] == 0
+        assert len(reads) == 2 and reads[1].preprocessing.zeros_nudged == 1
+        assert [str(w.message) for w in caught] == [
+            "1 zero covariate values nudged to the smallest positive double"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("change", ["one row fewer", "another response"])
+    def test_file_changed_between_the_reads_exits_1_leaving_no_out(
+        self, tmp_path, capsys, monkeypatch, noise_free, workers, change
+    ):
+        monkeypatch.setattr(dataio, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(forking, "workers", lambda: workers)
+        fit = cli.backfit
+
+        def rewriting(*args, **kwargs):  # the file changes once the fit is made
+            header, table = read_table(noise_free)
+            if change == "one row fewer":
+                table = table[:-1]
+            else:
+                table[5, 0] += 0.5
+            write_table(noise_free, header, list(table.T))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "backfit", rewriting)
+        out = tmp_path / "out"
+        code, stdout, err = run_main(capsys, *self.argv(noise_free, out))
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {noise_free}: the file changed while it was being fitted\n"
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_fit_exiting_1_after_the_read_leaves_no_child(self, tmp_path, capsys, monkeypatch):
         # two covariate values cannot fix an order-3 penalty's quadratics: the

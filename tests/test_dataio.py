@@ -2,9 +2,12 @@
 
 import contextlib
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
+import operator
 import os
 import tempfile
 import time
@@ -350,23 +353,19 @@ def _rows(seed=5, n=ROWS):
 
 
 def _sums(y, x1, x2, n):
-    """A summary that adds up over parts, column sums and the row count given,
-    and a measure of a part that gives its columns: added up (`+`) over the
-    parts, the columns of all parts, part after part."""
-    return np.array([y.sum(), x1.sum(), x2.sum(), float(n)]), lambda: [y, x1, x2]
+    """A summary that adds up over parts: the column sums and the row count given."""
+    return np.array([y.sum(), x1.sum(), x2.sum(), float(n)])
 
 
 def _statistics(y, x1, x2, n):
     cfg = make_knots(3, 20)
-    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2)), _sums(
-        y, x1, x2, n)[1]
+    return NormalStatistics.of(y, design_matrix(cfg, x1), design_matrix(cfg, x2))
 
 
-def _columns(data):
-    """The columns y, x1, x2 of all rows, as the parts of `data` keep them,
-    read through the parts' measures (`_sums`)."""
-    cols = data.add_up()
-    return [np.concatenate(cols[j::3]) for j in range(3)]
+def _columns(y, x1, x2, n):
+    """A summary that is the part's columns: added up (`+`) over the parts as
+    lists add, the columns of all parts, part after part."""
+    return [y, x1, x2]
 
 
 def _split(monkeypatch, workers):
@@ -376,13 +375,16 @@ def _split(monkeypatch, workers):
 
 
 def _summarized(path, cols=("y", "x1", "x2"), summarize=_sums):
-    """`load_csv_summarized` of `path`, closed: the result and the columns its
-    parts keep, or the message of the DataError it raises."""
+    """`load_csv_summarized` of `path`: the result, with the summary of
+    `summarize`, and the columns of all rows as its parts read them
+    (`_columns`); or the message of the DataError it raises."""
     try:
-        with load_csv_summarized(path, *cols, summarize) as data:
-            return data, _columns(data)
+        data = load_csv_summarized(path, *cols, lambda *part: [summarize(*part), *_columns(*part)])
     except DataError as exc:
         return str(exc)
+    parts = data.summary  # summary, y, x1 and x2 of each part, part after part
+    columns = [np.concatenate(parts[j::4]) for j in (1, 2, 3)]
+    return dataclasses.replace(data, summary=functools.reduce(operator.add, parts[::4])), columns
 
 
 def _assert_no_child_remains():
@@ -463,7 +465,7 @@ class TestReadInParts:
         assert data.workers == (1 if one_part else workers)
         _assert_matches_reference(data, columns, want, ROWS)
         parts = 1 if one_part else 2
-        assert np.allclose(data.summary, _sums(*columns, parts * ROWS)[0], rtol=1e-13)
+        assert np.allclose(data.summary, _sums(*columns, parts * ROWS), rtol=1e-13)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("part", [0, 1])
@@ -617,9 +619,9 @@ class TestReadInParts:
         p = tmp_path / "edge_of_threshold.csv"
         p.write_text(header + "0" * pad + first + row * rows)  # leading zeros fill it up
         assert p.stat().st_size == size
-        with load_csv_summarized(p, "y", "x1", "x2", lambda *cols: (_sums(*cols)[0], None)) as data:
-            assert data.n == rows + 1 and data.workers == (2 if above else 1)
-            assert data.summary[3] == data.workers * (rows + 1)  # each part's summary takes n
+        data = load_csv_summarized(p, "y", "x1", "x2", _sums)
+        assert data.n == rows + 1 and data.workers == (2 if above else 1)
+        assert data.summary[3] == data.workers * (rows + 1)  # each part's summary takes n
         _assert_no_child_remains()
 
     def test_one_and_two_workers_are_bitwise_alike(self, tmp_path, monkeypatch):
@@ -647,7 +649,7 @@ class TestReadInParts:
         p.write_text(_csv_text(_rows(n=20_000)))
         _split(monkeypatch, 2)
         data, columns = _summarized(p, summarize=_statistics)
-        whole = _statistics(*columns, data.n)[0]
+        whole = _statistics(*columns, data.n)
         assert data.summary.n == whole.n == 20_000
         for name in ("bands1", "bands2", "C_blocks", "u1", "u2", "yy"):
             got, want = np.asarray(getattr(data.summary, name)), np.asarray(getattr(whole, name))
@@ -669,29 +671,27 @@ class TestReadInParts:
             return frame
 
         monkeypatch.setattr(forking.Channel, "recv_frame", counting)
-        rss = lambda b1, b2: 0.0  # noqa: E731, a measure that keeps its part's rows
-        summarize = lambda y, x1, x2, n: (_statistics(y, x1, x2, n)[0], rss)  # noqa: E731
-        load_csv_summarized(p, "y", "x1", "x2", summarize).close()  # warm lazy imports
+        load_csv_summarized(p, "y", "x1", "x2", _statistics)  # warm lazy imports
         received.clear()
         tracemalloc.start()
         try:
-            with load_csv_summarized(p, "y", "x1", "x2", summarize) as data:
-                largest = max(t.size for t in tracemalloc.take_snapshot().traces)
-                assert data.add_up(np.zeros(23), np.zeros(23)) == 0.0
+            data = load_csv_summarized(p, "y", "x1", "x2", _statistics)
+            largest = max(t.size for t in tracemalloc.take_snapshot().traces)
         finally:
             tracemalloc.stop()
         _assert_no_child_remains()
-        # no column of all n rows lives here, nor the table of a part
-        assert largest < 8 * n
+        # once the call returns, no column of a part lives here, nor its table
+        m = dataio._plan(p, split=True)[1]
+        assert largest < 8 * min(m, n - m)
         stats = data.summary
         size = sum(np.asarray(getattr(stats, f)).nbytes for f in ("bands1", "bands2", "C_blocks",
                                                                    "u1", "u2"))
         if workers == 1:
             assert received == []
         else:
-            # the reductions, the summary and one measure: no part of a column
-            # (part 1's x1 alone is 80 kB)
-            assert len(received) == 3
+            # the reductions and the summary: no part of a column (part 1's
+            # x1 alone is 80 kB)
+            assert len(received) == 2
             assert sum(received) < size + 1024
 
     @pytest.mark.parametrize("step", ["_combine", "_summarize_part"])
@@ -728,23 +728,6 @@ class TestReadInParts:
             load_csv_summarized(p, "y", "x1", "x2", summarize)
         _assert_no_child_remains()
 
-    def test_worker_error_in_its_measure_reaches_the_caller(self, tmp_path, monkeypatch):
-        p = tmp_path / "data.csv"
-        p.write_text(_csv_text(_rows()))
-        _split(monkeypatch, 2)
-        parent = os.getpid()
-
-        def fail():
-            raise ValueError("the worker's measure failed")
-
-        def summarize(y, x1, x2, n):
-            return _sums(y, x1, x2, n)[0], (fail if os.getpid() != parent else lambda: 0)
-
-        with pytest.raises(ValueError, match="the worker's measure failed"):
-            with load_csv_summarized(p, "y", "x1", "x2", summarize) as data:
-                data.add_up()
-        _assert_no_child_remains()
-
 
 @pytest.mark.parametrize("reader", ["load_csv", "preprocess_columns", "one part",
                                     "two parts, one process", "two parts, two processes"])
@@ -762,8 +745,8 @@ def test_nudge_warning_names_the_callers_line(tmp_path, monkeypatch, reader):
         elif reader == "preprocess_columns":
             preprocess_columns(*read_table(p)[1].T)
         else:
-            with load_csv_summarized(p, "y", "x1", "x2", _sums) as data:
-                assert data.workers == (2 if reader.endswith("two processes") else 1)
+            data = load_csv_summarized(p, "y", "x1", "x2", _sums)
+            assert data.workers == (2 if reader.endswith("two processes") else 1)
     _assert_no_child_remains()
     assert [str(x.message) for x in w] == [
         "1 zero covariate values nudged to the smallest positive double"]

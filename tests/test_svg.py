@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from addspline import svg
-from addspline.svg import contour_loops, write_svg
+from addspline.svg import contour_loops, svg_document
 from addspline.sim import ScenarioConfig, kde2d, run_sim1, run_sim3
 
 
@@ -13,6 +13,11 @@ def circle_grid(half_width=3.2, size=161):
     ax = np.linspace(-half_width, half_width, size)
     Z = np.exp(-0.5 * (ax[:, None] ** 2 + ax[None, :] ** 2)) / (2.0 * np.pi)
     return ax, Z
+
+
+def write_svg(path, **kwargs):
+    """Write `svg_document(**kwargs)`'s text to `path`, as `addspline --svg` does."""
+    path.write_text(svg_document(**kwargs))
 
 
 class TestContourLoops:
