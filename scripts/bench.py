@@ -27,7 +27,8 @@ exec into the new process's `ru_maxrss`, so a fit started from a large
 parent would read that parent's peak.  Last it runs the Monte Carlo studies
 `simulate sim3 --n 1000 --reps 1000` and `simulate coverage --n 100000
 --reps 40` (seed `--seed`), one child process each, and records the study's
-wall time, the child's `VmHWM` (`peak_mb`) and the minor page faults of the
+wall time, the processes that ran its blocks (`workers`, read from the
+study's JSON), the child's `VmHWM` (`peak_mb`) and the minor page faults of the
 child and its forked study worker (`minor_faults`, `RUSAGE_CHILDREN` of this
 process around the child; the interpreter's start-up and imports included).
 
@@ -115,15 +116,17 @@ STUDIES = (("sim3", 1000, 1000), ("coverage", 100_000, 40))
 
 # one `addspline simulate`, timed in the process that runs it
 RUN_SIMULATE = """
-import json, sys, tempfile, time
+import glob, json, sys, tempfile, time
 import addspline.cli as cli
 with tempfile.TemporaryDirectory() as out:
     start = time.perf_counter()
     code = cli.main(["simulate", *sys.argv[1:], "--out", out])
     wall = time.perf_counter() - start
+    workers = [json.load(open(f))["workers"] for f in glob.glob(out + "/*.json")]
 with open("/proc/self/status") as fh:
     peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024.0
-print(json.dumps({"exit_code": code, "wall_s": wall, "peak_mb": peak}))
+print(json.dumps({"exit_code": code, "wall_s": wall, "workers": workers[0] if workers else None,
+                  "peak_mb": peak}))
 """
 
 
@@ -247,7 +250,8 @@ def main(argv=None) -> int:
               f"{fit['minor_faults']} minor faults")
     report["studies"] = simulate_studies(args.seed)
     for name, study in report["studies"].items():
-        print(f"simulate {name}: wall {study['wall_s']:.3f} s, peak {study['peak_mb']:.1f} MB, "
+        print(f"simulate {name}: wall {study['wall_s']:.3f} s on {study['workers']} processes, "
+              f"peak {study['peak_mb']:.1f} MB, "
               f"{study['minor_faults']} minor faults")
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

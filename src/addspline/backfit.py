@@ -22,8 +22,12 @@ a given start onto it, and `NormalEquations.solve` imposes it.
 
 At zero penalty a basis column that holds no data leaves its half-step system
 singular; such columns are pinned (`NormalEquations.pinned`): their
-coefficients are fixed at exactly 0.0, the minimum-norm solution.  Any other
-system singular to rounding raises, naming its component and cause (`_singular`).
+coefficients are fixed at exactly 0.0, the minimum-norm solution.  The factor,
+`bandmat.BandedCholesky`, owns that rule and the pivot floor.  Any other system
+singular to rounding raises, naming its component and cause (`_singular`), and
+an indefinite stacked system names the non-convex criterion (`_schur`).  The
+block count lives in the design matrices (`DesignMatrix.blocks`), the
+penalty's size in its matrix.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ def lambda_rule(n: int, num_intervals: int) -> float:
 class AdditiveDesign:
     """Response, the two design matrices, penalty weights, and the penalty.
 
-    `blocks` > 1 stacks that many independent designs of equal size, with
-    block diagonal design matrices (`DesignMatrix.block_diagonal`) and the
+    Block diagonal design matrices (`DesignMatrix.block_diagonal`) of `blocks`
+    > 1 stack that many independent designs of equal size, with the
     responses one after another: the normal equations, the sweeps and
     `StageSmoother` then serve all of them at once, block by block, as does
     `joint_solve`; the dense `hessian_check` and `criterion` take one block.
@@ -91,7 +95,6 @@ class AdditiveDesign:
     lambda1: float
     lambda2: float
     penalty: PenaltyMatrix
-    blocks: int = 1
     statistics: "NormalStatistics | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -103,8 +106,8 @@ class AdditiveDesign:
         bad = np.flatnonzero(~np.isfinite(self.y))
         if bad.size:
             raise ValueError(f"response y must be finite; row {bad[0]} is {self.y[bad[0]]}")
-        if self.X1.cols != self.X2.cols:
-            raise ValueError("both components must use the same basis size")
+        if (self.X1.cols, self.X1.blocks) != (self.X2.cols, self.X2.blocks):
+            raise ValueError("both components must use the same basis size and blocks")
         if self.penalty.size * self.blocks != self.X1.cols:
             raise ValueError(
                 f"penalty size {self.penalty.size} != basis size {self.X1.cols}"
@@ -121,6 +124,11 @@ class AdditiveDesign:
     @property
     def num_coef(self) -> int:
         return self.X1.cols
+
+    @property
+    def blocks(self) -> int:
+        """The independent designs stacked in this one, read off its design matrices."""
+        return self.X1.blocks
 
     @property
     def n(self) -> int:
@@ -171,14 +179,18 @@ def build_design(
 ) -> AdditiveDesign:
     """Assemble an AdditiveDesign from raw samples using the default rules;
     `statistics` as `AdditiveDesign` takes them.  Samples of None, with
-    statistics, give the design without rows, whose n is the statistics'."""
+    statistics, give the design without rows, whose n is the statistics'.
+    Statistics of several blocks (`NormalStatistics.blocks`) give a design
+    of as many blocks, whose default rules take the rows of one block."""
     rows = y is not None
     y = np.asarray(y if rows else (), dtype=float).reshape(-1)
-    n = y.shape[0] if statistics is None else statistics.n
+    blocks = 1 if statistics is None else statistics.blocks
+    n = y.shape[0] if statistics is None else statistics.n // blocks
     K = kn_rule(n) if num_intervals is None else int(num_intervals)
     cfg = make_knots(degree, K)
     lam_default = lambda_rule(n, K)
-    X1, X2 = (design_matrix(cfg, x) if rows else DesignMatrix(y, cfg) for x in (x1, x2))
+    X1, X2 = ((design_matrix(cfg, x) if rows else DesignMatrix(y, cfg)).block_diagonal(blocks)
+              for x in (x1, x2))
     return AdditiveDesign(
         y=y,
         X1=X1,
@@ -210,6 +222,11 @@ class NormalStatistics:
     yy: float
     n: int
 
+    @property
+    def blocks(self) -> int:
+        """The independent designs whose sums these are: C's diagonal blocks."""
+        return self.C_blocks.shape[0]
+
     @classmethod
     def of(cls, y: np.ndarray, X1: DesignMatrix, X2: DesignMatrix) -> "NormalStatistics":
         """The statistics of the rows of y, X1 and X2, added up in one pass over
@@ -240,40 +257,6 @@ class NormalStatistics:
         )
 
 
-class _PinnedCholesky(BandedCholesky):
-    """Factor of Lam_j = X_j'X_j + lam_j Q_m with data-free columns pinned.
-
-    A column whose diagonal entry is at or below the rounding floor
-    q eps max(diag) carries neither data nor a penalty above rounding, which
-    happens only at lam_j = 0 in practice.  Its row and column are factored as
-    a unit diagonal, and then zeroed in the inverse, so its coefficient solves
-    to exactly 0.0: the minimum-norm solution on that block.  `pinned` lists
-    those columns.  A smallest pivot (1 / max diag of the kept inverse) at or
-    below the floor raises NotPositiveDefiniteError, even where numpy's Cholesky
-    passes; `pivot_ratio` is the smallest over its floor.  Blocks have own floors.
-    """
-
-    def __init__(self, stack: np.ndarray):
-        diag = np.diagonal(stack, axis1=1, axis2=2)
-        floor = diag.shape[1] * np.finfo(float).eps * diag.max(axis=1)
-        block, col = np.nonzero(diag <= floor[:, None])
-        self.pinned = block * diag.shape[1] + col
-        if self.pinned.size:
-            stack = stack.copy()
-            stack[block, col, :] = 0.0
-            stack[block, :, col] = 0.0
-            stack[block, col, col] = 1.0
-        super().__init__(stack)
-        self.inverse[block, col, :] = 0.0
-        self.inverse[block, :, col] = 0.0
-        with np.errstate(divide="ignore"):  # x / 0: a block of pinned columns alone
-            ratio = 1.0 / np.diagonal(self.inverse, axis1=1, axis2=2).max(axis=1) / floor
-        self.pivot_ratio, b = float(ratio.min()), ratio.argmin()
-        if not self.pivot_ratio > 1.0:
-            raise NotPositiveDefiniteError(f"smallest pivot {ratio[b] * floor[b]:.3e} at or "
-                                           f"below the rounding floor {floor[b]:.3e}")
-
-
 def _check_penalty(Q: PenaltyMatrix) -> None:
     """Raise ValueError unless Q_m is symmetric: the factors read the lower
     triangle of each Lam_j alone, and the products with it the whole."""
@@ -290,7 +273,7 @@ class NormalEquations:
     stored as the dense stack of its diagonal blocks, shape (blocks, q, q):
     the Gram matrices G_j = X_j'X_j (`G1`, `G2`), the cross-product C = X_1'X_2
     (`C_blocks`) and the inverses in the factors `L1`, `L2` (with data-free
-    columns pinned, see _PinnedCholesky; the first that fails raises, see
+    columns pinned, see `BandedCholesky`; the first that fails raises, see
     `_singular`) of the systems Lam_j = G_j + lam_j Q_m (`Lam1`, `Lam2`:
     formed again where read, as by the residual and the shift check, and not
     kept beside the factors otherwise).  Every product with
@@ -312,7 +295,7 @@ class NormalEquations:
         # a cycle would leave both to the cyclic garbage collector
         _check_penalty(design.penalty)
         self.num_coef = design.num_coef
-        self.blocks = blocks = design.blocks
+        blocks = design.blocks
         s = design.statistics
         if s is None:
             s = NormalStatistics.of(design.y, design.X1, design.X2)
@@ -331,12 +314,17 @@ class NormalEquations:
                 raise ValueError(f"penalty weight lambda{j} = {self._weights[j - 1]:g} is too "
                                  f"large: Lam_{j} = G_{j} + lambda{j} Q exceeds the float range")
             try:
-                factors.append(_PinnedCholesky(Lam))
+                factors.append(BandedCholesky(Lam))
             except NotPositiveDefiniteError as exc:
                 raise self._singular(j, exc) from None
             del Lam
         self.L1, self.L2 = factors
         self.pinned = (self.L1.pinned, self.L2.pinned)
+
+    @property
+    def blocks(self) -> int:
+        """The diagonal blocks of every stack here, read off C's."""
+        return self.C_blocks.shape[0]
 
     def _system(self, j: int) -> np.ndarray:
         """Lam_j = G_j + lam_j Q_m, formed from the Gram stack and the penalty."""
@@ -353,7 +341,7 @@ class NormalEquations:
         error.component, error.cause = j, "zero penalty" if lam == 0 else "order"
         if lam > w:
             with contextlib.suppress(NotPositiveDefiniteError):
-                _PinnedCholesky(G + w * self._Q)
+                BandedCholesky(G + w * self._Q)
                 error.cause = "weight"
         return error
 
@@ -458,11 +446,14 @@ class NormalEquations:
         return (g - ones * (ell @ g) / ell.sum(axis=2, keepdims=True)).reshape(b2.shape)
 
     @functools.cached_property
-    def _schur(self) -> _PinnedCholesky:
+    def _schur(self) -> BandedCholesky:
         """Factor of S = Lam_2 - C'Lam_1^{-1}C (plus l l'/l'1 where S 1 = 0) with
         component 2's pinned columns pinned.  A failed factor, a further pinned
         column or a pivot 1/(S^{-1})_jj (column j's, eliminated last) at or below
-        _PIVOT_RTOL max(diag Lam_2) leaves the split undetermined beyond the shift."""
+        _PIVOT_RTOL max(diag Lam_2) leaves the split undetermined beyond the shift;
+        where S then has an eigenvalue below minus that floor, the stacked system
+        is not positive semidefinite, and the ValueError names the non-convex
+        criterion (a penalty that is not positive semidefinite, say)."""
         S = self.Lam2 - self.C_blocks.swapaxes(1, 2) @ self.L1.inverse @ self.C_blocks
         if self.joint_system_singular:
             ell = self.column_sums[1].reshape(self.blocks, 1, -1)
@@ -471,12 +462,19 @@ class NormalEquations:
         S[block, col, :] = S[block, :, col] = 0.0
         pivot, floor = 0.0, _PIVOT_RTOL * np.diagonal(self.Lam2, axis1=1, axis2=2).max()
         try:
-            factor = _PinnedCholesky(S)
+            factor = BandedCholesky(S)
         except NotPositiveDefiniteError:
             factor = None
         if factor is not None and factor.pinned.size == self.pinned[1].size:
             pivot = 1.0 / np.diagonal(factor.inverse, axis1=1, axis2=2).max()
         if not pivot > floor:
+            lowest = float(np.linalg.eigvalsh(S).min())  # the error path alone
+            if lowest < -floor:
+                raise ValueError(
+                    "the penalized criterion is not convex: the joint system's Schur "
+                    f"complement has eigenvalue {lowest:.3e}, below -{floor:.3e}; "
+                    "is the penalty positive semidefinite?"
+                )
             raise NotPositiveDefiniteError(
                 "the joint system is singular beyond the constant shift between "
                 f"the components (smallest pivot {pivot:.3e}, floor {floor:.3e})"
@@ -579,13 +577,21 @@ def backfit(
     sup-norm are both <= tol; otherwise runs max_stages sweeps and returns with
     converged=False (the result is still usable -- non-convergence is a flag,
     not an exception).  A given `b2_init` is first moved onto the gauge
-    l'b2 = 0 (`NormalEquations.gauge`), which the sweeps then conserve.
+    l'b2 = 0 (`NormalEquations.gauge`), which the sweeps then conserve.  A run
+    that stops unconverged checks once that the criterion is convex: where it
+    is not, the sweeps diverge, and the ValueError of `NormalEquations._schur`
+    names it instead.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
     if max_stages < 1:
         raise ValueError("max_stages must be >= 1")
-    return _run(design.normal_equations, b2_init, tol, max_stages, keep_history)
+    eq = design.normal_equations
+    result = _run(eq, b2_init, tol, max_stages, keep_history)
+    if not result.converged:
+        with contextlib.suppress(NotPositiveDefiniteError):  # slow or singular: a flag
+            eq._schur
+    return result
 
 
 def backfit_stages(design: AdditiveDesign, stages: int) -> BackfitResult:
@@ -609,7 +615,7 @@ def univariate_penalized(
 ):
     """Univariate penalized spline estimate B(x)'(X'X + lam Q)^{-1} X'y.
 
-    At lam = 0, columns without data are pinned to zero (see _PinnedCholesky).
+    At lam = 0, columns without data are pinned to zero (see `BandedCholesky`).
     """
     if lam < 0:
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
@@ -617,7 +623,7 @@ def univariate_penalized(
         raise ValueError(f"penalty size {Q.size} != basis size {X.config.num_basis}")
     _check_penalty(Q)
     y = np.asarray(y, dtype=float).ravel()
-    b = _PinnedCholesky(gram_banded(X) + lam * Q.values).solve(X.rmatvec(y))
+    b = BandedCholesky(gram_banded(X) + lam * Q.values).solve(X.rmatvec(y))
     out = design_matrix(X.config, x).matvec(b)
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 

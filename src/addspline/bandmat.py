@@ -11,6 +11,9 @@ those into the stack once.
 
 `BandedCholesky` factors each block densely with numpy's Cholesky and keeps
 each block's inverse, so that every solve is one batched matrix product too.
+It owns the rules every factor of the package follows: a column whose
+diagonal is within rounding of zero is pinned (its coefficient solves to
+0.0), and a smallest pivot at or below the rounding floor raises.
 """
 
 from __future__ import annotations
@@ -62,17 +65,33 @@ def _block_matmul(stack: np.ndarray, v: np.ndarray, transpose: bool = False) -> 
 class BandedCholesky:
     """Factor once, solve many: the inverse of each diagonal block.
 
-    Each block is factored as L L' by numpy's Cholesky, which also checks
-    that it is positive definite, and its inverse L'^{-1} L^{-1} is kept
-    (`inverse`, shape (blocks, m, m)).  A solve is then one batched matrix
-    product; every block runs the same product, so a block's solution does
-    not depend on the blocks beside it.
+    A column whose diagonal is within the rounding floor q eps max(diag) of
+    zero (each block has its own floor) holds neither data nor a penalty
+    above rounding, which happens only at lam_j = 0 in practice: it is
+    factored as a unit diagonal and zeroed in the inverse, so its coefficient
+    solves to exactly 0.0, the minimum-norm solution (`pinned` lists those
+    columns).  numpy's Cholesky factors each block; a negative diagonal
+    beyond the floor fails there, naming its leading minor.  A smallest pivot
+    (1 / max diag of the inverse) at or below the floor raises too, even
+    where numpy's Cholesky passes (`pivot_ratio`: the smallest over its
+    floor).  The inverse L'^{-1} L^{-1} is kept (`inverse`, shape (blocks,
+    m, m)), so a solve is one batched matrix product, the same for every
+    block: a block's solution does not depend on the blocks beside it.
     """
 
     def __init__(self, A: np.ndarray):
         if A.ndim != 3 or A.shape[1] != A.shape[2]:
             raise ValueError(f"block stack shape {A.shape} is not (blocks, m, m)")
         self.size = A.shape[0] * A.shape[1]
+        diag = np.diagonal(A, axis1=1, axis2=2)
+        floor = A.shape[1] * np.finfo(float).eps * diag.max(axis=1)
+        block, col = np.nonzero(np.abs(diag) <= floor[:, None])
+        self.pinned = block * A.shape[1] + col
+        if self.pinned.size:
+            A = A.copy()
+            A[block, col, :] = 0.0
+            A[block, :, col] = 0.0
+            A[block, col, col] = 1.0
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
@@ -80,7 +99,15 @@ class BandedCholesky:
                 f"{_first_bad_minor(A)}-th leading minor not positive definite"
             ) from None
         Linv = _triangular_inverse(L)
-        self.inverse = Linv.swapaxes(1, 2) @ Linv
+        self.inverse = inverse = Linv.swapaxes(1, 2) @ Linv
+        inverse[block, col, :] = 0.0
+        inverse[block, :, col] = 0.0
+        with np.errstate(divide="ignore"):  # x / 0: a block of pinned columns alone
+            ratio = 1.0 / np.diagonal(inverse, axis1=1, axis2=2).max(axis=1) / floor
+        self.pivot_ratio, b = float(ratio.min()), ratio.argmin()
+        if not self.pivot_ratio > 1.0:
+            raise NotPositiveDefiniteError(f"smallest pivot {ratio[b] * floor[b]:.3e} at or "
+                                           f"below the rounding floor {floor[b]:.3e}")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A^{-1} rhs for a vector or a q x k block rhs."""

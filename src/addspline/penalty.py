@@ -19,11 +19,15 @@ __all__ = ["PenaltyMatrix", "difference_matrix", "penalty_matrix"]
 
 @dataclass(frozen=True)
 class PenaltyMatrix:
-    """Order-m difference penalty Q_m = D_m' D_m on q coefficients."""
+    """Order-m difference penalty Q_m = D_m' D_m on q coefficients; q, its
+    `size`, is read off the matrix."""
 
     order: int
-    size: int
     values: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[0]
 
     def quad_form(self, b: np.ndarray) -> float:
         """Penalty value b' Q_m b."""
@@ -72,4 +76,4 @@ def penalty_matrix(order: int, size: int) -> PenaltyMatrix:
         diagonals = np.ndarray((m + 1, q - m), buffer=Q, offset=j * q * Q.itemsize,
                                strides=(Q.itemsize, (q + 1) * Q.itemsize))
         diagonals += np.array([c[j] * c_l for c_l in c], dtype=float)[:, None]
-    return PenaltyMatrix(order=order, size=size, values=Q)
+    return PenaltyMatrix(order=order, values=Q)

@@ -15,11 +15,13 @@ Every design comes from `backfit.build_design` with the scenario's K and
 lambda; study 2's univariate fits B(x)'Lam_j^{-1} X_j'y solve with the
 factors of Lam_j = X_j'X_j + lam_j Q_m the backfit sweeps with.
 
-The replications of a study run in blocks.  A block of R replications is the
-block diagonal design (`AdditiveDesign.blocks`) of their R n rows: one basis
-evaluation per component, one factorization per component of the stack of
-R q x q blocks, and one run of the weight kernel for all R.  The blocks do
-not interact, and the pass over a block's rows is cut only between
+The replications of a study run in blocks.  A block of R replications sums
+the block diagonal rows (`DesignMatrix.block_diagonal`) of their R n rows into
+`NormalStatistics` of R blocks, and `build_design` reads the block count off
+those, as `addspline fit` builds its design from the statistics of its read:
+one basis evaluation per component, one factorization per component of the
+stack of R q x q blocks, and one run of the weight kernel for all R.  The
+blocks do not interact, and the pass over a block's rows is cut only between
 replications (`DesignMatrix.cuts`), so each replication's row is bit for
 bit the row a block of one computes: any row is recomputable alone
 (`sim3_replication`).  R is the largest count whose data and q x q stacks
@@ -28,19 +30,21 @@ fit in half of a fixed byte budget, the pass's chunk taking the other half
 
 The blocks of a study run on up to two CPUs: the calling process and a
 forked worker take blocks from one queue until it is empty
-(`_replicate_all`).  The blocks and their arithmetic do not depend on the
-worker count or on which process runs a block, so the rows are bit for bit
-those of the serial loop.  Studies below `_FORK_ROWS` data rows, of a
-single block, on one CPU or on a platform other than Linux run serially in
-the calling process (`forking.workers`).
+(`_replicate_all`), each with its BLAS on one thread (`_one_blas_thread`).
+The blocks and their arithmetic do not depend on the worker count or on
+which process runs a block, so the rows are bit for bit those of the serial
+loop on one BLAS thread.  Studies below `_FORK_ROWS` data rows, of a single
+block, on one CPU or on a platform other than Linux run serially in the
+calling process (`forking.workers`), on the environment's BLAS threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import select
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -49,7 +53,7 @@ from . import forking
 from .backfit import (
     AdditiveDesign, NormalStatistics, backfit_stages, build_design, kn_rule, lambda_rule,
 )
-from .basis import _BLOCK_BYTES, design_matrix, eval_grid
+from .basis import _BLOCK_BYTES, design_matrix, eval_grid, make_knots
 from .inference import StageSmoother, confidence_interval
 
 __all__ = [
@@ -149,27 +153,18 @@ def _draw(cfg: ScenarioConfig, replications) -> np.ndarray:
 
 def scenario_design(cfg: ScenarioConfig, data: SimDataset) -> AdditiveDesign:
     """Assemble the design with the scenario's K and lambda rules."""
-    return _design(cfg, data.y, data.x1, data.x2, 1)
+    return _design(cfg, data.y, data.x1, data.x2)
 
 
-def _block_design(cfg: ScenarioConfig, replications) -> AdditiveDesign:
-    """The designs of the given replications as the blocks of one design, on
-    the data `_draw` gives them (`generate_dataset`'s values, bit for bit)."""
-    return _design(cfg, *_draw(cfg, replications), len(replications))
-
-
-def _design(cfg: ScenarioConfig, y, x1, x2, blocks: int) -> AdditiveDesign:
-    """The design of `blocks` datasets of n rows each, one after another in
-    y, x1 and x2, as the blocks of one design: each component's basis is
-    evaluated on all their values in one pass."""
+def _design(cfg: ScenarioConfig, y, x1, x2, statistics=None) -> AdditiveDesign:
+    """`build_design` with the scenario's K and lambda rules: of the rows y,
+    x1 and x2, or of None and the `NormalStatistics` of any number of blocks."""
     K = cfg.k_rule(cfg.n)
     lam = cfg.lam_rule(cfg.n, K)
-    design = build_design(
-        y, x1, x2,
-        degree=cfg.degree, diff_order=cfg.diff_order, num_intervals=K, lambda1=lam, lambda2=lam,
+    return build_design(
+        y, x1, x2, degree=cfg.degree, diff_order=cfg.diff_order, num_intervals=K,
+        lambda1=lam, lambda2=lam, statistics=statistics,
     )
-    X1, X2 = design.X1.block_diagonal(blocks), design.X2.block_diagonal(blocks)
-    return replace(design, X1=X1, X2=X2, blocks=blocks)
 
 
 def _fit_on_grid(cfg: ScenarioConfig):
@@ -299,18 +294,25 @@ def _block_size(cfg: ScenarioConfig) -> int:
     return max(1, _BLOCK_BYTES // 2 // (8 * (3 * cfg.n + _HELD_STACKS * q * q)))
 
 
+def _block_statistics(cfg: ScenarioConfig, replications) -> NormalStatistics:
+    """The `NormalStatistics` of R replications as R blocks: the block diagonal
+    rows (`DesignMatrix.block_diagonal`) of the data `_draw` gives them
+    (`generate_dataset`'s values, bit for bit), each component's basis
+    evaluated on all R n values in one pass."""
+    y, x1, x2 = _draw(cfg, replications)
+    config = make_knots(cfg.degree, cfg.k_rule(cfg.n))
+    X1, X2 = (design_matrix(config, x).block_diagonal(len(replications)) for x in (x1, x2))
+    return NormalStatistics.of(y, X1, X2)
+
+
 def _replicate_block(cfg: ScenarioConfig, replications) -> tuple[np.ndarray, np.ndarray]:
     """The deviations f_hat - f_true at the evaluation point, shape (R, 2), and
     their exact covariances V, shape (R, 2, 2), of R replications' fixed-stage
-    fits, computed as the blocks of one system (`_block_design`).  The weights
-    read the rows only through their sums, so the block's data go once those
-    are added up, before the factors and the weights are formed."""
-    design, empty = _block_design(cfg, replications), np.empty(0)
-    design = replace(
-        design, y=empty, X1=replace(design.X1, covariate=empty),
-        X2=replace(design.X2, covariate=empty),
-        statistics=NormalStatistics.of(design.y, design.X1, design.X2),
-    )
+    fits, computed as the blocks of one system: the design of their
+    statistics (`_block_statistics`).  The weights read the rows only through
+    those sums, so the block's data go once they are added up, before the
+    factors and the weights are formed."""
+    design = _design(cfg, None, None, None, _block_statistics(cfg, replications))
     x1e, x2e = cfg.eval_point
     rows = design_matrix(design.X1.config, [x1e, x2e]).values
     est, P = StageSmoother(design, cfg.stages).evaluate_rows(rows[:1], rows[1:])
@@ -334,6 +336,49 @@ def _worker_count(rows: int, blocks: int) -> int:
     if blocks < 2 or rows < _FORK_ROWS:
         return 1
     return forking.workers()
+
+
+# The (setter, getter) pairs of the BLAS thread count, tried in turn: numpy's
+# bundled scipy-openblas, a system OpenBLAS, MKL.
+_BLAS_THREADS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+
+
+def _blas_library():
+    """numpy's linear algebra extension as a C library, whose symbol lookup
+    also searches the BLAS it links; None where it cannot be loaded."""
+    import ctypes  # numpy has loaded it: this import costs nothing
+
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError, TypeError):
+        return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the BLAS on one thread, in this process and in the
+    workers it forks meanwhile, and restore this process's count after it,
+    also when it raises.  Two processes of two BLAS threads each on two
+    CPUs ran a study's blocks 3-25 times slower at q >= 83, and their sums
+    differed in the last digits from those of one thread.  A no-op where no
+    pair of `_BLAS_THREADS` is found."""
+    lib = _blas_library()
+    pair = next(((getattr(lib, s), getattr(lib, g)) for s, g in _BLAS_THREADS
+                 if hasattr(lib, s) and hasattr(lib, g)), None)
+    if pair is None:
+        yield
+        return
+    set_threads, get_threads = pair
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _run_blocks(cfg: ScenarioConfig, R: int, blocks, worker: int) -> list:
@@ -361,7 +406,9 @@ def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     unequally.  The worker sends back its (index, rows) pairs, and the
     blocks are put back in block order, so the rows are those of the serial
     loop.  The worker's exception is raised again here, after the running block,
-    and the worker is killed and reaped before this returns or raises.
+    and the worker is killed and reaped before this returns or raises.  Both
+    processes run their BLAS on one thread (`_one_blas_thread`); a study of
+    one process keeps the environment's count.
     """
     M, R = cfg.replications, _block_size(cfg)
     count = -(-M // R)
@@ -369,7 +416,8 @@ def _replicate_all(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     if workers == 1:
         done = _run_blocks(cfg, R, range(count), 0)
     else:
-        with forking.Queue(count) as queue, forking.Worker(_send_blocks, cfg, R, queue) as child:
+        with (_one_blas_thread(), forking.Queue(count) as queue,
+              forking.Worker(_send_blocks, cfg, R, queue) as child):
             done, theirs = [], None
             for b in queue:
                 done += _run_blocks(cfg, R, [b], 0)

@@ -39,7 +39,7 @@ def sim_xy(n, seed=0):
 
 def ridged_penalty(order, size, delta):
     base = penalty_matrix(order, size)
-    return PenaltyMatrix(order=order, size=size, values=base.values + delta * np.eye(size))
+    return PenaltyMatrix(order=order, values=base.values + delta * np.eye(size))
 
 
 def ridged_design(n=150, K=8, lam=2.0, delta=5.0, seed=3, degree=3, order=2):

@@ -24,9 +24,8 @@ from addspline import (
 from addspline.backfit import (
     NormalEquations,
     NormalStatistics,
-    _PinnedCholesky,
 )
-from addspline.bandmat import NotPositiveDefiniteError
+from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import design_matrix, make_knots
 from addspline.dataio import load_csv
 from addspline.penalty import PenaltyMatrix, difference_matrix
@@ -119,7 +118,7 @@ class TestDesignValidation:
         values = penalty_matrix(2, cfg.num_basis).values.copy()
         for i, j, v in entries:
             values[i, j] += v
-        Q = PenaltyMatrix(order=2, size=cfg.num_basis, values=values)
+        Q = PenaltyMatrix(order=2, values=values)
         d = AdditiveDesign(
             y=y,
             X1=design_matrix(cfg, x1),
@@ -142,6 +141,37 @@ class TestDesignValidation:
         for b1, b2 in (joint_solve(d), (fit.b1, fit.b2)):
             got = np.concatenate([b1, b2])
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_non_convex_criterion_is_named(self):
+        # the symmetric wider_than_its_order penalty has eigenvalue -0.183; at
+        # lambda 10 the stacked Hessian's smallest is -1.18, each Lam_j still
+        # factors, and the sweeps diverge (coefficients near 1e273 after 200
+        # stages): the unconverged backfit and the joint solve name the
+        # criterion instead, and the fixed-stage run checks nothing
+        y, x1, x2 = sim_xy(50, seed=3)
+        cfg = make_knots(3, 6)
+        values = penalty_matrix(2, cfg.num_basis).values.copy()
+        values[0, 3] += 0.5
+        values[3, 0] += 0.5
+        d = AdditiveDesign(
+            y=y,
+            X1=design_matrix(cfg, x1),
+            X2=design_matrix(cfg, x2),
+            lambda1=10.0,
+            lambda2=10.0,
+            penalty=PenaltyMatrix(order=2, values=values),
+        )
+        assert np.linalg.eigvalsh(d.normal_equations.stacked_matrix())[0] < -1.0
+        with pytest.raises(ValueError, match="penalized criterion is not convex"):
+            backfit(d, max_stages=200)
+        with pytest.raises(ValueError, match="penalized criterion is not convex"):
+            joint_solve(d)
+        assert backfit_stages(d, 200).stages == 200
+
+    def test_slow_convex_fit_stops_unconverged_without_an_error(self):
+        # ozone at zero penalty contracts at rate 0.90 and needs 245 stages
+        r = backfit(ozone_design(0.0), max_stages=100)
+        assert not r.converged and r.stages == 100
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_response_names_y_and_row(self, bad):
@@ -369,7 +399,6 @@ class TestChunkedStatistics:
             lambda1=1.0,
             lambda2=1.0,
             penalty=penalty_matrix(2, cfg.num_basis),
-            blocks=blocks,
         )
         assert d.X1.cuts() == [slice(0, 5000), slice(5000, 10000), slice(10000, 15000)]
         chunked = _statistics(d)
@@ -500,12 +529,12 @@ class TestPinnedColumns:
         ridged = ozone_design(1.0).normal_equations.Lam1
         parts = [zero, 1e20 * zero, ridged]
         q = zero.shape[1]
-        L = _PinnedCholesky(np.concatenate(parts))
+        L = BandedCholesky(np.concatenate(parts))
         assert L.pinned.tolist() == [0, 1, 2, 3, 4, q, q + 1, q + 2, q + 3, q + 4]
         rhs = np.random.default_rng(4).normal(size=(3 * q, 2))
         got = L.solve(rhs)
         for i, m in enumerate(parts):
-            alone = _PinnedCholesky(m).solve(rhs[i * q : (i + 1) * q])
+            alone = BandedCholesky(m).solve(rhs[i * q : (i + 1) * q])
             assert np.array_equal(got[i * q : (i + 1) * q], alone)
 
 
@@ -654,7 +683,6 @@ class TestJointSolve:
             lambda1=1.0,
             lambda2=1.0,
             penalty=penalty_matrix(2, cfg.num_basis),
-            blocks=blocks,
         )
         b1, b2 = joint_solve(d)
         q = cfg.num_basis
@@ -665,6 +693,27 @@ class TestJointSolve:
             a1, a2 = joint_solve(alone)
             assert np.abs(b1[cols] - a1).max() <= 1e-12 * np.abs(a1).max()
             assert np.abs(b2[cols] - a2).max() <= 1e-12 * np.abs(a2).max()
+
+    def test_design_of_block_statistics_reads_their_block_count(self):
+        # build_design without rows takes the block count off the statistics,
+        # its default rules the rows of one block, and solves as the design
+        # of the same rows does, bit for bit
+        blocks, n = 3, 120
+        y, x1, x2 = sim_xy(blocks * n, seed=4)
+        cfg = make_knots(3, kn_rule(n))
+        X1, X2 = (design_matrix(cfg, x).block_diagonal(blocks) for x in (x1, x2))
+        d = build_design(None, None, None, statistics=NormalStatistics.of(y, X1, X2))
+        assert d.blocks == d.X1.blocks == d.X2.blocks == blocks
+        assert d.n == blocks * n and d.y.size == 0 and d.num_coef == blocks * cfg.num_basis
+        assert d.lambda1 == d.lambda2 == lambda_rule(n, kn_rule(n))
+        rows = AdditiveDesign(y=y, X1=X1, X2=X2, lambda1=d.lambda1, lambda2=d.lambda2,
+                              penalty=d.penalty)
+        assert rows.blocks == blocks
+        for got, want in zip(joint_solve(d), joint_solve(rows)):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="same basis size and blocks"):
+            AdditiveDesign(y=y, X1=X1, X2=design_matrix(cfg, x2), lambda1=1.0, lambda2=1.0,
+                           penalty=d.penalty)
 
     @settings(max_examples=60, deadline=None)
     @given(degenerate_designs())

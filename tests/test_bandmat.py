@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from addspline.backfit import (
     AdditiveDesign,
-    _PinnedCholesky,
     lambda_rule,
     univariate_penalized,
 )
@@ -102,7 +101,7 @@ class TestCholesky:
                     dense[b][cols, :] = dense[b][:, cols] = 0.0
                     pinned += (b * size + np.sort(cols)).tolist()
             stack = np.stack(dense)
-            chol = _PinnedCholesky(stack)
+            chol = BandedCholesky(stack)
             assert chol.pinned.tolist() == pinned
             assert np.array_equal(stack, np.stack(dense))  # the input is not changed
             for rhs in (
@@ -143,23 +142,34 @@ class TestCholesky:
                 chol.solve(rhs)
 
     def test_not_positive_definite(self):
+        # a negative diagonal is no rounding of zero: it raises, not pins
         dense = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError, match="^2-th leading minor not positive"):
             BandedCholesky(dense[None])
 
-    def test_exactly_singular(self):
-        dense = np.diag([1.0, 0.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            BandedCholesky(dense[None])
+    def test_exactly_singular_column_is_pinned(self):
+        # a zero diagonal is pinned: its coefficient solves to exactly 0.0
+        chol = BandedCholesky(np.diag([1.0, 0.0, 1.0])[None])
+        assert chol.pinned.tolist() == [1]
+        assert chol.solve(np.array([2.0, 5.0, 3.0])).tolist() == [2.0, 0.0, 3.0]
 
     def test_failure_names_the_leading_minor_of_the_whole_matrix(self):
         # the order counts over all blocks, as LAPACK's banded factor reported it
         dense = np.diag([1.0, 2.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError, match="^3-th leading minor not positive"):
             BandedCholesky(dense[None])
-        good, bad = np.eye(4) * 2.0, np.diag([1.0, 0.0, 1.0, 1.0])
+        # an indefinite second block of positive diagonal: its order-2 minor fails
+        good, bad = np.eye(4) * 2.0, np.eye(4)
+        bad[0, 1] = bad[1, 0] = 2.0
         with pytest.raises(NotPositiveDefiniteError, match="^6-th leading minor not positive"):
             BandedCholesky(np.stack([good, bad]))
+
+    def test_pivot_at_the_rounding_floor_raises(self):
+        # numpy's Cholesky passes the last pivot, one ulp of 1, but it is
+        # below the floor q eps max(diag), two ulps
+        dense = np.array([[1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]])
+        with pytest.raises(NotPositiveDefiniteError, match="at or below the rounding floor"):
+            BandedCholesky(dense[None])
 
     def test_triangular_inverse_of_full_factors(self):
         # the half split inverts lower triangular factors with no zero band,
@@ -212,7 +222,6 @@ class TestGram:
                 lambda1=1.7,
                 lambda2=0.0,
                 penalty=Q,
-                blocks=blocks,
             )
             eq = d.normal_equations
             i, j = np.indices(Q.values.shape)
@@ -270,7 +279,6 @@ class TestNormalEquationStacks:
                 lambda1=lam,
                 lambda2=lam,
                 penalty=Q,
-                blocks=blocks,
             )
             eq = d.normal_equations
         except (NotPositiveDefiniteError, ValueError):

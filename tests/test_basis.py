@@ -226,8 +226,7 @@ def _cross_blocks(X, Z):
         X2=Z,
         lambda1=1.0,
         lambda2=1.0,
-        penalty=PenaltyMatrix(order=0, size=q, values=np.eye(q)),
-        blocks=X.blocks,
+        penalty=PenaltyMatrix(order=0, values=np.eye(q)),
     )
     return NormalEquations(design).C_blocks
 

@@ -288,7 +288,8 @@ class TestLimitMap:
     @staticmethod
     def _designs():
         cfg = ScenarioConfig(n=200, seed=11)
-        return sim._block_design(cfg, range(3)), [sim._block_design(cfg, [r]) for r in range(3)]
+        blocks = sim._design(cfg, None, None, None, sim._block_statistics(cfg, range(3)))
+        return blocks, [sim.scenario_design(cfg, sim.generate_dataset(cfg, r)) for r in range(3)]
 
     def _evaluate(self, design):
         rows = design_matrix(design.X1.config, self.POINTS).values
@@ -528,7 +529,6 @@ class TestAsymptoticVariance:
             lambda1=d.lambda1,
             lambda2=d.lambda2,
             penalty=d.penalty,
-            blocks=3,
         )
         with pytest.raises(ValueError, match="one block, not 3 blocks"):
             asymptotic_variance(stacked, 1, 0.5, 1.0 / 12.0)

@@ -132,6 +132,7 @@ class TestPenaltyMatrix:
         # PenaltyMatrix is a plain container: shifted penalties can be built
         # directly (the test suite uses this to break the constant gauge)
         base = penalty_matrix(2, 6)
-        shifted = PenaltyMatrix(order=2, size=6, values=base.values + np.eye(6))
+        shifted = PenaltyMatrix(order=2, values=base.values + np.eye(6))
+        assert shifted.size == base.size == 6  # read off the matrix, not stored
         v = np.ones(6)
         assert shifted.quad_form(v) == pytest.approx(6.0, rel=1e-12)

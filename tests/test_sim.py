@@ -2,16 +2,20 @@
 
 import dataclasses
 import importlib
+import json
 import os
 import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from addspline import forking, sim
-from addspline.backfit import univariate_penalized
+from addspline.backfit import NormalStatistics, univariate_penalized
 from addspline.bandmat import BandedCholesky, NotPositiveDefiniteError
 from addspline.basis import design_matrix
 from addspline.inference import StageSmoother
@@ -365,7 +369,8 @@ class TestReplicationBlocks:
         ids = sorted(own)[:30]
         pins = [any(cols.size for cols in own[r]) for r in ids]
         assert any(pins) and not all(pins)
-        design = sim._block_design(cfg, ids)
+        design = sim._design(cfg, None, None, None, sim._block_statistics(cfg, ids))
+        assert design.blocks == len(ids) and design.n == len(ids) * cfg.n
         got = design.normal_equations.pinned
         for j in (0, 1):
             want = np.concatenate([own[r][j] + i * q for i, r in enumerate(ids)])
@@ -524,8 +529,12 @@ class TestForkedStudies:
         # before chunks were cut between replications only
         cfg = ScenarioConfig(n=1000, replications=48, seed=7)
         monkeypatch.setattr(sim, "_block_size", lambda cfg: 16)
-        design = sim._block_design(cfg, range(16))
-        assert design.X1.cuts() == [slice(0, 8000), slice(8000, 16000)]
+        cuts, of = [], NormalStatistics.of
+        with monkeypatch.context() as m:  # the cuts of the rows a block sums
+            m.setattr(NormalStatistics, "of", lambda y, X1, X2: cuts.append(X1.cuts())
+                      or of(y, X1, X2))
+            sim._block_statistics(cfg, range(16))
+        assert cuts == [[slice(0, 8000), slice(8000, 16000)]]
         _force_workers(monkeypatch, 1)
         serial = sim._replicate_all(cfg)
         _force_workers(monkeypatch, 2)
@@ -599,6 +608,136 @@ class TestForkedStudies:
                            match=f"exited with status 0 after sending {sent} bytes"):
             coverage_experiment(FORKED)
         _assert_no_child_remains()
+
+
+class _FakeBlas:
+    """A BLAS thread count held in a Python int; `calls` records every set."""
+
+    def __init__(self, threads):
+        self.threads, self.calls = threads, []
+
+    def scipy_openblas_set_num_threads64_(self, threads):
+        self.calls.append(threads)
+        self.threads = threads
+
+    def scipy_openblas_get_num_threads64_(self):
+        return self.threads
+
+
+class _SetterOnly:
+    """A library with a setter but no getter: no pair, so never called."""
+
+    def __init__(self):
+        self.calls = []
+
+    def openblas_set_num_threads(self, threads):
+        self.calls.append(threads)
+
+
+# child interpreters import the package from the same tree as this process
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(sim.__file__).parents[1])]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ),
+}
+
+
+class TestBlasThreads:
+    """A study on two processes runs each one's BLAS on one thread."""
+
+    @staticmethod
+    def _threads_kernel(monkeypatch, fake, fail_in_worker=False):
+        # each block's row: the fake's thread count where it ran; a short
+        # sleep lets the worker take blocks too
+        parent = os.getpid()
+
+        def kernel(cfg, replications):
+            if fail_in_worker and os.getpid() != parent:
+                raise NotPositiveDefiniteError(SINGULAR)
+            time.sleep(0.01)
+            R = len(replications)
+            return np.full((R, 2), float(fake.threads)), np.tile(np.eye(2), (R, 1, 1))
+
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 10)
+        monkeypatch.setattr(sim, "_replicate_block", kernel)
+
+    def test_both_processes_run_one_thread_and_the_count_is_restored(self, monkeypatch):
+        fake = _FakeBlas(2)
+        monkeypatch.setattr(sim, "_blas_library", lambda: fake)
+        _force_workers(monkeypatch, 2)
+        self._threads_kernel(monkeypatch, fake)
+        dev, _, runs = sim._replicate_all(FORKED)
+        _assert_no_child_remains()
+        assert set(runs["block_workers"]) == {0, 1}
+        assert np.all(dev == 1.0)  # in this process and in the worker
+        assert fake.calls == [1, 2] and fake.threads == 2
+
+    def test_count_is_restored_when_the_worker_raises(self, monkeypatch):
+        fake = _FakeBlas(3)
+        monkeypatch.setattr(sim, "_blas_library", lambda: fake)
+        _force_workers(monkeypatch, 2)
+        self._threads_kernel(monkeypatch, fake, fail_in_worker=True)
+        with pytest.raises(NotPositiveDefiniteError, match=SINGULAR):
+            sim._replicate_all(FORKED)
+        _assert_no_child_remains()
+        assert fake.calls == [1, 3] and fake.threads == 3
+
+    def test_one_process_keeps_the_environments_count(self, monkeypatch):
+        fake = _FakeBlas(2)
+        monkeypatch.setattr(sim, "_blas_library", lambda: fake)
+        _force_workers(monkeypatch, 1)
+        self._threads_kernel(monkeypatch, fake)
+        dev, _, _ = sim._replicate_all(FORKED)
+        assert np.all(dev == 2.0) and fake.calls == []
+
+    @pytest.mark.parametrize("library", [None, object(), _SetterOnly()],
+                             ids=["not loaded", "no symbol", "no getter"])
+    def test_no_pair_found_does_nothing(self, monkeypatch, library):
+        monkeypatch.setattr(sim, "_blas_library", lambda: library)
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(sim, "_block_size", lambda cfg: 50)
+        forked = sim._replicate_all(FORKED)
+        _assert_no_child_remains()
+        _force_workers(monkeypatch, 1)
+        serial = sim._replicate_all(FORKED)
+        assert np.array_equal(forked[0], serial[0]) and np.array_equal(forked[1], serial[1])
+        assert getattr(library, "calls", []) == []
+
+    def test_numpys_own_library_reads_one_thread_inside(self):
+        lib = sim._blas_library()
+        pairs = [(getattr(lib, s), getattr(lib, g)) for s, g in sim._BLAS_THREADS
+                 if hasattr(lib, s) and hasattr(lib, g)]
+        if not pairs:
+            pytest.skip("numpy's BLAS exports none of the known thread-count pairs")
+        get = pairs[0][1]
+        before = get()
+        with sim._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+
+    @pytest.mark.skipif(forking.workers() < 2, reason="a study forks only on two CPUs")
+    def test_study_bytes_do_not_depend_on_the_environments_thread_count(self, tmp_path):
+        # at n = 1e5 one block of two BLAS threads summed differently from
+        # one of one thread, in the last digits of mean, covariance, ks_stat
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            proc = subprocess.run(
+                [sys.executable, "-m", "addspline", "simulate", "sim3", "--n", "100000",
+                 "--reps", "4", "--seed", "1", "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                     "MKL_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            summary = json.loads((out / "sim3_n100000_seed1.json").read_text())
+            assert summary["workers"] == 2
+            for run_time in ("runtime_seconds", "block_seconds", "block_workers"):
+                del summary[run_time]
+            outputs.append((summary, (out / "sim3_n100000_seed1.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestCoverage:
