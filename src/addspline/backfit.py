@@ -120,6 +120,9 @@ class AdditiveDesign:
                 f"statistics of {self.statistics.u1.shape[0]} columns for a basis "
                 f"of {self.X1.cols}"
             )
+        if self.statistics is not None and self.statistics.blocks != self.blocks:
+            raise ValueError(f"statistics of {self.statistics.blocks} blocks for a design "
+                             f"of {self.blocks}")
 
     @property
     def num_coef(self) -> int:

@@ -360,9 +360,9 @@ def _blas_library():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with the BLAS on one thread, in this process and in the
-    workers it forks meanwhile, and restore this process's count after it,
-    also when it raises.  Two processes of two BLAS threads each on two
+    """Run the `with` body with the BLAS on one thread, in this process and in
+    the workers it forks meanwhile, and restore this process's count after
+    it, also when it raises.  Two processes of two BLAS threads each on two
     CPUs ran a study's blocks 3-25 times slower at q >= 83, and their sums
     differed in the last digits from those of one thread.  A no-op where no
     pair of `_BLAS_THREADS` is found."""

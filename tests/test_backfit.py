@@ -714,6 +714,11 @@ class TestJointSolve:
         with pytest.raises(ValueError, match="same basis size and blocks"):
             AdditiveDesign(y=y, X1=X1, X2=design_matrix(cfg, x2), lambda1=1.0, lambda2=1.0,
                            penalty=d.penalty)
+        one = make_knots(3, blocks * cfg.num_basis - 3)  # as many columns in one block
+        with pytest.raises(ValueError, match="statistics of 3 blocks for a design of 1"):
+            AdditiveDesign(y=y, X1=design_matrix(one, x1), X2=design_matrix(one, x2),
+                           lambda1=1.0, lambda2=1.0, penalty=penalty_matrix(2, one.num_basis),
+                           statistics=NormalStatistics.of(y, X1, X2))
 
     @settings(max_examples=60, deadline=None)
     @given(degenerate_designs())
